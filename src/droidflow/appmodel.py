@@ -18,6 +18,10 @@ class EmptyAppError(ValueError):
     """No class of the app could be parsed."""
 
 
+class MalformedIrError(ValueError):
+    """An IR document lacks a key every entry of its kind must have."""
+
+
 @dataclass(frozen=True)
 class Instruction:
     offset: int
@@ -136,22 +140,31 @@ def assign_offsets(instructions):
 def app_from_ir(data: dict) -> AppModel:
     classes = {}
     for cd in data.get("classes", []):
+        class_name = _required(cd, "name", "class")
         methods = []
         for md in cd.get("methods", []):
+            method_name = _required(md, "name", f"method of {class_name}")
             raw = []
-            for ins in md.get("body", []):
-                opcode = opcode_from_mnemonic(ins["mnemonic"])
-                invoked = ins.get("invoked_method")
-                if opcode.is_invoke and invoked is None:
-                    raise ValueError(
-                        f"invoke without invoked_method in {cd['name']}.{md['name']}"
-                    )
-                raw.append((opcode, tuple(ins.get("operands", ())), invoked))
+            # One handler for the whole body, not _required per instruction:
+            # this loop is the hot path of loading an IR app.
+            try:
+                for ins in md.get("body", []):
+                    opcode = opcode_from_mnemonic(ins["mnemonic"])
+                    invoked = ins.get("invoked_method")
+                    if opcode.is_invoke and invoked is None:
+                        raise ValueError(
+                            f"invoke without invoked_method in {class_name}.{method_name}"
+                        )
+                    raw.append((opcode, tuple(ins.get("operands", ())), invoked))
+            except KeyError:
+                raise MalformedIrError(
+                    f"instruction of {class_name}.{method_name} without 'mnemonic'"
+                ) from None
             methods.append(
                 MethodDef(
-                    owner=cd["name"],
-                    name=md["name"],
-                    descriptor=md["descriptor"],
+                    owner=class_name,
+                    name=method_name,
+                    descriptor=_required(md, "descriptor", f"method {class_name}.{method_name}"),
                     flags=frozenset(md.get("flags", ())),
                     body=assign_offsets(raw),
                     is_user_defined=md.get("is_user_defined", True),
@@ -161,18 +174,18 @@ def app_from_ir(data: dict) -> AppModel:
         for m in methods:
             key = (m.name, m.descriptor)
             if key in seen:
-                raise ValueError(f"duplicate method {m.name}{m.descriptor} in {cd['name']}")
+                raise ValueError(f"duplicate method {m.name}{m.descriptor} in {class_name}")
             seen.add(key)
-        classes[cd["name"]] = ClassDef(
-            name=cd["name"],
+        classes[class_name] = ClassDef(
+            name=class_name,
             superclass=cd.get("superclass", "Ljava/lang/Object;"),
             interfaces=tuple(cd.get("interfaces", ())),
             methods=methods,
         )
     components = [
         Component(
-            path_name=c["path_name"],
-            category=c["category"],
+            path_name=_required(c, "path_name", "component"),
+            category=_required(c, "category", "component"),
             intent_filters=[
                 IntentFilter(frozenset(f.get("actions", ())), frozenset(f.get("categories", ())))
                 for f in c.get("intent_filters", ())
@@ -189,6 +202,13 @@ def app_from_ir(data: dict) -> AppModel:
     )
     _check_links(app)
     return app
+
+
+def _required(entry: dict, key: str, what: str):
+    try:
+        return entry[key]
+    except KeyError:
+        raise MalformedIrError(f"{what} without {key!r}") from None
 
 
 def _check_links(app: AppModel):

@@ -5,9 +5,12 @@ All commands are deterministic given the same inputs and seed.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .apimine import (
     ApiDoc,
@@ -24,7 +27,7 @@ from .appmodel import EmptyAppError
 from .flowgraph import FormatError
 from .manifest import AxmlUnsupportedError, XmlError
 from .metrics import LengthMismatchError, compute_metrics
-from .nn.model import ModelMismatchError, load_model, predict, save_model, score
+from .nn.model import ModelMismatchError, load_model, probabilities, save_model, score
 from .nn.train import DivergedLossError, train
 from .pipeline import (
     ConfigError,
@@ -86,9 +89,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = _config(args)
     if args.seed is not None:
-        config.train = type(config.train)(
-            learning_rate=config.train.learning_rate, seed=args.seed
-        )
+        config.train = dataclasses.replace(config.train, seed=args.seed)
     records = load_features(args.features)
     labeled = [r for r in records if r.label is not None]
     if not labeled:
@@ -162,9 +163,9 @@ def cmd_predict(args) -> int:
             rec.graph(model.hyper.label_dim),
             rec.matrix(model.hyper.seq_len, config.opcode_budget),
         )
-        label, prob = predict(features, model, seed=config.train.seed)
-        mal = score(features, model, seed=config.train.seed)
-        lines.append(f"{rec.app_id},{label},{prob:.6f},{mal:.6f}")
+        probs = probabilities(features, model, seed=config.train.seed)
+        label = int(np.argmax(probs))
+        lines.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote predictions for {len(records)} apps to {args.out}")
     return 0

@@ -348,24 +348,27 @@ def loss(probs, label: int) -> float:
     return -math.log(p)
 
 
+def probabilities(features, model: ModelParams, seed=0) -> np.ndarray:
+    """Probability pair (benign, malicious) for a (flow graph, row matrix)
+    feature pair: one forward pass through both branches and the fusion."""
+    graph, matrix = features
+    h_g = gnn_forward(graph, model.gnn, seed)
+    h_b = bilstm_forward(_checked(matrix, model.hyper.seq_len), model.lstm)
+    return classify(h_g, h_b, model.fusion)
+
+
 def predict(features, model: ModelParams, seed=0):
     """(label, probability) for a (flow graph, row matrix) feature pair.
 
     Ties break toward the lower label index."""
-    graph, matrix = features
-    h_g = gnn_forward(graph, model.gnn, seed)
-    h_b = bilstm_forward(_checked(matrix, model.hyper.seq_len), model.lstm)
-    probs = classify(h_g, h_b, model.fusion)
+    probs = probabilities(features, model, seed)
     label = int(np.argmax(probs))
     return label, float(probs[label])
 
 
 def score(features, model: ModelParams, seed=0) -> float:
     """Probability of the malicious class (index 1)."""
-    graph, matrix = features
-    h_g = gnn_forward(graph, model.gnn, seed)
-    h_b = bilstm_forward(_checked(matrix, model.hyper.seq_len), model.lstm)
-    return float(classify(h_g, h_b, model.fusion)[1])
+    return float(probabilities(features, model, seed)[1])
 
 
 # --- persistence ----------------------------------------------------------------

@@ -17,6 +17,8 @@ import numpy as np
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TRACES_PER_ENTRY = 256
 DEFAULT_OPCODE_BUDGET = 8000
+# Method visits the trace search may make per app, about one second of DFS.
+DFS_VISIT_BUDGET = 100_000
 
 
 class BrokenTraceError(ValueError):
@@ -79,64 +81,107 @@ def find_call_traces(
 ):
     """All simple paths from each entry point to a critical-API call site.
 
-    Depth-first in call-site order, so results are deterministic. Depth and
-    per-entry trace caps guard against path explosion; hitting one is
-    recorded on the call graph diagnostics, not an error.
+    Depth-first in call-site order, so results are deterministic. The search
+    only enters methods that can reach a critical call site at all (one
+    reverse-reachability pass over the call sites), so branches that lead
+    to no critical API cost nothing. Three caps bound the rest: the depth
+    cap and the per-entry trace cap, and a per-app budget of DFS_VISIT_BUDGET
+    method visits for strongly connected code with exponentially many simple
+    paths. Hitting a cap is recorded on the call graph diagnostics, not an
+    error; the visit budget ends the whole search.
     """
-    critical_set = set(critical)
-    app = cg.app
+    sites = _critical_sites(cg, set(critical))
+    live = _reaching(cg, sites)
     traces = []
-
-    def critical_sites(method_id):
-        method = app.get_method(method_id)
-        if method is None:
-            return []
-        return [
-            ins.offset
-            for ins in method.body
-            if ins.invoked_method in critical_set
-        ]
+    visits_left = DFS_VISIT_BUDGET
 
     for entry in cg.entry_points:
-        budget = [max_traces_per_entry]
+        if entry not in live:
+            continue
+        traces_left = max_traces_per_entry
+        path, hops, on_path = [entry], [], {entry}
 
-        def dfs(path, hop_offsets):
-            if budget[0] <= 0:
-                return
+        def dfs():
+            """Extend path; return the name of the cap that ended the entry's
+            search, or None."""
+            nonlocal traces_left, visits_left
+            if visits_left <= 0:
+                return "visit budget"
+            visits_left -= 1
             current = path[-1]
-            for offset in critical_sites(current):
-                if budget[0] <= 0:
-                    cg.diagnostics.append(f"trace cap hit at entry {entry}")
-                    return
+            for offset, api in sites.get(current, ()):
+                if traces_left <= 0:
+                    return "trace cap"
                 traces.append(
                     CallTrace(
                         methods=tuple(path),
-                        critical_api=_api_at(app, current, offset),
+                        critical_api=api,
                         site_offset=offset,
-                        hop_offsets=tuple(hop_offsets),
+                        hop_offsets=tuple(hops),
                     )
                 )
-                budget[0] -= 1
+                traces_left -= 1
             if len(path) >= max_depth:
                 cg.diagnostics.append(f"depth cap hit at entry {entry}")
-                return
-            on_path = set(path)
+                return None
             for site_offset, targets in cg.call_sites.get(current, ()):
                 for callee in targets:
-                    if callee in on_path:
+                    if callee not in live or callee in on_path:
                         continue
-                    dfs(path + [callee], hop_offsets + [site_offset])
+                    if traces_left <= 0:
+                        return "trace cap"
+                    path.append(callee)
+                    hops.append(site_offset)
+                    on_path.add(callee)
+                    stop = dfs()
+                    path.pop()
+                    hops.pop()
+                    on_path.remove(callee)
+                    if stop:
+                        return stop
+            return None
 
-        dfs([entry], [])
+        stop = dfs()
+        if stop:
+            cg.diagnostics.append(f"{stop} hit at entry {entry}")
+        if stop == "visit budget":
+            break
     return traces
 
 
-def _api_at(app, method_id, offset):
-    method = app.get_method(method_id)
-    for ins in method.body:
-        if ins.offset == offset:
-            return ins.invoked_method
-    raise BrokenTraceError(f"no instruction at {method_id} offset {offset}")
+def _critical_sites(cg, critical_set):
+    """Method id -> ((offset, critical API), ...) for call-graph methods with
+    at least one critical invoke, in body order."""
+    sites = {}
+    for mid in cg.nodes:
+        method = cg.app.get_method(mid)
+        if method is None:
+            continue
+        found = tuple(
+            (ins.offset, ins.invoked_method)
+            for ins in method.body
+            if ins.invoked_method in critical_set
+        )
+        if found:
+            sites[mid] = found
+    return sites
+
+
+def _reaching(cg, targets):
+    """Methods with a call path (possibly empty) to one of targets."""
+    callers = {}
+    for caller, call_sites in cg.call_sites.items():
+        for _, callees in call_sites:
+            for callee in callees:
+                callers.setdefault(callee, set()).add(caller)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for caller in callers.get(stack.pop(), ()):
+            if caller not in seen:
+                seen.add(caller)
+                stack.append(caller)
+    return seen
 
 
 def _continue_offset(app, cg, method_id, next_id):

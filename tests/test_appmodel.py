@@ -1,8 +1,9 @@
+import copy
 import json
 
 import pytest
 
-from droidflow.appmodel import EmptyAppError, app_from_ir, load_app
+from droidflow.appmodel import EmptyAppError, MalformedIrError, app_from_ir, load_app
 
 THREE_CLASS_IR = {
     "app_id": "fixture",
@@ -114,6 +115,24 @@ def test_ir_fixture_round(tmp_path):
     root = write_app(tmp_path, ir=THREE_CLASS_IR)
     loaded = load_app(root)
     assert set(loaded.classes) == set(app.classes)
+
+
+@pytest.mark.parametrize("path, key", [
+    (("classes", 1), "name"),
+    (("classes", 0, "methods", 0), "name"),
+    (("classes", 0, "methods", 0), "descriptor"),
+    (("classes", 0, "methods", 0, "body", 1), "mnemonic"),
+    (("components", 0), "category"),
+])
+def test_missing_required_key_is_a_value_error(path, key):
+    ir = copy.deepcopy(THREE_CLASS_IR)
+    entry = ir
+    for step in path:
+        entry = entry[step]
+    del entry[key]
+    with pytest.raises(MalformedIrError, match=repr(key)) as info:
+        app_from_ir(ir)
+    assert isinstance(info.value, ValueError)
 
 
 def test_unresolved_user_call_diagnosed():

@@ -89,6 +89,22 @@ def test_batch_reports_one_entry_per_app(tmp_path):
     assert failed[0]["app_id"] == "zz_broken"
 
 
+def test_nameless_class_fails_only_its_app(tmp_path):
+    apps_root = tmp_path / "apps"
+    apps_root.mkdir()
+    shutil.copytree(FIXTURES / "critical", apps_root / "good")
+    ir = json.loads((FIXTURES / "critical" / "ir.json").read_text())
+    del ir["classes"][0]["name"]
+    (apps_root / "nameless").mkdir()
+    (apps_root / "nameless" / "ir.json").write_text(json.dumps(ir))
+    out = tmp_path / "out"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(out),
+                 "--config", str(fixture_config(tmp_path))]) == 0
+    reports = json.loads((out / "extraction_report.json").read_text())
+    assert [(r["app_id"], r["status"]) for r in reports] == [("good", "ok"), ("nameless", "failed")]
+    assert reports[1]["error"] == "class without 'name'"
+
+
 def test_features_round_trip(tmp_path):
     app = app_from_ir(make_app(0, malicious=True, seed=2))
     config = PipelineConfig()
@@ -237,6 +253,65 @@ def test_diverged_training_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "train", explode)
     rc = main(["train", "--features", str(features), "--out", str(tmp_path / "m.json")])
     assert rc == 3
+
+
+def test_train_seed_keeps_the_rest_of_the_train_config(tmp_path, monkeypatch):
+    import droidflow.cli as cli
+
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(1, seed=1), apps_root)
+    features = tmp_path / "features"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"learning_rate": 0.01, "beta1": 0.5,
+                                            "beta2": 0.99, "eps": 1e-6, "seed": 1}}))
+    seen = []
+
+    def fake_train(dataset, hyper, train_config):
+        seen.append(train_config)
+        raise DivergedLossError("stop before training")
+
+    from droidflow.nn.train import DivergedLossError
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    assert main(["train", "--features", str(features), "--out", str(tmp_path / "m.json"),
+                 "--config", str(config), "--seed", "42"]) == 3
+    [train_config] = seen
+    assert (train_config.learning_rate, train_config.beta1, train_config.beta2,
+            train_config.eps, train_config.seed) == (0.01, 0.5, 0.99, 1e-6, 42)
+
+
+def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
+    from droidflow.nn import model as nnmodel
+
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(2, seed=4), apps_root)
+    features = tmp_path / "features"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features)]) == 0
+    hyper = nnmodel.Hyperparams(hidden_layers=1, lstm_units=4, iterations=2)
+    model_path = tmp_path / "model.json"
+    nnmodel.save_model(nnmodel.init_model(hyper, seed=3), model_path)
+    model = nnmodel.load_model(model_path)
+    records = load_features(features)
+    expected = ["app_id,label,probability,malicious_score"]
+    for rec in records:
+        pair = (rec.graph(13), rec.matrix(100, 8000))
+        label, prob = nnmodel.predict(pair, model)
+        expected.append(f"{rec.app_id},{label},{prob:.6f},{nnmodel.score(pair, model):.6f}")
+
+    calls = []
+    gnn_forward = nnmodel.gnn_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gnn_forward(*args, **kwargs)
+
+    monkeypatch.setattr(nnmodel, "gnn_forward", counting)
+    preds = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(model_path), "--features", str(features),
+                 "--out", str(preds)]) == 0
+    assert len(calls) == len(records) == 4
+    assert preds.read_text() == "\n".join(expected) + "\n"
 
 
 def test_evaluate_hand_built_predictions(tmp_path):

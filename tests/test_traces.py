@@ -1,10 +1,17 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import time
+from collections import Counter
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from droidflow import traces as traces_module
 from droidflow.apimine import CriticalApiSet
 from droidflow.callgraph import build_call_graph
+from droidflow.pipeline import PipelineConfig, extract_app
 from droidflow.traces import (
+    DEFAULT_MAX_TRACES_PER_ENTRY,
     BrokenTraceError,
+    CallTrace,
     EmptyMatrixError,
     build_matrix,
     extract_opcodes,
@@ -38,6 +45,45 @@ def enumerate_paths_oracle(cg, critical):
     for e in cg.entry_points:
         walk([e])
     return set(found)
+
+
+def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=256):
+    """The unpruned search: every simple path, dead branches included.
+
+    find_call_traces must return exactly this list, in this order."""
+    critical_set = set(critical)
+    app = cg.app
+    traces = []
+
+    def critical_sites(method_id):
+        method = app.get_method(method_id)
+        if method is None:
+            return []
+        return [ins for ins in method.body if ins.invoked_method in critical_set]
+
+    for entry in cg.entry_points:
+        budget = [max_traces_per_entry]
+
+        def dfs(path, hop_offsets):
+            if budget[0] <= 0:
+                return
+            current = path[-1]
+            for site in critical_sites(current):
+                if budget[0] <= 0:
+                    return
+                traces.append(CallTrace(methods=tuple(path), critical_api=site.invoked_method,
+                                        site_offset=site.offset, hop_offsets=tuple(hop_offsets)))
+                budget[0] -= 1
+            if len(path) >= max_depth:
+                return
+            on_path = set(path)
+            for site_offset, targets in cg.call_sites.get(current, ()):
+                for callee in targets:
+                    if callee not in on_path:
+                        dfs(path + [callee], hop_offsets + [site_offset])
+
+        dfs([entry], [])
+    return traces
 
 
 def test_single_trace():
@@ -77,6 +123,133 @@ def test_depth_cap():
     cg = build_call_graph(app)
     assert len(find_call_traces(cg, CRITICAL)) == 1
     assert find_call_traces(cg, CRITICAL, max_depth=3) == []
+
+
+DEVICE_ID = "Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String;"
+
+
+def fx_layers(width, layers, final_call=None):
+    """onCreate calls all `width` methods of layer 1, and every method of a
+    layer calls all methods of the next: width**layers paths. The last layer
+    invokes final_call, if any; onCreate also calls live(), which sends SMS."""
+    def name(layer, j):
+        return f"d{layer}_{j}"
+
+    def calls(layer):
+        return [invoke("direct", f"Lx/Main;->{name(layer, j)}()V") for j in range(width)]
+
+    methods = [
+        method("onCreate", "()V", calls(1) + [invoke("direct", "Lx/Main;->live()V"),
+                                              ins("return-void")]),
+        method("live", "()V", [invoke("virtual", SMS), ins("return-void")]),
+    ]
+    for layer in range(1, layers + 1):
+        last = layer == layers
+        body = ([invoke("virtual", final_call)] if final_call else []) if last else calls(layer + 1)
+        methods += [method(name(layer, j), "()V", body + [ins("return-void")])
+                    for j in range(width)]
+    return build_app([cls("Lx/Main;", methods, superclass="Landroid/app/Activity;")],
+                     [component("Lx/Main;")])
+
+
+def test_dead_branches_cost_nothing():
+    # 4**12 simple paths lead nowhere; the unpruned search walks every one.
+    cg = build_call_graph(fx_layers(4, 12))
+    t0 = time.perf_counter()
+    found = find_call_traces(cg, CRITICAL)
+    elapsed = time.perf_counter() - t0
+    assert [t.methods for t in found] == [("Lx/Main;->onCreate()V", "Lx/Main;->live()V")]
+    assert elapsed < 0.5
+    assert cg.diagnostics == []
+
+
+def test_trace_cap_is_reported():
+    # 3**7 = 2187 paths end in getDeviceId; the entry keeps the first 256.
+    config = PipelineConfig()
+    result = extract_app(fx_layers(3, 7, DEVICE_ID), config.critical_apis(), config)
+    assert result.report["trace_count"] == DEFAULT_MAX_TRACES_PER_ENTRY
+    assert result.report["diagnostics"] == ["trace cap hit at entry Lx/Main;->onCreate()V"]
+
+
+def test_trace_cap_not_reported_when_nothing_is_left():
+    cg = build_call_graph(fx_diamond())
+    assert len(find_call_traces(cg, CRITICAL, max_traces_per_entry=2)) == 2
+    assert cg.diagnostics == []
+    assert len(find_call_traces(cg, CRITICAL, max_traces_per_entry=1)) == 1
+    assert cg.diagnostics == ["trace cap hit at entry Lx/Main;->onCreate()V"]
+
+
+def fx_clique(size):
+    """onCreate and onStart call every helper; every helper calls every
+    other, and the last one sends SMS: a strongly connected live graph."""
+    helpers = [f"Lx/Main;->h{i}()V" for i in range(size)]
+    calls = [invoke("direct", h) for h in helpers]
+    methods = [method(e, "()V", calls + [ins("return-void")]) for e in ("onCreate", "onStart")]
+    for i in range(size):
+        body = [c for j, c in enumerate(calls) if j != i]
+        if i == size - 1:
+            body.append(invoke("virtual", SMS))
+        methods.append(method(f"h{i}", "()V", body + [ins("return-void")]))
+    return build_app([cls("Lx/Main;", methods, superclass="Landroid/app/Activity;")],
+                     [component("Lx/Main;")])
+
+
+def test_visit_budget_stops_the_search(monkeypatch):
+    cg = build_call_graph(fx_clique(5))
+    reference = reference_find_call_traces(cg, CRITICAL)
+    assert find_call_traces(cg, CRITICAL) == reference
+    assert cg.diagnostics == []
+    assert {t.entry for t in reference} == {"Lx/Main;->onCreate()V", "Lx/Main;->onStart()V"}
+
+    monkeypatch.setattr(traces_module, "DFS_VISIT_BUDGET", 50)
+    cg = build_call_graph(fx_clique(5))
+    found = find_call_traces(cg, CRITICAL)
+    assert 0 < len(found) < len(reference)
+    assert found == reference[: len(found)]
+    # the budget is per app: the second entry gets no search at all
+    assert {t.entry for t in found} == {"Lx/Main;->onCreate()V"}
+    assert cg.diagnostics == ["visit budget hit at entry Lx/Main;->onCreate()V"]
+
+
+@st.composite
+def random_call_graph_app(draw):
+    """Up to five Main methods plus a Helper.h overridden in Sub (so one
+    call site can have two targets). Bodies mix direct calls, the virtual
+    Helper.h call, SMS sends and nops; cycles, self-calls, dead branches and
+    shared callees all occur."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    mains = [f"m{i}" for i in range(n)]
+    targets = [f"Lx/Main;->{m}()V" for m in mains]
+    item = st.one_of(
+        st.sampled_from(targets).map(lambda t: invoke("direct", t)),
+        st.just(invoke("virtual", "Lx/Helper;->h()V")),
+        st.just(invoke("virtual", SMS)),
+        st.just(ins("nop")),
+    )
+
+    def body():
+        return draw(st.lists(item, max_size=3)) + [ins("return-void")]
+
+    main_methods = [method(name, "()V", body()) for name in ["onCreate", "onStart"] + mains]
+    classes = [
+        cls("Lx/Main;", main_methods, superclass="Landroid/app/Activity;"),
+        cls("Lx/Helper;", [method("h", "()V", body())]),
+        cls("Lx/Sub;", [method("h", "()V", body())], superclass="Lx/Helper;"),
+    ]
+    return build_app(classes, [component("Lx/Main;")])
+
+
+@given(random_call_graph_app())
+@settings(max_examples=300, deadline=None)
+def test_pruned_search_matches_reference(app):
+    cg = build_call_graph(app)
+    reference = reference_find_call_traces(cg, CRITICAL)
+    found = find_call_traces(cg, CRITICAL)
+    assert found == reference
+    assume(max(Counter(t.entry for t in found).values(), default=0)
+           < DEFAULT_MAX_TRACES_PER_ENTRY)
+    assert {(t.methods, t.site_offset) for t in found} == enumerate_paths_oracle(cg, CRITICAL)
+    assert cg.diagnostics == []
 
 
 # --- opcode accumulation ----------------------------------------------------
