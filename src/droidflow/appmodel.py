@@ -19,7 +19,8 @@ class EmptyAppError(ValueError):
 
 
 class MalformedIrError(ValueError):
-    """An IR document lacks a key every entry of its kind must have."""
+    """An IR document lacks a key every entry of its kind must have, or an
+    entry has the wrong shape (a number where an object belongs, say)."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,15 @@ def assign_offsets(instructions):
 # recomputed from instruction widths, so fixtures only list mnemonics.
 
 def app_from_ir(data: dict) -> AppModel:
+    try:
+        return _app_from_ir(data)
+    except (TypeError, AttributeError) as exc:
+        # Reading a list where an object belongs, or a number where a list
+        # does, fails in whatever operation meets it first.
+        raise MalformedIrError(f"wrongly shaped IR document: {exc}") from None
+
+
+def _app_from_ir(data: dict) -> AppModel:
     classes = {}
     for cd in data.get("classes", []):
         class_name = _required(cd, "name", "class")

@@ -95,7 +95,17 @@ def cmd_train(args) -> int:
     if not labeled:
         raise ConfigError(f"no labeled features under {args.features}")
     dataset = build_dataset(labeled, config.hyper, config.opcode_budget)
-    result = train(dataset, config.hyper, config.train)
+    # Per-epoch telemetry goes to its own file, one JSON line per epoch as it
+    # ends: the model and loss files stay byte-identical across reruns.
+    with Path(args.out).with_suffix(".train_log.jsonl").open("w") as log:
+
+        def progress(epoch, loss, grad_norm, seconds):
+            log.write(json.dumps({"epoch": epoch, "loss": loss, "wall_s": seconds,
+                                  "samples_per_s": len(dataset) / seconds,
+                                  "grad_norm": grad_norm}) + "\n")
+            log.flush()
+
+        result = train(dataset, config.hyper, config.train, progress=progress)
     save_model(result.params, args.out)
     loss_path = Path(args.out).with_suffix(".losses.csv")
     lines = ["epoch,loss"] + [f"{i},{v!r}" for i, v in enumerate(result.epoch_losses)]

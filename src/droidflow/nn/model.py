@@ -201,93 +201,139 @@ def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
 
 
 # --- tape-level forward builders ----------------------------------------------
+#
+# Every builder takes a batch: training builds one tape per mini-batch, and
+# inference runs the same builders on constant parameters as a batch of one.
+
+@dataclass(frozen=True)
+class GraphArrays:
+    """A flow graph as the graph branch reads it: node labels, edge endpoints
+    as node positions, and each edge's feature row [l_u ; type one-hot ; l_v]."""
+
+    labels: np.ndarray          # (n, label_dim)
+    src: np.ndarray             # (E,)
+    dst: np.ndarray             # (E,)
+    edge_feat: np.ndarray       # (E, 2 * label_dim + 10)
+
+
+def graph_arrays(graph, label_dim: int) -> GraphArrays:
+    if not graph.nodes:
+        labels = np.zeros((0, label_dim))
+    else:
+        labels = graph.node_labels
+        if labels.shape[1] != label_dim:
+            raise ModelMismatchError(
+                f"graph label dim {labels.shape[1]} != model label dim {label_dim}"
+            )
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
+    src = np.array([index[e.source] for e in graph.edges], dtype=np.intp)
+    dst = np.array([index[e.target] for e in graph.edges], dtype=np.intp)
+    edge_feat = np.concatenate([labels[src], graph.edge_onehot(), labels[dst]], axis=1)
+    return GraphArrays(labels, src, dst, edge_feat)
+
+
+def gnn_batch_var(graphs, init_states, pv: dict, params: GnnParams) -> Var:
+    """(B, state_dim) graph vectors for a batch of GraphArrays, run as one
+    disjoint union with node positions offset per graph. init_states[k] holds
+    graph k's initial node states, (n_k, state_dim). Graphs without nodes map
+    to zero vectors."""
+    s = params.state_dim
+    sizes = [len(g.labels) for g in graphs]
+    total = sum(sizes)
+    if total == 0:
+        return tape.constant(np.zeros((len(graphs), s)))
+    if params.iterations < 2:
+        h = tape.constant(np.concatenate(init_states))
+    else:
+        offsets = np.cumsum([0] + sizes[:-1])
+        labels = np.concatenate([g.labels for g in graphs])
+        base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+        h = tape.tanh(base)
+        src = np.concatenate([g.src + off for g, off in zip(graphs, offsets)])
+        if len(src):
+            dst = np.concatenate([g.dst + off for g, off in zip(graphs, offsets)])
+            edge_feat = np.concatenate([g.edge_feat for g in graphs])
+            h = _message_updates(h, base, src, dst, edge_feat,
+                                 np.concatenate(init_states)[src], pv, params)
+    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+    graph_index = np.repeat(np.arange(len(graphs)), sizes)
+    return tape.tanh(tape.segment_sum(tape.mul(gate, h), graph_index, len(graphs)))
+
+
+def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, params) -> Var:
+    """Final node states of a graph union with edges (src, dst).
+
+    Only the receivers, the nodes some edge points to, are iterated: from the
+    first update on, every other node's state is exactly
+    unreached = tanh(W2 l + b2), as its aggregated message is zero."""
+    s = params.state_dim
+    total = unreached.shape[0]
+    receivers, to_receiver = np.unique(dst, return_inverse=True)
+    n_recv = len(receivers)
+    coef = (1.0 / np.bincount(to_receiver))[:, None]
+    transform = tape.reshape(
+        tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
+        (len(src), s, s),
+    )
+    base_recv = tape.gather_rows(base, receivers)
+    # From the second update on, a source's state is its receiver row, or
+    # tanh(base) for a source that receives nothing.
+    rank = np.full(total, -1)
+    rank[receivers] = np.arange(n_recv)
+    src_pos = np.where(rank[src] >= 0, rank[src], n_recv + np.arange(len(src)))
+    src_unreached = tape.gather_rows(unreached, src)
+    h_src = tape.constant(src_init)
+    for step in range(params.iterations - 1):
+        if step:
+            h_src = tape.gather_rows(tape.concat([h_recv, src_unreached]), src_pos)
+        agg = tape.segment_sum(tape.bmm_vec(transform, h_src), to_receiver, n_recv)
+        h_recv = tape.tanh(tape.add(tape.scale(agg, coef), base_recv))
+    node_pos = np.where(rank >= 0, rank, n_recv + np.arange(total))
+    return tape.gather_rows(tape.concat([h_recv, unreached]), node_pos)
+
+
+def bilstm_batch_var(matrices, pv: dict, params: BiLstmParams) -> Var:
+    """(B, 32) app vectors for a batch of row matrices. The rows of every app
+    run through the BiLSTM as one (N, seq_len) token matrix, one fused tape
+    op per layer and direction, and are mean-pooled per app; apps without
+    rows map to zero vectors."""
+    counts = np.array([m.n for m in matrices])
+    if not counts.sum():
+        return tape.constant(np.zeros((len(matrices), 32)))
+    tokens = np.concatenate([m.rows for m in matrices])
+    x = pv["lstm.embedding"]
+    for li in range(len(params.layers)):
+        x = tape.concat(
+            [
+                tape.lstm(x, pv[f"lstm.l{li}.{d}.wx"], pv[f"lstm.l{li}.{d}.wh"],
+                          pv[f"lstm.l{li}.{d}.b"], reverse=d == "bwd",
+                          tokens=tokens if li == 0 else None)
+                for d in ("fwd", "bwd")
+            ],
+            axis=2,
+        )
+    pooled = tape.scale(tape.sum_axis(x, axis=0, keepdims=False), 1.0 / tokens.shape[1])
+    h3 = tape.add(tape.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
+    h4 = tape.add(tape.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
+    app_sums = tape.segment_sum(h4, np.repeat(np.arange(len(matrices)), counts), len(matrices))
+    return tape.scale(app_sums, (1.0 / np.maximum(1, counts))[:, None])
+
 
 def gnn_vector_var(graph, pv: dict, params: GnnParams, rng, init_state=None) -> Var:
-    """Graph-level vector as a tape Var; pv maps parameter names to Vars.
+    """Graph-level vector (1, state_dim) as a tape Var; pv maps parameter
+    names to Vars.
 
     Initial node states come from rng (uniform in [-0.1, 0.1], one row per
     node in list order) unless init_state supplies them explicitly."""
-    n_nodes = len(graph.nodes)
-    s = params.state_dim
-    if n_nodes == 0:
-        return tape.constant(np.zeros((1, s)))
-    labels = graph.node_labels
-    if labels.shape[1] != params.label_dim:
-        raise ModelMismatchError(
-            f"graph label dim {labels.shape[1]} != model label dim {params.label_dim}"
-        )
-    id_to_index = {node.id: i for i, node in enumerate(graph.nodes)}
-    edges = graph.edges
+    arrays = graph_arrays(graph, params.label_dim)
     if init_state is None:
-        init_state = rng.uniform(-0.1, 0.1, (n_nodes, s))
-    h = tape.constant(init_state)
-    base = tape.add(
-        tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"]
-    )
-    if edges:
-        src = np.array([id_to_index[e.source] for e in edges])
-        dst = np.array([id_to_index[e.target] for e in edges])
-        onehot = graph.edge_onehot()
-        edge_feat = np.concatenate([labels[src], onehot, labels[dst]], axis=1)
-        transform = tape.reshape(
-            tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
-            (len(edges), s, s),
-        )
-        indeg = np.zeros(n_nodes)
-        np.add.at(indeg, dst, 1.0)
-        coef = (1.0 / np.maximum(1.0, indeg))[:, None]
-        for _ in range(params.iterations - 1):
-            messages = tape.bmm_vec(transform, tape.gather_rows(h, src))
-            agg = tape.segment_sum(messages, dst, n_nodes)
-            h = tape.tanh(tape.add(tape.scale(agg, coef), base))
-    else:
-        for _ in range(params.iterations - 1):
-            h = tape.tanh(base)
-    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
-    return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
-
-
-def _lstm_direction(xs, wx, wh, b, units, reverse=False):
-    n = xs[0].shape[0]
-    h = tape.constant(np.zeros((n, units)))
-    c = tape.constant(np.zeros((n, units)))
-    outputs = [None] * len(xs)
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    for t in order:
-        z = tape.add(tape.add(tape.matmul(xs[t], wx), tape.matmul(h, wh)), b)
-        i = tape.sigmoid(tape.slice_cols(z, 0, units))
-        f = tape.sigmoid(tape.slice_cols(z, units, 2 * units))
-        g = tape.tanh(tape.slice_cols(z, 2 * units, 3 * units))
-        o = tape.sigmoid(tape.slice_cols(z, 3 * units, 4 * units))
-        c = tape.add(tape.mul(f, c), tape.mul(i, g))
-        h = tape.mul(o, tape.tanh(c))
-        outputs[t] = h
-    return outputs
+        init_state = rng.uniform(-0.1, 0.1, (len(arrays.labels), params.state_dim))
+    return gnn_batch_var([arrays], [init_state], pv, params)
 
 
 def bilstm_vector_var(matrix, pv: dict, params: BiLstmParams) -> Var:
-    """App-level 32-vector from the opcode row matrix, as a tape Var."""
-    if matrix.n == 0:
-        return tape.constant(np.zeros((1, 32)))
-    rows = matrix.rows
-    units = params.units
-    xs = [tape.gather_rows(pv["lstm.embedding"], rows[:, t]) for t in range(matrix.row_len)]
-    for li in range(len(params.layers)):
-        fwd = _lstm_direction(
-            xs, pv[f"lstm.l{li}.fwd.wx"], pv[f"lstm.l{li}.fwd.wh"], pv[f"lstm.l{li}.fwd.b"], units
-        )
-        bwd = _lstm_direction(
-            xs, pv[f"lstm.l{li}.bwd.wx"], pv[f"lstm.l{li}.bwd.wh"], pv[f"lstm.l{li}.bwd.b"], units,
-            reverse=True,
-        )
-        xs = [tape.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = tape.add(acc, x)
-    pooled = tape.scale(acc, 1.0 / len(xs))
-    h3 = tape.add(tape.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
-    h4 = tape.add(tape.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
-    return tape.scale(tape.sum_axis(h4, axis=0, keepdims=True), 1.0 / matrix.n)
+    """App-level vector (1, 32) from the opcode row matrix, as a tape Var."""
+    return bilstm_batch_var([matrix], pv, params)
 
 
 def logits_var(hg: Var, hb: Var, pv: dict) -> Var:
@@ -295,21 +341,19 @@ def logits_var(hg: Var, hb: Var, pv: dict) -> Var:
     return tape.add(tape.matmul(fused, pv["fusion.w"]), pv["fusion.b"])
 
 
-def loss_var(logits: Var, label: int) -> Var:
-    return tape.neg(tape.pick(tape.log_softmax(logits), 0, int(label)))
+def loss_var(logits: Var, label) -> Var:
+    """Mean cross-entropy of (B, 2) logits against B labels (or one label)."""
+    labels = np.atleast_1d(label)
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    picked = tape.sum_axis(
+        tape.mul(tape.log_softmax(logits), tape.constant(onehot)), axis=1, keepdims=False
+    )
+    return tape.scale(tape.sum_axis(picked, axis=0, keepdims=False), -1.0 / len(labels))
 
 
 def param_vars(params: ModelParams) -> dict:
     return {name: tape.parameter(arr) for name, arr in params.named()}
-
-
-def sample_loss(params: ModelParams, graph, matrix, label, init_seed):
-    """Tape loss for one sample; returns (loss Var, name -> Var dict)."""
-    pv = param_vars(params)
-    rng = np.random.default_rng(init_seed)
-    hg = gnn_vector_var(graph, pv, params.gnn, rng)
-    hb = bilstm_vector_var(_checked(matrix, params.hyper.seq_len), pv, params.lstm)
-    return loss_var(logits_var(hg, hb, pv), label), pv
 
 
 def _checked(matrix, seq_len):
@@ -322,25 +366,26 @@ def _checked(matrix, seq_len):
 
 # --- inference-level API -------------------------------------------------------
 
+def _constants(params) -> dict:
+    return {name: tape.constant(arr) for name, arr in params.named()}
+
+
 def gnn_forward(graph, params: GnnParams, seed=0, init_state=None) -> np.ndarray:
     """Graph-level vector of size state_dim (zero vector for empty graphs)."""
-    pv = {name: tape.constant(arr) for name, arr in params.named()}
     rng = np.random.default_rng(seed)
-    return gnn_vector_var(graph, pv, params, rng, init_state).value[0]
+    return gnn_vector_var(graph, _constants(params), params, rng, init_state).value[0]
 
 
 def bilstm_forward(matrix, params: BiLstmParams) -> np.ndarray:
     """App-level vector of size 32 (zero vector for zero-row matrices)."""
-    pv = {name: tape.constant(arr) for name, arr in params.named()}
-    return bilstm_vector_var(matrix, pv, params).value[0]
+    return bilstm_vector_var(matrix, _constants(params), params).value[0]
 
 
 def classify(h_g: np.ndarray, h_b: np.ndarray, params: FusionParams) -> np.ndarray:
     """Probability pair (benign, malicious); sums to one."""
-    logits = np.concatenate([np.ravel(h_g), np.ravel(h_b)]) @ params.w + params.b
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    hg = tape.constant(np.ravel(h_g)[None, :])
+    hb = tape.constant(np.ravel(h_b)[None, :])
+    return np.exp(tape.log_softmax(logits_var(hg, hb, _constants(params))).value[0])
 
 
 def loss(probs, label: int) -> float:

@@ -37,7 +37,10 @@ def parameter(x) -> Var:
 
 
 def backward(root: Var):
-    """Accumulate gradients of root w.r.t. every reachable Var."""
+    """Accumulate gradients of root w.r.t. every reachable leaf Var.
+
+    An intermediate node's gradient is dropped once it has been passed to
+    the node's parents, so the tape holds few gradients at a time."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -62,6 +65,8 @@ def backward(root: Var):
                 continue
             g = fn(v.grad)
             p.grad = g if p.grad is None else p.grad + g
+        if v.parents:
+            v.grad = None
 
 
 def _unbroadcast(g, shape):
@@ -137,8 +142,12 @@ def tanh(a: Var) -> Var:
     return Var(y, ((a, lambda g: g * (1.0 - y * y)),))
 
 
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a: Var) -> Var:
-    y = 0.5 * (1.0 + np.tanh(0.5 * a.value))
+    y = _sigmoid(a.value)
     return Var(y, ((a, lambda g: g * y * (1.0 - y)),))
 
 
@@ -183,22 +192,120 @@ def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
     return Var(a.value.sum(axis=axis, keepdims=keepdims), ((a, fn),))
 
 
+def _add_rows(idx, rows, n):
+    """(n, ...) array whose row k sums rows[j] over idx[j] == k, added in j
+    order as np.add.at would, through one flat bincount (several times
+    faster than np.add.at on 2-D rows)."""
+    width = int(np.prod(rows.shape[1:]))
+    flat = (np.asarray(idx)[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + rows.shape[1:])
+
+
 def gather_rows(table: Var, idx) -> Var:
     idx = np.asarray(idx)
-
-    def fn(g):
-        out = np.zeros_like(table.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return Var(table.value[idx], ((table, fn),))
+    return Var(table.value[idx], ((table, lambda g: _add_rows(idx, g, len(table.value))),))
 
 
 def segment_sum(x: Var, seg, num_segments: int) -> Var:
     seg = np.asarray(seg)
-    out = np.zeros((num_segments,) + x.value.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, x.value)
-    return Var(out, ((x, lambda g: g[seg]),))
+    return Var(_add_rows(seg, x.value, num_segments), ((x, lambda g: g[seg]),))
+
+
+def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -> Var:
+    """One direction of an LSTM layer over a batch of rows, as one tape node.
+
+    Time-major: x is (T, N, d), or, when tokens (N, T) are given, a lookup
+    table (V, d) whose rows the tokens pick; the table is projected through
+    wx once (V x 4u) and the projection gathered per token, so the (T*N, d)
+    input is never built. Gates are packed i, f, g, o in wx, wh and b.
+    Returns the hidden states H, (T, N, u), in input order.
+
+    The forward loop runs in plain numpy and keeps one (T, N, 4u) buffer of
+    gate activations plus the states C and H. The backward pass overwrites
+    the buffer in place with the gate pre-activation gradients dZ, from
+    which every input gradient follows in one product each."""
+    units = wh.value.shape[0]
+    if tokens is None:
+        steps, n, d = x.value.shape
+        z = (x.value.reshape(-1, d) @ wx.value).reshape(steps, n, 4 * units)
+    else:
+        tokens = np.asarray(tokens).T
+        steps, n = tokens.shape
+        z = (x.value @ wx.value)[tokens]
+    z += b.value
+    hs = np.empty((steps, n, units))
+    cs = np.empty((steps, n, units))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = np.zeros((n, units))
+    c = np.zeros((n, units))
+    for t in order:
+        zt = z[t]
+        zt += h @ wh.value
+        zt[:, : 2 * units] = _sigmoid(zt[:, : 2 * units])
+        zt[:, 2 * units : 3 * units] = np.tanh(zt[:, 2 * units : 3 * units])
+        zt[:, 3 * units :] = _sigmoid(zt[:, 3 * units :])
+        i, f, g, o = (zt[:, k * units : (k + 1) * units] for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        cs[t] = c
+        hs[t] = h
+
+    dz = []
+
+    def gate_grads(dh_out):
+        """dZ, computed once and shared by every input's gradient."""
+        if dz:
+            return dz[0]
+        dh = np.zeros((n, units))
+        dc = np.zeros((n, units))
+        for k, t in enumerate(reversed(order)):
+            zt = z[t]
+            i, f, g, o = (zt[:, j * units : (j + 1) * units] for j in range(4))
+            c_prev = cs[t + 1 if reverse else t - 1] if k < steps - 1 else 0.0
+            tc = np.tanh(cs[t])
+            dh = dh + dh_out[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d_i = dc * g * i * (1.0 - i)
+            d_f = dc * c_prev * f * (1.0 - f)
+            d_g = dc * i * (1.0 - g * g)
+            d_o = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            zt[:, :units] = d_i
+            zt[:, units : 2 * units] = d_f
+            zt[:, 2 * units : 3 * units] = d_g
+            zt[:, 3 * units :] = d_o
+            dh = zt @ wh.value.T
+        dz.append(z)
+        return z
+
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    def d_wh(g):
+        dzv = gate_grads(g)
+        if reverse:
+            return flat(hs[1:]).T @ flat(dzv[:-1])
+        return flat(hs[:-1]).T @ flat(dzv[1:])
+
+    if tokens is None:
+        parents = (
+            (x, lambda g: (flat(gate_grads(g)) @ wx.value.T).reshape(x.value.shape)),
+            (wx, lambda g: flat(x.value).T @ flat(gate_grads(g))),
+        )
+    else:
+        proj = []
+
+        def d_proj(g):
+            if not proj:
+                proj.append(_add_rows(tokens.reshape(-1), flat(gate_grads(g)), len(x.value)))
+            return proj[0]
+
+        parents = (
+            (x, lambda g: d_proj(g) @ wx.value.T),
+            (wx, lambda g: x.value.T @ d_proj(g)),
+        )
+    return Var(hs, parents + ((wh, d_wh), (b, lambda g: gate_grads(g).sum(axis=(0, 1)))))
 
 
 def log_softmax(a: Var) -> Var:

@@ -1,16 +1,32 @@
 """Mini-batch Adam training over the unrolled hybrid network.
 
-All randomness (weight init, per-sample state seeding, epoch shuffling)
-derives from the one seed in TrainConfig, so identical runs produce
-bit-identical parameters.
+Each mini-batch is one tape: the batch's graphs run as one disjoint union
+and its opcode rows as one matrix, and the loss is the mean of the
+per-sample losses. All randomness (weight init, per-sample state seeding,
+epoch shuffling) derives from the one seed in TrainConfig, so identical runs
+produce bit-identical parameters.
 """
 
+import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from . import tape
-from .model import Hyperparams, ModelParams, TrainConfig, init_model, sample_loss
+from .model import (
+    Hyperparams,
+    ModelParams,
+    TrainConfig,
+    _checked,
+    bilstm_batch_var,
+    gnn_batch_var,
+    graph_arrays,
+    init_model,
+    logits_var,
+    loss_var,
+    param_vars,
+)
 
 SHUFFLE_STREAM = 0x5F
 INIT_STREAM = 0x11
@@ -55,41 +71,55 @@ class Adam:
 def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = 32,
           embed_dim: int = 128, progress=None) -> TrainResult:
     """Train on (flow graph, row matrix, label) triples; returns the fitted
-    parameters and the per-epoch mean loss log."""
+    parameters and the per-epoch mean loss log.
+
+    progress, if given, is called after every epoch with (epoch, mean loss,
+    mean over the epoch's batches of the gradient's L2 norm, wall seconds)."""
     if not dataset:
         raise ValueError("empty training dataset")
     model = init_model(hp, seed=(tc.seed, INIT_STREAM), state_dim=state_dim,
                        embed_dim=embed_dim)
+    graphs = [graph_arrays(graph, hp.label_dim) for graph, _, _ in dataset]
+    matrices = [_checked(matrix, hp.seq_len) for _, matrix, _ in dataset]
+    labels = np.array([int(label) for _, _, label in dataset])
     opt = Adam(model.named(), tc)
     shuffle_rng = np.random.default_rng((tc.seed, SHUFFLE_STREAM))
-    losses = []
+    epoch_losses = []
     for epoch in range(hp.epochs):
+        started = perf_counter()
         order = shuffle_rng.permutation(len(dataset))
         epoch_loss = 0.0
+        norms = []
         for start in range(0, len(order), hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            grads = {}
-            for idx in batch:
-                graph, matrix, label = dataset[int(idx)]
-                lv, pv = sample_loss(model, graph, matrix, label,
-                                     init_seed=(tc.seed, int(idx)))
-                epoch_loss += float(lv.value)
-                tape.backward(lv)
-                for name, var in pv.items():
-                    if var.grad is None:
-                        continue
-                    if name in grads:
-                        grads[name] += var.grad
-                    else:
-                        grads[name] = var.grad.copy()
-            inv = 1.0 / len(batch)
-            for name in grads:
-                grads[name] *= inv
+            sample_losses, grads = _batch_step(model, [graphs[i] for i in batch],
+                                               [matrices[i] for i in batch], labels[batch],
+                                               [(tc.seed, int(i)) for i in batch])
+            for value in sample_losses:
+                epoch_loss += value
+            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
             opt.step(grads)
         mean_loss = epoch_loss / len(dataset)
         if not np.isfinite(mean_loss):
             raise DivergedLossError(f"non-finite loss at epoch {epoch}")
-        losses.append(mean_loss)
+        epoch_losses.append(mean_loss)
         if progress is not None:
-            progress(epoch, mean_loss)
-    return TrainResult(model, losses)
+            progress(epoch, mean_loss, sum(norms) / len(norms), perf_counter() - started)
+    return TrainResult(model, epoch_losses)
+
+
+def _batch_step(model, graphs, matrices, labels, init_seeds):
+    """One tape over a mini-batch: per-sample losses and the gradients of
+    their mean. Sample k draws its initial node states from init_seeds[k]."""
+    init_states = [
+        np.random.default_rng(seed).uniform(-0.1, 0.1, (len(g.labels), model.gnn.state_dim))
+        for g, seed in zip(graphs, init_seeds)
+    ]
+    pv = param_vars(model)
+    hg = gnn_batch_var(graphs, init_states, pv, model.gnn)
+    hb = bilstm_batch_var(matrices, pv, model.lstm)
+    logits = logits_var(hg, hb, pv)
+    tape.backward(loss_var(logits, labels))
+    logp = tape.log_softmax(logits).value
+    losses = [-float(logp[row, label]) for row, label in enumerate(labels)]
+    return losses, {name: var.grad for name, var in pv.items() if var.grad is not None}

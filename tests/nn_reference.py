@@ -1,0 +1,151 @@
+"""Per-sample reference for the batched model and trainer.
+
+The builders below build one tape per sample, with one node per LSTM gate
+and timestep and one GNN update over every node per iteration, exactly as
+the model did before it was batched. Tests compare the batched builders and
+`train` against them; they are not used by droidflow itself.
+"""
+
+import numpy as np
+
+from droidflow.nn import tape
+from droidflow.nn.model import (
+    ModelMismatchError,
+    init_model,
+    logits_var,
+    param_vars,
+)
+from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
+
+
+def gnn_vector_var(graph, pv, params, rng, init_state=None):
+    n_nodes = len(graph.nodes)
+    s = params.state_dim
+    if n_nodes == 0:
+        return tape.constant(np.zeros((1, s)))
+    labels = graph.node_labels
+    if labels.shape[1] != params.label_dim:
+        raise ModelMismatchError(
+            f"graph label dim {labels.shape[1]} != model label dim {params.label_dim}"
+        )
+    id_to_index = {node.id: i for i, node in enumerate(graph.nodes)}
+    edges = graph.edges
+    if init_state is None:
+        init_state = rng.uniform(-0.1, 0.1, (n_nodes, s))
+    h = tape.constant(init_state)
+    base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+    if edges:
+        src = np.array([id_to_index[e.source] for e in edges])
+        dst = np.array([id_to_index[e.target] for e in edges])
+        onehot = graph.edge_onehot()
+        edge_feat = np.concatenate([labels[src], onehot, labels[dst]], axis=1)
+        transform = tape.reshape(
+            tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
+            (len(edges), s, s),
+        )
+        indeg = np.zeros(n_nodes)
+        np.add.at(indeg, dst, 1.0)
+        coef = (1.0 / np.maximum(1.0, indeg))[:, None]
+        for _ in range(params.iterations - 1):
+            messages = tape.bmm_vec(transform, tape.gather_rows(h, src))
+            agg = tape.segment_sum(messages, dst, n_nodes)
+            h = tape.tanh(tape.add(tape.scale(agg, coef), base))
+    else:
+        for _ in range(params.iterations - 1):
+            h = tape.tanh(base)
+    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+    return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
+
+
+def _lstm_direction(xs, wx, wh, b, units, reverse=False):
+    n = xs[0].shape[0]
+    h = tape.constant(np.zeros((n, units)))
+    c = tape.constant(np.zeros((n, units)))
+    outputs = [None] * len(xs)
+    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    for t in order:
+        z = tape.add(tape.add(tape.matmul(xs[t], wx), tape.matmul(h, wh)), b)
+        i = tape.sigmoid(tape.slice_cols(z, 0, units))
+        f = tape.sigmoid(tape.slice_cols(z, units, 2 * units))
+        g = tape.tanh(tape.slice_cols(z, 2 * units, 3 * units))
+        o = tape.sigmoid(tape.slice_cols(z, 3 * units, 4 * units))
+        c = tape.add(tape.mul(f, c), tape.mul(i, g))
+        h = tape.mul(o, tape.tanh(c))
+        outputs[t] = h
+    return outputs
+
+
+def bilstm_vector_var(matrix, pv, params):
+    if matrix.n == 0:
+        return tape.constant(np.zeros((1, 32)))
+    rows = matrix.rows
+    units = params.units
+    xs = [tape.gather_rows(pv["lstm.embedding"], rows[:, t]) for t in range(matrix.row_len)]
+    for li in range(len(params.layers)):
+        fwd = _lstm_direction(
+            xs, pv[f"lstm.l{li}.fwd.wx"], pv[f"lstm.l{li}.fwd.wh"], pv[f"lstm.l{li}.fwd.b"], units
+        )
+        bwd = _lstm_direction(
+            xs, pv[f"lstm.l{li}.bwd.wx"], pv[f"lstm.l{li}.bwd.wh"], pv[f"lstm.l{li}.bwd.b"], units,
+            reverse=True,
+        )
+        xs = [tape.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = tape.add(acc, x)
+    pooled = tape.scale(acc, 1.0 / len(xs))
+    h3 = tape.add(tape.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
+    h4 = tape.add(tape.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
+    return tape.scale(tape.sum_axis(h4, axis=0, keepdims=True), 1.0 / matrix.n)
+
+
+def sample_loss(params, graph, matrix, label, init_seed):
+    """Tape loss for one sample; returns (loss Var, name -> Var dict)."""
+    pv = param_vars(params)
+    rng = np.random.default_rng(init_seed)
+    hg = gnn_vector_var(graph, pv, params.gnn, rng)
+    hb = bilstm_vector_var(matrix, pv, params.lstm)
+    logits = logits_var(hg, hb, pv)
+    return tape.neg(tape.pick(tape.log_softmax(logits), 0, int(label))), pv
+
+
+def batch_grads(params, samples, seed):
+    """Per-sample losses and mean gradients over (index, (graph, matrix,
+    label)) samples, one tape per sample; init states come from (seed, index)."""
+    losses, grads = [], {}
+    for idx, (graph, matrix, label) in samples:
+        lv, pv = sample_loss(params, graph, matrix, label, init_seed=(seed, idx))
+        losses.append(float(lv.value))
+        tape.backward(lv)
+        for name, var in pv.items():
+            if var.grad is None:
+                continue
+            if name in grads:
+                grads[name] += var.grad
+            else:
+                grads[name] = var.grad.copy()
+    inv = 1.0 / len(samples)
+    for name in grads:
+        grads[name] *= inv
+    return losses, grads
+
+
+def train(dataset, hp, tc, state_dim=32, embed_dim=128):
+    """The per-sample trainer: one tape per sample, gradients summed over
+    the mini-batch and divided by its size."""
+    model = init_model(hp, seed=(tc.seed, INIT_STREAM), state_dim=state_dim,
+                       embed_dim=embed_dim)
+    opt = Adam(model.named(), tc)
+    shuffle_rng = np.random.default_rng((tc.seed, SHUFFLE_STREAM))
+    epoch_losses = []
+    for _ in range(hp.epochs):
+        order = shuffle_rng.permutation(len(dataset))
+        epoch_loss = 0.0
+        for start in range(0, len(order), hp.batch_size):
+            batch = [(int(i), dataset[int(i)]) for i in order[start : start + hp.batch_size]]
+            losses, grads = batch_grads(model, batch, tc.seed)
+            for value in losses:
+                epoch_loss += value
+            opt.step(grads)
+        epoch_losses.append(epoch_loss / len(dataset))
+    return TrainResult(model, epoch_losses)

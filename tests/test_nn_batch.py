@@ -1,0 +1,121 @@
+"""The batched model against the per-sample reference in nn_reference.py:
+the fused LSTM op by finite differences, one mini-batch tape against one
+tape per sample, and a whole training run against the per-sample trainer."""
+
+import numpy as np
+import pytest
+
+import nn_reference as ref
+from droidflow.appmodel import app_from_ir
+from droidflow.flowgraph import FlowEdge
+from droidflow.nn import Hyperparams, TrainConfig, grad_check, init_model, tape, train
+from droidflow.nn.model import (
+    bilstm_batch_var,
+    gnn_batch_var,
+    graph_arrays,
+    logits_var,
+    loss_var,
+    param_vars,
+)
+from droidflow.pipeline import PipelineConfig, extract_app
+from droidflow.traces import SequenceMatrix
+
+from synthcorpus import generate_corpus
+from test_gradcheck import gnn_toy_graph
+from test_nn import chunk, graph_of
+from test_nn_tape import scalar
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_fused_lstm_gradients(reverse, dense):
+    rng = np.random.default_rng(61 + 2 * dense + reverse)
+    units, d, steps, rows = 3, 4, 5, 3
+    arrays = {
+        "wx": rng.normal(0, 0.5, (d, 4 * units)),
+        "wh": rng.normal(0, 0.5, (units, 4 * units)),
+        "b": rng.normal(0, 0.5, 4 * units),
+    }
+    if dense:   # layers 1 and up: a time-major (T, N, d) input
+        arrays["x"] = rng.normal(0, 0.5, (steps, rows, d))
+        tokens = None
+    else:       # layer 0: a lookup table the tokens pick rows of
+        arrays["x"] = rng.normal(0, 0.5, (7, d))
+        tokens = np.array([[0, 3, 3, 6, 1], [2, 2, 0, 5, 4], [6, 1, 0, 0, 3]])
+    probe = tape.constant(rng.normal(size=(steps, rows, units)))
+
+    def builder(pv):
+        h = tape.lstm(pv["x"], pv["wx"], pv["wh"], pv["b"], reverse=reverse, tokens=tokens)
+        return scalar(tape.mul(h, probe))
+
+    err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=5)
+    assert err <= 1e-4, err
+
+
+def mixed_samples():
+    """(index, (graph, matrix, label)) samples covering every batch edge case."""
+    sources_only = graph_of(
+        [chunk(0, [110, 14]), chunk(1, [26]), chunk(2, [112, 0])],
+        [FlowEdge(0, 1, "ct"), FlowEdge(1, 2, "is")],   # node 0 sends, receives nothing
+        label_dim=3,
+    )
+    edge_free = graph_of([chunk(0, [14]), chunk(1, [0, 14])], [], label_dim=3)
+    empty = graph_of([], [], label_dim=3)
+    rows = np.random.default_rng(62).integers(0, 256, (6, 4))
+    return [
+        (4, (gnn_toy_graph(), SequenceMatrix(rows[:3], 4), 1)),
+        (9, (empty, SequenceMatrix(rows[3:4], 4), 0)),
+        (2, (edge_free, SequenceMatrix.empty(4), 0)),
+        (7, (sources_only, SequenceMatrix(rows[4:6], 4), 1)),
+        (0, (empty, SequenceMatrix.empty(4), 1)),
+    ]
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+def test_batch_matches_per_sample_reference(iterations):
+    hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
+                     iterations=iterations, epochs=1, batch_size=5)
+    model = init_model(hp, seed=63, state_dim=4, embed_dim=5)
+    samples = mixed_samples()
+    seed = 17
+    ref_losses, ref_grads = ref.batch_grads(model, samples, seed)
+
+    pv = param_vars(model)
+    graphs = [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples]
+    init_states = [
+        np.random.default_rng((seed, idx)).uniform(-0.1, 0.1, (len(a.labels), 4))
+        for (idx, _), a in zip(samples, graphs)
+    ]
+    hg = gnn_batch_var(graphs, init_states, pv, model.gnn)
+    hb = bilstm_batch_var([m for _, (_, m, _) in samples], pv, model.lstm)
+    lv = loss_var(logits_var(hg, hb, pv), [label for _, (_, _, label) in samples])
+    tape.backward(lv)
+
+    assert abs(float(lv.value) - np.mean(ref_losses)) <= 1e-10
+    grads = {name: v.grad for name, v in pv.items() if v.grad is not None}
+    assert set(grads) == set(ref_grads)
+    if iterations == 1:
+        assert "gnn.w1" not in grads and "gnn.w2" not in grads
+    for name, g in grads.items():
+        scale = np.abs(ref_grads[name]).max()
+        assert np.abs(g - ref_grads[name]).max() <= 1e-9 * scale, name
+
+
+def test_training_run_matches_per_sample_trainer():
+    config = PipelineConfig()
+    critical = config.critical_apis()
+    dataset = []
+    for ir in generate_corpus(7, seed=5):
+        result = extract_app(app_from_ir(ir), critical, config)
+        label = int(result.report["label"] == "malicious")
+        dataset.append((result.graph, result.matrix, label))
+    assert any(m.n == 0 for _, m, _ in dataset) and any(not g.edges for g, _, _ in dataset)
+    hp = Hyperparams(seq_len=100, hidden_layers=2, lstm_units=8, label_dim=13,
+                     iterations=4, epochs=3, batch_size=4)
+    assert len(dataset) % hp.batch_size
+    tc = TrainConfig(learning_rate=0.01, seed=7)
+    got = train(dataset, hp, tc, state_dim=8)
+    want = ref.train(dataset, hp, tc, state_dim=8)
+    assert np.abs(np.subtract(got.epoch_losses, want.epoch_losses)).max() <= 1e-12
+    for (name, a), (_, b) in zip(got.params.named(), want.params.named()):
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name

@@ -105,6 +105,39 @@ def test_nameless_class_fails_only_its_app(tmp_path):
     assert reports[1]["error"] == "class without 'name'"
 
 
+
+def _fixture_ir():
+    return json.loads((FIXTURES / "critical" / "ir.json").read_text())
+
+
+def _with(ir, setter):
+    setter(ir)
+    return ir
+
+
+@pytest.mark.parametrize("document", [
+    {"classes": [1]},
+    _with(_fixture_ir(), lambda ir: ir["classes"][0].update(methods=[5])),
+    _with(_fixture_ir(), lambda ir: ir["classes"][0]["methods"][0].update(body=[7])),
+    _with(_fixture_ir(), lambda ir: ir.update(components=["Lcom/x/Main;"])),
+    {"classes": 5},
+    [],
+], ids=["class-number", "method-number", "instruction-number", "component-string",
+        "classes-number", "top-level-list"])
+def test_wrongly_shaped_ir_fails_only_its_app(tmp_path, document):
+    apps_root = tmp_path / "apps"
+    apps_root.mkdir()
+    shutil.copytree(FIXTURES / "critical", apps_root / "good")
+    (apps_root / "malformed").mkdir()
+    (apps_root / "malformed" / "ir.json").write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(out),
+                 "--config", str(fixture_config(tmp_path))]) == 0
+    reports = json.loads((out / "extraction_report.json").read_text())
+    assert [(r["app_id"], r["status"]) for r in reports] == [("good", "ok"),
+                                                             ("malformed", "failed")]
+    assert reports[1]["error"].startswith("wrongly shaped IR document")
+
 def test_features_round_trip(tmp_path):
     app = app_from_ir(make_app(0, malicious=True, seed=2))
     config = PipelineConfig()
@@ -217,7 +250,14 @@ def test_train_predict_evaluate_cli(tmp_path):
     assert main(["train", "--features", str(features), "--out", str(model_path),
                  "--config", str(config)]) == 0
     assert model_path.exists()
-    assert model_path.with_suffix(".losses.csv").exists()
+    losses = model_path.with_suffix(".losses.csv").read_text().split()[1:]
+    log = [json.loads(line) for line in
+           model_path.with_suffix(".train_log.jsonl").read_text().splitlines()]
+    assert [entry["epoch"] for entry in log] == [0, 1, 2]
+    assert [f"{e['epoch']},{e['loss']!r}" for e in log] == losses
+    for entry in log:
+        assert entry["wall_s"] > 0 and entry["grad_norm"] > 0
+        assert entry["samples_per_s"] == pytest.approx(12 / entry["wall_s"])
 
     preds = tmp_path / "preds.csv"
     assert main(["predict", "--model", str(model_path), "--features", str(features),
@@ -267,7 +307,7 @@ def test_train_seed_keeps_the_rest_of_the_train_config(tmp_path, monkeypatch):
                                             "beta2": 0.99, "eps": 1e-6, "seed": 1}}))
     seen = []
 
-    def fake_train(dataset, hyper, train_config):
+    def fake_train(dataset, hyper, train_config, progress=None):
         seen.append(train_config)
         raise DivergedLossError("stop before training")
 
