@@ -14,22 +14,7 @@ from dataclasses import dataclass, field
 
 from .appmodel import AppModel, split_signature
 from .icc import DEFAULT_INTENT_SENDERS, is_intent_send, receiver_entry_method, resolve_intent_targets
-
-DEFAULT_LIFECYCLE = {
-    "activity": ("onCreate", "onStart", "onResume", "onPause", "onStop", "onRestart", "onDestroy"),
-    "service": ("onCreate", "onStartCommand", "onBind", "onDestroy"),
-    "receiver": ("onReceive",),
-    "provider": ("onCreate",),
-}
-
-DEFAULT_CALLBACKS = (
-    "onClick", "onLongClick", "onTouch", "onKey", "onFocusChange",
-    "onItemClick", "onItemLongClick", "onItemSelected", "onCheckedChanged",
-    "onMenuItemClick", "onPreferenceClick", "onPreferenceChange",
-    "onEditorAction", "onScroll", "onScrollStateChanged", "onPageSelected",
-    "onLocationChanged", "onSensorChanged", "onCompletion", "onPrepared",
-    "run", "handleMessage", "onDoubleTap", "onFling", "onShake",
-)
+from .tables import default_callbacks, default_lifecycle
 
 _REGISTER_RE = re.compile(r"^(set\w*Listener|register\w+)$")
 
@@ -164,8 +149,8 @@ def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> EntryPointSe
     onCreate from an app base class still contributes that method. Missing
     component classes become diagnostics on the app, not errors.
     """
-    lifecycle = lifecycle or DEFAULT_LIFECYCLE
-    callbacks = DEFAULT_CALLBACKS if callbacks is None else callbacks
+    lifecycle = lifecycle or default_lifecycle()
+    callbacks = default_callbacks() if callbacks is None else callbacks
     entries = set()
     for comp in sorted(app.components, key=lambda c: c.path_name):
         if not app.is_user_defined(comp.path_name):
@@ -221,7 +206,7 @@ def generate_call_graph(
 ) -> CallGraph:
     """Run the full builder: BFS subgraphs from the entry set, callback
     fixed-point iteration, then ICC bridging."""
-    callbacks = DEFAULT_CALLBACKS if callbacks is None else callbacks
+    callbacks = default_callbacks() if callbacks is None else callbacks
     diagnostics = []
 
     methods_by_id = {m.method_id: m for m in app.methods()}

@@ -32,11 +32,11 @@ from .nn.train import DivergedLossError, train
 from .pipeline import (
     ConfigError,
     PipelineConfig,
-    _data_file,
     build_dataset,
     extract_batch,
     load_features,
 )
+from .tables import data_file
 from .tuning import SEARCH_SPACE, grid_search, grid_to_csv, split_dataset
 
 
@@ -59,7 +59,7 @@ def cmd_mine_apis(args) -> int:
     corpus = load_corpus_dir(args.corpus)
     if not corpus:
         raise EmptyCorpusError(f"no corpus documents under {args.corpus}")
-    stopwords = load_stopwords(args.stopwords or _data_file("stopwords.txt"))
+    stopwords = load_stopwords(args.stopwords or data_file("stopwords.txt"))
     ranked = rank_keywords(corpus, stopwords)
     top = select_top(ranked, args.top_keywords)
     docs_raw = json.loads(Path(args.api_docs).read_text())

@@ -67,12 +67,21 @@ class AbstractFlowGraph:
 
     @property
     def node_labels(self) -> np.ndarray:
-        return np.array([node_label(n, self.label_dim) for n in self.nodes])
+        """(n, label_dim): node_label of every node, built in one pass."""
+        d = self.label_dim
+        if d < 1:
+            raise ValueError("label_dim must be >= 1")
+        lengths = np.array([min(len(n.opcode_seq), d) for n in self.nodes], dtype=np.intp)
+        codes = np.zeros((len(self.nodes), d))
+        codes[np.arange(d) < lengths[:, None]] = np.array(
+            [c for n in self.nodes for c in n.opcode_seq[:d]], dtype=np.float64
+        )
+        return normalize(codes)
 
     def edge_onehot(self) -> np.ndarray:
         onehot = np.zeros((len(self.edges), len(EDGE_TYPE_ORDER)))
-        for i, e in enumerate(self.edges):
-            onehot[i, _TYPE_INDEX[e.type]] = 1.0
+        types = np.array([_TYPE_INDEX[e.type] for e in self.edges], dtype=np.intp)
+        onehot[np.arange(len(self.edges)), types] = 1.0
         return onehot
 
 

@@ -17,6 +17,7 @@ softmax on top. Empty inputs (no nodes / no rows) map to zero vectors so
 feature-less apps still classify.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -417,8 +418,13 @@ def score(features, model: ModelParams, seed=0) -> float:
 
 
 # --- persistence ----------------------------------------------------------------
+#
+# model.json is one JSON document: the architecture header, then each named
+# weight as the base64 text of its little-endian float64 bytes, so a load
+# restores every parameter bit for bit. Shapes are not stored; they follow
+# from the header through init_model.
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(model: ModelParams, path):
@@ -436,7 +442,10 @@ def save_model(model: ModelParams, path):
             "epochs": model.hyper.epochs,
             "batch_size": model.hyper.batch_size,
         },
-        "weights": {name: arr.tolist() for name, arr in model.named()},
+        "weights": {
+            name: base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+            for name, arr in model.named()
+        },
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -456,6 +465,28 @@ def load_model(path, expect_label_dim=None, expect_seq_len=None) -> ModelParams:
         raise ModelMismatchError(f"model seq_len {hp.seq_len} != expected {expect_seq_len}")
     model = init_model(hp, seed=0, state_dim=payload["state_dim"], embed_dim=payload["embed_dim"])
     weights = payload["weights"]
+    names = {name for name, _ in model.named()}
+    found = set(weights) if isinstance(weights, dict) else set()
+    if found != names:
+        raise ModelMismatchError(
+            f"model weights do not match its hyperparameters: missing "
+            f"{sorted(names - found)}, unexpected {sorted(found - names)}"
+        )
     for name, arr in model.named():
-        arr[...] = np.array(weights[name], dtype=np.float64).reshape(arr.shape)
+        arr[...] = _decode_weight(name, weights[name], arr.shape)
     return model
+
+
+def _decode_weight(name, text, shape) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ModelMismatchError(f"weight {name} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise ModelMismatchError(f"weight {name} is not valid base64: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise ModelMismatchError(
+            f"weight {name} holds {len(raw)} bytes, its shape {shape} needs {expected}"
+        )
+    return np.frombuffer(raw, "<f8").reshape(shape)

@@ -7,8 +7,8 @@ report.json. Batch failures are per-app report entries, never aborts.
 """
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from importlib.resources import files as package_files
 from pathlib import Path
 
 from .apimine import CriticalApiSet, load_critical_apis
@@ -17,6 +17,13 @@ from .callgraph import build_call_graph
 from .flowgraph import AbstractFlowGraph, build_flow_graph, deserialize_graph, serialize_graph
 from .icc import DEFAULT_INTENT_SENDERS
 from .nn.model import Hyperparams, TrainConfig
+from .tables import (
+    data_file,
+    default_callbacks,
+    default_lifecycle,
+    load_lifecycle_table,
+    load_name_list,
+)
 from .traces import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_TRACES_PER_ENTRY,
@@ -32,29 +39,6 @@ from .traces import (
 
 class ConfigError(ValueError):
     pass
-
-
-def _data_file(name: str) -> Path:
-    return Path(str(package_files("droidflow") / "data" / name))
-
-
-def load_lifecycle_table(path=None) -> dict:
-    path = path or _data_file("lifecycle_methods.txt")
-    table = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        category, method = line.split()
-        table.setdefault(category, []).append(method)
-    return {k: tuple(v) for k, v in table.items()}
-
-
-def load_name_list(path) -> tuple:
-    lines = Path(path).read_text().splitlines()
-    return tuple(
-        line.strip() for line in lines if line.strip() and not line.startswith("#")
-    )
 
 
 @dataclass
@@ -109,13 +93,17 @@ class PipelineConfig:
         )
 
     def critical_apis(self) -> CriticalApiSet:
-        return load_critical_apis(self.critical_apis_path or _data_file("critical_apis.txt"))
+        return load_critical_apis(self.critical_apis_path or data_file("critical_apis.txt"))
 
-    def lifecycle(self) -> dict:
+    def lifecycle(self) -> Mapping:
+        if self.lifecycle_path is None:
+            return default_lifecycle()
         return load_lifecycle_table(self.lifecycle_path)
 
     def callbacks(self) -> tuple:
-        return load_name_list(self.callbacks_path or _data_file("callback_methods.txt"))
+        if self.callbacks_path is None:
+            return default_callbacks()
+        return load_name_list(self.callbacks_path)
 
     def intent_senders(self) -> frozenset:
         if self.intent_senders_path is None:

@@ -1,0 +1,44 @@
+"""The packaged name tables under droidflow/data and their parsers.
+
+The default entry-point tables are parsed from their data files once per
+process and shared read-only; a table a config names is read on each call.
+"""
+
+import functools
+from importlib.resources import files as package_files
+from pathlib import Path
+from types import MappingProxyType
+
+
+def data_file(name: str) -> Path:
+    return Path(str(package_files("droidflow") / "data" / name))
+
+
+def load_lifecycle_table(path) -> dict:
+    table = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        category, method = line.split()
+        table.setdefault(category, []).append(method)
+    return {k: tuple(v) for k, v in table.items()}
+
+
+def load_name_list(path) -> tuple:
+    lines = Path(path).read_text().splitlines()
+    return tuple(
+        line.strip() for line in lines if line.strip() and not line.startswith("#")
+    )
+
+
+@functools.cache
+def default_lifecycle() -> MappingProxyType:
+    """Component category -> framework-invoked lifecycle method names."""
+    return MappingProxyType(load_lifecycle_table(data_file("lifecycle_methods.txt")))
+
+
+@functools.cache
+def default_callbacks() -> tuple:
+    """Event-listener callback names treated as framework entry points."""
+    return load_name_list(data_file("callback_methods.txt"))

@@ -3,14 +3,13 @@ import re
 import pytest
 
 from droidflow.callgraph import (
-    DEFAULT_CALLBACKS,
-    DEFAULT_LIFECYCLE,
     CyclicHierarchyError,
     build_call_graph,
     build_class_hierarchy,
     collect_entry_points,
 )
 from droidflow.icc import DEFAULT_INTENT_SENDERS
+from droidflow.tables import default_callbacks, default_lifecycle
 
 from appbuild import build_app, cls, component, ins, invoke, method
 
@@ -93,7 +92,7 @@ def _naive_entries(app):
     for comp in app.components:
         if comp.path_name not in app.classes:
             continue
-        wanted = set(DEFAULT_LIFECYCLE[comp.category]) | set(DEFAULT_CALLBACKS)
+        wanted = set(default_lifecycle()[comp.category]) | set(default_callbacks())
         for mname in wanted:
             for cname in _ancestry(app, comp.path_name):
                 cd = app.classes.get(cname)
@@ -167,7 +166,7 @@ def oracle_call_graph(app):
                         for op in prev.operands:
                             if op in app.classes:
                                 for m in app.classes[op].methods:
-                                    if m.name in DEFAULT_CALLBACKS:
+                                    if m.name in default_callbacks():
                                         new.add(m.method_id)
         if new <= entries:
             break

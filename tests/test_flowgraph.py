@@ -1,6 +1,8 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import load_app
@@ -9,6 +11,7 @@ from droidflow.flowgraph import (
     EDGE_TYPE_ORDER,
     EXIT,
     BACKWARD_OF,
+    AbstractFlowGraph,
     ChunkNode,
     FlowEdge,
     FormatError,
@@ -96,6 +99,23 @@ def test_label_truncates():
 
 def test_label_empty_zero_vector():
     assert (node_label(ChunkNode(0, "m", 0, [], EXIT), 13) == 0).all()
+
+
+@given(
+    seqs=st.lists(st.lists(st.integers(0, 255), max_size=30), max_size=20),
+    types=st.lists(st.sampled_from(EDGE_TYPE_ORDER), max_size=30),
+    label_dim=st.integers(1, 20),
+)
+def test_graph_arrays_match_per_node_reference(seqs, types, label_dim):
+    nodes = [ChunkNode(i, "m", 0, seq, EXIT) for i, seq in enumerate(seqs)]
+    edges = [FlowEdge(0, 0, t) for t in types]
+    graph = AbstractFlowGraph(nodes, edges, label_dim)
+    expected = np.array([node_label(n, label_dim) for n in nodes]).reshape(-1, label_dim)
+    assert np.array_equal(graph.node_labels, expected)
+    onehot = np.zeros((len(types), len(EDGE_TYPE_ORDER)))
+    for i, t in enumerate(types):
+        onehot[i, EDGE_TYPE_ORDER.index(t)] = 1.0
+    assert np.array_equal(graph.edge_onehot(), onehot)
 
 
 # --- golden fixtures ---------------------------------------------------------

@@ -172,13 +172,28 @@ def test_parallel_extraction_matches_sequential(tmp_path):
 
 
 def test_packaged_tables_match_code_defaults():
-    from droidflow.callgraph import DEFAULT_CALLBACKS, DEFAULT_LIFECYCLE
     from droidflow.icc import DEFAULT_INTENT_SENDERS
-    from droidflow.pipeline import load_lifecycle_table, load_name_list, _data_file
+    from droidflow.tables import (
+        data_file, default_callbacks, default_lifecycle, load_lifecycle_table, load_name_list,
+    )
 
-    assert load_lifecycle_table() == DEFAULT_LIFECYCLE
-    assert set(load_name_list(_data_file("callback_methods.txt"))) == set(DEFAULT_CALLBACKS)
-    assert set(load_name_list(_data_file("intent_senders.txt"))) == set(DEFAULT_INTENT_SENDERS)
+    assert load_lifecycle_table(data_file("lifecycle_methods.txt")) == default_lifecycle()
+    assert load_name_list(data_file("callback_methods.txt")) == default_callbacks()
+    assert set(load_name_list(data_file("intent_senders.txt"))) == set(DEFAULT_INTENT_SENDERS)
+
+
+def test_default_entry_point_tables_are_the_packaged_files_parsed_once():
+    from droidflow.tables import data_file, default_callbacks, default_lifecycle
+
+    packaged = PipelineConfig(lifecycle_path=data_file("lifecycle_methods.txt"),
+                              callbacks_path=data_file("callback_methods.txt"))
+    config = PipelineConfig()
+    assert config.lifecycle() == packaged.lifecycle()
+    assert config.callbacks() == packaged.callbacks()
+    assert config.lifecycle() is default_lifecycle() is PipelineConfig().lifecycle()
+    assert config.callbacks() is default_callbacks() is PipelineConfig().callbacks()
+    with pytest.raises(TypeError):
+        default_lifecycle()["activity"] = ("onCreate",)
 
 
 def test_config_validation(tmp_path):
