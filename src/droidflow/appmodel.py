@@ -7,7 +7,9 @@ JSON fixture format (same fields, no smali text involved).
 import json
 import zipfile
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .dalvik import Opcode, opcode_from_mnemonic
 
@@ -23,8 +25,7 @@ class MalformedIrError(ValueError):
     entry has the wrong shape (a number where an object belongs, say)."""
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     offset: int
     opcode: Opcode
     operands: tuple
@@ -125,14 +126,12 @@ def split_signature(signature: str):
     return owner, name, "(" + descriptor
 
 
-def assign_offsets(instructions):
-    """Re-offset a sequence of (opcode, operands, invoked) by code-unit width."""
-    out = []
-    offset = 0
-    for opcode, operands, invoked in instructions:
-        out.append(Instruction(offset, opcode, tuple(operands), invoked))
-        offset += opcode.width
-    return out
+def instructions(rows) -> list:
+    """One Instruction per (offset, opcode, operands, invoked) row: the one
+    place either front end builds them. Each front end offsets its rows by
+    code-unit width as it reads them. tuple.__new__ bypasses only the
+    generated constructor, which fills defaults a complete row never needs."""
+    return list(map(tuple.__new__, repeat(Instruction), rows))
 
 
 # JSON fixture format: a dict mirroring AppModel field-for-field. Offsets are
@@ -154,7 +153,8 @@ def _app_from_ir(data: dict) -> AppModel:
         methods = []
         for md in cd.get("methods", []):
             method_name = _required(md, "name", f"method of {class_name}")
-            raw = []
+            rows = []
+            offset = 0
             # One handler for the whole body, not _required per instruction:
             # this loop is the hot path of loading an IR app.
             try:
@@ -165,7 +165,8 @@ def _app_from_ir(data: dict) -> AppModel:
                         raise ValueError(
                             f"invoke without invoked_method in {class_name}.{method_name}"
                         )
-                    raw.append((opcode, tuple(ins.get("operands", ())), invoked))
+                    rows.append((offset, opcode, tuple(ins.get("operands", ())), invoked))
+                    offset += opcode.width
             except KeyError:
                 raise MalformedIrError(
                     f"instruction of {class_name}.{method_name} without 'mnemonic'"
@@ -176,7 +177,7 @@ def _app_from_ir(data: dict) -> AppModel:
                     name=method_name,
                     descriptor=_required(md, "descriptor", f"method {class_name}.{method_name}"),
                     flags=frozenset(md.get("flags", ())),
-                    body=assign_offsets(raw),
+                    body=instructions(rows),
                     is_user_defined=md.get("is_user_defined", True),
                 )
             )

@@ -6,6 +6,7 @@ of being mapped to a neighbouring value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 CODE_TO_MNEMONIC = {
     0x00: "nop",
@@ -285,18 +286,25 @@ class Opcode:
     code: int
     mnemonic: str
 
-    @property
+    # Cached in the instance: every Opcode is shared (OPCODES below), and
+    # parsing reads both for each instruction. Equality, hash and repr see
+    # only the two fields.
+    @cached_property
     def is_invoke(self) -> bool:
         return self.mnemonic.startswith("invoke")
 
-    @property
+    @cached_property
     def width(self) -> int:
         return CODE_WIDTH[self.code]
 
 
+# One shared Opcode per mnemonic: parsing looks them up, it builds none.
+OPCODES = {m: Opcode(c, m) for c, m in CODE_TO_MNEMONIC.items()}
+
+
 def opcode_from_mnemonic(mnemonic: str) -> Opcode:
     try:
-        return Opcode(MNEMONIC_TO_CODE[mnemonic], mnemonic)
+        return OPCODES[mnemonic]
     except KeyError:
         raise UnknownOpcodeError(f"unknown Dalvik mnemonic: {mnemonic!r}") from None
 

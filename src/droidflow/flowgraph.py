@@ -32,6 +32,9 @@ _TYPE_INDEX = {t: i for i, t in enumerate(EDGE_TYPE_ORDER)}
 
 DEFAULT_LABEL_DIM = 13
 
+# Opcode values by their text in nodes.csv: one lookup per opcode read back.
+_CODE_OF = {str(code): code for code in range(256)}
+
 
 class FormatError(ValueError):
     """Corrupt or unrecognized graph file."""
@@ -287,13 +290,17 @@ def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlo
     in_dir = Path(in_dir)
     nodes = []
     ids = set()
+    code_of = _CODE_OF.__getitem__
     for lineno, line in enumerate(_read_lines(in_dir / "nodes.csv"), start=1):
         parts = line.split(",", 3)
         if len(parts) != 4:
             raise FormatError(f"nodes.csv line {lineno}: expected 4 fields")
         try:
             nid, offset = int(parts[0]), int(parts[1])
-            seq = [int(x) for x in parts[2].split("|")] if parts[2] else []
+            try:
+                seq = list(map(code_of, parts[2].split("|"))) if parts[2] else []
+            except KeyError:   # a code outside 0-255, or one not spelt as str() spells it
+                seq = list(map(int, parts[2].split("|")))
         except ValueError as exc:
             raise FormatError(f"nodes.csv line {lineno}: {exc}") from exc
         nodes.append(ChunkNode(nid, "", offset, seq, parts[3]))

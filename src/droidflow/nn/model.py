@@ -452,18 +452,26 @@ def save_model(model: ModelParams, path):
 
 def load_model(path, expect_label_dim=None, expect_seq_len=None) -> ModelParams:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ModelMismatchError(f"model file holds a JSON {type(payload).__name__}, not an object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ModelMismatchError(f"unsupported model format: {payload.get('format_version')}")
     if payload.get("edge_type_order") != list(EDGE_TYPE_ORDER):
         raise ModelMismatchError("model edge-type order differs from this build")
-    hp = Hyperparams(**payload["hyperparams"])
+    try:
+        hp = Hyperparams(**payload["hyperparams"])
+        state_dim, embed_dim = payload["state_dim"], payload["embed_dim"]
+    except KeyError as exc:
+        raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
+    except TypeError as exc:   # hyperparams not an object, or an unknown name in it
+        raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
     if expect_label_dim is not None and hp.label_dim != expect_label_dim:
         raise ModelMismatchError(
             f"model label_dim {hp.label_dim} != expected {expect_label_dim}"
         )
     if expect_seq_len is not None and hp.seq_len != expect_seq_len:
         raise ModelMismatchError(f"model seq_len {hp.seq_len} != expected {expect_seq_len}")
-    model = init_model(hp, seed=0, state_dim=payload["state_dim"], embed_dim=payload["embed_dim"])
+    model = init_model(hp, seed=0, state_dim=state_dim, embed_dim=embed_dim)
     weights = payload["weights"]
     names = {name for name, _ in model.named()}
     found = set(weights) if isinstance(weights, dict) else set()

@@ -9,8 +9,8 @@ all the downstream analyses consume.
 
 import re
 
-from .appmodel import ClassDef, MethodDef, assign_offsets
-from .dalvik import opcode_from_mnemonic
+from .appmodel import ClassDef, MethodDef, instructions
+from .dalvik import OPCODES, opcode_from_mnemonic
 
 _CLASS_RE = re.compile(r"^\.class(?:\s+([\w $-]+?))?\s+(L[^\s;]+;)$")
 _SUPER_RE = re.compile(r"^\.super\s+(L[^\s;]+;)$")
@@ -21,7 +21,7 @@ _INVOKE_TARGET_RE = re.compile(r"(L[^\s;]+;|\[[^\s]+)->([^\s(]+)(\(.*\)\S+)$")
 # One-line directives carrying no structure we need.
 _SKIP_PREFIXES = (
     ".line", ".locals", ".local", ".registers", ".param", ".prologue",
-    ".source", ".field", ".restart", ".end local", ".end param",
+    ".source", ".field", ".end field", ".restart", ".end local", ".end param",
     ".catch", ".catchall", ".enum",
 )
 # Block directives skipped wholesale up to their ".end <name>".
@@ -32,6 +32,7 @@ _SKIP_BLOCKS = {
     ".array-data": ".end array-data",
     ".subannotation": ".end subannotation",
 }
+_SKIP_BLOCK_STARTS = tuple(_SKIP_BLOCKS)
 
 
 class SmaliSyntaxError(ValueError):
@@ -41,7 +42,30 @@ class SmaliSyntaxError(ValueError):
 
 
 def _split_operands(text: str):
-    """Split an operand string on top-level commas, keeping {...} groups whole."""
+    """Split an operand string on top-level commas, keeping {...} groups whole.
+
+    A comma splits only outside braces; a "}" before any "{" makes the depth
+    negative, and commas there do not split either. Every part is stripped,
+    and an empty last part is dropped.
+    """
+    if "{" not in text and "}" not in text:
+        parts = text.split(",")
+    else:
+        start = text.find("{")
+        end = text.find("}", start)
+        if end < 0 or text.count("{") != 1 or text.count("}") != 1:
+            return _split_operands_by_depth(text)
+        # One register group: it joins the parts it touches on either side.
+        parts = text[:start].split(",")
+        after = text[end + 1:].split(",")
+        parts[-1] += text[start:end + 1] + after[0]
+        parts += after[1:]
+    parts = tuple(map(str.strip, parts))
+    return parts if parts[-1] else parts[:-1]
+
+
+def _split_operands_by_depth(text: str):
+    """_split_operands for any text, one character at a time."""
     parts = []
     depth = 0
     current = []
@@ -72,77 +96,81 @@ def parse_smali_class(text: str) -> ClassDef:
     interfaces = []
     methods = []
     method_head = None   # (flags, name, descriptor)
-    raw_body = None      # (opcode, operands, invoked) triples
+    rows = None          # (offset, opcode, operands, invoked) of the open method
+    offset = 0
     skip_until = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        lead = line[0]
+        if skip_until is None and lead not in "#:.":
+            # Instruction line, the most common kind.
+            if rows is None:
+                raise SmaliSyntaxError(f"instruction outside a method: {line}", lineno)
+            mnemonic, _, operand_text = line.partition(" ")
+            # A miss falls through to opcode_from_mnemonic, which raises.
+            opcode = OPCODES.get(mnemonic) or opcode_from_mnemonic(mnemonic)
+            operands = _split_operands(operand_text)
+            invoked = None
+            if opcode.is_invoke:
+                if not (operands and _INVOKE_TARGET_RE.search(operands[-1])):
+                    raise SmaliSyntaxError(f"invoke without a method reference: {line}", lineno)
+                invoked = operands[-1]
+            rows.append((offset, opcode, operands, invoked))
+            offset += opcode.width
+            continue
+        if lead == "#":
             continue
         if skip_until is not None:
             if line.startswith(skip_until):
                 skip_until = None
             continue
-        if line.startswith(":"):
+        if lead == ":":
             continue
 
-        if line.startswith("."):
-            for block, end in _SKIP_BLOCKS.items():
-                if line.startswith(block):
-                    skip_until = end
-                    break
-            if skip_until is not None:
-                continue
-            if line.startswith(_SKIP_PREFIXES):
-                continue
-            if line.startswith(".class"):
-                m = _CLASS_RE.match(line)
-                if not m:
-                    raise SmaliSyntaxError(f"malformed .class: {line}", lineno)
-                name = m.group(2)
-            elif line.startswith(".super"):
-                m = _SUPER_RE.match(line)
-                if not m:
-                    raise SmaliSyntaxError(f"malformed .super: {line}", lineno)
-                superclass = m.group(1)
-            elif line.startswith(".implements"):
-                m = _IMPLEMENTS_RE.match(line)
-                if not m:
-                    raise SmaliSyntaxError(f"malformed .implements: {line}", lineno)
-                interfaces.append(m.group(1))
-            elif line == ".end method":
-                if method_head is None:
-                    raise SmaliSyntaxError(".end method outside a method", lineno)
-                flags, mname, descriptor = method_head
-                methods.append((flags, mname, descriptor, raw_body))
-                method_head = None
-                raw_body = None
-            elif line.startswith(".method"):
-                if method_head is not None:
-                    raise SmaliSyntaxError("nested .method", lineno)
-                m = _METHOD_RE.match(line)
-                if not m:
-                    raise SmaliSyntaxError(f"malformed .method: {line}", lineno)
-                flags = frozenset((m.group(1) or "").split())
-                method_head = (flags, m.group(2), m.group(3))
-                raw_body = []
-            else:
-                raise SmaliSyntaxError(f"unsupported directive: {line}", lineno)
+        # Directive line. No name tested below is a prefix of a name in
+        # another test, so their order cannot change which one matches; the
+        # common ones come first.
+        if line.startswith(_SKIP_PREFIXES):
             continue
-
-        # Instruction line.
-        if method_head is None:
-            raise SmaliSyntaxError(f"instruction outside a method: {line}", lineno)
-        mnemonic, _, operand_text = line.partition(" ")
-        opcode = opcode_from_mnemonic(mnemonic)
-        operands = _split_operands(operand_text)
-        invoked = None
-        if opcode.is_invoke:
-            m = _INVOKE_TARGET_RE.search(operands[-1] if operands else "")
+        if line.startswith(_SKIP_BLOCK_STARTS):
+            skip_until = next(end for block, end in _SKIP_BLOCKS.items() if line.startswith(block))
+            continue
+        if line.startswith(".class"):
+            m = _CLASS_RE.match(line)
             if not m:
-                raise SmaliSyntaxError(f"invoke without a method reference: {line}", lineno)
-            invoked = operands[-1]
-        raw_body.append((opcode, operands, invoked))
+                raise SmaliSyntaxError(f"malformed .class: {line}", lineno)
+            name = m.group(2)
+        elif line.startswith(".super"):
+            m = _SUPER_RE.match(line)
+            if not m:
+                raise SmaliSyntaxError(f"malformed .super: {line}", lineno)
+            superclass = m.group(1)
+        elif line.startswith(".implements"):
+            m = _IMPLEMENTS_RE.match(line)
+            if not m:
+                raise SmaliSyntaxError(f"malformed .implements: {line}", lineno)
+            interfaces.append(m.group(1))
+        elif line == ".end method":
+            if method_head is None:
+                raise SmaliSyntaxError(".end method outside a method", lineno)
+            methods.append((*method_head, rows))
+            method_head = None
+            rows = None
+        elif line.startswith(".method"):
+            if method_head is not None:
+                raise SmaliSyntaxError("nested .method", lineno)
+            m = _METHOD_RE.match(line)
+            if not m:
+                raise SmaliSyntaxError(f"malformed .method: {line}", lineno)
+            flags = frozenset((m.group(1) or "").split())
+            method_head = (flags, m.group(2), m.group(3))
+            rows = []
+            offset = 0
+        else:
+            raise SmaliSyntaxError(f"unsupported directive: {line}", lineno)
 
     if name is None:
         raise SmaliSyntaxError("missing .class directive", 1)
@@ -152,15 +180,13 @@ def parse_smali_class(text: str) -> ClassDef:
     abstract_flags = {"abstract", "native"}
     method_defs = []
     for flags, mname, descriptor, body in methods:
-        if flags & abstract_flags:
-            body = []
         method_defs.append(
             MethodDef(
                 owner=name,
                 name=mname,
                 descriptor=descriptor,
                 flags=flags,
-                body=assign_offsets(body),
+                body=[] if flags & abstract_flags else instructions(body),
             )
         )
     seen = set()

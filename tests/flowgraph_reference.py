@@ -1,0 +1,53 @@
+"""Reference reader for serialized flow graphs.
+
+deserialize_graph below reads nodes.csv one line at a time and parses each
+opcode with its own int() call, exactly as droidflow did before it read the
+file column by column. Tests compare droidflow.flowgraph.deserialize_graph
+against it; droidflow itself does not use it.
+"""
+
+from pathlib import Path
+
+from droidflow.flowgraph import (
+    _TYPE_INDEX,
+    DEFAULT_LABEL_DIM,
+    AbstractFlowGraph,
+    ChunkNode,
+    FlowEdge,
+    FormatError,
+    _read_lines,
+    sort_edges,
+)
+
+
+def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlowGraph:
+    in_dir = Path(in_dir)
+    nodes = []
+    ids = set()
+    for lineno, line in enumerate(_read_lines(in_dir / "nodes.csv"), start=1):
+        parts = line.split(",", 3)
+        if len(parts) != 4:
+            raise FormatError(f"nodes.csv line {lineno}: expected 4 fields")
+        try:
+            nid, offset = int(parts[0]), int(parts[1])
+            seq = [int(x) for x in parts[2].split("|")] if parts[2] else []
+        except ValueError as exc:
+            raise FormatError(f"nodes.csv line {lineno}: {exc}") from exc
+        nodes.append(ChunkNode(nid, "", offset, seq, parts[3]))
+        ids.add(nid)
+    edges = []
+    for lineno, line in enumerate(_read_lines(in_dir / "edges.csv"), start=1):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"edges.csv line {lineno}: expected 3 fields")
+        try:
+            s, t = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"edges.csv line {lineno}: {exc}") from exc
+        if parts[2] not in _TYPE_INDEX:
+            raise FormatError(f"edges.csv line {lineno}: unknown edge type {parts[2]!r}")
+        if s not in ids or t not in ids:
+            raise FormatError(f"edges.csv line {lineno}: dangling endpoint")
+        edges.append(FlowEdge(s, t, parts[2]))
+    nodes.sort(key=lambda n: n.id)
+    return AbstractFlowGraph(nodes, sort_edges(edges), label_dim)

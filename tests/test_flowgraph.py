@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import load_app
@@ -24,6 +24,7 @@ from droidflow.flowgraph import (
 )
 from droidflow.traces import find_call_traces
 
+import flowgraph_reference
 from appbuild import build_app, cls, component, ins, invoke, method
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
@@ -203,6 +204,51 @@ def test_serialization_deterministic(tmp_path):
     serialize_graph(graph, b)
     assert (a / "nodes.csv").read_bytes() == (b / "nodes.csv").read_bytes()
     assert (a / "edges.csv").read_bytes() == (b / "edges.csv").read_bytes()
+
+
+def read_outcome(read, directory):
+    try:
+        return read(directory)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_reader_matches_reference_on_golden_files(name):
+    golden = FIXTURES / name / "golden"
+    assert deserialize_graph(golden) == flowgraph_reference.deserialize_graph(golden)
+
+
+ODD_FIELDS = ["007", " 3", "-1", "+5", "x", "", "0x1"]
+
+
+@st.composite
+def field_text(draw, valid):
+    """Mostly a value as serialize_graph writes it, sometimes one int() may
+    or may not accept."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(ODD_FIELDS))
+    return str(draw(valid))
+
+
+@st.composite
+def node_line(draw):
+    if draw(st.integers(0, 19)) == 0:   # a line with the wrong number of fields
+        return ",".join(draw(st.lists(field_text(st.integers(0, 9)), max_size=3)))
+    seq = "|".join(draw(st.lists(field_text(st.integers(0, 300)), max_size=6)))
+    invoke_mtd = draw(st.sampled_from(["exit", "La;->f()V", "La;->g(I,J)V"]))
+    return f"{draw(field_text(st.integers(0, 9)))},{draw(field_text(st.integers(0, 9)))},{seq},{invoke_mtd}"
+
+
+@given(st.lists(node_line(), max_size=8), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]))
+@example(["x,0,300|y,exit"], "")   # two bad fields: the first one is reported
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, edges):
+    directory = tmp_path_factory.mktemp("graph")
+    (directory / "nodes.csv").write_text("".join(line + "\n" for line in lines))
+    (directory / "edges.csv").write_text(edges)
+    expected = read_outcome(flowgraph_reference.deserialize_graph, directory)
+    assert read_outcome(deserialize_graph, directory) == expected
 
 
 def test_unknown_edge_tag_rejected(tmp_path):

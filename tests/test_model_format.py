@@ -78,24 +78,38 @@ def test_format_1_file_is_rejected(tmp_path):
         load_model(path)
 
 
-def _drop(weights):
-    del weights["fusion.b"]
+def _drop(payload):
+    del payload["weights"]["fusion.b"]
 
 
-def _extra(weights):
-    weights["fusion.c"] = weights["fusion.b"]
+def _extra(payload):
+    payload["weights"]["fusion.c"] = payload["weights"]["fusion.b"]
 
 
-def _not_a_string(weights):
-    weights["fusion.b"] = [0.0, 0.0]
+def _not_a_string(payload):
+    payload["weights"]["fusion.b"] = [0.0, 0.0]
 
 
-def _bad_base64(weights):
-    weights["fusion.b"] = "not base64!"
+def _bad_base64(payload):
+    payload["weights"]["fusion.b"] = "not base64!"
 
 
-def _short(weights):
-    weights["fusion.b"] = base64.b64encode(np.zeros(1, "<f8").tobytes()).decode()
+def _short(payload):
+    payload["weights"]["fusion.b"] = base64.b64encode(np.zeros(1, "<f8").tobytes()).decode()
+
+
+def _a_list(payload):
+    return [payload]
+
+
+def _without(key):
+    def corrupt(payload):
+        del payload[key]
+    return corrupt
+
+
+def _unknown_hyperparam(payload):
+    payload["hyperparams"]["dropout"] = 0.5
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -104,13 +118,18 @@ def _short(weights):
     (_not_a_string, "weight fusion.b is not a base64 string"),
     (_bad_base64, "weight fusion.b is not valid base64"),
     (_short, "weight fusion.b holds 8 bytes, its shape (2,) needs 16"),
+    (_a_list, "model file holds a JSON list, not an object"),
+    (_without("hyperparams"), "model header lacks 'hyperparams'"),
+    (_without("state_dim"), "model header lacks 'state_dim'"),
+    (_without("embed_dim"), "model header lacks 'embed_dim'"),
+    (_unknown_hyperparam, "malformed model hyperparams: "),
 ])
 def test_malformed_model_file_is_an_input_error(tmp_path, features, capsys, corrupt, message):
     path = tmp_path / "model.json"
     save_model(init_model(SMALL, seed=1), path)
     payload = json.loads(path.read_text())
-    corrupt(payload["weights"])
-    path.write_text(json.dumps(payload))
+    document = corrupt(payload)
+    path.write_text(json.dumps(payload if document is None else document))
     capsys.readouterr()
     rc = main(["predict", "--model", str(path), "--features", str(features),
                "--out", str(tmp_path / "preds.csv")])

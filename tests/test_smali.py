@@ -168,3 +168,19 @@ def test_mnemonic_code_mapping_is_bijective():
     codes = list(MNEMONIC_TO_CODE.values())
     assert len(codes) == len(set(codes))
     assert all(0 <= c <= 0xFF for c in codes)
+
+
+def test_annotated_field_is_skipped():
+    text = """\
+.class La;
+.super Ljava/lang/Object;
+.field private x:I
+    .annotation runtime Lb;
+    .end annotation
+.end field
+.method f()V
+    return-void
+.end method
+"""
+    cd = parse_smali_class(text)
+    assert [m.name for m in cd.methods] == ["f"]
