@@ -1,10 +1,10 @@
-"""Call graph construction: class hierarchy, entry points, and the
-iterate-until-stable subgraph builder bridged by ICC edges.
+"""Call graph construction: class hierarchy, entry points, and one worklist
+fixed point over calls, callback registration and ICC.
 
 Entry points are component lifecycle methods plus event listeners. Listener
-classes registered inside already-reachable code contribute their callback
-methods as new entry points, so the builder loops until the entry set stops
-growing. Virtual and interface calls resolve by class hierarchy analysis:
+classes registered inside reachable code contribute their callback methods as
+new entry points, and so do the receiver methods of the intents reachable
+code sends. Virtual and interface calls resolve by class hierarchy analysis:
 every defined override in the subtree of the static receiver type becomes an
 edge target.
 """
@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass, field
 
 from .appmodel import AppModel, split_signature
-from .icc import DEFAULT_INTENT_SENDERS, is_intent_send, receiver_entry_method, resolve_intent_targets
-from .tables import default_callbacks, default_lifecycle
+from .icc import invoked_name, receiver_entry_method, resolve_intent_targets
+from .tables import default_callbacks, default_intent_senders, default_lifecycle
 
 _REGISTER_RE = re.compile(r"^(set\w*Listener|register\w+)$")
 
@@ -70,6 +70,9 @@ class CallGraph:
     call_sites: dict              # caller id -> tuple of (offset, tuple of callee ids)
     icc_edges: tuple              # sorted (sender id, receiver id) pairs
     entry_points: EntryPointSet
+    # (method id, body index) -> ((component path, receiver id or None), ...)
+    # for every intent send in the app, reachable or not
+    intent_sends: dict
     diagnostics: list = field(default_factory=list)
 
     def dump_edges(self):
@@ -112,89 +115,50 @@ def build_class_hierarchy(app: AppModel) -> ClassHierarchy:
     )
 
 
-def resolve_invoke(app: AppModel, h: ClassHierarchy, instruction):
-    """User-defined methods an invoke instruction may dispatch to (CHA)."""
-    if instruction.invoked_method is None:
-        return []
-    owner, name, descriptor = split_signature(instruction.invoked_method)
-    mnemonic = instruction.opcode.mnemonic
-    targets = {}
+def resolve_invoke(app: AppModel, h: ClassHierarchy, mnemonic: str, invoked: str) -> tuple:
+    """Sorted ids of the user-defined methods an invoke may dispatch to (CHA)."""
+    owner, name, descriptor = split_signature(invoked)
+    targets = set()
     if mnemonic.startswith(("invoke-virtual", "invoke-interface")):
         inherited = app.lookup_method(owner, name, descriptor)
         if inherited is not None:
-            targets[inherited.method_id] = inherited
+            targets.add(inherited.method_id)
         for cls in h.dispatch_roots(owner):
             cd = app.classes.get(cls)
             if cd is None:
                 continue
             m = cd.find_method(name, descriptor)
             if m is not None:
-                targets[m.method_id] = m
+                targets.add(m.method_id)
     elif mnemonic.startswith("invoke-super"):
         start = h.parent.get(owner, owner)
         m = app.lookup_method(start, name, descriptor) or app.lookup_method(owner, name, descriptor)
         if m is not None:
-            targets[m.method_id] = m
+            targets.add(m.method_id)
     else:  # invoke-direct / invoke-static / remaining kinds: exact lookup
         m = app.lookup_method(owner, name, descriptor)
         if m is not None:
-            targets[m.method_id] = m
-    return [targets[k] for k in sorted(targets)]
+            targets.add(m.method_id)
+    return tuple(sorted(targets))
 
 
 def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> EntryPointSet:
     """Lifecycle methods and listener callbacks of the declared components.
 
     Lookup walks user-defined superclasses, so a component inheriting its
-    onCreate from an app base class still contributes that method. Missing
-    component classes become diagnostics on the app, not errors.
+    onCreate from an app base class still contributes that method. A
+    component whose class the app does not define contributes nothing;
+    generate_call_graph reports it.
     """
     lifecycle = lifecycle or default_lifecycle()
     callbacks = default_callbacks() if callbacks is None else callbacks
     entries = set()
-    for comp in sorted(app.components, key=lambda c: c.path_name):
-        if not app.is_user_defined(comp.path_name):
-            app.diagnostics.append(f"missing component class {comp.path_name}")
-            continue
-        for mname in lifecycle.get(comp.category, ()):
+    for comp in app.components:
+        for mname in (*lifecycle.get(comp.category, ()), *callbacks):
             m = app.lookup_method(comp.path_name, mname)
             if m is not None:
                 entries.add(m.method_id)
-        for cbname in callbacks:
-            m = app.lookup_method(comp.path_name, cbname)
-            if m is not None:
-                entries.add(m.method_id)
     return EntryPointSet(tuple(sorted(entries)))
-
-
-def _listener_classes(app, method, upto_index):
-    """User-defined classes instantiated or referenced before a registration call."""
-    found = set()
-    for ins in method.body[:upto_index]:
-        if ins.opcode.mnemonic in ("new-instance", "const-class"):
-            for op in ins.operands:
-                if op.startswith("L") and op.endswith(";") and app.is_user_defined(op):
-                    found.add(op)
-    return sorted(found)
-
-
-def _scan_callbacks(app, methods_by_id, reachable, callbacks):
-    """Callback methods of listener classes registered in reachable code."""
-    callback_set = set(callbacks)
-    new_entries = set()
-    for mid in sorted(reachable):
-        method = methods_by_id[mid]
-        for idx, ins in enumerate(method.body):
-            if ins.invoked_method is None:
-                continue
-            name = ins.invoked_method.partition("->")[2].partition("(")[0]
-            if not _REGISTER_RE.match(name):
-                continue
-            for cls_name in _listener_classes(app, method, idx):
-                for m in app.classes[cls_name].methods:
-                    if m.name in callback_set:
-                        new_entries.add(m.method_id)
-    return new_entries
 
 
 def generate_call_graph(
@@ -202,100 +166,114 @@ def generate_call_graph(
     h: ClassHierarchy,
     entry_points: EntryPointSet,
     callbacks=None,
-    intent_senders=DEFAULT_INTENT_SENDERS,
+    intent_senders=None,
 ) -> CallGraph:
-    """Run the full builder: BFS subgraphs from the entry set, callback
-    fixed-point iteration, then ICC bridging."""
-    callbacks = default_callbacks() if callbacks is None else callbacks
-    diagnostics = []
+    """One worklist fixed point over calls, callback registration and ICC, as
+    in FlowDroid (Arzt et al., PLDI 2014) and IccTA (Li et al., ICSE 2015).
+
+    Each method body is scanned once, for its call sites, the callbacks of
+    the listener classes it registers and the receiver method of each intent
+    it sends; every send in the app is resolved here, so the flow graph
+    reuses the resolutions. The worklist visits each method once, when it is
+    first reached, and pushes its callees, its registered callbacks and its
+    intent receivers; the last two join the entry points.
+    """
+    callback_names = frozenset(default_callbacks() if callbacks is None else callbacks)
+    senders = default_intent_senders() if intent_senders is None else intent_senders
+    diagnostics = [
+        f"missing component class {comp.path_name}"
+        for comp in sorted(app.components, key=lambda c: c.path_name)
+        if not app.is_user_defined(comp.path_name)
+    ]
 
     methods_by_id = {m.method_id: m for m in app.methods()}
-    call_sites = {}
-    adjacency = {}
+    call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
     for mid in sorted(methods_by_id):
         method = methods_by_id[mid]
-        sites = []
-        ordered = []
-        seen = set()
-        for ins in method.body:
-            if ins.invoked_method is None:
+        sites, callees, listeners = [], {}, set()
+        for idx, (offset, opcode, operands, invoked) in enumerate(method.body):
+            if opcode.mnemonic in ("new-instance", "const-class"):
+                listeners.update(op for op in operands if app.is_user_defined(op))
+            if invoked is None:
                 continue
-            resolved = resolve_invoke(app, h, ins)
-            if not resolved:
-                continue
-            sites.append((ins.offset, tuple(t.method_id for t in resolved)))
-            for t in resolved:
-                if t.method_id not in seen:
-                    seen.add(t.method_id)
-                    ordered.append(t.method_id)
+            targets = resolve_invoke(app, h, opcode.mnemonic, invoked)
+            if targets:
+                sites.append((offset, targets))
+                callees.update(dict.fromkeys(targets))
+            name = invoked_name(invoked)
+            if _REGISTER_RE.match(name):
+                registered.setdefault(mid, []).extend(
+                    m.method_id
+                    for cls_name in sorted(listeners)
+                    for m in app.classes[cls_name].methods
+                    if m.name in callback_names
+                )
+            if name in senders:
+                receivers = []
+                for comp in resolve_intent_targets(app, method, idx, senders):
+                    recv = receiver_entry_method(app, comp)
+                    receivers.append((comp.path_name, None if recv is None else recv.method_id))
+                intent_sends[(mid, idx)] = receivers = tuple(receivers)
+                sends.setdefault(mid, []).append((offset, receivers))
         call_sites[mid] = tuple(sites)
-        adjacency[mid] = tuple(ordered)
-
-    def closure(entries):
-        visited = []
-        seen = set()
-        queue = [e for e in entries if e in methods_by_id]
-        for e in queue:
-            if e not in seen:
-                seen.add(e)
-                visited.append(e)
-        i = 0
-        while i < len(visited):
-            for callee in adjacency.get(visited[i], ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    visited.append(callee)
-            i += 1
-        return seen
+        adjacency[mid] = tuple(callees)
 
     entries = set(entry_points)
-    reachable = closure(entries)
-    while True:
-        found = _scan_callbacks(app, methods_by_id, reachable, callbacks)
-        if found <= entries:
-            break
-        entries |= found
-        reachable = closure(entries)
-
     icc = set()
-    for mid in sorted(reachable):
-        method = methods_by_id[mid]
-        for idx, ins in enumerate(method.body):
-            if not is_intent_send(ins, intent_senders):
-                continue
-            resolution = resolve_intent_targets(app, method, idx, intent_senders)
-            if not resolution.components:
-                diagnostics.append(
-                    f"unresolved intent target at {mid} offset {ins.offset}"
-                )
-                continue
-            for comp in resolution.components:
-                recv = receiver_entry_method(app, comp)
+    reached = set()
+    work = list(entry_points)
+    while work:
+        mid = work.pop()
+        if mid in reached or mid not in methods_by_id:
+            continue
+        reached.add(mid)
+        callbacks_found = registered.get(mid, ())
+        entries.update(callbacks_found)
+        work.extend(adjacency[mid])
+        work.extend(callbacks_found)
+        for offset, receivers in sends.get(mid, ()):
+            if not receivers:
+                diagnostics.append(f"unresolved intent target at {mid} offset {offset}")
+            for path_name, recv in receivers:
                 if recv is None:
-                    diagnostics.append(
-                        f"component {comp.path_name} has no intent entry method"
-                    )
+                    diagnostics.append(f"component {path_name} has no intent entry method")
                     continue
-                icc.add((mid, recv.method_id))
-                if recv.method_id not in reachable:
-                    entries.add(recv.method_id)
-                    reachable = closure(entries)
+                icc.add((mid, recv))
+                entries.add(recv)
+                work.append(recv)
 
-    nodes = tuple(sorted(reachable))
-    node_set = set(nodes)
+    nodes = tuple(sorted(reached))
     return CallGraph(
         app=app,
         nodes=nodes,
         edges={mid: adjacency[mid] for mid in nodes},
         call_sites={mid: call_sites[mid] for mid in nodes},
         icc_edges=tuple(sorted(icc)),
-        entry_points=EntryPointSet(tuple(sorted(e for e in entries if e in node_set))),
+        entry_points=EntryPointSet(tuple(sorted(entries & reached))),
+        intent_sends=intent_sends,
         diagnostics=diagnostics,
     )
 
 
+def reaching(cg: CallGraph, targets) -> set:
+    """Methods with a call path (possibly empty) to one of targets."""
+    callers = {}
+    for caller, call_sites in cg.call_sites.items():
+        for _, callees in call_sites:
+            for callee in callees:
+                callers.setdefault(callee, set()).add(caller)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for caller in callers.get(stack.pop(), ()):
+            if caller not in seen:
+                seen.add(caller)
+                stack.append(caller)
+    return seen
+
+
 def build_call_graph(app: AppModel, lifecycle=None, callbacks=None,
-                     intent_senders=DEFAULT_INTENT_SENDERS) -> CallGraph:
+                     intent_senders=None) -> CallGraph:
     """Convenience wrapper chaining hierarchy, entry points and the builder."""
     h = build_class_hierarchy(app)
     entries = collect_entry_points(app, h, lifecycle, callbacks)

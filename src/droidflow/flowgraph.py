@@ -15,14 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .callgraph import reaching
 from .dalvik import normalize
-from .icc import (
-    DEFAULT_INTENT_RECEIVERS,
-    DEFAULT_INTENT_SENDERS,
-    invoked_name,
-    receiver_entry_method,
-    resolve_intent_targets,
-)
+from .icc import DEFAULT_INTENT_RECEIVERS, is_chunk_boundary
+from .tables import default_intent_senders
 
 EXIT = "exit"
 FORWARD_TYPES = ("ct", "is", "nb", "ic", "in")
@@ -92,53 +88,46 @@ def sort_edges(edges):
     return sorted(set(edges), key=lambda e: (_TYPE_INDEX[e.type], e.source, e.target))
 
 
-def chunk_methods(app, intent_senders=DEFAULT_INTENT_SENDERS):
+def chunk_methods(app, intent_senders=None):
     """Partition every method body into chunk nodes, ids in (method, offset) order.
 
     A chunk closes at a call to a user-defined method, at an intent-sending
     call, or at the method exit; the terminating invoke belongs to its chunk.
     """
+    senders = default_intent_senders() if intent_senders is None else intent_senders
     chunks = []
     methods = sorted(
         (m for c in app.classes.values() for m in c.methods), key=lambda m: m.method_id
     )
-    next_id = 0
     for method in methods:
-        current = []
-        start = 0
-        for idx, ins in enumerate(method.body):
-            current.append(ins)
-            boundary = ins.invoked_method is not None and (
-                app.is_user_defined(ins.invoked_method.partition("->")[0])
-                or invoked_name(ins.invoked_method) in intent_senders
-            )
-            if boundary:
+        body = method.body
+        codes, start = [], 0
+        for idx, (offset, opcode, _, invoked) in enumerate(body):
+            codes.append(opcode.code)
+            if invoked is not None and is_chunk_boundary(app, invoked, senders):
                 chunks.append(
                     ChunkNode(
-                        id=next_id,
+                        id=len(chunks),
                         method=method.method_id,
-                        offset=method.body[start].offset,
-                        opcode_seq=[i.opcode.code for i in current],
-                        invoke_mtd=ins.invoked_method,
-                        end_offset=ins.offset,
+                        offset=body[start].offset,
+                        opcode_seq=codes,
+                        invoke_mtd=invoked,
+                        end_offset=offset,
                         send_index=idx,
                     )
                 )
-                next_id += 1
-                current = []
-                start = idx + 1
-        if current:
+                codes, start = [], idx + 1
+        if codes:
             chunks.append(
                 ChunkNode(
-                    id=next_id,
+                    id=len(chunks),
                     method=method.method_id,
-                    offset=method.body[start].offset,
-                    opcode_seq=[i.opcode.code for i in current],
+                    offset=body[start].offset,
+                    opcode_seq=codes,
                     invoke_mtd=EXIT,
-                    end_offset=current[-1].offset,
+                    end_offset=body[-1].offset,
                 )
             )
-            next_id += 1
     return chunks
 
 
@@ -152,19 +141,11 @@ def node_label(node: ChunkNode, label_dim: int = DEFAULT_LABEL_DIM) -> np.ndarra
     return vec
 
 
-def _is_intent_chunk(chunk, intent_senders):
-    return chunk.invoke_mtd != EXIT and invoked_name(chunk.invoke_mtd) in intent_senders
+def build_edges(chunks, cg, traces, components, intent_receivers=DEFAULT_INTENT_RECEIVERS):
+    """Construct all typed edges over the chunk nodes (forward plus mirrors).
 
-
-def build_edges(
-    chunks,
-    cg,
-    traces,
-    components,
-    intent_senders=DEFAULT_INTENT_SENDERS,
-    intent_receivers=DEFAULT_INTENT_RECEIVERS,
-):
-    """Construct all typed edges over the chunk nodes (forward plus mirrors)."""
+    Intent sends are not resolved again: the call graph holds the receivers
+    of every send in the app, keyed by (method, body index)."""
     app = cg.app
     by_method = {}
     for c in chunks:
@@ -188,34 +169,31 @@ def build_edges(
             continue
         ct.add((src.id, tgt.id))
 
-    intent_chunks = [c for c in chunks if _is_intent_chunk(c, intent_senders)]
+    intent_chunks = [c for c in chunks if (c.method, c.send_index) in cg.intent_sends]
+    sends_by_method = {}
+    for c in intent_chunks:
+        sends_by_method.setdefault(c.method, []).append(c)
 
-    for entry in cg.entry_points:
-        src = first_chunk.get(entry)
-        if src is None:
-            continue
-        reachable = {entry}
-        queue = [entry]
-        while queue:
-            for callee in cg.edges.get(queue.pop(0), ()):
-                if callee not in reachable:
-                    reachable.add(callee)
-                    queue.append(callee)
-        for c in intent_chunks:
-            if c.method in reachable and c.id != src.id:
-                is_.add((src.id, c.id))
+    # is: from each entry point to the sends of every method it reaches
+    entries = set(cg.entry_points)
+    for method_id, sends in sends_by_method.items():
+        for entry in entries & reaching(cg, {method_id}):
+            src = first_chunk.get(entry)
+            if src is None:
+                continue
+            for c in sends:
+                if c.id != src.id:
+                    is_.add((src.id, c.id))
 
     comp_by_class = {c.path_name: c for c in components}
     for c in intent_chunks:
-        method = app.get_method(c.method)
-        resolution = resolve_intent_targets(app, method, c.send_index, intent_senders)
-        if not resolution.components:
+        receivers = cg.intent_sends[(c.method, c.send_index)]
+        if not receivers:
             diagnostics.append(f"unresolved intent at chunk {c.id}")
-        for comp in resolution.components:
-            recv = receiver_entry_method(app, comp)
-            tgt = first_chunk.get(recv.method_id) if recv is not None else None
+        for path_name, recv in receivers:
+            tgt = first_chunk.get(recv)
             if tgt is None:
-                diagnostics.append(f"no receiver chunk for {comp.path_name}")
+                diagnostics.append(f"no receiver chunk for {path_name}")
                 continue
             ic.add((c.id, tgt.id))
         owner = c.method.partition("->")[0]
@@ -230,7 +208,8 @@ def build_edges(
                 ic.add((c.id, tgt.id))
                 in_.add((c.id, tgt.id))
 
-    issuing = {chunks_by_id(chunks)[s].method for s, _ in ct | is_ | ic}
+    method_of = {c.id: c.method for c in chunks}
+    issuing = {method_of[s] for s, _ in ct | is_ | ic}
     nb = set()
     for method_id in sorted(issuing):
         cs = by_method.get(method_id, ())
@@ -248,22 +227,16 @@ def build_edges(
     return sort_edges(edges), diagnostics
 
 
-def chunks_by_id(chunks):
-    return {c.id: c for c in chunks}
-
-
 def build_flow_graph(
     app,
     cg,
     traces,
     label_dim: int = DEFAULT_LABEL_DIM,
-    intent_senders=DEFAULT_INTENT_SENDERS,
+    intent_senders=None,
     intent_receivers=DEFAULT_INTENT_RECEIVERS,
 ):
     chunks = chunk_methods(app, intent_senders)
-    edges, diagnostics = build_edges(
-        chunks, cg, traces, app.components, intent_senders, intent_receivers
-    )
+    edges, diagnostics = build_edges(chunks, cg, traces, app.components, intent_receivers)
     graph = AbstractFlowGraph(chunks, edges, label_dim)
     return graph, diagnostics
 

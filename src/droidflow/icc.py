@@ -8,18 +8,6 @@ diagnostics instead of edges.
 """
 
 import re
-from dataclasses import dataclass
-
-DEFAULT_INTENT_SENDERS = frozenset(
-    {
-        "startActivity",
-        "startActivityForResult",
-        "startService",
-        "bindService",
-        "sendBroadcast",
-        "sendOrderedBroadcast",
-    }
-)
 
 # Methods through which a started child component hands data back to its
 # parent; used for the returning-ICC / implicit-neighbor pattern.
@@ -33,66 +21,52 @@ def invoked_name(signature: str) -> str:
     return signature.partition("->")[2].partition("(")[0]
 
 
-def is_intent_send(instruction, senders=DEFAULT_INTENT_SENDERS) -> bool:
-    return (
-        instruction.invoked_method is not None
-        and invoked_name(instruction.invoked_method) in senders
-    )
+def is_chunk_boundary(app, invoked, senders) -> bool:
+    """Whether a call to the method signature `invoked` closes a code chunk:
+    a call to a user-defined method or an intent send does."""
+    return app.is_user_defined(invoked.partition("->")[0]) or invoked_name(invoked) in senders
 
 
 def _dotted_to_class(dotted: str) -> str:
     return "L" + dotted.replace(".", "/") + ";"
 
 
-@dataclass(frozen=True)
-class IccResolution:
-    components: tuple       # resolved target components, sorted by path name
-    explicit: bool          # class-constant match (vs intent-filter action match)
+def resolve_intent_targets(app, method, send_index, senders) -> tuple:
+    """Components addressed by the intent-sending invoke at send_index, sorted
+    by path name; empty when none resolves.
 
-
-def resolve_intent_targets(app, method, send_index, senders=DEFAULT_INTENT_SENDERS):
-    """Resolve the components addressed by the intent-sending invoke at send_index.
-
-    The backward constant scan stops at the previous chunk boundary (a
-    user-defined or intent-sending call site), mirroring how chunk nodes are
-    carved out of a method. Explicit class references win over action-string
-    matches. Returns an IccResolution (components possibly empty).
+    The backward constant scan stops at the previous chunk boundary, so it
+    reads only the chunk the send closes. Explicit class references win over
+    action-string matches.
     """
     body = method.body
     start = 0
     for i in range(send_index - 1, -1, -1):
-        ins = body[i]
-        if ins.invoked_method is not None and (
-            app.is_user_defined(ins.invoked_method.partition("->")[0])
-            or invoked_name(ins.invoked_method) in senders
-        ):
+        invoked = body[i].invoked_method
+        if invoked is not None and is_chunk_boundary(app, invoked, senders):
             start = i + 1
             break
 
     by_name = {c.path_name: c for c in app.components}
-    explicit = []
+    explicit = {}
     action_strings = []
-    for ins in body[start : send_index + 1]:
-        for op in ins.operands:
+    for _, _, operands, _ in body[start : send_index + 1]:
+        for op in operands:
             m = _CLASS_RE.match(op)
             if m and m.group(1) in by_name:
-                explicit.append(by_name[m.group(1)])
+                explicit[m.group(1)] = by_name[m.group(1)]
             for s in _STRING_RE.findall(op):
                 if _dotted_to_class(s) in by_name:
-                    explicit.append(by_name[_dotted_to_class(s)])
+                    explicit[_dotted_to_class(s)] = by_name[_dotted_to_class(s)]
                 else:
                     action_strings.append(s)
-    if explicit:
-        uniq = {c.path_name: c for c in explicit}
-        return IccResolution(tuple(sorted(uniq.values(), key=lambda c: c.path_name)), True)
-
-    implicit = {
+    found = explicit or {
         c.path_name: c
         for c in app.components
         for s in action_strings
         if c.declares_action(s)
     }
-    return IccResolution(tuple(sorted(implicit.values(), key=lambda c: c.path_name)), False)
+    return tuple(found[name] for name in sorted(found))
 
 
 def receiver_entry_method(app, component):

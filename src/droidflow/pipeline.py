@@ -2,8 +2,9 @@
 
 extract_app turns one loaded app into its flow graph, trace sequences and
 row matrix; extract_batch walks a dataset root (one subdirectory per app)
-and writes, per app: nodes.csv, edges.csv, traces.csv, matrix.csv and
-report.json. Batch failures are per-app report entries, never aborts.
+and writes, per app: nodes.csv, edges.csv, traces.csv and report.json. The
+row matrix is not written: train, predict and evaluate rebuild it from
+traces.csv. Batch failures are per-app report entries, never aborts.
 """
 
 import json
@@ -15,11 +16,11 @@ from .apimine import CriticalApiSet, load_critical_apis
 from .appmodel import AppModel, EmptyAppError, load_app
 from .callgraph import build_call_graph
 from .flowgraph import AbstractFlowGraph, build_flow_graph, deserialize_graph, serialize_graph
-from .icc import DEFAULT_INTENT_SENDERS
 from .nn.model import Hyperparams, TrainConfig
 from .tables import (
     data_file,
     default_callbacks,
+    default_intent_senders,
     default_lifecycle,
     load_lifecycle_table,
     load_name_list,
@@ -107,7 +108,7 @@ class PipelineConfig:
 
     def intent_senders(self) -> frozenset:
         if self.intent_senders_path is None:
-            return DEFAULT_INTENT_SENDERS
+            return default_intent_senders()
         return frozenset(load_name_list(self.intent_senders_path))
 
 
@@ -173,7 +174,6 @@ def write_features(result: ExtractResult, out_dir) -> Path:
     app_dir = Path(out_dir) / result.app_id
     app_dir.mkdir(parents=True, exist_ok=True)
     serialize_graph(result.graph, app_dir)
-    result.matrix.save_csv(app_dir / "matrix.csv")
     lines = ["|".join(str(c) for c in seq) for seq in result.raw_sequences]
     (app_dir / "traces.csv").write_text("".join(line + "\n" for line in lines))
     (app_dir / "report.json").write_text(

@@ -1,7 +1,8 @@
 """The packaged name tables under droidflow/data and their parsers.
 
-The default entry-point tables are parsed from their data files once per
-process and shared read-only; a table a config names is read on each call.
+The default entry-point and intent-sender tables are parsed from their data
+files once per process and shared read-only; a table a config names is read
+on each call.
 """
 
 import functools
@@ -42,3 +43,9 @@ def default_lifecycle() -> MappingProxyType:
 def default_callbacks() -> tuple:
     """Event-listener callback names treated as framework entry points."""
     return load_name_list(data_file("callback_methods.txt"))
+
+
+@functools.cache
+def default_intent_senders() -> frozenset:
+    """Method names that hand an Intent to the framework."""
+    return frozenset(load_name_list(data_file("intent_senders.txt")))

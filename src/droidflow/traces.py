@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .callgraph import reaching
+
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TRACES_PER_ENTRY = 256
 DEFAULT_OPCODE_BUDGET = 8000
@@ -55,23 +57,6 @@ class SequenceMatrix:
     def empty(cls, row_len: int) -> "SequenceMatrix":
         return cls(np.zeros((0, row_len), dtype=np.int64), row_len)
 
-    def save_csv(self, path):
-        lines = [f"{self.n},{self.row_len}"]
-        for row in self.rows:
-            lines.append(",".join(str(int(v)) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "SequenceMatrix":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            n, row_len = (int(x) for x in header.split(","))
-            rows = np.zeros((n, row_len), dtype=np.int64)
-            for i in range(n):
-                rows[i] = [int(x) for x in fh.readline().strip().split(",")]
-        return cls(rows, row_len)
-
 
 def find_call_traces(
     cg,
@@ -91,7 +76,7 @@ def find_call_traces(
     error; the visit budget ends the whole search.
     """
     sites = _critical_sites(cg, set(critical))
-    live = _reaching(cg, sites)
+    live = reaching(cg, sites)
     traces = []
     visits_left = DFS_VISIT_BUDGET
 
@@ -167,23 +152,6 @@ def _critical_sites(cg, critical_set):
     return sites
 
 
-def _reaching(cg, targets):
-    """Methods with a call path (possibly empty) to one of targets."""
-    callers = {}
-    for caller, call_sites in cg.call_sites.items():
-        for _, callees in call_sites:
-            for callee in callees:
-                callers.setdefault(callee, set()).add(caller)
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        for caller in callers.get(stack.pop(), ()):
-            if caller not in seen:
-                seen.add(caller)
-                stack.append(caller)
-    return seen
-
-
 def _continue_offset(app, cg, method_id, next_id):
     """Offset of the first call site in method_id that can reach next_id."""
     if cg is not None:
@@ -199,15 +167,13 @@ def _continue_offset(app, cg, method_id, next_id):
     return None
 
 
-def extract_opcodes(trace: CallTrace, app, cg=None, normalized: bool = False):
+def extract_opcodes(trace: CallTrace, app, cg=None):
     """Accumulate the trace's opcode sequence by prefix-chaining its methods.
 
     Within each method, every instruction up to the trace-continuing invoke
     contributes its opcode (off-trace calls contribute one opcode and are not
     entered); the walk then descends into the next method. In the final
-    method the sequence stops at, and includes, the critical invoke. With
-    normalized=True values are scaled to [0, 1] by /255 (graph node labels
-    use that form; the sequence rows keep raw integer codes).
+    method the sequence stops at, and includes, the critical invoke.
     """
     seq = []
     hop_offsets = list(trace.hop_offsets)
@@ -238,8 +204,6 @@ def extract_opcodes(trace: CallTrace, app, cg=None, normalized: bool = False):
                 break
         if not emitted:
             raise BrokenTraceError(f"offset {stop} missing in {mid}")
-    if normalized:
-        return [c / 255.0 for c in seq]
     return seq
 
 
@@ -276,27 +240,22 @@ def sample_opcodes(traces, budget: int = DEFAULT_OPCODE_BUDGET, row_len: int = 1
     return out
 
 
-def split_sequence(seq, row_len: int, pad_short: bool = False):
+def split_sequence(seq, row_len: int):
     """Backward-aligned fixed-length rows of a sequence.
 
     The trailing floor(k / row_len) * row_len elements are cut into rows;
-    the short leading remainder is dropped. A sequence shorter than one row
-    yields nothing unless pad_short left-pads it with zeros (off by default,
-    for experimentation only).
+    the short leading remainder is dropped, so a sequence shorter than one
+    row yields nothing.
     """
     if row_len < 1:
         raise ValueError("row_len must be >= 1")
     k = len(seq)
     q = k // row_len
-    if q == 0:
-        if pad_short and k > 0:
-            return [[0] * (row_len - k) + list(seq)]
-        return []
     start = k - q * row_len
     return [list(seq[start + j * row_len : start + (j + 1) * row_len]) for j in range(q)]
 
 
-def build_matrix(traces, row_len: int, pad_short: bool = False) -> SequenceMatrix:
+def build_matrix(traces, row_len: int) -> SequenceMatrix:
     """Stack all row splits of all traces, in trace order.
 
     Raises EmptyMatrixError when nothing reaches one full row; the pipeline
@@ -304,7 +263,7 @@ def build_matrix(traces, row_len: int, pad_short: bool = False) -> SequenceMatri
     """
     rows = []
     for t in traces:
-        rows.extend(split_sequence(t.opcode_seq, row_len, pad_short))
+        rows.extend(split_sequence(t.opcode_seq, row_len))
     if not rows:
         raise EmptyMatrixError("no trace produced a full row")
     return SequenceMatrix(np.array(rows, dtype=np.int64), row_len)

@@ -2,14 +2,15 @@ import re
 
 import pytest
 
+from droidflow.apimine import CriticalApiSet
 from droidflow.callgraph import (
     CyclicHierarchyError,
     build_call_graph,
     build_class_hierarchy,
     collect_entry_points,
 )
-from droidflow.icc import DEFAULT_INTENT_SENDERS
-from droidflow.tables import default_callbacks, default_lifecycle
+from droidflow.tables import default_callbacks, default_intent_senders, default_lifecycle
+from droidflow.traces import find_call_traces
 
 from appbuild import build_app, cls, component, ins, invoke, method
 
@@ -113,7 +114,7 @@ def _naive_intent_targets(app, body, send_index):
             continue
         owner = prev.invoked_method.partition("->")[0]
         pname = prev.invoked_method.partition("->")[2].partition("(")[0]
-        if owner in app.classes or pname in DEFAULT_INTENT_SENDERS:
+        if owner in app.classes or pname in default_intent_senders():
             boundary = i + 1
             break
     comp_names = {c.path_name for c in app.components}
@@ -180,7 +181,7 @@ def oracle_call_graph(app):
             if instr.invoked_method is None:
                 continue
             called = instr.invoked_method.partition("->")[2].partition("(")[0]
-            if called not in DEFAULT_INTENT_SENDERS:
+            if called not in default_intent_senders():
                 continue
             for comp in _naive_intent_targets(app, body, idx):
                 wanted = "onReceive" if comp.category == "receiver" else "onCreate"
@@ -596,3 +597,66 @@ def test_matches_brute_force_reference(fx):
     assert got_edges == edges
     assert set(cg.icc_edges) == icc
     assert set(cg.entry_points) == entries
+
+
+# ---------------------------------------------------------------------------
+# Fixed point over ICC: with a lifecycle table that leaves the receivers out,
+# code reached only through ICC must still be scanned for ICC and listeners
+# ---------------------------------------------------------------------------
+
+START_ONLY = {"activity": ("onStart",)}
+
+
+def _start(target, then=()):
+    return [ins("const-class", "v0", target), invoke("virtual", START_ACT, "{v1, v0}"),
+            *then, ins("return-void")]
+
+
+def test_icc_chain_past_a_non_entry_receiver():
+    app = build_app(
+        [
+            cls("Lx/A;", [method("onStart", "()V", _start("Lx/B;"))], superclass=ACT),
+            cls("Lx/B;", [method("onCreate", "()V", _start("Lx/C;"))], superclass=ACT),
+            cls("Lx/C;", [method("onCreate", "()V", [invoke("virtual", SMS), ins("return-void")])],
+                superclass=ACT),
+        ],
+        [component("Lx/A;"), component("Lx/B;"), component("Lx/C;")],
+    )
+    cg = build_call_graph(app, lifecycle=START_ONLY)
+    assert "Lx/C;->onCreate()V" in cg.nodes
+    assert ("Lx/B;->onCreate()V", "Lx/C;->onCreate()V") in cg.icc_edges
+    assert {"Lx/B;->onCreate()V", "Lx/C;->onCreate()V"} <= set(cg.entry_points)
+    traces = find_call_traces(cg, CriticalApiSet.of([SMS]))
+    assert [(t.methods, t.critical_api, t.site_offset) for t in traces] == [
+        (("Lx/C;->onCreate()V",), SMS, 0)
+    ]
+
+
+def test_listener_registered_in_icc_reached_code_is_an_entry_point():
+    app = build_app(
+        [
+            cls("Lx/A;", [method("onStart", "()V", _start("Lx/B;"))], superclass=ACT),
+            cls("Lx/B;", [method("onCreate", "()V", [
+                ins("new-instance", "v0", "Lx/L;"),
+                invoke("virtual", SET_LISTENER, "{v1, v0}"),
+                ins("return-void"),
+            ])], superclass=ACT),
+            cls("Lx/L;", [method("onClick", "(Landroid/view/View;)V", [ins("return-void")])],
+                interfaces=("Landroid/view/View$OnClickListener;",)),
+        ],
+        [component("Lx/A;"), component("Lx/B;")],
+    )
+    cg = build_call_graph(app, lifecycle=START_ONLY)
+    assert "Lx/L;->onClick(Landroid/view/View;)V" in cg.entry_points
+
+
+def test_building_the_call_graph_leaves_the_app_unchanged():
+    app = build_app(
+        [cls("Lx/Main;", [method("onCreate", "()V", [ins("return-void")])], superclass=ACT)],
+        [component("Lx/Main;"), component("Lx/Gone;")],
+    )
+    before = list(app.diagnostics)
+    for _ in range(2):
+        cg = build_call_graph(app)
+        assert app.diagnostics == before
+        assert "missing component class Lx/Gone;" in cg.diagnostics

@@ -172,26 +172,31 @@ def test_parallel_extraction_matches_sequential(tmp_path):
 
 
 def test_packaged_tables_match_code_defaults():
-    from droidflow.icc import DEFAULT_INTENT_SENDERS
     from droidflow.tables import (
-        data_file, default_callbacks, default_lifecycle, load_lifecycle_table, load_name_list,
+        data_file, default_callbacks, default_intent_senders, default_lifecycle,
+        load_lifecycle_table, load_name_list,
     )
 
     assert load_lifecycle_table(data_file("lifecycle_methods.txt")) == default_lifecycle()
     assert load_name_list(data_file("callback_methods.txt")) == default_callbacks()
-    assert set(load_name_list(data_file("intent_senders.txt"))) == set(DEFAULT_INTENT_SENDERS)
+    assert set(load_name_list(data_file("intent_senders.txt"))) == set(default_intent_senders())
 
 
 def test_default_entry_point_tables_are_the_packaged_files_parsed_once():
-    from droidflow.tables import data_file, default_callbacks, default_lifecycle
+    from droidflow.tables import (
+        data_file, default_callbacks, default_intent_senders, default_lifecycle,
+    )
 
     packaged = PipelineConfig(lifecycle_path=data_file("lifecycle_methods.txt"),
-                              callbacks_path=data_file("callback_methods.txt"))
+                              callbacks_path=data_file("callback_methods.txt"),
+                              intent_senders_path=data_file("intent_senders.txt"))
     config = PipelineConfig()
     assert config.lifecycle() == packaged.lifecycle()
     assert config.callbacks() == packaged.callbacks()
+    assert config.intent_senders() == packaged.intent_senders()
     assert config.lifecycle() is default_lifecycle() is PipelineConfig().lifecycle()
     assert config.callbacks() is default_callbacks() is PipelineConfig().callbacks()
+    assert config.intent_senders() is default_intent_senders() is PipelineConfig().intent_senders()
     with pytest.raises(TypeError):
         default_lifecycle()["activity"] = ("onCreate",)
 

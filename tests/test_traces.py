@@ -279,8 +279,6 @@ def test_accumulation_example():
     [trace] = find_call_traces(cg, CRITICAL)
     raw = extract_opcodes(trace, app, cg)
     assert raw == [0x12, 0x70, 0x6E]
-    norm = extract_opcodes(trace, app, cg, normalized=True)
-    assert norm == pytest.approx([0x12 / 255, 0x70 / 255, 0x6E / 255])
 
 
 def test_opcodes_after_critical_excluded():
@@ -420,9 +418,6 @@ def test_split_exact_multiple():
 
 def test_split_shorter_than_row():
     assert split_sequence(list(range(80)), 100) == []
-    padded = split_sequence(list(range(80)), 100, pad_short=True)
-    assert len(padded) == 1 and len(padded[0]) == 100
-    assert padded[0][:20] == [0] * 20
 
 
 @given(
@@ -463,14 +458,3 @@ def test_matrix_rows_end_at_critical():
     traces[0].opcode_seq[:0] = [1] * 200
     m = build_matrix(traces, 100)
     assert m.rows[-1][-1] == 0x6E  # block of each trace ends at its critical invoke
-
-
-def test_matrix_csv_round_trip(tmp_path):
-    traces = [mk_trace(list(range(250)))]
-    m = build_matrix(traces, 100)
-    p = tmp_path / "m.csv"
-    m.save_csv(p)
-    loaded = type(m).load_csv(p)
-    assert loaded.row_len == m.row_len
-    assert (loaded.rows == m.rows).all()
-    assert p.read_text().splitlines()[0] == "2,100"
