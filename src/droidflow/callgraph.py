@@ -11,6 +11,7 @@ edge target.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .appmodel import AppModel, split_signature
 from .icc import invoked_name, receiver_entry_method, resolve_intent_targets
@@ -74,6 +75,17 @@ class CallGraph:
     # for every intent send in the app, reachable or not
     intent_sends: dict
     diagnostics: list = field(default_factory=list)
+
+    @cached_property
+    def callers(self) -> dict:
+        """callee id -> set of the ids of the methods that call it; built
+        once, on first use."""
+        callers = {}
+        for caller, call_sites in self.call_sites.items():
+            for _, callees in call_sites:
+                for callee in callees:
+                    callers.setdefault(callee, set()).add(caller)
+        return callers
 
     def dump_edges(self):
         lines = []
@@ -257,15 +269,10 @@ def generate_call_graph(
 
 def reaching(cg: CallGraph, targets) -> set:
     """Methods with a call path (possibly empty) to one of targets."""
-    callers = {}
-    for caller, call_sites in cg.call_sites.items():
-        for _, callees in call_sites:
-            for callee in callees:
-                callers.setdefault(callee, set()).add(caller)
     seen = set(targets)
     stack = list(seen)
     while stack:
-        for caller in callers.get(stack.pop(), ()):
+        for caller in cg.callers.get(stack.pop(), ()):
             if caller not in seen:
                 seen.add(caller)
                 stack.append(caller)

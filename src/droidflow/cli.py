@@ -27,7 +27,7 @@ from .appmodel import EmptyAppError
 from .flowgraph import FormatError
 from .manifest import AxmlUnsupportedError, XmlError
 from .metrics import LengthMismatchError, compute_metrics
-from .nn.model import ModelMismatchError, load_model, probabilities, save_model, score
+from .nn.model import ModelMismatchError, load_model, probabilities, save_model
 from .nn.train import DivergedLossError, train
 from .pipeline import (
     ConfigError,
@@ -114,16 +114,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _score_records(records, model, config):
-    scores, labels = [], []
+def _probabilities(records, model, config):
+    """Yield each record's probability pair (benign, malicious), from one
+    forward pass over its features rebuilt at the model's dimensions."""
     for rec in records:
         features = (
             rec.graph(model.hyper.label_dim),
             rec.matrix(model.hyper.seq_len, config.opcode_budget),
         )
-        scores.append(score(features, model, seed=config.train.seed))
-        labels.append(rec.label)
-    return scores, labels
+        yield probabilities(features, model, seed=config.train.seed)
 
 
 def cmd_tune(args) -> int:
@@ -136,15 +135,8 @@ def cmd_tune(args) -> int:
     def evaluate(hp, train_items, val_items):
         dataset = build_dataset(train_items, hp, config.opcode_budget)
         result = train(dataset, hp, config.train)
-        scores, labels = [], []
-        for rec in val_items:
-            features = (
-                rec.graph(hp.label_dim),
-                rec.matrix(hp.seq_len, config.opcode_budget),
-            )
-            scores.append(score(features, result.params, seed=config.train.seed))
-            labels.append(rec.label)
-        _, report = compute_metrics(scores, labels, args.threshold)
+        scores = [float(probs[1]) for probs in _probabilities(val_items, result.params, config)]
+        _, report = compute_metrics(scores, [rec.label for rec in val_items], args.threshold)
         return report
 
     space = SEARCH_SPACE
@@ -168,12 +160,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     records = load_features(args.features)
     lines = ["app_id,label,probability,malicious_score"]
-    for rec in records:
-        features = (
-            rec.graph(model.hyper.label_dim),
-            rec.matrix(model.hyper.seq_len, config.opcode_budget),
-        )
-        probs = probabilities(features, model, seed=config.train.seed)
+    for rec, probs in zip(records, _probabilities(records, model, config)):
         label = int(np.argmax(probs))
         lines.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -205,7 +192,8 @@ def cmd_evaluate(args) -> int:
         records = [r for r in load_features(args.features) if r.label is not None]
         if not records:
             raise ConfigError(f"no labeled features under {args.features}")
-        scores, labels = _score_records(records, model, config)
+        scores = [float(probs[1]) for probs in _probabilities(records, model, config)]
+        labels = [rec.label for rec in records]
     confusion, report = compute_metrics(scores, labels, args.threshold)
     Path(args.out).write_text(report.to_json(confusion))
     print(f"accuracy {report.accuracy:.4f} F1 {report.f1:.4f} -> {args.out}")

@@ -66,7 +66,9 @@ class AbstractFlowGraph:
 
     @property
     def node_labels(self) -> np.ndarray:
-        """(n, label_dim): node_label of every node, built in one pass."""
+        """(n, label_dim): each node's first label_dim opcodes, normalized and
+        zero-padded, in node order. These are the node labels that
+        nn.model.forward_var feeds to the graph branch, through graph_arrays."""
         d = self.label_dim
         if d < 1:
             raise ValueError("label_dim must be >= 1")
@@ -129,16 +131,6 @@ def chunk_methods(app, intent_senders=None):
                 )
             )
     return chunks
-
-
-def node_label(node: ChunkNode, label_dim: int = DEFAULT_LABEL_DIM) -> np.ndarray:
-    """First label_dim opcodes of the chunk, normalized, zero-padded."""
-    if label_dim < 1:
-        raise ValueError("label_dim must be >= 1")
-    vec = np.zeros(label_dim)
-    for i, code in enumerate(node.opcode_seq[:label_dim]):
-        vec[i] = normalize(code)
-    return vec
 
 
 def build_edges(chunks, cg, traces, components, intent_receivers=DEFAULT_INTENT_RECEIVERS):

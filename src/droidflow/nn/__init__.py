@@ -8,13 +8,8 @@ from .model import (
     ModelParams,
     RowLengthMismatchError,
     TrainConfig,
-    bilstm_forward,
-    classify,
-    gnn_forward,
     init_model,
     load_model,
-    loss,
-    predict,
     probabilities,
     save_model,
     score,
@@ -33,14 +28,9 @@ __all__ = [
     "RowLengthMismatchError",
     "TrainConfig",
     "TrainResult",
-    "bilstm_forward",
-    "classify",
-    "gnn_forward",
     "grad_check",
     "init_model",
     "load_model",
-    "loss",
-    "predict",
     "probabilities",
     "save_model",
     "score",

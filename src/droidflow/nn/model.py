@@ -203,8 +203,9 @@ def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
 
 # --- tape-level forward builders ----------------------------------------------
 #
-# Every builder takes a batch: training builds one tape per mini-batch, and
-# inference runs the same builders on constant parameters as a batch of one.
+# Every builder takes a batch. forward_var chains them into the fused logits:
+# training runs it on one tape per mini-batch, and probabilities runs it on
+# constant parameters as a batch of one.
 
 @dataclass(frozen=True)
 class GraphArrays:
@@ -320,26 +321,28 @@ def bilstm_batch_var(matrices, pv: dict, params: BiLstmParams) -> Var:
     return tape.scale(app_sums, (1.0 / np.maximum(1, counts))[:, None])
 
 
-def gnn_vector_var(graph, pv: dict, params: GnnParams, rng, init_state=None) -> Var:
-    """Graph-level vector (1, state_dim) as a tape Var; pv maps parameter
-    names to Vars.
-
-    Initial node states come from rng (uniform in [-0.1, 0.1], one row per
-    node in list order) unless init_state supplies them explicitly."""
-    arrays = graph_arrays(graph, params.label_dim)
-    if init_state is None:
-        init_state = rng.uniform(-0.1, 0.1, (len(arrays.labels), params.state_dim))
-    return gnn_batch_var([arrays], [init_state], pv, params)
-
-
-def bilstm_vector_var(matrix, pv: dict, params: BiLstmParams) -> Var:
-    """App-level vector (1, 32) from the opcode row matrix, as a tape Var."""
-    return bilstm_batch_var([matrix], pv, params)
-
-
 def logits_var(hg: Var, hb: Var, pv: dict) -> Var:
     fused = tape.concat([hg, hb], axis=1)
     return tape.add(tape.matmul(fused, pv["fusion.w"]), pv["fusion.b"])
+
+
+def draw_init_states(graphs, init_seeds, state_dim: int) -> list:
+    """Initial node states, one (n_k, state_dim) array per graph: uniform in
+    [-0.1, 0.1] from default_rng(init_seeds[k]), one row per node in list
+    order."""
+    return [
+        np.random.default_rng(seed).uniform(-0.1, 0.1, (len(g.labels), state_dim))
+        for g, seed in zip(graphs, init_seeds)
+    ]
+
+
+def forward_var(model: ModelParams, pv: dict, graphs, matrices, init_states) -> Var:
+    """(B, 2) fused logits for a batch of GraphArrays, their row matrices and
+    their initial node states, with parameters pv (name -> Var). Training and
+    scoring both run through here."""
+    hg = gnn_batch_var(graphs, init_states, pv, model.gnn)
+    hb = bilstm_batch_var(matrices, pv, model.lstm)
+    return logits_var(hg, hb, pv)
 
 
 def loss_var(logits: Var, label) -> Var:
@@ -365,51 +368,20 @@ def _checked(matrix, seq_len):
     return matrix
 
 
-# --- inference-level API -------------------------------------------------------
-
-def _constants(params) -> dict:
-    return {name: tape.constant(arr) for name, arr in params.named()}
-
-
-def gnn_forward(graph, params: GnnParams, seed=0, init_state=None) -> np.ndarray:
-    """Graph-level vector of size state_dim (zero vector for empty graphs)."""
-    rng = np.random.default_rng(seed)
-    return gnn_vector_var(graph, _constants(params), params, rng, init_state).value[0]
-
-
-def bilstm_forward(matrix, params: BiLstmParams) -> np.ndarray:
-    """App-level vector of size 32 (zero vector for zero-row matrices)."""
-    return bilstm_vector_var(matrix, _constants(params), params).value[0]
-
-
-def classify(h_g: np.ndarray, h_b: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Probability pair (benign, malicious); sums to one."""
-    hg = tape.constant(np.ravel(h_g)[None, :])
-    hb = tape.constant(np.ravel(h_b)[None, :])
-    return np.exp(tape.log_softmax(logits_var(hg, hb, _constants(params))).value[0])
-
-
-def loss(probs, label: int) -> float:
-    p = max(float(probs[int(label)]), 1e-12)
-    return -math.log(p)
-
+# --- scoring --------------------------------------------------------------------
 
 def probabilities(features, model: ModelParams, seed=0) -> np.ndarray:
     """Probability pair (benign, malicious) for a (flow graph, row matrix)
-    feature pair: one forward pass through both branches and the fusion."""
+    feature pair: forward_var on constant parameters as a batch of one, the
+    initial node states drawn from seed. Constants record no tape links, so
+    each branch's intermediates are freed as soon as it is done."""
     graph, matrix = features
-    h_g = gnn_forward(graph, model.gnn, seed)
-    h_b = bilstm_forward(_checked(matrix, model.hyper.seq_len), model.lstm)
-    return classify(h_g, h_b, model.fusion)
-
-
-def predict(features, model: ModelParams, seed=0):
-    """(label, probability) for a (flow graph, row matrix) feature pair.
-
-    Ties break toward the lower label index."""
-    probs = probabilities(features, model, seed)
-    label = int(np.argmax(probs))
-    return label, float(probs[label])
+    graphs = [graph_arrays(graph, model.gnn.label_dim)]
+    matrices = [_checked(matrix, model.hyper.seq_len)]
+    pv = {name: tape.constant(arr) for name, arr in model.named()}
+    init_states = draw_init_states(graphs, [seed], model.gnn.state_dim)
+    logits = forward_var(model, pv, graphs, matrices, init_states)
+    return np.exp(tape.log_softmax(logits).value[0])
 
 
 def score(features, model: ModelParams, seed=0) -> float:
@@ -450,7 +422,7 @@ def save_model(model: ModelParams, path):
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def load_model(path, expect_label_dim=None, expect_seq_len=None) -> ModelParams:
+def load_model(path) -> ModelParams:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ModelMismatchError(f"model file holds a JSON {type(payload).__name__}, not an object")
@@ -465,12 +437,6 @@ def load_model(path, expect_label_dim=None, expect_seq_len=None) -> ModelParams:
         raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
     except TypeError as exc:   # hyperparams not an object, or an unknown name in it
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
-    if expect_label_dim is not None and hp.label_dim != expect_label_dim:
-        raise ModelMismatchError(
-            f"model label_dim {hp.label_dim} != expected {expect_label_dim}"
-        )
-    if expect_seq_len is not None and hp.seq_len != expect_seq_len:
-        raise ModelMismatchError(f"model seq_len {hp.seq_len} != expected {expect_seq_len}")
     model = init_model(hp, seed=0, state_dim=state_dim, embed_dim=embed_dim)
     weights = payload["weights"]
     names = {name for name, _ in model.named()}

@@ -17,10 +17,12 @@ class Var:
 
     def __init__(self, value, parents=(), requires_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents  # tuple of (Var, grad_fn)
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p, _ in parents)
         self.requires_grad = requires_grad
+        # tuple of (Var, grad_fn); a Var no gradient flows through keeps none,
+        # so work on constants builds no tape and frees its inputs at once
+        self.parents = parents if requires_grad else ()
         self.grad = None
 
     @property

@@ -122,11 +122,12 @@ class ExtractResult:
 
 
 def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig) -> ExtractResult:
+    intent_senders = config.intent_senders()
     cg = build_call_graph(
         app,
         lifecycle=config.lifecycle(),
         callbacks=config.callbacks(),
-        intent_senders=config.intent_senders(),
+        intent_senders=intent_senders,
     )
     traces = find_call_traces(
         cg, critical,
@@ -145,7 +146,7 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
     graph, flow_diags = build_flow_graph(
         app, cg, traces,
         label_dim=config.hyper.label_dim,
-        intent_senders=config.intent_senders(),
+        intent_senders=intent_senders,
     )
     report = {
         "app_id": app.app_id,

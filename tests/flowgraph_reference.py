@@ -1,13 +1,18 @@
-"""Reference reader for serialized flow graphs.
+"""Per-element references for flow-graph reading and node labels.
 
 deserialize_graph below reads nodes.csv one line at a time and parses each
 opcode with its own int() call, exactly as droidflow did before it read the
-file column by column. Tests compare droidflow.flowgraph.deserialize_graph
-against it; droidflow itself does not use it.
+file column by column; node_label builds one node's label vector with a loop
+over its opcodes. Tests compare droidflow.flowgraph.deserialize_graph and
+AbstractFlowGraph.node_labels against them; droidflow itself does not use
+them.
 """
 
 from pathlib import Path
 
+import numpy as np
+
+from droidflow.dalvik import normalize
 from droidflow.flowgraph import (
     _TYPE_INDEX,
     DEFAULT_LABEL_DIM,
@@ -51,3 +56,13 @@ def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlo
         edges.append(FlowEdge(s, t, parts[2]))
     nodes.sort(key=lambda n: n.id)
     return AbstractFlowGraph(nodes, sort_edges(edges), label_dim)
+
+
+def node_label(node: ChunkNode, label_dim: int = DEFAULT_LABEL_DIM) -> np.ndarray:
+    """First label_dim opcodes of the chunk, normalized, zero-padded."""
+    if label_dim < 1:
+        raise ValueError("label_dim must be >= 1")
+    vec = np.zeros(label_dim)
+    for i, code in enumerate(node.opcode_seq[:label_dim]):
+        vec[i] = normalize(code)
+    return vec

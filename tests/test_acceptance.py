@@ -122,7 +122,13 @@ def test_criterion_4_flow_graph_golden_suite(tmp_path):
 def test_criterion_5_gradient_checks():
     from droidflow.nn import grad_check
     from droidflow.nn import tape
-    from droidflow.nn.model import bilstm_vector_var, gnn_vector_var, logits_var, loss_var
+    from droidflow.nn.model import (
+        bilstm_batch_var,
+        gnn_batch_var,
+        graph_arrays,
+        logits_var,
+        loss_var,
+    )
     from droidflow.traces import SequenceMatrix
     from test_gradcheck import gnn_toy_graph
     from test_nn import tiny_gnn_params, tiny_lstm_params
@@ -132,9 +138,11 @@ def test_criterion_5_gradient_checks():
     graph = gnn_toy_graph()  # 4 nodes
     gnn_params = tiny_gnn_params(np.random.default_rng(51), s=4, label_dim=3, iterations=3)
     probe_g = np.random.default_rng(52).normal(size=(1, 4))
+    arrays = graph_arrays(graph, gnn_params.label_dim)
+    init = np.random.default_rng(5).uniform(-0.1, 0.1, (len(arrays.labels), gnn_params.state_dim))
 
     def gnn_builder(pv):
-        hg = gnn_vector_var(graph, pv, gnn_params, np.random.default_rng(5))
+        hg = gnn_batch_var([arrays], [init], pv, gnn_params)
         return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe_g)), axis=1), 0, 0)
 
     err_gnn = grad_check(gnn_builder, dict(gnn_params.named()), epsilon=1e-4, seed=53)
@@ -145,7 +153,7 @@ def test_criterion_5_gradient_checks():
     probe_b = np.random.default_rng(55).normal(size=(1, 32))
 
     def lstm_builder(pv):
-        hb = bilstm_vector_var(matrix, pv, lstm_params)
+        hb = bilstm_batch_var([matrix], pv, lstm_params)
         return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe_b)), axis=1), 0, 0)
 
     err_lstm = grad_check(lstm_builder, dict(lstm_params.named()), epsilon=1e-4, seed=56)

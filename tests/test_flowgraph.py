@@ -18,7 +18,6 @@ from droidflow.flowgraph import (
     build_flow_graph,
     chunk_methods,
     deserialize_graph,
-    node_label,
     serialize_graph,
     structurally_equal,
 )
@@ -85,6 +84,10 @@ def test_chunks_partition_method():
 
 # --- node labels -------------------------------------------------------------
 
+def node_label(node, label_dim):
+    return AbstractFlowGraph([node], [], label_dim).node_labels[0]
+
+
 def test_label_pads_with_zero():
     node = ChunkNode(0, "m", 0, [0x0E, 0x6E], EXIT)
     vec = node_label(node, 13)
@@ -111,7 +114,9 @@ def test_graph_arrays_match_per_node_reference(seqs, types, label_dim):
     nodes = [ChunkNode(i, "m", 0, seq, EXIT) for i, seq in enumerate(seqs)]
     edges = [FlowEdge(0, 0, t) for t in types]
     graph = AbstractFlowGraph(nodes, edges, label_dim)
-    expected = np.array([node_label(n, label_dim) for n in nodes]).reshape(-1, label_dim)
+    expected = np.array(
+        [flowgraph_reference.node_label(n, label_dim) for n in nodes]
+    ).reshape(-1, label_dim)
     assert np.array_equal(graph.node_labels, expected)
     onehot = np.zeros((len(types), len(EDGE_TYPE_ORDER)))
     for i, t in enumerate(types):
@@ -185,6 +190,23 @@ def test_unconnected_method_gets_zero_nb_edges():
     cg = build_call_graph(app)
     graph, _ = build_flow_graph(app, cg, [])
     assert graph.edges == []
+
+
+def test_callers_index_is_built_once_per_call_graph():
+    # trace search and the is edges of both intent-sending methods all ask
+    # which methods reach a target
+    app = load_app(FIXTURES / "intent_self_loop")
+    cg = build_call_graph(app)
+    scans = []
+
+    class CountingSites(dict):
+        def items(self):
+            scans.append(1)
+            return super().items()
+
+    cg.call_sites = CountingSites(cg.call_sites)
+    build_flow_graph(app, cg, find_call_traces(cg, CRITICAL))
+    assert len(scans) == 1
 
 
 # --- serialization -----------------------------------------------------------

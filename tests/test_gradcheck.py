@@ -4,8 +4,11 @@ from droidflow.flowgraph import FlowEdge
 from droidflow.nn import Hyperparams, grad_check, init_model
 from droidflow.nn import tape
 from droidflow.nn.model import (
-    bilstm_vector_var,
-    gnn_vector_var,
+    bilstm_batch_var,
+    draw_init_states,
+    forward_var,
+    gnn_batch_var,
+    graph_arrays,
     logits_var,
     loss_var,
 )
@@ -38,9 +41,11 @@ def test_gnn_gradients():
     arrays = dict(params.named())
     probe_rng = np.random.default_rng(42)
     probe = probe_rng.normal(size=(1, 4))
+    arrays_g = graph_arrays(graph, params.label_dim)
+    init = np.random.default_rng(7).uniform(-0.1, 0.1, (len(arrays_g.labels), params.state_dim))
 
     def builder(pv):
-        hg = gnn_vector_var(graph, pv, params, np.random.default_rng(7))
+        hg = gnn_batch_var([arrays_g], [init], pv, params)
         return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=1)
@@ -55,7 +60,7 @@ def test_bilstm_gradients():
     probe = np.random.default_rng(44).normal(size=(1, 32))
 
     def builder(pv):
-        hb = bilstm_vector_var(matrix, pv, params)
+        hb = bilstm_batch_var([matrix], pv, params)
         return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=2)
@@ -86,11 +91,11 @@ def test_full_model_gradients():
     matrix = SequenceMatrix(np.array([[5, 110, 26, 14]]), 4)
     arrays = dict(model.named())
 
+    graphs = [graph_arrays(graph, model.gnn.label_dim)]
+    init_states = draw_init_states(graphs, [6], model.gnn.state_dim)
+
     def builder(pv):
-        rng = np.random.default_rng(6)
-        hg = gnn_vector_var(graph, pv, model.gnn, rng)
-        hb = bilstm_vector_var(matrix, pv, model.lstm)
-        return loss_var(logits_var(hg, hb, pv), label=0)
+        return loss_var(forward_var(model, pv, graphs, [matrix], init_states), label=0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=4)
     assert err <= 1e-4, err

@@ -12,15 +12,19 @@ from droidflow.nn import (
     ModelMismatchError,
     RowLengthMismatchError,
     TrainConfig,
-    bilstm_forward,
-    classify,
-    gnn_forward,
     init_model,
     load_model,
-    loss,
-    predict,
+    probabilities,
     save_model,
     train,
+)
+from droidflow.nn import tape
+from droidflow.nn.model import (
+    bilstm_batch_var,
+    draw_init_states,
+    gnn_batch_var,
+    graph_arrays,
+    logits_var,
 )
 from droidflow.traces import SequenceMatrix
 
@@ -68,6 +72,32 @@ def tiny_lstm_params(rng, units, embed_dim, layers):
         out4_w=rng.normal(0, 0.3, (64, 32)),
         out4_b=rng.normal(0, 0.3, 32),
     )
+
+
+def constants(params):
+    return {name: tape.constant(arr) for name, arr in params.named()}
+
+
+def gnn_forward(graph, params, seed=0, init_state=None):
+    """Graph vector of size state_dim: gnn_batch_var on constant parameters
+    as a batch of one, initial node states from seed unless given."""
+    arrays = graph_arrays(graph, params.label_dim)
+    if init_state is None:
+        [init_state] = draw_init_states([arrays], [seed], params.state_dim)
+    return gnn_batch_var([arrays], [init_state], constants(params), params).value[0]
+
+
+def bilstm_forward(matrix, params):
+    """App vector of size 32: bilstm_batch_var on constant parameters as a
+    batch of one."""
+    return bilstm_batch_var([matrix], constants(params), params).value[0]
+
+
+def classify(h_g, h_b, params):
+    """Probability pair of the fusion layer over one pair of branch vectors."""
+    logits = logits_var(tape.constant(h_g[None, :]), tape.constant(h_b[None, :]),
+                        constants(params))
+    return np.exp(tape.log_softmax(logits).value[0])
 
 
 # --- graph branch ------------------------------------------------------------
@@ -225,7 +255,7 @@ def test_bilstm_zero_rows_zero_vector():
     assert bilstm_forward(SequenceMatrix.empty(4), p) == pytest.approx(np.zeros(32))
 
 
-# --- fusion, loss, predict ------------------------------------------------------
+# --- fusion and scoring ---------------------------------------------------------
 
 def test_classify_zero_weights():
     p = FusionParams(w=np.zeros((6, 2)), b=np.zeros(2))
@@ -261,24 +291,15 @@ def test_classify_sums_to_one_on_random_inputs():
         assert (probs >= 0).all()
 
 
-def test_loss_values():
-    assert loss((1.0, 0.0), 0) == pytest.approx(0.0)
-    assert loss((0.5, 0.5), 1) == pytest.approx(math.log(2))
-    p1 = 1.0 / (1.0 + math.exp(2))
-    assert loss((1 - p1, p1), 1) == pytest.approx(math.log(1 + math.exp(2)))
-    assert loss((1 - p1, p1), 1) == pytest.approx(2.126928011042973, abs=1e-12)
-    assert loss((1.0, 0.0), 1) == pytest.approx(-math.log(1e-12))
-
-
 def test_predict_reports_argmax_probability():
     hp = Hyperparams(seq_len=4, hidden_layers=1, lstm_units=3, label_dim=2,
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
     model.fusion.w[...] = 0.0
     model.fusion.b[...] = np.array([math.log(9.0), 0.0])  # softmax -> (0.9, 0.1)
-    label, prob = predict((graph_of([], [], 2), SequenceMatrix.empty(4)), model)
-    assert label == 0
-    assert prob == pytest.approx(0.9)
+    probs = probabilities((graph_of([], [], 2), SequenceMatrix.empty(4)), model)
+    assert np.argmax(probs) == 0
+    assert probs[0] == pytest.approx(0.9)
 
 
 def test_predict_tie_break_and_degenerate_inputs():
@@ -289,9 +310,9 @@ def test_predict_tie_break_and_degenerate_inputs():
     model.fusion.w[...] = 0.0
     model.fusion.b[...] = 0.0
     g = graph_of([], [], 2)
-    label, prob = predict((g, SequenceMatrix.empty(4)), model)
-    assert label == 0
-    assert prob == pytest.approx(0.5)
+    probs = probabilities((g, SequenceMatrix.empty(4)), model)
+    assert np.argmax(probs) == 0
+    assert probs[0] == pytest.approx(0.5)
 
 
 def test_predict_row_length_mismatch():
@@ -299,7 +320,7 @@ def test_predict_row_length_mismatch():
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
     with pytest.raises(RowLengthMismatchError):
-        predict((graph_of([], [], 2), SequenceMatrix(np.array([[1, 2, 3]]), 3)), model)
+        probabilities((graph_of([], [], 2), SequenceMatrix(np.array([[1, 2, 3]]), 3)), model)
 
 
 # --- training -----------------------------------------------------------------
@@ -368,12 +389,3 @@ def test_model_save_load_round_trip(tmp_path):
         assert n1 == n2 and np.array_equal(a1, a2)
     assert loaded.hyper == result.params.hyper
 
-
-def test_model_load_mismatch(tmp_path):
-    model = init_model(TOY_HP, seed=0, state_dim=4)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    with pytest.raises(ModelMismatchError):
-        load_model(path, expect_label_dim=13)
-    with pytest.raises(ModelMismatchError):
-        load_model(path, expect_seq_len=100)

@@ -97,3 +97,12 @@ def test_deep_chain_no_recursion_limit():
         x = tape.add(x, v)
     tape.backward(x)
     assert v.grad == pytest.approx(np.array([[5001.0]]))
+
+
+def test_constants_build_no_tape():
+    # scoring runs the model on constants: no op may keep its inputs alive
+    c = tape.constant(np.ones((2, 3)))
+    on_constants = tape.tanh(tape.matmul(c, tape.constant(np.ones((3, 2)))))
+    assert not on_constants.requires_grad and on_constants.parents == ()
+    on_parameter = tape.matmul(c, tape.parameter(np.ones((3, 2))))
+    assert on_parameter.requires_grad and len(on_parameter.parents) == 2

@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from droidflow.apimine import CriticalApiSet
@@ -201,6 +202,25 @@ def test_default_entry_point_tables_are_the_packaged_files_parsed_once():
         default_lifecycle()["activity"] = ("onCreate",)
 
 
+def test_extract_app_reads_each_configured_table_once(monkeypatch):
+    from droidflow import pipeline
+    from droidflow.tables import data_file
+
+    reads = []
+    load_name_list = pipeline.load_name_list
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return load_name_list(path)
+
+    monkeypatch.setattr(pipeline, "load_name_list", counting)
+    config = PipelineConfig(callbacks_path=data_file("callback_methods.txt"),
+                            intent_senders_path=data_file("intent_senders.txt"))
+    app = app_from_ir(json.loads((FIXTURES / "critical" / "ir.json").read_text()))
+    extract_app(app, CriticalApiSet.of([SHORT_SMS]), config)
+    assert sorted(reads) == ["callback_methods.txt", "intent_senders.txt"]
+
+
 def test_config_validation(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"critical_apis": "missing.txt"}))
@@ -355,22 +375,22 @@ def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
     records = load_features(features)
     expected = ["app_id,label,probability,malicious_score"]
     for rec in records:
-        pair = (rec.graph(13), rec.matrix(100, 8000))
-        label, prob = nnmodel.predict(pair, model)
-        expected.append(f"{rec.app_id},{label},{prob:.6f},{nnmodel.score(pair, model):.6f}")
+        probs = nnmodel.probabilities((rec.graph(13), rec.matrix(100, 8000)), model)
+        label = int(np.argmax(probs))
+        expected.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
 
-    calls = []
-    gnn_forward = nnmodel.gnn_forward
+    graphs_run = []
+    gnn_batch_var = nnmodel.gnn_batch_var
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return gnn_forward(*args, **kwargs)
+    def counting(graphs, *args, **kwargs):
+        graphs_run.extend(graphs)
+        return gnn_batch_var(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(nnmodel, "gnn_forward", counting)
+    monkeypatch.setattr(nnmodel, "gnn_batch_var", counting)
     preds = tmp_path / "preds.csv"
     assert main(["predict", "--model", str(model_path), "--features", str(features),
                  "--out", str(preds)]) == 0
-    assert len(calls) == len(records) == 4
+    assert len(graphs_run) == len(records) == 4
     assert preds.read_text() == "\n".join(expected) + "\n"
 
 
