@@ -11,6 +11,8 @@ import re
 import warnings
 from dataclasses import dataclass
 
+from .tables import load_name_list
+
 SOURCE_KINDS = ("cve", "exploitdb_verified", "exploitdb_unverified", "code_sample")
 
 # Verified exploit entries carry double weight; everything else is neutral.
@@ -215,12 +217,7 @@ def load_stopwords(path) -> frozenset:
 
 
 def load_critical_apis(path) -> CriticalApiSet:
-    from pathlib import Path
-
-    lines = Path(path).read_text().splitlines()
-    return CriticalApiSet.of(
-        line.strip() for line in lines if line.strip() and not line.startswith("#")
-    )
+    return CriticalApiSet.of(load_name_list(path))
 
 
 def save_critical_apis(apis: CriticalApiSet, path):

@@ -11,7 +11,7 @@ edge target.
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .appmodel import AppModel, split_signature
 from .icc import invoked_name, receiver_entry_method, resolve_intent_targets
@@ -50,30 +50,17 @@ class ClassHierarchy:
 
 
 @dataclass
-class EntryPointSet:
-    entries: tuple  # sorted method ids
-
-    def __contains__(self, method_id):
-        return method_id in set(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass
 class CallGraph:
     app: AppModel
     nodes: tuple                  # sorted method ids
     edges: dict                   # caller id -> ordered tuple of callee ids
     call_sites: dict              # caller id -> tuple of (offset, tuple of callee ids)
     icc_edges: tuple              # sorted (sender id, receiver id) pairs
-    entry_points: EntryPointSet
+    entry_points: tuple           # sorted method ids
     # (method id, body index) -> ((component path, receiver id or None), ...)
     # for every intent send in the app, reachable or not
     intent_sends: dict
+    intent_senders: frozenset     # the sender names intent_sends was built with
     diagnostics: list = field(default_factory=list)
 
     @cached_property
@@ -154,8 +141,9 @@ def resolve_invoke(app: AppModel, h: ClassHierarchy, mnemonic: str, invoked: str
     return tuple(sorted(targets))
 
 
-def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> EntryPointSet:
-    """Lifecycle methods and listener callbacks of the declared components.
+def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> tuple:
+    """Sorted ids of the lifecycle methods and listener callbacks of the
+    declared components.
 
     Lookup walks user-defined superclasses, so a component inheriting its
     onCreate from an app base class still contributes that method. A
@@ -170,13 +158,13 @@ def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> EntryPointSe
             m = app.lookup_method(comp.path_name, mname)
             if m is not None:
                 entries.add(m.method_id)
-    return EntryPointSet(tuple(sorted(entries)))
+    return tuple(sorted(entries))
 
 
 def generate_call_graph(
     app: AppModel,
     h: ClassHierarchy,
-    entry_points: EntryPointSet,
+    entry_points: tuple,
     callbacks=None,
     intent_senders=None,
 ) -> CallGraph:
@@ -188,7 +176,8 @@ def generate_call_graph(
     it sends; every send in the app is resolved here, so the flow graph
     reuses the resolutions. The worklist visits each method once, when it is
     first reached, and pushes its callees, its registered callbacks and its
-    intent receivers; the last two join the entry points.
+    intent receivers; the last two join the entry points. Each distinct
+    (invoke kind, signature) pair is resolved once per app.
     """
     callback_names = frozenset(default_callbacks() if callbacks is None else callbacks)
     senders = default_intent_senders() if intent_senders is None else intent_senders
@@ -199,6 +188,7 @@ def generate_call_graph(
     ]
 
     methods_by_id = {m.method_id: m for m in app.methods()}
+    resolve = cache(partial(resolve_invoke, app, h))
     call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
     for mid in sorted(methods_by_id):
         method = methods_by_id[mid]
@@ -208,7 +198,7 @@ def generate_call_graph(
                 listeners.update(op for op in operands if app.is_user_defined(op))
             if invoked is None:
                 continue
-            targets = resolve_invoke(app, h, opcode.mnemonic, invoked)
+            targets = resolve(opcode.mnemonic, invoked)
             if targets:
                 sites.append((offset, targets))
                 callees.update(dict.fromkeys(targets))
@@ -261,8 +251,9 @@ def generate_call_graph(
         edges={mid: adjacency[mid] for mid in nodes},
         call_sites={mid: call_sites[mid] for mid in nodes},
         icc_edges=tuple(sorted(icc)),
-        entry_points=EntryPointSet(tuple(sorted(entries & reached))),
+        entry_points=tuple(sorted(entries & reached)),
         intent_sends=intent_sends,
+        intent_senders=senders,
         diagnostics=diagnostics,
     )
 

@@ -36,7 +36,7 @@ from .pipeline import (
     extract_batch,
     load_features,
 )
-from .tables import data_file
+from .tables import data_file, load_name_list
 from .tuning import SEARCH_SPACE, grid_search, grid_to_csv, split_dataset
 
 
@@ -66,12 +66,7 @@ def cmd_mine_apis(args) -> int:
     docs = [ApiDoc(d["signature"], d.get("description", "")) for d in docs_raw]
     apis = match_critical_apis(docs, top, args.min_matches)
     for tool_file in args.tool_list or []:
-        tool_apis = [
-            line.strip()
-            for line in Path(tool_file).read_text().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
-        apis = merge_tool_lists(tool_apis, top, apis)
+        apis = merge_tool_lists(load_name_list(tool_file), top, apis)
     save_critical_apis(apis, args.out)
     print(f"wrote {len(apis)} critical APIs to {args.out}")
     return 0

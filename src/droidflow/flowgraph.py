@@ -133,7 +133,7 @@ def chunk_methods(app, intent_senders=None):
     return chunks
 
 
-def build_edges(chunks, cg, traces, components, intent_receivers=DEFAULT_INTENT_RECEIVERS):
+def build_edges(chunks, cg, traces, components):
     """Construct all typed edges over the chunk nodes (forward plus mirrors).
 
     Intent sends are not resolved again: the call graph holds the receivers
@@ -190,7 +190,7 @@ def build_edges(chunks, cg, traces, components, intent_receivers=DEFAULT_INTENT_
             ic.add((c.id, tgt.id))
         owner = c.method.partition("->")[0]
         if owner in comp_by_class:
-            for rname in intent_receivers:
+            for rname in DEFAULT_INTENT_RECEIVERS:
                 recv = app.lookup_method(owner, rname)
                 if recv is None:
                     continue
@@ -219,16 +219,11 @@ def build_edges(chunks, cg, traces, components, intent_receivers=DEFAULT_INTENT_
     return sort_edges(edges), diagnostics
 
 
-def build_flow_graph(
-    app,
-    cg,
-    traces,
-    label_dim: int = DEFAULT_LABEL_DIM,
-    intent_senders=None,
-    intent_receivers=DEFAULT_INTENT_RECEIVERS,
-):
-    chunks = chunk_methods(app, intent_senders)
-    edges, diagnostics = build_edges(chunks, cg, traces, app.components, intent_receivers)
+def build_flow_graph(app, cg, traces, label_dim: int = DEFAULT_LABEL_DIM):
+    """Chunks and typed edges of app; chunks close at the intent senders cg
+    was built with."""
+    chunks = chunk_methods(app, cg.intent_senders)
+    edges, diagnostics = build_edges(chunks, cg, traces, app.components)
     graph = AbstractFlowGraph(chunks, edges, label_dim)
     return graph, diagnostics
 

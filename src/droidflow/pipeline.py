@@ -29,11 +29,9 @@ from .traces import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_TRACES_PER_ENTRY,
     DEFAULT_OPCODE_BUDGET,
-    EmptyMatrixError,
     SequenceMatrix,
     build_matrix,
     find_call_traces,
-    sample_opcodes,
     with_opcode_seqs,
 )
 
@@ -122,32 +120,22 @@ class ExtractResult:
 
 
 def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig) -> ExtractResult:
-    intent_senders = config.intent_senders()
     cg = build_call_graph(
         app,
         lifecycle=config.lifecycle(),
         callbacks=config.callbacks(),
-        intent_senders=intent_senders,
+        intent_senders=config.intent_senders(),
     )
     traces = find_call_traces(
         cg, critical,
         max_depth=config.max_depth,
         max_traces_per_entry=config.max_traces_per_entry,
     )
-    traces = with_opcode_seqs(traces, app, cg)
-    sampled = sample_opcodes(traces, config.opcode_budget, config.hyper.seq_len)
-    total_raw = sum(len(t.opcode_seq) for t in traces)
-    empty_matrix = False
-    try:
-        matrix = build_matrix(sampled, config.hyper.seq_len)
-    except EmptyMatrixError:
-        matrix = SequenceMatrix.empty(config.hyper.seq_len)
-        empty_matrix = True
-    graph, flow_diags = build_flow_graph(
-        app, cg, traces,
-        label_dim=config.hyper.label_dim,
-        intent_senders=intent_senders,
-    )
+    traces = with_opcode_seqs(traces, app)
+    raw_sequences = [t.opcode_seq for t in traces]
+    matrix = build_matrix(raw_sequences, config.hyper.seq_len, config.opcode_budget)
+    total_raw = sum(map(len, raw_sequences))
+    graph, flow_diags = build_flow_graph(app, cg, traces, label_dim=config.hyper.label_dim)
     report = {
         "app_id": app.app_id,
         "label": app.metadata.get("label"),
@@ -161,14 +149,13 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
         "total_trace_opcodes": total_raw,
         "sampling_applied": total_raw > config.opcode_budget,
         "matrix_rows": matrix.n,
-        "empty_matrix": empty_matrix,
+        "empty_matrix": matrix.n == 0,
         "graph_nodes": len(graph.nodes),
         "graph_edges": len(graph.edges),
         "diagnostics": sorted(set(app.diagnostics + cg.diagnostics + flow_diags)),
         "status": "ok",
     }
-    return ExtractResult(app.app_id, graph, matrix,
-                         [t.opcode_seq for t in traces], report)
+    return ExtractResult(app.app_id, graph, matrix, raw_sequences, report)
 
 
 def write_features(result: ExtractResult, out_dir) -> Path:
@@ -237,17 +224,7 @@ class FeatureRecord:
         return deserialize_graph(self.path, label_dim)
 
     def matrix(self, seq_len: int, opcode_budget: int) -> SequenceMatrix:
-        from .traces import CallTrace
-
-        traces = [
-            CallTrace(methods=("?",), critical_api="?", site_offset=0, opcode_seq=seq)
-            for seq in self.raw_sequences
-        ]
-        sampled = sample_opcodes(traces, opcode_budget, seq_len)
-        try:
-            return build_matrix(sampled, seq_len)
-        except EmptyMatrixError:
-            return SequenceMatrix.empty(seq_len)
+        return build_matrix(self.raw_sequences, seq_len, opcode_budget)
 
 
 def load_features(features_dir) -> list:

@@ -27,10 +27,6 @@ class BrokenTraceError(ValueError):
     """Trace walk could not find the invoke continuing the path."""
 
 
-class EmptyMatrixError(ValueError):
-    """No trace produced a full row; callers substitute a zero-row matrix."""
-
-
 @dataclass
 class CallTrace:
     methods: tuple            # method ids, entry first, call-site method last
@@ -152,47 +148,26 @@ def _critical_sites(cg, critical_set):
     return sites
 
 
-def _continue_offset(app, cg, method_id, next_id):
-    """Offset of the first call site in method_id that can reach next_id."""
-    if cg is not None:
-        for offset, targets in cg.call_sites.get(method_id, ()):
-            if next_id in targets:
-                return offset
-    # fallback for hand-built traces: match the raw signature text
-    method = app.get_method(method_id)
-    if method is not None:
-        for ins in method.body:
-            if ins.invoked_method == next_id:
-                return ins.offset
-    return None
-
-
-def extract_opcodes(trace: CallTrace, app, cg=None):
+def extract_opcodes(trace: CallTrace, app):
     """Accumulate the trace's opcode sequence by prefix-chaining its methods.
 
     Within each method, every instruction up to the trace-continuing invoke
-    contributes its opcode (off-trace calls contribute one opcode and are not
-    entered); the walk then descends into the next method. In the final
-    method the sequence stops at, and includes, the critical invoke.
+    (its hop offset) contributes its opcode (off-trace calls contribute one
+    opcode and are not entered); the walk then descends into the next method.
+    In the final method the sequence stops at, and includes, the critical
+    invoke. A trace needs one hop offset per hop, as find_call_traces records.
     """
+    if len(trace.hop_offsets) != len(trace.methods) - 1:
+        raise BrokenTraceError(
+            f"{len(trace.methods)} methods but {len(trace.hop_offsets)} hop offsets"
+        )
     seq = []
-    hop_offsets = list(trace.hop_offsets)
-    for i, mid in enumerate(trace.methods):
+    stops = (*trace.hop_offsets, trace.site_offset)
+    for i, (mid, stop) in enumerate(zip(trace.methods, stops)):
         method = app.get_method(mid)
         if method is None:
             raise BrokenTraceError(f"method {mid} not in app")
-        last = i == len(trace.methods) - 1
-        if last:
-            stop = trace.site_offset
-        elif i < len(hop_offsets):
-            stop = hop_offsets[i]
-        else:
-            stop = _continue_offset(app, cg, mid, trace.methods[i + 1])
-            if stop is None:
-                raise BrokenTraceError(
-                    f"no invoke from {mid} to {trace.methods[i + 1]}"
-                )
-        emitted = False
+        last = i == len(stops) - 1
         for ins in method.body:
             seq.append(ins.opcode.code)
             if ins.offset == stop:
@@ -200,44 +175,31 @@ def extract_opcodes(trace: CallTrace, app, cg=None):
                     raise BrokenTraceError(
                         f"trace hop at {mid} offset {stop} is not an invoke"
                     )
-                emitted = True
                 break
-        if not emitted:
+        else:
             raise BrokenTraceError(f"offset {stop} missing in {mid}")
     return seq
 
 
-def with_opcode_seqs(traces, app, cg=None):
+def with_opcode_seqs(traces, app):
     """Copies of traces with opcode_seq filled in."""
-    return [
-        replace(t, opcode_seq=extract_opcodes(t, app, cg)) for t in traces
-    ]
+    return [replace(t, opcode_seq=extract_opcodes(t, app)) for t in traces]
 
 
-def sample_opcodes(traces, budget: int = DEFAULT_OPCODE_BUDGET, row_len: int = 100):
-    """Truncate trace sequences so the app totals at most `budget` opcodes.
+def sample_opcodes(seqs, budget: int = DEFAULT_OPCODE_BUDGET, row_len: int = 100):
+    """Truncate opcode sequences so the app totals at most `budget` opcodes.
 
-    No-op when the total already fits. Otherwise each trace keeps its last
+    No-op when the total already fits. Otherwise each sequence keeps its last
     floor(budget / y) opcodes, rounded down to a multiple of row_len but
-    never below row_len, so truncation cannot strand a trace below one row.
-    The tail is kept, so the final opcode stays the critical invoke.
+    never below row_len, so truncation cannot strand a sequence below one
+    row. The tail is kept, so the final opcode stays the critical invoke.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not traces:
-        return []
-    total = sum(len(t.opcode_seq) for t in traces)
-    if total <= budget:
-        return list(traces)
-    per_trace = budget // len(traces)
-    bound = max(row_len, (per_trace // row_len) * row_len)
-    out = []
-    for t in traces:
-        if len(t.opcode_seq) > bound:
-            out.append(replace(t, opcode_seq=list(t.opcode_seq[-bound:])))
-        else:
-            out.append(t)
-    return out
+    if sum(map(len, seqs)) <= budget:
+        return list(seqs)
+    bound = max(row_len, (budget // len(seqs) // row_len) * row_len)
+    return [seq[-bound:] if len(seq) > bound else seq for seq in seqs]
 
 
 def split_sequence(seq, row_len: int):
@@ -255,15 +217,16 @@ def split_sequence(seq, row_len: int):
     return [list(seq[start + j * row_len : start + (j + 1) * row_len]) for j in range(q)]
 
 
-def build_matrix(traces, row_len: int) -> SequenceMatrix:
-    """Stack all row splits of all traces, in trace order.
-
-    Raises EmptyMatrixError when nothing reaches one full row; the pipeline
-    maps that onto the zero-row matrix so such apps still classify.
+def build_matrix(seqs, row_len: int, budget: int = DEFAULT_OPCODE_BUDGET) -> SequenceMatrix:
+    """The row matrix of an app's opcode sequences: sample them to the budget,
+    split each into rows and stack the rows in sequence order. An app where
+    no sequence fills a row gets the zero-row matrix, so it still classifies.
     """
-    rows = []
-    for t in traces:
-        rows.extend(split_sequence(t.opcode_seq, row_len))
+    rows = [
+        row
+        for seq in sample_opcodes(seqs, budget, row_len)
+        for row in split_sequence(seq, row_len)
+    ]
     if not rows:
-        raise EmptyMatrixError("no trace produced a full row")
+        return SequenceMatrix.empty(row_len)
     return SequenceMatrix(np.array(rows, dtype=np.int64), row_len)

@@ -47,24 +47,23 @@ def test_criterion_1_row_split_property():
 # -----------------------------------------------------------------------------
 
 def test_criterion_2_sampling_invariants():
-    from droidflow.traces import CallTrace, sample_opcodes
+    from droidflow.traces import sample_opcodes
 
     rng = np.random.default_rng(202)
     for _ in range(1_000):
         y = int(rng.integers(1, 41))
         row_len = int(rng.integers(50, 201))
         budget = int(rng.integers(500, 8001))
-        traces = []
+        seqs = []
         for j in range(y):
             length = int(rng.integers(1, 4001))
-            seq = rng.integers(0, 256, length).tolist()
-            traces.append(CallTrace(("e",), "api", 0, opcode_seq=seq))
-        out = sample_opcodes(traces, budget, row_len)
-        total = sum(len(t.opcode_seq) for t in out)
+            seqs.append(rng.integers(0, 256, length).tolist())
+        out = sample_opcodes(seqs, budget, row_len)
+        total = sum(len(seq) for seq in out)
         assert total <= max(budget, y * row_len)
-        for before, after in zip(traces, out):
-            assert after.opcode_seq[-1] == before.opcode_seq[-1]
-            assert after.opcode_seq == before.opcode_seq[len(before.opcode_seq) - len(after.opcode_seq):]
+        for before, after in zip(seqs, out):
+            assert after[-1] == before[-1]
+            assert after == before[len(before) - len(after):]
     _report(2, "1,000 random trace sets respect the budget and keep the critical tail")
 
 

@@ -513,12 +513,47 @@ def test_callback_fixed_point():
     assert "Lx/L;->m3()V" in cg.nodes
     # re-running the scan on the final graph adds nothing: builder already at fixed point
     again = build_call_graph(fx_callback())
-    assert again.nodes == cg.nodes and again.entry_points.entries == cg.entry_points.entries
+    assert again.nodes == cg.nodes and again.entry_points == cg.entry_points
 
 
 def test_callee_order_matches_instruction_order():
     cg = build_call_graph(fx_diamond())
     assert cg.edges["Lx/Main;->onCreate()V"] == ("Lx/Main;->a()V", "Lx/Main;->b()V")
+
+
+def test_each_distinct_call_is_resolved_once_per_app(monkeypatch):
+    from droidflow import callgraph
+
+    app = build_app(
+        [
+            cls("Lx/Main;", [
+                method("onCreate", "()V", [
+                    invoke("direct", "Lx/Main;->g()V"),
+                    invoke("direct", "Lx/Main;->h()V"),
+                    invoke("direct", "Lx/Main;->g()V"),
+                    invoke("virtual", SMS),
+                    ins("return-void"),
+                ]),
+                method("g", "()V", [invoke("virtual", SMS), ins("return-void")]),
+                method("h", "()V", [invoke("direct", "Lx/Main;->g()V"), ins("return-void")]),
+            ], superclass=ACT),
+        ],
+        [component("Lx/Main;")],
+    )
+    expected = build_call_graph(app)
+    calls = []
+    resolve = callgraph.resolve_invoke
+
+    def counting(app, h, mnemonic, invoked):
+        calls.append((mnemonic, invoked))
+        return resolve(app, h, mnemonic, invoked)
+
+    monkeypatch.setattr(callgraph, "resolve_invoke", counting)
+    cg = build_call_graph(app)
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 3
+    assert (cg.nodes, cg.edges, cg.call_sites) == (expected.nodes, expected.edges,
+                                                   expected.call_sites)
 
 
 def test_dump_edges_format():
@@ -558,7 +593,7 @@ def test_determinism():
         assert a.nodes == b.nodes
         assert a.edges == b.edges
         assert a.icc_edges == b.icc_edges
-        assert a.entry_points.entries == b.entry_points.entries
+        assert a.entry_points == b.entry_points
 
 
 def test_virtual_dispatch_monotone_under_new_override():

@@ -21,6 +21,7 @@ from droidflow.flowgraph import (
     serialize_graph,
     structurally_equal,
 )
+from droidflow.tables import default_intent_senders
 from droidflow.traces import find_call_traces
 
 import flowgraph_reference
@@ -207,6 +208,36 @@ def test_callers_index_is_built_once_per_call_graph():
     cg.call_sites = CountingSites(cg.call_sites)
     build_flow_graph(app, cg, find_call_traces(cg, CRITICAL))
     assert len(scans) == 1
+
+
+def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
+    # "post" is a sender only in the table the call graph was built with; the
+    # flow graph must close a chunk there too, or the ic edge disappears
+    post = "Landroid/os/Handler;->post(Landroid/content/Intent;)V"
+    act = "Landroid/app/Activity;"
+    app = build_app(
+        [
+            cls("Lx/Main;", [method("onCreate", "()V", [
+                ins("const-class", "v0", "Lx/Second;"),
+                invoke("virtual", post, "{v1, v0}"),
+                ins("return-void"),
+            ])], superclass=act),
+            cls("Lx/Second;", [method("onCreate", "()V", [ins("return-void")])], superclass=act),
+        ],
+        [component("Lx/Main;"), component("Lx/Second;")],
+    )
+    cg = build_call_graph(app, intent_senders=default_intent_senders() | {"post"})
+    assert cg.icc_edges == (("Lx/Main;->onCreate()V", "Lx/Second;->onCreate()V"),)
+    graph, diags = build_flow_graph(app, cg, [])
+    assert [(n.method, n.invoke_mtd) for n in graph.nodes] == [
+        ("Lx/Main;->onCreate()V", post),
+        ("Lx/Main;->onCreate()V", EXIT),
+        ("Lx/Second;->onCreate()V", EXIT),
+    ]
+    assert {(e.source, e.target, e.type) for e in graph.edges} == {
+        (0, 2, "ic"), (2, 0, "bic"), (0, 1, "nb"), (1, 0, "bnb"),
+    }
+    assert diags == []
 
 
 # --- serialization -----------------------------------------------------------

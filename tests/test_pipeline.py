@@ -139,19 +139,37 @@ def test_wrongly_shaped_ir_fails_only_its_app(tmp_path, document):
                                                              ("malformed", "failed")]
     assert reports[1]["error"].startswith("wrongly shaped IR document")
 
+
+def _padded(ir, n):
+    """ir with n nops in front of every method of its first class."""
+    for m in ir["classes"][0]["methods"]:
+        m["body"][:0] = [{"mnemonic": "nop"}] * n
+    return ir
+
+
 def test_features_round_trip(tmp_path):
-    app = app_from_ir(make_app(0, malicious=True, seed=2))
+    # within the budget, over the 8000-opcode budget, and with no trace at all
+    cases = [
+        ("within-budget", make_app(0, malicious=True, seed=2), False, False),
+        ("over-budget", _padded(make_app(0, malicious=True, seed=2), 3000), True, False),
+        ("zero-rows", make_app(0, malicious=False, seed=2), False, True),
+    ]
     config = PipelineConfig()
-    result = extract_app(app, config.critical_apis(), config)
-    write_features(result, tmp_path)
-    [record] = load_features(tmp_path)
-    assert record.app_id == app.app_id
-    assert record.label == 1
-    assert record.raw_sequences == result.raw_sequences
-    matrix = record.matrix(100, 8000)
-    assert (matrix.rows == result.matrix.rows).all()
-    graph = record.graph(13)
-    assert len(graph.nodes) == len(result.graph.nodes)
+    for name, ir, sampled, empty in cases:
+        app = app_from_ir(ir)
+        result = extract_app(app, config.critical_apis(), config)
+        assert result.report["sampling_applied"] == sampled, name
+        assert result.report["empty_matrix"] == empty == (result.matrix.n == 0), name
+        write_features(result, tmp_path / name)
+        [record] = load_features(tmp_path / name)
+        assert record.app_id == app.app_id
+        assert record.label == (0 if empty else 1)
+        assert record.raw_sequences == result.raw_sequences
+        matrix = record.matrix(100, 8000)
+        assert matrix.rows.shape == result.matrix.rows.shape == (result.matrix.n, 100), name
+        assert (matrix.rows == result.matrix.rows).all()
+        graph = record.graph(13)
+        assert len(graph.nodes) == len(result.graph.nodes)
 
 
 def test_parallel_extraction_matches_sequential(tmp_path):

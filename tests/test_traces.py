@@ -12,7 +12,6 @@ from droidflow.traces import (
     DEFAULT_MAX_TRACES_PER_ENTRY,
     BrokenTraceError,
     CallTrace,
-    EmptyMatrixError,
     build_matrix,
     extract_opcodes,
     find_call_traces,
@@ -277,7 +276,7 @@ def test_accumulation_example():
     app = fx_accumulation()
     cg = build_call_graph(app)
     [trace] = find_call_traces(cg, CRITICAL)
-    raw = extract_opcodes(trace, app, cg)
+    raw = extract_opcodes(trace, app)
     assert raw == [0x12, 0x70, 0x6E]
 
 
@@ -297,7 +296,7 @@ def test_opcodes_after_critical_excluded():
     )
     cg = build_call_graph(app)
     [trace] = find_call_traces(cg, CRITICAL)
-    assert extract_opcodes(trace, app, cg) == [0x6E]
+    assert extract_opcodes(trace, app) == [0x6E]
 
 
 def test_off_trace_call_contributes_one_opcode():
@@ -318,7 +317,7 @@ def test_off_trace_call_contributes_one_opcode():
     cg = build_call_graph(app)
     traces = find_call_traces(cg, CRITICAL)
     trace = next(t for t in traces if t.methods[-1] == "Lx/Main;->m2()V" and len(t.methods) == 2)
-    seq = extract_opcodes(trace, app, cg)
+    seq = extract_opcodes(trace, app)
     # invoke offtrace (1 opcode), invoke m2 (1 opcode), then m2's critical invoke
     assert seq == [0x70, 0x70, 0x6E]
 
@@ -355,33 +354,26 @@ def test_broken_trace():
 
 # --- sampling ---------------------------------------------------------------
 
-def mk_trace(seq):
-    from droidflow.traces import CallTrace
-
-    return CallTrace(methods=("Le;",), critical_api="Lc;->x()V", site_offset=0,
-                     opcode_seq=list(seq))
-
-
 def test_sampling_keeps_tail():
     marker = list(range(100)) * 20  # 2000 opcodes
-    traces = [mk_trace(marker)] + [mk_trace([7] * 1700) for _ in range(4)]
-    out = sample_opcodes(traces, budget=8000, row_len=100)
-    assert len(out[0].opcode_seq) == 1600
-    assert out[0].opcode_seq == marker[-1600:]
-    assert out[0].opcode_seq[-1] == marker[-1]
+    seqs = [marker] + [[7] * 1700 for _ in range(4)]
+    out = sample_opcodes(seqs, budget=8000, row_len=100)
+    assert len(out[0]) == 1600
+    assert out[0] == marker[-1600:]
+    assert out[0][-1] == marker[-1]
 
 
 def test_sampling_identity_when_under_budget():
-    traces = [mk_trace([1] * 100), mk_trace([2] * 50)]
-    out = sample_opcodes(traces, budget=8000, row_len=100)
-    assert [t.opcode_seq for t in out] == [[1] * 100, [2] * 50]
+    seqs = [[1] * 100, [2] * 50]
+    out = sample_opcodes(seqs, budget=8000, row_len=100)
+    assert out == [[1] * 100, [2] * 50]
 
 
 def test_sampling_minimum_one_row():
-    traces = [mk_trace([3] * 500) for _ in range(200)]  # floor(8000/200)=40 -> lift to 100
-    out = sample_opcodes(traces, budget=8000, row_len=100)
-    assert all(len(t.opcode_seq) == 100 for t in out)
-    total = sum(len(t.opcode_seq) for t in out)
+    seqs = [[3] * 500 for _ in range(200)]  # floor(8000/200)=40 -> lift to 100
+    out = sample_opcodes(seqs, budget=8000, row_len=100)
+    assert all(len(seq) == 100 for seq in out)
+    total = sum(len(seq) for seq in out)
     assert total <= max(8000, 200 * 100)
 
 
@@ -391,13 +383,13 @@ def test_sampling_minimum_one_row():
 )
 @settings(max_examples=200, deadline=None)
 def test_sampling_bound_property(lengths, row_len):
-    traces = [mk_trace(list(range(n))) for n in lengths]
-    out = sample_opcodes(traces, budget=2000, row_len=row_len)
-    total = sum(len(t.opcode_seq) for t in out)
-    assert total <= max(2000, len(traces) * row_len)
-    for before, after in zip(traces, out):
-        if before.opcode_seq:
-            assert after.opcode_seq[-1] == before.opcode_seq[-1]
+    seqs = [list(range(n)) for n in lengths]
+    out = sample_opcodes(seqs, budget=2000, row_len=row_len)
+    total = sum(len(seq) for seq in out)
+    assert total <= max(2000, len(seqs) * row_len)
+    for before, after in zip(seqs, out):
+        if before:
+            assert after[-1] == before[-1]
 
 
 # --- splitting (backward-aligned rows) ---------------------------------------
@@ -439,22 +431,22 @@ def test_split_reconstruction_property(k, row_len):
 # --- matrix -----------------------------------------------------------------
 
 def test_matrix_counts_rows():
-    traces = [mk_trace(list(range(250))), mk_trace(list(range(320)))]
-    m = build_matrix(traces, 100)
+    m = build_matrix([list(range(250)), list(range(320))], 100)
     assert m.n == 5
     assert m.rows.shape == (5, 100)
 
 
 def test_matrix_empty():
-    with pytest.raises(EmptyMatrixError):
-        build_matrix([mk_trace([1] * 50)], 100)
+    m = build_matrix([[1] * 50], 100)
+    assert m.n == 0
+    assert m.rows.shape == (0, 100)
 
 
 def test_matrix_rows_end_at_critical():
     app = fx_accumulation()
     cg = build_call_graph(app)
-    traces = with_opcode_seqs(find_call_traces(cg, CRITICAL), app, cg)
+    traces = with_opcode_seqs(find_call_traces(cg, CRITICAL), app)
     # pad the trace artificially to cross a row boundary
     traces[0].opcode_seq[:0] = [1] * 200
-    m = build_matrix(traces, 100)
+    m = build_matrix([t.opcode_seq for t in traces], 100)
     assert m.rows[-1][-1] == 0x6E  # block of each trace ends at its critical invoke
