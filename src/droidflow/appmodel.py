@@ -31,10 +31,6 @@ class Instruction(NamedTuple):
     operands: tuple
     invoked_method: str | None = None
 
-    @property
-    def is_invoke(self) -> bool:
-        return self.opcode.is_invoke
-
 
 @dataclass
 class MethodDef:

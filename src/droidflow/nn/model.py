@@ -17,11 +17,9 @@ softmax on top. Empty inputs (no nodes / no rows) map to zero vectors so
 feature-less apps still classify.
 """
 
-import base64
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -155,48 +153,55 @@ class ModelParams:
         yield from self.fusion.named()
 
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
 def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
                embed_dim: int = EMBED_DIM) -> ModelParams:
     rng = np.random.default_rng(seed)
+    return _assemble(hp, state_dim, embed_dim,
+                     lambda shape, bound: rng.uniform(-bound, bound, shape), np.zeros)
+
+
+def _assemble(hp: Hyperparams, state_dim: int, embed_dim: int, uniform, zeros) -> ModelParams:
+    """ModelParams of the given architecture: each bias is zeros(shape), and
+    every other weight is uniform(shape, bound), called in a fixed order, with
+    bound 0.1 for the embedding and 1/sqrt(fan_in) for the rest."""
     units = hp.lstm_units
-    embedding = rng.uniform(-0.1, 0.1, (VOCAB_SIZE, embed_dim))
+
+    def fan_in_uniform(shape):
+        return uniform(shape, 1.0 / math.sqrt(shape[0]))
+
+    embedding = uniform((VOCAB_SIZE, embed_dim), 0.1)
     layers = []
     for i in range(hp.hidden_layers):
         d_in = embed_dim if i == 0 else 2 * units
         layer = {}
         for direction in ("fwd", "bwd"):
             layer[direction] = (
-                _uniform(rng, (d_in, 4 * units), d_in),
-                _uniform(rng, (units, 4 * units), units),
-                np.zeros(4 * units),
+                fan_in_uniform((d_in, 4 * units)),
+                fan_in_uniform((units, 4 * units)),
+                zeros(4 * units),
             )
         layers.append(layer)
     lstm = BiLstmParams(
         embedding=embedding,
         layers=layers,
-        out3_w=_uniform(rng, (2 * units, 64), 2 * units),
-        out3_b=np.zeros(64),
-        out4_w=_uniform(rng, (64, 32), 64),
-        out4_b=np.zeros(32),
+        out3_w=fan_in_uniform((2 * units, 64)),
+        out3_b=zeros(64),
+        out4_w=fan_in_uniform((64, 32)),
+        out4_b=zeros(32),
     )
     edge_dim = 2 * hp.label_dim + len(EDGE_TYPE_ORDER)
     gnn = GnnParams(
-        w1=_uniform(rng, (edge_dim, state_dim * state_dim), edge_dim),
-        b1=np.zeros(state_dim * state_dim),
-        w2=_uniform(rng, (hp.label_dim, state_dim), hp.label_dim),
-        b2=np.zeros(state_dim),
-        gate_w=_uniform(rng, (state_dim, state_dim), state_dim),
-        gate_b=np.zeros(state_dim),
+        w1=fan_in_uniform((edge_dim, state_dim * state_dim)),
+        b1=zeros(state_dim * state_dim),
+        w2=fan_in_uniform((hp.label_dim, state_dim)),
+        b2=zeros(state_dim),
+        gate_w=fan_in_uniform((state_dim, state_dim)),
+        gate_b=zeros(state_dim),
         iterations=hp.iterations,
     )
     fusion = FusionParams(
-        w=_uniform(rng, (state_dim + 32, FUSED_CLASSES), state_dim + 32),
-        b=np.zeros(FUSED_CLASSES),
+        w=fan_in_uniform((state_dim + 32, FUSED_CLASSES)),
+        b=zeros(FUSED_CLASSES),
     )
     return ModelParams(gnn, lstm, fusion, hp)
 
@@ -391,76 +396,82 @@ def score(features, model: ModelParams, seed=0) -> float:
 
 # --- persistence ----------------------------------------------------------------
 #
-# model.json is one JSON document: the architecture header, then each named
-# weight as the base64 text of its little-endian float64 bytes, so a load
-# restores every parameter bit for bit. Shapes are not stored; they follow
-# from the header through init_model.
+# A model file (format 3) is one line of compact, sorted JSON, the header,
+# then each weight's little-endian float64 bytes, back to back, in the order
+# the header's `weights` list names them (ModelParams.named() order), after
+# the safetensors layout. A load therefore restores every parameter bit for
+# bit. Shapes are not stored; they follow from the header.
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_model(model: ModelParams, path):
-    payload = {
+    header = {
         "format_version": FORMAT_VERSION,
         "edge_type_order": list(EDGE_TYPE_ORDER),
         "state_dim": model.gnn.state_dim,
         "embed_dim": model.lstm.embed_dim,
-        "hyperparams": {
-            "seq_len": model.hyper.seq_len,
-            "hidden_layers": model.hyper.hidden_layers,
-            "lstm_units": model.hyper.lstm_units,
-            "label_dim": model.hyper.label_dim,
-            "iterations": model.hyper.iterations,
-            "epochs": model.hyper.epochs,
-            "batch_size": model.hyper.batch_size,
-        },
-        "weights": {
-            name: base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
-            for name, arr in model.named()
-        },
+        "hyperparams": asdict(model.hyper),
+        "weights": [name for name, _ in model.named()],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for _, arr in model.named():
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_model(path) -> ModelParams:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ModelMismatchError(f"model file holds a JSON {type(payload).__name__}, not an object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ModelMismatchError(f"unsupported model format: {payload.get('format_version')}")
-    if payload.get("edge_type_order") != list(EDGE_TYPE_ORDER):
-        raise ModelMismatchError("model edge-type order differs from this build")
+    with open(path, "rb") as f:
+        model = _template(_header(f.readline()))
+        arrays = [arr for _, arr in model.named()]
+        size = sum(f.readinto(arr) for arr in arrays) + len(f.read())
+    expected = sum(arr.nbytes for arr in arrays)
+    if size != expected:
+        raise ModelMismatchError(
+            f"model file holds {size} weight bytes, its header's weights need {expected}"
+        )
+    return model
+
+
+def _header(line: bytes) -> dict:
+    """The checked header of a model file's first line. A file of an older
+    format, one JSON document without a newline, is its own first line."""
     try:
-        hp = Hyperparams(**payload["hyperparams"])
-        state_dim, embed_dim = payload["state_dim"], payload["embed_dim"]
+        header = json.loads(line)
+    except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+        raise ModelMismatchError(f"model header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ModelMismatchError(f"model file holds a JSON {type(header).__name__}, not an object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ModelMismatchError(f"unsupported model format: {header.get('format_version')}")
+    if not line.endswith(b"\n"):
+        raise ModelMismatchError("model file has no newline after its header")
+    if header.get("edge_type_order") != list(EDGE_TYPE_ORDER):
+        raise ModelMismatchError("model edge-type order differs from this build")
+    return header
+
+
+def _template(header: dict) -> ModelParams:
+    """Uninitialised parameters of the header's architecture, whose weight
+    names it must list in ModelParams.named() order."""
+    try:
+        hp = Hyperparams(**header["hyperparams"])
+        state_dim, embed_dim = header["state_dim"], header["embed_dim"]
     except KeyError as exc:
         raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
     except TypeError as exc:   # hyperparams not an object, or an unknown name in it
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
-    model = init_model(hp, seed=0, state_dim=state_dim, embed_dim=embed_dim)
-    weights = payload["weights"]
-    names = {name for name, _ in model.named()}
-    found = set(weights) if isinstance(weights, dict) else set()
-    if found != names:
-        raise ModelMismatchError(
-            f"model weights do not match its hyperparameters: missing "
-            f"{sorted(names - found)}, unexpected {sorted(found - names)}"
-        )
-    for name, arr in model.named():
-        arr[...] = _decode_weight(name, weights[name], arr.shape)
+
+    def empty(shape, bound=None):
+        return np.empty(shape, "<f8")
+
+    model = _assemble(hp, state_dim, embed_dim, empty, empty)
+    names = [name for name, _ in model.named()]
+    listed = header.get("weights")
+    if listed != names:
+        found = {n for n in listed if isinstance(n, str)} if isinstance(listed, list) else set()
+        missing, unexpected = sorted(set(names) - found), sorted(found - set(names))
+        detail = (f"missing {missing}, unexpected {unexpected}" if missing or unexpected
+                  else "listed out of order or more than once")
+        raise ModelMismatchError(f"model weights do not match its hyperparameters: {detail}")
     return model
-
-
-def _decode_weight(name, text, shape) -> np.ndarray:
-    if not isinstance(text, str):
-        raise ModelMismatchError(f"weight {name} is not a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:   # binascii.Error, or a non-ASCII character
-        raise ModelMismatchError(f"weight {name} is not valid base64: {exc}") from exc
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise ModelMismatchError(
-            f"weight {name} holds {len(raw)} bytes, its shape {shape} needs {expected}"
-        )
-    return np.frombuffer(raw, "<f8").reshape(shape)

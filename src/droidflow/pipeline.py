@@ -11,6 +11,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .apimine import CriticalApiSet, load_critical_apis
 from .appmodel import AppModel, EmptyAppError, load_app
@@ -51,6 +52,7 @@ class PipelineConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     max_traces_per_entry: int = DEFAULT_MAX_TRACES_PER_ENTRY
     opcode_budget: int = DEFAULT_OPCODE_BUDGET
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -97,17 +99,27 @@ class PipelineConfig:
     def lifecycle(self) -> Mapping:
         if self.lifecycle_path is None:
             return default_lifecycle()
-        return load_lifecycle_table(self.lifecycle_path)
+        return MappingProxyType(self._table("lifecycle", self.lifecycle_path, load_lifecycle_table))
 
     def callbacks(self) -> tuple:
         if self.callbacks_path is None:
             return default_callbacks()
-        return load_name_list(self.callbacks_path)
+        return self._table("callbacks", self.callbacks_path, load_name_list)
 
     def intent_senders(self) -> frozenset:
         if self.intent_senders_path is None:
             return default_intent_senders()
-        return frozenset(load_name_list(self.intent_senders_path))
+        return self._table("intent_senders", self.intent_senders_path,
+                           lambda path: frozenset(load_name_list(path)))
+
+    def _table(self, name, path, parse):
+        """parse(path), run at most once per table and path on this config.
+        Every caller shares the result, so lifecycle() hands its dict out
+        only behind a read-only proxy."""
+        key = (name, path)
+        if key not in self._tables:
+            self._tables[key] = parse(path)
+        return self._tables[key]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 The default entry-point and intent-sender tables are parsed from their data
 files once per process and shared read-only; a table a config names is read
-on each call.
+once per config (PipelineConfig).
 """
 
 import functools
@@ -27,10 +27,10 @@ def load_lifecycle_table(path) -> dict:
 
 
 def load_name_list(path) -> tuple:
-    lines = Path(path).read_text().splitlines()
-    return tuple(
-        line.strip() for line in lines if line.strip() and not line.startswith("#")
-    )
+    """The names in a file, one per line; blank lines and lines whose first
+    non-blank character is '#' are skipped."""
+    names = (line.strip() for line in Path(path).read_text().splitlines())
+    return tuple(name for name in names if name and not name.startswith("#"))
 
 
 @functools.cache

@@ -171,7 +171,7 @@ def extract_opcodes(trace: CallTrace, app):
         for ins in method.body:
             seq.append(ins.opcode.code)
             if ins.offset == stop:
-                if not last and not ins.is_invoke:
+                if not last and not ins.opcode.is_invoke:
                     raise BrokenTraceError(
                         f"trace hop at {mid} offset {stop} is not an invoke"
                     )

@@ -1,10 +1,12 @@
 import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from droidflow.cli import main
+from droidflow.flowgraph import EDGE_TYPE_ORDER
 from droidflow.nn.model import (
     FORMAT_VERSION,
     Hyperparams,
@@ -35,8 +37,14 @@ def features(tmp_path_factory):
     return root / "features"
 
 
+def _split(path):
+    """(header dict, weight bytes) of a saved model file."""
+    line, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(line), body
+
+
 def test_round_trip_is_exact_and_saves_are_byte_identical(tmp_path, paper_model):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     save_model(paper_model, first)
     save_model(paper_model, second)
     assert first.read_bytes() == second.read_bytes()
@@ -44,10 +52,11 @@ def test_round_trip_is_exact_and_saves_are_byte_identical(tmp_path, paper_model)
     assert loaded.hyper == PAPER_WIDTH
     for (n1, a1), (n2, a2) in zip(paper_model.named(), loaded.named(), strict=True):
         assert n1 == n2 and a1.shape == a2.shape and np.array_equal(a1, a2)
+        assert a2.flags.writeable
 
 
 def test_loaded_model_scores_bit_for_bit(tmp_path, paper_model, features):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     save_model(paper_model, path)
     loaded = load_model(path)
     rec = load_features(features)[0]
@@ -55,69 +64,121 @@ def test_loaded_model_scores_bit_for_bit(tmp_path, paper_model, features):
     assert probabilities(pair, loaded).tobytes() == probabilities(pair, paper_model).tobytes()
 
 
-def test_file_is_json_with_the_header_fields(tmp_path):
-    path = tmp_path / "model.json"
+def test_file_is_a_json_header_line_then_the_raw_weights(tmp_path):
+    path = tmp_path / "model.bin"
     model = init_model(SMALL, seed=1)
     save_model(model, path)
-    payload = json.loads(path.read_text())
-    assert payload["format_version"] == FORMAT_VERSION == 2
-    assert payload["state_dim"] == 32 and payload["embed_dim"] == 128
-    assert payload["hyperparams"]["lstm_units"] == 4
-    assert len(payload["edge_type_order"]) == 10
-    fusion_b = np.frombuffer(base64.b64decode(payload["weights"]["fusion.b"]), "<f8")
-    assert np.array_equal(fusion_b, model.fusion.b)
+    header, body = _split(path)
+    assert header["format_version"] == FORMAT_VERSION == 3
+    assert header["state_dim"] == 32 and header["embed_dim"] == 128
+    assert header["hyperparams"]["lstm_units"] == 4
+    assert len(header["edge_type_order"]) == 10
+    assert header["weights"] == [name for name, _ in model.named()]
+    assert body == b"".join(arr.astype("<f8").tobytes() for _, arr in model.named())
+
+
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    model = init_model(SMALL, seed=1)
+    save_model(model, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_model(path)
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(model.named(), loaded.named()))
+
+
+def _one_document(model, version, encode):
+    """A model file of an older format: one JSON document, no newline."""
+    return json.dumps({
+        "format_version": version,
+        "edge_type_order": list(EDGE_TYPE_ORDER),
+        "state_dim": model.gnn.state_dim,
+        "embed_dim": model.lstm.embed_dim,
+        "hyperparams": asdict(model.hyper),
+        "weights": {name: encode(arr) for name, arr in model.named()},
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def test_format_1_file_is_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(init_model(SMALL, seed=1), path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 1
-    path.write_text(json.dumps(payload))
+    path.write_text(_one_document(init_model(SMALL, seed=1), 1, lambda arr: arr.tolist()))
     with pytest.raises(ModelMismatchError, match="unsupported model format: 1"):
         load_model(path)
 
 
-def _drop(payload):
-    del payload["weights"]["fusion.b"]
+def test_format_2_file_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(_one_document(init_model(SMALL, seed=1), 2,
+                                  lambda arr: base64.b64encode(arr.tobytes()).decode()))
+    with pytest.raises(ModelMismatchError, match="unsupported model format: 2"):
+        load_model(path)
 
 
-def _extra(payload):
-    payload["weights"]["fusion.c"] = payload["weights"]["fusion.b"]
+# Each corruption takes a saved file's header and weight bytes and returns
+# the bytes of the corrupted file.
+
+def _file(header, body):
+    return json.dumps(header).encode() + b"\n" + body
 
 
-def _not_a_string(payload):
-    payload["weights"]["fusion.b"] = [0.0, 0.0]
+def _drop(header, body):
+    header["weights"].remove("fusion.b")
+    return _file(header, body)
 
 
-def _bad_base64(payload):
-    payload["weights"]["fusion.b"] = "not base64!"
+def _extra(header, body):
+    header["weights"].append("fusion.c")
+    return _file(header, body)
 
 
-def _short(payload):
-    payload["weights"]["fusion.b"] = base64.b64encode(np.zeros(1, "<f8").tobytes()).decode()
+def _reordered(header, body):
+    header["weights"][-2:] = header["weights"][:-3:-1]
+    return _file(header, body)
 
 
-def _a_list(payload):
-    return [payload]
+def _one_float_short(header, body):
+    return _file(header, body[:-8])
+
+
+def _one_float_long(header, body):
+    return _file(header, body + bytes(8))
+
+
+def _header_not_json(header, body):
+    return b"model\n" + body
+
+
+def _no_newline(header, body):
+    return json.dumps(header).encode()
+
+
+def _a_list(header, body):
+    return _file([header], body)
 
 
 def _without(key):
-    def corrupt(payload):
-        del payload[key]
+    def corrupt(header, body):
+        del header[key]
+        return _file(header, body)
     return corrupt
 
 
-def _unknown_hyperparam(payload):
-    payload["hyperparams"]["dropout"] = 0.5
+def _unknown_hyperparam(header, body):
+    header["hyperparams"]["dropout"] = 0.5
+    return _file(header, body)
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop, "missing ['fusion.b']"),
     (_extra, "unexpected ['fusion.c']"),
-    (_not_a_string, "weight fusion.b is not a base64 string"),
-    (_bad_base64, "weight fusion.b is not valid base64"),
-    (_short, "weight fusion.b holds 8 bytes, its shape (2,) needs 16"),
+    (_reordered, "listed out of order or more than once"),
+    (_one_float_short, "model file holds 633608 weight bytes, its header's weights need 633616"),
+    (_one_float_long, "model file holds 633624 weight bytes, its header's weights need 633616"),
+    (_header_not_json, "model header is not JSON: "),
+    (_no_newline, "model file has no newline after its header"),
     (_a_list, "model file holds a JSON list, not an object"),
     (_without("hyperparams"), "model header lacks 'hyperparams'"),
     (_without("state_dim"), "model header lacks 'state_dim'"),
@@ -125,11 +186,9 @@ def _unknown_hyperparam(payload):
     (_unknown_hyperparam, "malformed model hyperparams: "),
 ])
 def test_malformed_model_file_is_an_input_error(tmp_path, features, capsys, corrupt, message):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     save_model(init_model(SMALL, seed=1), path)
-    payload = json.loads(path.read_text())
-    document = corrupt(payload)
-    path.write_text(json.dumps(payload if document is None else document))
+    path.write_bytes(corrupt(*_split(path)))
     capsys.readouterr()
     rc = main(["predict", "--model", str(path), "--features", str(features),
                "--out", str(tmp_path / "preds.csv")])

@@ -201,6 +201,14 @@ def test_packaged_tables_match_code_defaults():
     assert set(load_name_list(data_file("intent_senders.txt"))) == set(default_intent_senders())
 
 
+def test_name_list_skips_indented_comments(tmp_path):
+    from droidflow.tables import load_name_list
+
+    path = tmp_path / "names.txt"
+    path.write_text("a\n  # note\n\n\tb  \n")
+    assert load_name_list(path) == ("a", "b")
+
+
 def test_default_entry_point_tables_are_the_packaged_files_parsed_once():
     from droidflow.tables import (
         data_file, default_callbacks, default_intent_senders, default_lifecycle,
@@ -225,18 +233,26 @@ def test_extract_app_reads_each_configured_table_once(monkeypatch):
     from droidflow.tables import data_file
 
     reads = []
-    load_name_list = pipeline.load_name_list
 
-    def counting(path):
-        reads.append(Path(path).name)
-        return load_name_list(path)
+    def counting(loader):
+        def load(path):
+            reads.append(Path(path).name)
+            return loader(path)
+        return load
 
-    monkeypatch.setattr(pipeline, "load_name_list", counting)
-    config = PipelineConfig(callbacks_path=data_file("callback_methods.txt"),
+    monkeypatch.setattr(pipeline, "load_name_list", counting(pipeline.load_name_list))
+    monkeypatch.setattr(pipeline, "load_lifecycle_table",
+                        counting(pipeline.load_lifecycle_table))
+    config = PipelineConfig(lifecycle_path=data_file("lifecycle_methods.txt"),
+                            callbacks_path=data_file("callback_methods.txt"),
                             intent_senders_path=data_file("intent_senders.txt"))
     app = app_from_ir(json.loads((FIXTURES / "critical" / "ir.json").read_text()))
-    extract_app(app, CriticalApiSet.of([SHORT_SMS]), config)
-    assert sorted(reads) == ["callback_methods.txt", "intent_senders.txt"]
+    first = extract_app(app, CriticalApiSet.of([SHORT_SMS]), config)
+    second = extract_app(app, CriticalApiSet.of([SHORT_SMS]), config)
+    assert second.report == first.report
+    assert sorted(reads) == ["callback_methods.txt", "intent_senders.txt", "lifecycle_methods.txt"]
+    with pytest.raises(TypeError):
+        config.lifecycle()["activity"] = ("onCreate",)
 
 
 def test_config_validation(tmp_path):
