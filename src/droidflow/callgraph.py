@@ -150,7 +150,7 @@ def collect_entry_points(app, h, lifecycle=None, callbacks=None) -> tuple:
     component whose class the app does not define contributes nothing;
     generate_call_graph reports it.
     """
-    lifecycle = lifecycle or default_lifecycle()
+    lifecycle = default_lifecycle() if lifecycle is None else lifecycle
     callbacks = default_callbacks() if callbacks is None else callbacks
     entries = set()
     for comp in app.components:

@@ -1,8 +1,4 @@
-from .gradcheck import grad_check
 from .model import (
-    BiLstmParams,
-    FusionParams,
-    GnnParams,
     Hyperparams,
     ModelMismatchError,
     ModelParams,
@@ -18,17 +14,13 @@ from .train import Adam, DivergedLossError, TrainResult, train
 
 __all__ = [
     "Adam",
-    "BiLstmParams",
     "DivergedLossError",
-    "FusionParams",
-    "GnnParams",
     "Hyperparams",
     "ModelMismatchError",
     "ModelParams",
     "RowLengthMismatchError",
     "TrainConfig",
     "TrainResult",
-    "grad_check",
     "init_model",
     "load_model",
     "probabilities",

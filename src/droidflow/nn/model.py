@@ -73,84 +73,13 @@ class TrainConfig:
 
 
 @dataclass
-class GnnParams:
-    w1: np.ndarray              # (2 * label_dim + 10, state_dim**2)
-    b1: np.ndarray
-    w2: np.ndarray              # (label_dim, state_dim)
-    b2: np.ndarray
-    gate_w: np.ndarray          # (state_dim, state_dim)
-    gate_b: np.ndarray
-    iterations: int
+class ModelParams:
+    hyper: Hyperparams
+    weights: dict               # name -> array, in model-file order (see _assemble)
 
     @property
     def state_dim(self) -> int:
-        return self.w2.shape[1]
-
-    @property
-    def label_dim(self) -> int:
-        return self.w2.shape[0]
-
-    def named(self, prefix="gnn"):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
-        yield f"{prefix}.gate_w", self.gate_w
-        yield f"{prefix}.gate_b", self.gate_b
-
-
-@dataclass
-class BiLstmParams:
-    embedding: np.ndarray       # (VOCAB_SIZE, embed_dim)
-    layers: list                # per layer: {"fwd"|"bwd": (wx, wh, b)}
-    out3_w: np.ndarray          # (2 * units, 64)
-    out3_b: np.ndarray
-    out4_w: np.ndarray          # (64, 32)
-    out4_b: np.ndarray
-
-    @property
-    def units(self) -> int:
-        return self.layers[0]["fwd"][1].shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.embedding.shape[1]
-
-    def named(self, prefix="lstm"):
-        yield f"{prefix}.embedding", self.embedding
-        for i, layer in enumerate(self.layers):
-            for d in ("fwd", "bwd"):
-                wx, wh, b = layer[d]
-                yield f"{prefix}.l{i}.{d}.wx", wx
-                yield f"{prefix}.l{i}.{d}.wh", wh
-                yield f"{prefix}.l{i}.{d}.b", b
-        yield f"{prefix}.out3_w", self.out3_w
-        yield f"{prefix}.out3_b", self.out3_b
-        yield f"{prefix}.out4_w", self.out4_w
-        yield f"{prefix}.out4_b", self.out4_b
-
-
-@dataclass
-class FusionParams:
-    w: np.ndarray               # (state_dim + 32, 2)
-    b: np.ndarray
-
-    def named(self, prefix="fusion"):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
-
-
-@dataclass
-class ModelParams:
-    gnn: GnnParams
-    lstm: BiLstmParams
-    fusion: FusionParams
-    hyper: Hyperparams
-
-    def named(self):
-        yield from self.gnn.named()
-        yield from self.lstm.named()
-        yield from self.fusion.named()
+        return self.weights["gnn.w2"].shape[1]
 
 
 def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
@@ -161,49 +90,34 @@ def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
 
 
 def _assemble(hp: Hyperparams, state_dim: int, embed_dim: int, uniform, zeros) -> ModelParams:
-    """ModelParams of the given architecture: each bias is zeros(shape), and
-    every other weight is uniform(shape, bound), called in a fixed order, with
-    bound 0.1 for the embedding and 1/sqrt(fan_in) for the rest."""
-    units = hp.lstm_units
-
-    def fan_in_uniform(shape):
-        return uniform(shape, 1.0 / math.sqrt(shape[0]))
-
-    embedding = uniform((VOCAB_SIZE, embed_dim), 0.1)
-    layers = []
+    """ModelParams of the given architecture, the one place that names,
+    shapes and orders the weights. Each bias (every 1-D weight) is
+    zeros(shape); every other weight is uniform(shape, bound), with bound 0.1
+    for the embedding and 1/sqrt(fan_in) for the rest, called in this order:
+    lstm.embedding; per layer i, lstm.l{i}.fwd.wx, .fwd.wh, .bwd.wx, .bwd.wh;
+    lstm.out3_w, lstm.out4_w, gnn.w1, gnn.w2, gnn.gate_w, fusion.w. The
+    weights are listed in model-file order: gnn.*, lstm.*, fusion.*."""
+    units, s = hp.lstm_units, state_dim
+    lstm = [("lstm.embedding", (VOCAB_SIZE, embed_dim))]
     for i in range(hp.hidden_layers):
         d_in = embed_dim if i == 0 else 2 * units
-        layer = {}
-        for direction in ("fwd", "bwd"):
-            layer[direction] = (
-                fan_in_uniform((d_in, 4 * units)),
-                fan_in_uniform((units, 4 * units)),
-                zeros(4 * units),
-            )
-        layers.append(layer)
-    lstm = BiLstmParams(
-        embedding=embedding,
-        layers=layers,
-        out3_w=fan_in_uniform((2 * units, 64)),
-        out3_b=zeros(64),
-        out4_w=fan_in_uniform((64, 32)),
-        out4_b=zeros(32),
-    )
+        for d in ("fwd", "bwd"):
+            lstm += [(f"lstm.l{i}.{d}.wx", (d_in, 4 * units)),
+                     (f"lstm.l{i}.{d}.wh", (units, 4 * units)),
+                     (f"lstm.l{i}.{d}.b", (4 * units,))]
+    lstm += [("lstm.out3_w", (2 * units, 64)), ("lstm.out3_b", (64,)),
+             ("lstm.out4_w", (64, 32)), ("lstm.out4_b", (32,))]
     edge_dim = 2 * hp.label_dim + len(EDGE_TYPE_ORDER)
-    gnn = GnnParams(
-        w1=fan_in_uniform((edge_dim, state_dim * state_dim)),
-        b1=zeros(state_dim * state_dim),
-        w2=fan_in_uniform((hp.label_dim, state_dim)),
-        b2=zeros(state_dim),
-        gate_w=fan_in_uniform((state_dim, state_dim)),
-        gate_b=zeros(state_dim),
-        iterations=hp.iterations,
-    )
-    fusion = FusionParams(
-        w=fan_in_uniform((state_dim + 32, FUSED_CLASSES)),
-        b=zeros(FUSED_CLASSES),
-    )
-    return ModelParams(gnn, lstm, fusion, hp)
+    gnn = [("gnn.w1", (edge_dim, s * s)), ("gnn.b1", (s * s,)),
+           ("gnn.w2", (hp.label_dim, s)), ("gnn.b2", (s,)),
+           ("gnn.gate_w", (s, s)), ("gnn.gate_b", (s,))]
+    fusion = [("fusion.w", (s + 32, FUSED_CLASSES)), ("fusion.b", (FUSED_CLASSES,))]
+    drawn = {
+        name: zeros(shape) if len(shape) == 1
+        else uniform(shape, 0.1 if name == "lstm.embedding" else 1.0 / math.sqrt(shape[0]))
+        for name, shape in lstm + gnn + fusion
+    }
+    return ModelParams(hp, {name: drawn[name] for name, _ in gnn + lstm + fusion})
 
 
 # --- tape-level forward builders ----------------------------------------------
@@ -239,17 +153,16 @@ def graph_arrays(graph, label_dim: int) -> GraphArrays:
     return GraphArrays(labels, src, dst, edge_feat)
 
 
-def gnn_batch_var(graphs, init_states, pv: dict, params: GnnParams) -> Var:
+def gnn_batch_var(graphs, init_states, pv: dict, iterations: int) -> Var:
     """(B, state_dim) graph vectors for a batch of GraphArrays, run as one
-    disjoint union with node positions offset per graph. init_states[k] holds
-    graph k's initial node states, (n_k, state_dim). Graphs without nodes map
-    to zero vectors."""
-    s = params.state_dim
+    disjoint union with node positions offset per graph, over `iterations`
+    unrolled steps. init_states[k] holds graph k's initial node states,
+    (n_k, state_dim). Graphs without nodes map to zero vectors."""
     sizes = [len(g.labels) for g in graphs]
     total = sum(sizes)
     if total == 0:
-        return tape.constant(np.zeros((len(graphs), s)))
-    if params.iterations < 2:
+        return tape.constant(np.zeros((len(graphs), pv["gnn.w2"].shape[1])))
+    if iterations < 2:
         h = tape.constant(np.concatenate(init_states))
     else:
         offsets = np.cumsum([0] + sizes[:-1])
@@ -261,20 +174,19 @@ def gnn_batch_var(graphs, init_states, pv: dict, params: GnnParams) -> Var:
             dst = np.concatenate([g.dst + off for g, off in zip(graphs, offsets)])
             edge_feat = np.concatenate([g.edge_feat for g in graphs])
             h = _message_updates(h, base, src, dst, edge_feat,
-                                 np.concatenate(init_states)[src], pv, params)
+                                 np.concatenate(init_states)[src], pv, iterations)
     gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     graph_index = np.repeat(np.arange(len(graphs)), sizes)
     return tape.tanh(tape.segment_sum(tape.mul(gate, h), graph_index, len(graphs)))
 
 
-def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, params) -> Var:
+def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterations) -> Var:
     """Final node states of a graph union with edges (src, dst).
 
     Only the receivers, the nodes some edge points to, are iterated: from the
     first update on, every other node's state is exactly
     unreached = tanh(W2 l + b2), as its aggregated message is zero."""
-    s = params.state_dim
-    total = unreached.shape[0]
+    total, s = base.shape
     receivers, to_receiver = np.unique(dst, return_inverse=True)
     n_recv = len(receivers)
     coef = (1.0 / np.bincount(to_receiver))[:, None]
@@ -290,7 +202,7 @@ def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, params)
     src_pos = np.where(rank[src] >= 0, rank[src], n_recv + np.arange(len(src)))
     src_unreached = tape.gather_rows(unreached, src)
     h_src = tape.constant(src_init)
-    for step in range(params.iterations - 1):
+    for step in range(iterations - 1):
         if step:
             h_src = tape.gather_rows(tape.concat([h_recv, src_unreached]), src_pos)
         agg = tape.segment_sum(tape.bmm_vec(transform, h_src), to_receiver, n_recv)
@@ -299,17 +211,17 @@ def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, params)
     return tape.gather_rows(tape.concat([h_recv, unreached]), node_pos)
 
 
-def bilstm_batch_var(matrices, pv: dict, params: BiLstmParams) -> Var:
+def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
     """(B, 32) app vectors for a batch of row matrices. The rows of every app
-    run through the BiLSTM as one (N, seq_len) token matrix, one fused tape
-    op per layer and direction, and are mean-pooled per app; apps without
+    run through the `layers` stacked BiLSTM layers as one (N, seq_len) token
+    matrix, one fused tape op per layer and direction, and are mean-pooled per app; apps without
     rows map to zero vectors."""
     counts = np.array([m.n for m in matrices])
     if not counts.sum():
         return tape.constant(np.zeros((len(matrices), 32)))
     tokens = np.concatenate([m.rows for m in matrices])
     x = pv["lstm.embedding"]
-    for li in range(len(params.layers)):
+    for li in range(layers):
         x = tape.concat(
             [
                 tape.lstm(x, pv[f"lstm.l{li}.{d}.wx"], pv[f"lstm.l{li}.{d}.wh"],
@@ -345,8 +257,8 @@ def forward_var(model: ModelParams, pv: dict, graphs, matrices, init_states) -> 
     """(B, 2) fused logits for a batch of GraphArrays, their row matrices and
     their initial node states, with parameters pv (name -> Var). Training and
     scoring both run through here."""
-    hg = gnn_batch_var(graphs, init_states, pv, model.gnn)
-    hb = bilstm_batch_var(matrices, pv, model.lstm)
+    hg = gnn_batch_var(graphs, init_states, pv, model.hyper.iterations)
+    hb = bilstm_batch_var(matrices, pv, model.hyper.hidden_layers)
     return logits_var(hg, hb, pv)
 
 
@@ -362,7 +274,7 @@ def loss_var(logits: Var, label) -> Var:
 
 
 def param_vars(params: ModelParams) -> dict:
-    return {name: tape.parameter(arr) for name, arr in params.named()}
+    return {name: tape.parameter(arr) for name, arr in params.weights.items()}
 
 
 def _checked(matrix, seq_len):
@@ -381,10 +293,10 @@ def probabilities(features, model: ModelParams, seed=0) -> np.ndarray:
     initial node states drawn from seed. Constants record no tape links, so
     each branch's intermediates are freed as soon as it is done."""
     graph, matrix = features
-    graphs = [graph_arrays(graph, model.gnn.label_dim)]
+    graphs = [graph_arrays(graph, model.hyper.label_dim)]
     matrices = [_checked(matrix, model.hyper.seq_len)]
-    pv = {name: tape.constant(arr) for name, arr in model.named()}
-    init_states = draw_init_states(graphs, [seed], model.gnn.state_dim)
+    pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
+    init_states = draw_init_states(graphs, [seed], model.state_dim)
     logits = forward_var(model, pv, graphs, matrices, init_states)
     return np.exp(tape.log_softmax(logits).value[0])
 
@@ -398,7 +310,7 @@ def score(features, model: ModelParams, seed=0) -> float:
 #
 # A model file (format 3) is one line of compact, sorted JSON, the header,
 # then each weight's little-endian float64 bytes, back to back, in the order
-# the header's `weights` list names them (ModelParams.named() order), after
+# the header's `weights` list names them (ModelParams.weights order), after
 # the safetensors layout. A load therefore restores every parameter bit for
 # bit. Shapes are not stored; they follow from the header.
 
@@ -409,21 +321,21 @@ def save_model(model: ModelParams, path):
     header = {
         "format_version": FORMAT_VERSION,
         "edge_type_order": list(EDGE_TYPE_ORDER),
-        "state_dim": model.gnn.state_dim,
-        "embed_dim": model.lstm.embed_dim,
+        "state_dim": model.state_dim,
+        "embed_dim": model.weights["lstm.embedding"].shape[1],
         "hyperparams": asdict(model.hyper),
-        "weights": [name for name, _ in model.named()],
+        "weights": list(model.weights),
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for _, arr in model.named():
+        for arr in model.weights.values():
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_model(path) -> ModelParams:
     with open(path, "rb") as f:
         model = _template(_header(f.readline()))
-        arrays = [arr for _, arr in model.named()]
+        arrays = list(model.weights.values())
         size = sum(f.readinto(arr) for arr in arrays) + len(f.read())
     expected = sum(arr.nbytes for arr in arrays)
     if size != expected:
@@ -453,7 +365,7 @@ def _header(line: bytes) -> dict:
 
 def _template(header: dict) -> ModelParams:
     """Uninitialised parameters of the header's architecture, whose weight
-    names it must list in ModelParams.named() order."""
+    names it must list in ModelParams.weights order."""
     try:
         hp = Hyperparams(**header["hyperparams"])
         state_dim, embed_dim = header["state_dim"], header["embed_dim"]
@@ -461,12 +373,18 @@ def _template(header: dict) -> ModelParams:
         raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
     except TypeError as exc:   # hyperparams not an object, or an unknown name in it
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
+    sizes = {"state_dim": state_dim, "embed_dim": embed_dim, **asdict(hp)}
+    for key, value in sizes.items():
+        if type(value) is not int or value < 0:   # a bool is an int subclass
+            raise ModelMismatchError(
+                f"model header {key} must be a non-negative integer, not {value!r}"
+            )
 
     def empty(shape, bound=None):
         return np.empty(shape, "<f8")
 
     model = _assemble(hp, state_dim, embed_dim, empty, empty)
-    names = [name for name, _ in model.named()]
+    names = list(model.weights)
     listed = header.get("weights")
     if listed != names:
         found = {n for n in listed if isinstance(n, str)} if isinstance(listed, list) else set()

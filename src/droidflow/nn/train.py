@@ -81,7 +81,7 @@ def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = 32,
     graphs = [graph_arrays(graph, hp.label_dim) for graph, _, _ in dataset]
     matrices = [_checked(matrix, hp.seq_len) for _, matrix, _ in dataset]
     labels = np.array([int(label) for _, _, label in dataset])
-    opt = Adam(model.named(), tc)
+    opt = Adam(model.weights, tc)
     shuffle_rng = np.random.default_rng((tc.seed, SHUFFLE_STREAM))
     epoch_losses = []
     for epoch in range(hp.epochs):
@@ -113,7 +113,7 @@ def _batch_step(model, graphs, matrices, labels, init_seeds):
     # Kept bound until the step ends, as the tape is: freed between the
     # forward and backward passes, the states leave heap gaps that malloc
     # trims, and training on large apps took 2.4 times the page faults.
-    init_states = draw_init_states(graphs, init_seeds, model.gnn.state_dim)
+    init_states = draw_init_states(graphs, init_seeds, model.state_dim)
     pv = param_vars(model)
     logits = forward_var(model, pv, graphs, matrices, init_states)
     tape.backward(loss_var(logits, labels))

@@ -197,21 +197,3 @@ def parse_smali_class(text: str) -> ClassDef:
         seen.add(key)
     return ClassDef(name=name, superclass=superclass, interfaces=tuple(interfaces), methods=method_defs)
 
-
-def format_class(cd: ClassDef) -> str:
-    """Pretty-print a ClassDef back into parseable smali text."""
-    lines = [f".class {cd.name}", f".super {cd.superclass}"]
-    for iface in cd.interfaces:
-        lines.append(f".implements {iface}")
-    for method in cd.methods:
-        flags = " ".join(sorted(method.flags))
-        head = f".method {flags} {method.name}{method.descriptor}" if flags else f".method {method.name}{method.descriptor}"
-        lines.append("")
-        lines.append(head)
-        for ins in method.body:
-            if ins.operands:
-                lines.append(f"    {ins.opcode.mnemonic} {', '.join(ins.operands)}")
-            else:
-                lines.append(f"    {ins.opcode.mnemonic}")
-        lines.append(".end method")
-    return "\n".join(lines) + "\n"

@@ -24,14 +24,19 @@ SEARCH_SPACE = {
     "batch_size": (4, 8, 16, 32),
 }
 SWEEP_ORDER = tuple(SEARCH_SPACE)
-DEFAULT_SUBSET_FRACTION = 1 / 8
+SPLIT_RATIOS = (8, 1, 1)        # train : val : test
+SUBSET_FRACTION = 1 / 8
 
 
-def _default_label(item):
+def _metadata(item):
     meta = getattr(item, "metadata", None)
     if meta is None and isinstance(item, dict):
         meta = item.get("metadata", item)
-    label = meta.get("label")
+    return meta
+
+
+def _label(item):
+    label = _metadata(item).get("label")
     if label in ("malicious", 1, True):
         return 1
     if label in ("benign", 0, False):
@@ -39,31 +44,27 @@ def _default_label(item):
     raise ValueError(f"item without usable label: {item!r}")
 
 
-def _default_timestamp(item):
-    meta = getattr(item, "metadata", None)
-    if meta is None and isinstance(item, dict):
-        meta = item.get("metadata", item)
-    return meta.get("timestamp")
+def _timestamp(item):
+    return _metadata(item).get("timestamp")
 
 
-def split_dataset(items, ratios=(8, 1, 1), seed: int = 0,
-                  label_of=_default_label, timestamp_of=_default_timestamp):
-    """(train, val, test) split, per class.
+def split_dataset(items, seed: int = 0):
+    """(train, val, test) split, per class, at SPLIT_RATIOS.
 
     With timestamps on every item, the newest test share of each class is
     held out and the remainder splits randomly at the train:val ratio.
     Missing timestamps degrade to a fully random (but seeded) split with a
     warning.
     """
-    r_train, r_val, r_test = ratios
+    r_train, r_val, r_test = SPLIT_RATIOS
     total = r_train + r_val + r_test
     rng = np.random.default_rng(seed)
     by_class = {}
     for idx, item in enumerate(items):
-        by_class.setdefault(label_of(item), []).append((idx, item))
+        by_class.setdefault(_label(item), []).append((idx, item))
 
     have_timestamps = all(
-        timestamp_of(item) is not None for _, item in _flatten(by_class)
+        _timestamp(item) is not None for _, item in _flatten(by_class)
     )
     if not have_timestamps:
         warnings.warn(
@@ -77,7 +78,7 @@ def split_dataset(items, ratios=(8, 1, 1), seed: int = 0,
         n = len(members)
         n_test = round(n * r_test / total)
         if have_timestamps:
-            newest_first = sorted(members, key=lambda p: (timestamp_of(p[1]), -p[0]),
+            newest_first = sorted(members, key=lambda p: (_timestamp(p[1]), -p[0]),
                                   reverse=True)
             test_part = newest_first[:n_test]
             rest = newest_first[n_test:]
@@ -104,12 +105,12 @@ def _flatten(by_class):
         yield from members
 
 
-def stratified_subset(items, fraction: float, seed: int = 0, label_of=_default_label):
+def stratified_subset(items, fraction: float, seed: int = 0):
     """Per-class random subset of about `fraction`, at least one per class."""
     rng = np.random.default_rng(seed)
     by_class = {}
     for idx, item in enumerate(items):
-        by_class.setdefault(label_of(item), []).append((idx, item))
+        by_class.setdefault(_label(item), []).append((idx, item))
     chosen = []
     for label in sorted(by_class):
         members = by_class[label]
@@ -134,9 +135,8 @@ class GridSearchResult:
 
 
 def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperparams(),
-                subset_fraction: float = DEFAULT_SUBSET_FRACTION, seed: int = 0,
-                revalidate_top: int = 0, label_of=_default_label) -> GridSearchResult:
-    """One-factor-at-a-time sweep on stratified subsets.
+                seed: int = 0, revalidate_top: int = 0) -> GridSearchResult:
+    """One-factor-at-a-time sweep on stratified SUBSET_FRACTION subsets.
 
     evaluate(hp, train_items, val_items) -> MetricReport does the actual
     training run. Factors sweep in declaration order; after each factor the
@@ -144,8 +144,8 @@ def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperp
     revalidate_top > 0, the top points re-evaluate on the full sets.
     """
     space = dict(SEARCH_SPACE if space is None else space)
-    train_sub = stratified_subset(train, subset_fraction, seed, label_of)
-    val_sub = stratified_subset(val, subset_fraction, seed + 1, label_of)
+    train_sub = stratified_subset(train, SUBSET_FRACTION, seed)
+    val_sub = stratified_subset(val, SUBSET_FRACTION, seed + 1)
 
     current = defaults
     points = []

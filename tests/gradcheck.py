@@ -8,7 +8,7 @@ forward path the tape differentiates.
 
 import numpy as np
 
-from . import tape
+from droidflow.nn import tape
 
 
 def grad_check(loss_builder, arrays: dict, epsilon: float = 1e-4,

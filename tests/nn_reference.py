@@ -18,15 +18,15 @@ from droidflow.nn.model import (
 from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
 
 
-def gnn_vector_var(graph, pv, params, rng, init_state=None):
+def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     n_nodes = len(graph.nodes)
-    s = params.state_dim
+    label_dim, s = pv["gnn.w2"].shape
     if n_nodes == 0:
         return tape.constant(np.zeros((1, s)))
     labels = graph.node_labels
-    if labels.shape[1] != params.label_dim:
+    if labels.shape[1] != label_dim:
         raise ModelMismatchError(
-            f"graph label dim {labels.shape[1]} != model label dim {params.label_dim}"
+            f"graph label dim {labels.shape[1]} != model label dim {label_dim}"
         )
     id_to_index = {node.id: i for i, node in enumerate(graph.nodes)}
     edges = graph.edges
@@ -46,12 +46,12 @@ def gnn_vector_var(graph, pv, params, rng, init_state=None):
         indeg = np.zeros(n_nodes)
         np.add.at(indeg, dst, 1.0)
         coef = (1.0 / np.maximum(1.0, indeg))[:, None]
-        for _ in range(params.iterations - 1):
+        for _ in range(iterations - 1):
             messages = tape.bmm_vec(transform, tape.gather_rows(h, src))
             agg = tape.segment_sum(messages, dst, n_nodes)
             h = tape.tanh(tape.add(tape.scale(agg, coef), base))
     else:
-        for _ in range(params.iterations - 1):
+        for _ in range(iterations - 1):
             h = tape.tanh(base)
     gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
@@ -75,13 +75,13 @@ def _lstm_direction(xs, wx, wh, b, units, reverse=False):
     return outputs
 
 
-def bilstm_vector_var(matrix, pv, params):
+def bilstm_vector_var(matrix, pv, layers):
     if matrix.n == 0:
         return tape.constant(np.zeros((1, 32)))
     rows = matrix.rows
-    units = params.units
+    units = pv["lstm.l0.fwd.wh"].shape[0]
     xs = [tape.gather_rows(pv["lstm.embedding"], rows[:, t]) for t in range(matrix.row_len)]
-    for li in range(len(params.layers)):
+    for li in range(layers):
         fwd = _lstm_direction(
             xs, pv[f"lstm.l{li}.fwd.wx"], pv[f"lstm.l{li}.fwd.wh"], pv[f"lstm.l{li}.fwd.b"], units
         )
@@ -103,8 +103,8 @@ def sample_loss(params, graph, matrix, label, init_seed):
     """Tape loss for one sample; returns (loss Var, name -> Var dict)."""
     pv = param_vars(params)
     rng = np.random.default_rng(init_seed)
-    hg = gnn_vector_var(graph, pv, params.gnn, rng)
-    hb = bilstm_vector_var(matrix, pv, params.lstm)
+    hg = gnn_vector_var(graph, pv, params.hyper.iterations, rng)
+    hb = bilstm_vector_var(matrix, pv, params.hyper.hidden_layers)
     logits = logits_var(hg, hb, pv)
     return tape.neg(tape.pick(tape.log_softmax(logits), 0, int(label))), pv
 
@@ -135,7 +135,7 @@ def train(dataset, hp, tc, state_dim=32, embed_dim=128):
     the mini-batch and divided by its size."""
     model = init_model(hp, seed=(tc.seed, INIT_STREAM), state_dim=state_dim,
                        embed_dim=embed_dim)
-    opt = Adam(model.named(), tc)
+    opt = Adam(model.weights, tc)
     shuffle_rng = np.random.default_rng((tc.seed, SHUFFLE_STREAM))
     epoch_losses = []
     for _ in range(hp.epochs):

@@ -5,7 +5,8 @@ collects (opcode, operands, invoked) triples per method and offsets them in
 a second pass, exactly as droidflow did before its front end was made fast.
 Directive handling shares droidflow.smali's tables and regexes. Tests
 compare droidflow.smali.parse_smali_class against it; droidflow itself does
-not use it.
+not use it. format_class prints a ClassDef back as smali text for the
+parser's round-trip test.
 """
 
 from droidflow.appmodel import ClassDef, Instruction, MethodDef
@@ -157,3 +158,22 @@ def parse_smali_class(text: str) -> ClassDef:
             raise SmaliSyntaxError(f"duplicate method {m.name}{m.descriptor}", 1)
         seen.add(key)
     return ClassDef(name=name, superclass=superclass, interfaces=tuple(interfaces), methods=method_defs)
+
+
+def format_class(cd: ClassDef) -> str:
+    """Pretty-print a ClassDef back into parseable smali text."""
+    lines = [f".class {cd.name}", f".super {cd.superclass}"]
+    for iface in cd.interfaces:
+        lines.append(f".implements {iface}")
+    for method in cd.methods:
+        flags = " ".join(sorted(method.flags))
+        head = f".method {flags} {method.name}{method.descriptor}" if flags else f".method {method.name}{method.descriptor}"
+        lines.append("")
+        lines.append(head)
+        for ins in method.body:
+            if ins.operands:
+                lines.append(f"    {ins.opcode.mnemonic} {', '.join(ins.operands)}")
+            else:
+                lines.append(f"    {ins.opcode.mnemonic}")
+        lines.append(".end method")
+    return "\n".join(lines) + "\n"

@@ -119,7 +119,6 @@ def test_criterion_4_flow_graph_golden_suite(tmp_path):
 # -----------------------------------------------------------------------------
 
 def test_criterion_5_gradient_checks():
-    from droidflow.nn import grad_check
     from droidflow.nn import tape
     from droidflow.nn.model import (
         bilstm_batch_var,
@@ -129,22 +128,23 @@ def test_criterion_5_gradient_checks():
         loss_var,
     )
     from droidflow.traces import SequenceMatrix
+    from gradcheck import grad_check
     from test_gradcheck import gnn_toy_graph
     from test_nn import tiny_gnn_params, tiny_lstm_params
 
     started = time.time()
 
     graph = gnn_toy_graph()  # 4 nodes
-    gnn_params = tiny_gnn_params(np.random.default_rng(51), s=4, label_dim=3, iterations=3)
+    gnn_params = tiny_gnn_params(np.random.default_rng(51), s=4, label_dim=3)
     probe_g = np.random.default_rng(52).normal(size=(1, 4))
-    arrays = graph_arrays(graph, gnn_params.label_dim)
-    init = np.random.default_rng(5).uniform(-0.1, 0.1, (len(arrays.labels), gnn_params.state_dim))
+    arrays = graph_arrays(graph, 3)
+    init = np.random.default_rng(5).uniform(-0.1, 0.1, (len(arrays.labels), 4))
 
     def gnn_builder(pv):
-        hg = gnn_batch_var([arrays], [init], pv, gnn_params)
+        hg = gnn_batch_var([arrays], [init], pv, 3)
         return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe_g)), axis=1), 0, 0)
 
-    err_gnn = grad_check(gnn_builder, dict(gnn_params.named()), epsilon=1e-4, seed=53)
+    err_gnn = grad_check(gnn_builder, gnn_params, epsilon=1e-4, seed=53)
     assert err_gnn <= 1e-4, err_gnn
 
     lstm_params = tiny_lstm_params(np.random.default_rng(54), units=3, embed_dim=4, layers=2)
@@ -152,10 +152,10 @@ def test_criterion_5_gradient_checks():
     probe_b = np.random.default_rng(55).normal(size=(1, 32))
 
     def lstm_builder(pv):
-        hb = bilstm_batch_var([matrix], pv, lstm_params)
+        hb = bilstm_batch_var([matrix], pv, 2)
         return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe_b)), axis=1), 0, 0)
 
-    err_lstm = grad_check(lstm_builder, dict(lstm_params.named()), epsilon=1e-4, seed=56)
+    err_lstm = grad_check(lstm_builder, lstm_params, epsilon=1e-4, seed=56)
     assert err_lstm <= 1e-4, err_lstm
 
     rng = np.random.default_rng(57)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from droidflow.flowgraph import FlowEdge
-from droidflow.nn import Hyperparams, grad_check, init_model
+from droidflow.nn import Hyperparams, init_model
 from droidflow.nn import tape
 from droidflow.nn.model import (
     bilstm_batch_var,
@@ -14,6 +14,7 @@ from droidflow.nn.model import (
 )
 from droidflow.traces import SequenceMatrix
 
+from gradcheck import grad_check
 from test_nn import chunk, graph_of, tiny_gnn_params, tiny_lstm_params
 
 
@@ -37,15 +38,14 @@ def gnn_toy_graph():
 def test_gnn_gradients():
     graph = gnn_toy_graph()
     rng = np.random.default_rng(41)
-    params = tiny_gnn_params(rng, s=4, label_dim=3, iterations=3)
-    arrays = dict(params.named())
+    arrays = tiny_gnn_params(rng, s=4, label_dim=3)
     probe_rng = np.random.default_rng(42)
     probe = probe_rng.normal(size=(1, 4))
-    arrays_g = graph_arrays(graph, params.label_dim)
-    init = np.random.default_rng(7).uniform(-0.1, 0.1, (len(arrays_g.labels), params.state_dim))
+    arrays_g = graph_arrays(graph, 3)
+    init = np.random.default_rng(7).uniform(-0.1, 0.1, (len(arrays_g.labels), 4))
 
     def builder(pv):
-        hg = gnn_batch_var([arrays_g], [init], pv, params)
+        hg = gnn_batch_var([arrays_g], [init], pv, 3)
         return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=1)
@@ -54,13 +54,12 @@ def test_gnn_gradients():
 
 def test_bilstm_gradients():
     rng = np.random.default_rng(43)
-    params = tiny_lstm_params(rng, units=3, embed_dim=4, layers=2)
-    arrays = dict(params.named())
+    arrays = tiny_lstm_params(rng, units=3, embed_dim=4, layers=2)
     matrix = SequenceMatrix(np.array([[5, 110, 26, 14], [3, 3, 200, 14]]), 4)
     probe = np.random.default_rng(44).normal(size=(1, 32))
 
     def builder(pv):
-        hb = bilstm_batch_var([matrix], pv, params)
+        hb = bilstm_batch_var([matrix], pv, 2)
         return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=2)
@@ -89,10 +88,10 @@ def test_full_model_gradients():
     model = init_model(hp, seed=5, state_dim=4)
     graph = gnn_toy_graph()
     matrix = SequenceMatrix(np.array([[5, 110, 26, 14]]), 4)
-    arrays = dict(model.named())
+    arrays = model.weights
 
-    graphs = [graph_arrays(graph, model.gnn.label_dim)]
-    init_states = draw_init_states(graphs, [6], model.gnn.state_dim)
+    graphs = [graph_arrays(graph, hp.label_dim)]
+    init_states = draw_init_states(graphs, [6], model.state_dim)
 
     def builder(pv):
         return loss_var(forward_var(model, pv, graphs, [matrix], init_states), label=0)

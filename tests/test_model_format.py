@@ -50,7 +50,7 @@ def test_round_trip_is_exact_and_saves_are_byte_identical(tmp_path, paper_model)
     assert first.read_bytes() == second.read_bytes()
     loaded = load_model(first)
     assert loaded.hyper == PAPER_WIDTH
-    for (n1, a1), (n2, a2) in zip(paper_model.named(), loaded.named(), strict=True):
+    for (n1, a1), (n2, a2) in zip(paper_model.weights.items(), loaded.weights.items(), strict=True):
         assert n1 == n2 and a1.shape == a2.shape and np.array_equal(a1, a2)
         assert a2.flags.writeable
 
@@ -73,8 +73,49 @@ def test_file_is_a_json_header_line_then_the_raw_weights(tmp_path):
     assert header["state_dim"] == 32 and header["embed_dim"] == 128
     assert header["hyperparams"]["lstm_units"] == 4
     assert len(header["edge_type_order"]) == 10
-    assert header["weights"] == [name for name, _ in model.named()]
-    assert body == b"".join(arr.astype("<f8").tobytes() for _, arr in model.named())
+    assert header["weights"] == list(model.weights)
+    assert body == b"".join(arr.astype("<f8").tobytes() for arr in model.weights.values())
+
+
+def drawn_weights(hp, seed, state_dim, embed_dim):
+    """The initial weights in model-file order, drawn with one
+    default_rng(seed) in init_model's order: lstm.embedding; per layer
+    fwd.wx, fwd.wh, bwd.wx, bwd.wh; lstm.out3_w, lstm.out4_w, gnn.w1, gnn.w2,
+    gnn.gate_w, fusion.w. Biases are zeros and draw nothing."""
+    rng = np.random.default_rng(seed)
+
+    def fan_in(shape):
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, shape)
+
+    units, s = hp.lstm_units, state_dim
+    lstm = {"lstm.embedding": rng.uniform(-0.1, 0.1, (256, embed_dim))}
+    for i in range(hp.hidden_layers):
+        for d in ("fwd", "bwd"):
+            lstm[f"lstm.l{i}.{d}.wx"] = fan_in((embed_dim if i == 0 else 2 * units, 4 * units))
+            lstm[f"lstm.l{i}.{d}.wh"] = fan_in((units, 4 * units))
+            lstm[f"lstm.l{i}.{d}.b"] = np.zeros(4 * units)
+    lstm["lstm.out3_w"], lstm["lstm.out3_b"] = fan_in((2 * units, 64)), np.zeros(64)
+    lstm["lstm.out4_w"], lstm["lstm.out4_b"] = fan_in((64, 32)), np.zeros(32)
+    gnn = {"gnn.w1": fan_in((2 * hp.label_dim + 10, s * s)), "gnn.b1": np.zeros(s * s)}
+    gnn["gnn.w2"], gnn["gnn.b2"] = fan_in((hp.label_dim, s)), np.zeros(s)
+    gnn["gnn.gate_w"], gnn["gnn.gate_b"] = fan_in((s, s)), np.zeros(s)
+    fusion = {"fusion.w": fan_in((s + 32, 2)), "fusion.b": np.zeros(2)}
+    return {**gnn, **lstm, **fusion}
+
+
+@pytest.mark.parametrize("hp, state_dim, embed_dim", [
+    (Hyperparams(lstm_units=32), 32, 128),
+    (Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3, iterations=2), 4, 5),
+])
+def test_initial_weights_follow_the_documented_draw_and_file_order(tmp_path, hp, state_dim,
+                                                                   embed_dim):
+    path = tmp_path / "model.bin"
+    save_model(init_model(hp, seed=7, state_dim=state_dim, embed_dim=embed_dim), path)
+    header, body = _split(path)
+    expected = drawn_weights(hp, 7, state_dim, embed_dim)
+    assert header["weights"] == list(expected)
+    assert body == b"".join(arr.astype("<f8").tobytes() for arr in expected.values())
 
 
 def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
@@ -87,7 +128,7 @@ def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     loaded = load_model(path)
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(model.named(), loaded.named()))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(model.weights.items(), loaded.weights.items()))
 
 
 def _one_document(model, version, encode):
@@ -95,10 +136,10 @@ def _one_document(model, version, encode):
     return json.dumps({
         "format_version": version,
         "edge_type_order": list(EDGE_TYPE_ORDER),
-        "state_dim": model.gnn.state_dim,
-        "embed_dim": model.lstm.embed_dim,
+        "state_dim": model.state_dim,
+        "embed_dim": model.weights["lstm.embedding"].shape[1],
         "hyperparams": asdict(model.hyper),
-        "weights": {name: encode(arr) for name, arr in model.named()},
+        "weights": {name: encode(arr) for name, arr in model.weights.items()},
     }, sort_keys=True, separators=(",", ":"))
 
 
@@ -171,6 +212,13 @@ def _unknown_hyperparam(header, body):
     return _file(header, body)
 
 
+def _set(key, value, hyperparam=False):
+    def corrupt(header, body):
+        (header["hyperparams"] if hyperparam else header)[key] = value
+        return _file(header, body)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop, "missing ['fusion.b']"),
     (_extra, "unexpected ['fusion.c']"),
@@ -184,6 +232,11 @@ def _unknown_hyperparam(header, body):
     (_without("state_dim"), "model header lacks 'state_dim'"),
     (_without("embed_dim"), "model header lacks 'embed_dim'"),
     (_unknown_hyperparam, "malformed model hyperparams: "),
+    (_set("state_dim", "32"), "model header state_dim must be a non-negative integer, not '32'"),
+    (_set("lstm_units", 4.0, hyperparam=True),
+     "model header lstm_units must be a non-negative integer, not 4.0"),
+    (_set("embed_dim", True), "model header embed_dim must be a non-negative integer, not True"),
+    (_set("state_dim", -32), "model header state_dim must be a non-negative integer, not -32"),
 ])
 def test_malformed_model_file_is_an_input_error(tmp_path, features, capsys, corrupt, message):
     path = tmp_path / "model.bin"

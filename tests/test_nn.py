@@ -5,9 +5,6 @@ import pytest
 
 from droidflow.flowgraph import AbstractFlowGraph, ChunkNode, FlowEdge, sort_edges
 from droidflow.nn import (
-    BiLstmParams,
-    FusionParams,
-    GnnParams,
     Hyperparams,
     ModelMismatchError,
     RowLengthMismatchError,
@@ -37,60 +34,52 @@ def chunk(nid, seq, offset=0):
     return ChunkNode(nid, "m", offset, list(seq), "exit")
 
 
-def tiny_gnn_params(rng, s, label_dim, iterations):
+def tiny_gnn_params(rng, s, label_dim):
     edge_dim = 2 * label_dim + 10
-    return GnnParams(
-        w1=rng.normal(0, 0.2, (edge_dim, s * s)),
-        b1=rng.normal(0, 0.2, s * s),
-        w2=rng.normal(0, 0.2, (label_dim, s)),
-        b2=rng.normal(0, 0.2, s),
-        gate_w=rng.normal(0, 0.2, (s, s)),
-        gate_b=rng.normal(0, 0.2, s),
-        iterations=iterations,
-    )
+    return {
+        "gnn.w1": rng.normal(0, 0.2, (edge_dim, s * s)),
+        "gnn.b1": rng.normal(0, 0.2, s * s),
+        "gnn.w2": rng.normal(0, 0.2, (label_dim, s)),
+        "gnn.b2": rng.normal(0, 0.2, s),
+        "gnn.gate_w": rng.normal(0, 0.2, (s, s)),
+        "gnn.gate_b": rng.normal(0, 0.2, s),
+    }
 
 
 def tiny_lstm_params(rng, units, embed_dim, layers):
-    layer_list = []
+    p = {}
     for i in range(layers):
         d = embed_dim if i == 0 else 2 * units
-        layer_list.append(
-            {
-                direction: (
-                    rng.normal(0, 0.3, (d, 4 * units)),
-                    rng.normal(0, 0.3, (units, 4 * units)),
-                    rng.normal(0, 0.3, 4 * units),
-                )
-                for direction in ("fwd", "bwd")
-            }
-        )
-    return BiLstmParams(
-        embedding=rng.normal(0, 0.3, (256, embed_dim)),
-        layers=layer_list,
-        out3_w=rng.normal(0, 0.3, (2 * units, 64)),
-        out3_b=rng.normal(0, 0.3, 64),
-        out4_w=rng.normal(0, 0.3, (64, 32)),
-        out4_b=rng.normal(0, 0.3, 32),
-    )
+        for direction in ("fwd", "bwd"):
+            p[f"lstm.l{i}.{direction}.wx"] = rng.normal(0, 0.3, (d, 4 * units))
+            p[f"lstm.l{i}.{direction}.wh"] = rng.normal(0, 0.3, (units, 4 * units))
+            p[f"lstm.l{i}.{direction}.b"] = rng.normal(0, 0.3, 4 * units)
+    p["lstm.embedding"] = rng.normal(0, 0.3, (256, embed_dim))
+    p["lstm.out3_w"] = rng.normal(0, 0.3, (2 * units, 64))
+    p["lstm.out3_b"] = rng.normal(0, 0.3, 64)
+    p["lstm.out4_w"] = rng.normal(0, 0.3, (64, 32))
+    p["lstm.out4_b"] = rng.normal(0, 0.3, 32)
+    return p
 
 
 def constants(params):
-    return {name: tape.constant(arr) for name, arr in params.named()}
+    return {name: tape.constant(arr) for name, arr in params.items()}
 
 
-def gnn_forward(graph, params, seed=0, init_state=None):
+def gnn_forward(graph, params, iterations, seed=0, init_state=None):
     """Graph vector of size state_dim: gnn_batch_var on constant parameters
     as a batch of one, initial node states from seed unless given."""
-    arrays = graph_arrays(graph, params.label_dim)
+    label_dim, state_dim = params["gnn.w2"].shape
+    arrays = graph_arrays(graph, label_dim)
     if init_state is None:
-        [init_state] = draw_init_states([arrays], [seed], params.state_dim)
-    return gnn_batch_var([arrays], [init_state], constants(params), params).value[0]
+        [init_state] = draw_init_states([arrays], [seed], state_dim)
+    return gnn_batch_var([arrays], [init_state], constants(params), iterations).value[0]
 
 
-def bilstm_forward(matrix, params):
+def bilstm_forward(matrix, params, layers):
     """App vector of size 32: bilstm_batch_var on constant parameters as a
     batch of one."""
-    return bilstm_batch_var([matrix], constants(params), params).value[0]
+    return bilstm_batch_var([matrix], constants(params), layers).value[0]
 
 
 def classify(h_g, h_b, params):
@@ -104,11 +93,11 @@ def classify(h_g, h_b, params):
 
 def test_gnn_zero_weights_zero_output():
     g = graph_of([chunk(0, [14])], [], label_dim=3)
-    p = GnnParams(
-        w1=np.zeros((16, 4)), b1=np.zeros(4), w2=np.zeros((3, 2)), b2=np.zeros(2),
-        gate_w=np.zeros((2, 2)), gate_b=np.zeros(2), iterations=4,
-    )
-    out = gnn_forward(g, p, seed=1)
+    p = {
+        "gnn.w1": np.zeros((16, 4)), "gnn.b1": np.zeros(4), "gnn.w2": np.zeros((3, 2)),
+        "gnn.b2": np.zeros(2), "gnn.gate_w": np.zeros((2, 2)), "gnn.gate_b": np.zeros(2),
+    }
+    out = gnn_forward(g, p, 4, seed=1)
     assert out == pytest.approx(np.zeros(2))
 
 
@@ -120,8 +109,8 @@ def test_gnn_two_node_hand_unrolled():
         label_dim=3,
     )
     rng = np.random.default_rng(9)
-    p = tiny_gnn_params(rng, s=2, label_dim=3, iterations=2)
-    got = gnn_forward(g, p, seed=42)
+    p = tiny_gnn_params(rng, s=2, label_dim=3)
+    got = gnn_forward(g, p, 2, seed=42)
 
     # independent straight-line evaluation of the single update and readout
     l0 = np.array([10, 20, 30]) / 255.0
@@ -129,21 +118,23 @@ def test_gnn_two_node_hand_unrolled():
     e_ct = np.zeros(10); e_ct[0] = 1.0
     e_bct = np.zeros(10); e_bct[5] = 1.0
     H = np.random.default_rng(42).uniform(-0.1, 0.1, (2, 2))
-    a01 = (np.concatenate([l0, e_ct, l1]) @ p.w1 + p.b1).reshape(2, 2)
-    a10 = (np.concatenate([l1, e_bct, l0]) @ p.w1 + p.b1).reshape(2, 2)
-    h1 = np.tanh(a01 @ H[0] + l1 @ p.w2 + p.b2)
-    h0 = np.tanh(a10 @ H[1] + l0 @ p.w2 + p.b2)
+    w1, b1, w2, b2 = p["gnn.w1"], p["gnn.b1"], p["gnn.w2"], p["gnn.b2"]
+    gate_w, gate_b = p["gnn.gate_w"], p["gnn.gate_b"]
+    a01 = (np.concatenate([l0, e_ct, l1]) @ w1 + b1).reshape(2, 2)
+    a10 = (np.concatenate([l1, e_bct, l0]) @ w1 + b1).reshape(2, 2)
+    h1 = np.tanh(a01 @ H[0] + l1 @ w2 + b2)
+    h0 = np.tanh(a10 @ H[1] + l0 @ w2 + b2)
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
     expected = np.tanh(
-        sig(h0 @ p.gate_w + p.gate_b) * h0 + sig(h1 @ p.gate_w + p.gate_b) * h1
+        sig(h0 @ gate_w + gate_b) * h0 + sig(h1 @ gate_w + gate_b) * h1
     )
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_gnn_relabeled_ids_same_output():
     rng = np.random.default_rng(11)
-    p = tiny_gnn_params(rng, s=3, label_dim=2, iterations=4)
+    p = tiny_gnn_params(rng, s=3, label_dim=2)
     g1 = graph_of(
         [chunk(0, [1, 2]), chunk(1, [3]), chunk(2, [4, 5])],
         [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct"), FlowEdge(1, 2, "nb"), FlowEdge(2, 1, "bnb")],
@@ -155,65 +146,62 @@ def test_gnn_relabeled_ids_same_output():
         [FlowEdge(relabel[e.source], relabel[e.target], e.type) for e in g1.edges],
         label_dim=2,
     )
-    assert gnn_forward(g1, p, seed=5) == pytest.approx(gnn_forward(g2, p, seed=5), abs=1e-15)
+    assert gnn_forward(g1, p, 4, seed=5) == pytest.approx(gnn_forward(g2, p, 4, seed=5), abs=1e-15)
 
 
 def test_gnn_reordered_nodes_same_output_given_states():
     rng = np.random.default_rng(12)
-    p = tiny_gnn_params(rng, s=3, label_dim=2, iterations=5)
+    p = tiny_gnn_params(rng, s=3, label_dim=2)
     nodes = [chunk(0, [1, 2]), chunk(1, [3]), chunk(2, [4, 5])]
     edges = [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct"), FlowEdge(1, 2, "is"), FlowEdge(2, 1, "bis")]
     init = np.random.default_rng(1).uniform(-0.1, 0.1, (3, 3))
     g1 = graph_of(nodes, edges, 2)
     perm = [2, 0, 1]
     g2 = AbstractFlowGraph([nodes[i] for i in perm], sort_edges(edges), 2)
-    out1 = gnn_forward(g1, p, init_state=init)
-    out2 = gnn_forward(g2, p, init_state=init[perm])
+    out1 = gnn_forward(g1, p, 5, init_state=init)
+    out2 = gnn_forward(g2, p, 5, init_state=init[perm])
     assert out1 == pytest.approx(out2, abs=1e-12)
 
 
 def test_gnn_empty_graph_zero_vector():
-    p = tiny_gnn_params(np.random.default_rng(0), s=4, label_dim=2, iterations=3)
+    p = tiny_gnn_params(np.random.default_rng(0), s=4, label_dim=2)
     g = graph_of([], [], 2)
-    assert gnn_forward(g, p) == pytest.approx(np.zeros(4))
+    assert gnn_forward(g, p, 3) == pytest.approx(np.zeros(4))
 
 
 def test_gnn_deterministic_trajectory():
     rng = np.random.default_rng(13)
-    p = tiny_gnn_params(rng, s=3, label_dim=2, iterations=6)
+    p = tiny_gnn_params(rng, s=3, label_dim=2)
     g = graph_of([chunk(0, [1]), chunk(1, [2])], [FlowEdge(0, 1, "ic"), FlowEdge(1, 0, "bic")], 2)
-    assert (gnn_forward(g, p, seed=8) == gnn_forward(g, p, seed=8)).all()
+    assert (gnn_forward(g, p, 6, seed=8) == gnn_forward(g, p, 6, seed=8)).all()
 
 
 def test_gnn_label_dim_mismatch():
-    p = tiny_gnn_params(np.random.default_rng(0), s=2, label_dim=5, iterations=3)
+    p = tiny_gnn_params(np.random.default_rng(0), s=2, label_dim=5)
     g = graph_of([chunk(0, [1])], [], label_dim=3)
     with pytest.raises(ModelMismatchError):
-        gnn_forward(g, p)
+        gnn_forward(g, p, 3)
 
 
 # --- sequence branch ----------------------------------------------------------
 
 def test_bilstm_zero_weights_zero_output():
-    p = BiLstmParams(
-        embedding=np.zeros((256, 4)),
-        layers=[{
-            "fwd": (np.zeros((4, 8)), np.zeros((2, 8)), np.zeros(8)),
-            "bwd": (np.zeros((4, 8)), np.zeros((2, 8)), np.zeros(8)),
-        }],
-        out3_w=np.zeros((4, 64)), out3_b=np.zeros(64),
-        out4_w=np.zeros((64, 32)), out4_b=np.zeros(32),
-    )
+    p = {"lstm.embedding": np.zeros((256, 4)),
+         "lstm.out3_w": np.zeros((4, 64)), "lstm.out3_b": np.zeros(64),
+         "lstm.out4_w": np.zeros((64, 32)), "lstm.out4_b": np.zeros(32)}
+    for d in ("fwd", "bwd"):
+        p.update({f"lstm.l0.{d}.wx": np.zeros((4, 8)), f"lstm.l0.{d}.wh": np.zeros((2, 8)),
+                  f"lstm.l0.{d}.b": np.zeros(8)})
     m = SequenceMatrix(np.array([[1, 2, 3]]), 3)
-    assert bilstm_forward(m, p) == pytest.approx(np.zeros(32))
+    assert bilstm_forward(m, p, 1) == pytest.approx(np.zeros(32))
 
 
 def test_bilstm_mean_idempotent_on_identical_rows():
     rng = np.random.default_rng(21)
     p = tiny_lstm_params(rng, units=3, embed_dim=4, layers=2)
     row = [5, 9, 250, 0]
-    single = bilstm_forward(SequenceMatrix(np.array([row]), 4), p)
-    double = bilstm_forward(SequenceMatrix(np.array([row, row]), 4), p)
+    single = bilstm_forward(SequenceMatrix(np.array([row]), 4), p, 2)
+    double = bilstm_forward(SequenceMatrix(np.array([row, row]), 4), p, 2)
     assert single == pytest.approx(double, abs=1e-12)
 
 
@@ -222,19 +210,19 @@ def test_bilstm_hand_recurrence_transcript():
     units, embed_dim, row_len = 2, 3, 3
     p = tiny_lstm_params(rng, units=units, embed_dim=embed_dim, layers=1)
     row = np.array([3, 7, 200])
-    got = bilstm_forward(SequenceMatrix(row[None, :], row_len), p)
+    got = bilstm_forward(SequenceMatrix(row[None, :], row_len), p, 1)
 
     # scalar-level recurrence, written out step by step
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
 
     def run(direction, order):
-        wx, wh, b = p.layers[0][direction]
+        wx, wh, b = (p[f"lstm.l0.{direction}.{k}"] for k in ("wx", "wh", "b"))
         h = np.zeros(units)
         c = np.zeros(units)
         out = {}
         for t in order:
-            x = p.embedding[row[t]]
+            x = p["lstm.embedding"][row[t]]
             z = x @ wx + h @ wh + b
             i, f, g, o = z[0:2], z[2:4], z[4:6], z[6:8]
             c = sig(f) * c + sig(i) * np.tanh(g)
@@ -246,19 +234,19 @@ def test_bilstm_hand_recurrence_transcript():
     bwd = run("bwd", [2, 1, 0])
     per_step = [np.concatenate([fwd[t], bwd[t]]) for t in range(3)]
     pooled = sum(per_step) / 3.0
-    expected = (pooled @ p.out3_w + p.out3_b) @ p.out4_w + p.out4_b
+    expected = (pooled @ p["lstm.out3_w"] + p["lstm.out3_b"]) @ p["lstm.out4_w"] + p["lstm.out4_b"]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_bilstm_zero_rows_zero_vector():
     p = tiny_lstm_params(np.random.default_rng(23), units=3, embed_dim=4, layers=1)
-    assert bilstm_forward(SequenceMatrix.empty(4), p) == pytest.approx(np.zeros(32))
+    assert bilstm_forward(SequenceMatrix.empty(4), p, 1) == pytest.approx(np.zeros(32))
 
 
 # --- fusion and scoring ---------------------------------------------------------
 
 def test_classify_zero_weights():
-    p = FusionParams(w=np.zeros((6, 2)), b=np.zeros(2))
+    p = {"fusion.w": np.zeros((6, 2)), "fusion.b": np.zeros(2)}
     probs = classify(np.zeros(3), np.zeros(3), p)
     assert probs == pytest.approx([0.5, 0.5])
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -267,15 +255,15 @@ def test_classify_zero_weights():
 def test_classify_shift_invariance():
     rng = np.random.default_rng(31)
     w = rng.normal(size=(6, 2))
-    p1 = FusionParams(w=w, b=np.array([0.3, -1.2]))
-    p2 = FusionParams(w=w, b=np.array([0.3 + 5.0, -1.2 + 5.0]))
+    p1 = {"fusion.w": w, "fusion.b": np.array([0.3, -1.2])}
+    p2 = {"fusion.w": w, "fusion.b": np.array([0.3 + 5.0, -1.2 + 5.0])}
     h = rng.normal(size=3), rng.normal(size=3)
     assert classify(*h, p1) == pytest.approx(classify(*h, p2), abs=1e-12)
 
 
 def test_classify_known_logits():
     # fc arranged so logits come out as (2, 0)
-    p = FusionParams(w=np.zeros((2, 2)), b=np.array([2.0, 0.0]))
+    p = {"fusion.w": np.zeros((2, 2)), "fusion.b": np.array([2.0, 0.0])}
     probs = classify(np.array([0.0]), np.array([0.0]), p)
     expected = np.array([math.exp(2), 1.0]) / (math.exp(2) + 1.0)
     assert probs == pytest.approx(expected, abs=1e-12)
@@ -285,7 +273,7 @@ def test_classify_known_logits():
 def test_classify_sums_to_one_on_random_inputs():
     rng = np.random.default_rng(32)
     for _ in range(50):
-        p = FusionParams(w=rng.normal(scale=3.0, size=(6, 2)), b=rng.normal(size=2))
+        p = {"fusion.w": rng.normal(scale=3.0, size=(6, 2)), "fusion.b": rng.normal(size=2)}
         probs = classify(rng.normal(size=3), rng.normal(size=3), p)
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert (probs >= 0).all()
@@ -295,8 +283,8 @@ def test_predict_reports_argmax_probability():
     hp = Hyperparams(seq_len=4, hidden_layers=1, lstm_units=3, label_dim=2,
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
-    model.fusion.w[...] = 0.0
-    model.fusion.b[...] = np.array([math.log(9.0), 0.0])  # softmax -> (0.9, 0.1)
+    model.weights["fusion.w"][...] = 0.0
+    model.weights["fusion.b"][...] = np.array([math.log(9.0), 0.0])  # softmax -> (0.9, 0.1)
     probs = probabilities((graph_of([], [], 2), SequenceMatrix.empty(4)), model)
     assert np.argmax(probs) == 0
     assert probs[0] == pytest.approx(0.9)
@@ -307,8 +295,8 @@ def test_predict_tie_break_and_degenerate_inputs():
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
     # zero fusion weights force (0.5, 0.5): tie goes to label 0
-    model.fusion.w[...] = 0.0
-    model.fusion.b[...] = 0.0
+    model.weights["fusion.w"][...] = 0.0
+    model.weights["fusion.b"][...] = 0.0
     g = graph_of([], [], 2)
     probs = probabilities((g, SequenceMatrix.empty(4)), model)
     assert np.argmax(probs) == 0
@@ -363,7 +351,7 @@ def test_train_zero_learning_rate_keeps_params():
     result = train(data, TOY_HP.replace(epochs=2), TrainConfig(learning_rate=0.0, seed=3),
                    state_dim=4)
     fresh = init_model(TOY_HP, seed=(3, 0x11), state_dim=4)
-    for (n1, a1), (n2, a2) in zip(result.params.named(), fresh.named()):
+    for (n1, a1), (n2, a2) in zip(result.params.weights.items(), fresh.weights.items()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
 
@@ -372,7 +360,7 @@ def test_train_deterministic():
     data = toy_dataset()
     r1 = train(data, TOY_HP.replace(epochs=3), TrainConfig(seed=9), state_dim=4)
     r2 = train(data, TOY_HP.replace(epochs=3), TrainConfig(seed=9), state_dim=4)
-    for (n1, a1), (n2, a2) in zip(r1.params.named(), r2.params.named()):
+    for (n1, a1), (n2, a2) in zip(r1.params.weights.items(), r2.params.weights.items()):
         assert n1 == n2 and np.array_equal(a1, a2)
     assert r1.epoch_losses == r2.epoch_losses
 
@@ -385,7 +373,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(result.params, path)
     loaded = load_model(path)
-    for (n1, a1), (n2, a2) in zip(result.params.named(), loaded.named()):
+    for (n1, a1), (n2, a2) in zip(result.params.weights.items(), loaded.weights.items()):
         assert n1 == n2 and np.array_equal(a1, a2)
     assert loaded.hyper == result.params.hyper
 

@@ -8,7 +8,7 @@ import pytest
 import nn_reference as ref
 from droidflow.appmodel import app_from_ir
 from droidflow.flowgraph import FlowEdge
-from droidflow.nn import Hyperparams, TrainConfig, grad_check, init_model, tape, train
+from droidflow.nn import Hyperparams, TrainConfig, init_model, tape, train
 from droidflow.nn.model import (
     bilstm_batch_var,
     gnn_batch_var,
@@ -20,6 +20,7 @@ from droidflow.nn.model import (
 from droidflow.pipeline import PipelineConfig, extract_app
 from droidflow.traces import SequenceMatrix
 
+from gradcheck import grad_check
 from synthcorpus import generate_corpus
 from test_gradcheck import gnn_toy_graph
 from test_nn import chunk, graph_of
@@ -86,8 +87,8 @@ def test_batch_matches_per_sample_reference(iterations):
         np.random.default_rng((seed, idx)).uniform(-0.1, 0.1, (len(a.labels), 4))
         for (idx, _), a in zip(samples, graphs)
     ]
-    hg = gnn_batch_var(graphs, init_states, pv, model.gnn)
-    hb = bilstm_batch_var([m for _, (_, m, _) in samples], pv, model.lstm)
+    hg = gnn_batch_var(graphs, init_states, pv, hp.iterations)
+    hb = bilstm_batch_var([m for _, (_, m, _) in samples], pv, hp.hidden_layers)
     lv = loss_var(logits_var(hg, hb, pv), [label for _, (_, _, label) in samples])
     tape.backward(lv)
 
@@ -117,5 +118,5 @@ def test_training_run_matches_per_sample_trainer():
     got = train(dataset, hp, tc, state_dim=8)
     want = ref.train(dataset, hp, tc, state_dim=8)
     assert np.abs(np.subtract(got.epoch_losses, want.epoch_losses)).max() <= 1e-12
-    for (name, a), (_, b) in zip(got.params.named(), want.params.named()):
+    for (name, a), (_, b) in zip(got.params.weights.items(), want.params.weights.items()):
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from droidflow.nn import tape
-from droidflow.nn.gradcheck import grad_check
+
+from gradcheck import grad_check
 
 
 def scalar(v):

@@ -209,6 +209,17 @@ def test_name_list_skips_indented_comments(tmp_path):
     assert load_name_list(path) == ("a", "b")
 
 
+def test_configured_lifecycle_table_of_comments_only_gives_no_entry_points(tmp_path):
+    from test_callgraph import fx_linear
+
+    (tmp_path / "lifecycle.txt").write_text("# no lifecycle methods\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lifecycle": "lifecycle.txt"}))
+    config = PipelineConfig.from_json(path)
+    result = extract_app(fx_linear(), CriticalApiSet.of([SHORT_SMS]), config)
+    assert result.report["entry_points"] == 0
+
+
 def test_default_entry_point_tables_are_the_packaged_files_parsed_once():
     from droidflow.tables import (
         data_file, default_callbacks, default_intent_senders, default_lifecycle,

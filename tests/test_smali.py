@@ -1,7 +1,9 @@
 import pytest
 
 from droidflow.dalvik import MNEMONIC_TO_CODE, UnknownOpcodeError
-from droidflow.smali import SmaliSyntaxError, format_class, parse_smali_class
+from droidflow.smali import SmaliSyntaxError, parse_smali_class
+
+from smali_reference import format_class
 
 MINIMAL = """\
 .class Lcom/example/Main;
