@@ -7,11 +7,9 @@ JSON fixture format (same fields, no smali text involved).
 import json
 import zipfile
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
 
-from .dalvik import Opcode, opcode_from_mnemonic
+from .dalvik import CODE_WIDTH, INVOKE_CODES, code_of
 
 COMPONENT_CATEGORIES = ("activity", "service", "receiver", "provider")
 
@@ -25,15 +23,14 @@ class MalformedIrError(ValueError):
     entry has the wrong shape (a number where an object belongs, say)."""
 
 
-class Instruction(NamedTuple):
-    offset: int
-    opcode: Opcode
-    operands: tuple
-    invoked_method: str | None = None
-
-
 @dataclass
 class MethodDef:
+    """A method and its body. Each body row is a plain tuple
+    (offset, code, operands, invoked): the offset in code units, the int
+    opcode value, the operand strings as a tuple, and the invoked method's
+    signature for an invoke (None otherwise). smali.parse_smali_class and
+    app_from_ir build the rows directly."""
+
     owner: str
     name: str
     descriptor: str
@@ -110,9 +107,7 @@ class AppModel:
             yield from self.classes[name].methods
 
     def get_method(self, method_id: str):
-        owner, _, rest = method_id.partition("->")
-        name, _, descriptor = rest.partition("(")
-        return self.lookup_method(owner, name, "(" + descriptor)
+        return self.lookup_method(*split_signature(method_id))
 
 
 def split_signature(signature: str):
@@ -120,14 +115,6 @@ def split_signature(signature: str):
     owner, _, rest = signature.partition("->")
     name, _, descriptor = rest.partition("(")
     return owner, name, "(" + descriptor
-
-
-def instructions(rows) -> list:
-    """One Instruction per (offset, opcode, operands, invoked) row: the one
-    place either front end builds them. Each front end offsets its rows by
-    code-unit width as it reads them. tuple.__new__ bypasses only the
-    generated constructor, which fills defaults a complete row never needs."""
-    return list(map(tuple.__new__, repeat(Instruction), rows))
 
 
 # JSON fixture format: a dict mirroring AppModel field-for-field. Offsets are
@@ -155,14 +142,14 @@ def _app_from_ir(data: dict) -> AppModel:
             # this loop is the hot path of loading an IR app.
             try:
                 for ins in md.get("body", []):
-                    opcode = opcode_from_mnemonic(ins["mnemonic"])
+                    code = code_of(ins["mnemonic"])
                     invoked = ins.get("invoked_method")
-                    if opcode.is_invoke and invoked is None:
+                    if code in INVOKE_CODES and invoked is None:
                         raise ValueError(
                             f"invoke without invoked_method in {class_name}.{method_name}"
                         )
-                    rows.append((offset, opcode, tuple(ins.get("operands", ())), invoked))
-                    offset += opcode.width
+                    rows.append((offset, code, tuple(ins.get("operands", ())), invoked))
+                    offset += CODE_WIDTH[code]
             except KeyError:
                 raise MalformedIrError(
                     f"instruction of {class_name}.{method_name} without 'mnemonic'"
@@ -173,7 +160,7 @@ def _app_from_ir(data: dict) -> AppModel:
                     name=method_name,
                     descriptor=_required(md, "descriptor", f"method {class_name}.{method_name}"),
                     flags=frozenset(md.get("flags", ())),
-                    body=instructions(rows),
+                    body=rows,
                     is_user_defined=md.get("is_user_defined", True),
                 )
             )
@@ -221,17 +208,12 @@ def _required(entry: dict, key: str, what: str):
 def _check_links(app: AppModel):
     """Record a diagnostic for every unresolvable user-defined call target."""
     for method in app.methods():
-        for ins in method.body:
-            if ins.invoked_method is None:
+        for _, _, _, invoked in method.body:
+            if invoked is None:
                 continue
-            owner, name, descriptor = split_signature(ins.invoked_method)
+            owner, name, descriptor = split_signature(invoked)
             if app.is_user_defined(owner) and app.lookup_method(owner, name, descriptor) is None:
-                app.diagnostics.append(
-                    f"unresolved call {ins.invoked_method} from {method.method_id}"
-                )
-    for comp in app.components:
-        if not app.is_user_defined(comp.path_name):
-            app.diagnostics.append(f"declared-missing component class {comp.path_name}")
+                app.diagnostics.append(f"unresolved call {invoked} from {method.method_id}")
 
 
 def load_app(root) -> AppModel:

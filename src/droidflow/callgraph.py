@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 from .appmodel import AppModel, split_signature
+from .dalvik import CODE_TO_MNEMONIC, MNEMONIC_TO_CODE
 from .icc import invoked_name, receiver_entry_method, resolve_intent_targets
 from .tables import default_callbacks, default_intent_senders, default_lifecycle
 
 _REGISTER_RE = re.compile(r"^(set\w*Listener|register\w+)$")
+# Instructions naming a class that a later register call may pass as a listener.
+_CLASS_REF_CODES = (MNEMONIC_TO_CODE["new-instance"], MNEMONIC_TO_CODE["const-class"])
 
 
 class CyclicHierarchyError(ValueError):
@@ -193,12 +196,12 @@ def generate_call_graph(
     for mid in sorted(methods_by_id):
         method = methods_by_id[mid]
         sites, callees, listeners = [], {}, set()
-        for idx, (offset, opcode, operands, invoked) in enumerate(method.body):
-            if opcode.mnemonic in ("new-instance", "const-class"):
+        for idx, (offset, code, operands, invoked) in enumerate(method.body):
+            if code in _CLASS_REF_CODES:
                 listeners.update(op for op in operands if app.is_user_defined(op))
             if invoked is None:
                 continue
-            targets = resolve(opcode.mnemonic, invoked)
+            targets = resolve(CODE_TO_MNEMONIC[code], invoked)
             if targets:
                 sites.append((offset, targets))
                 callees.update(dict.fromkeys(targets))

@@ -104,14 +104,14 @@ def chunk_methods(app, intent_senders=None):
     for method in methods:
         body = method.body
         codes, start = [], 0
-        for idx, (offset, opcode, _, invoked) in enumerate(body):
-            codes.append(opcode.code)
+        for idx, (offset, code, _, invoked) in enumerate(body):
+            codes.append(code)
             if invoked is not None and is_chunk_boundary(app, invoked, senders):
                 chunks.append(
                     ChunkNode(
                         id=len(chunks),
                         method=method.method_id,
-                        offset=body[start].offset,
+                        offset=body[start][0],
                         opcode_seq=codes,
                         invoke_mtd=invoked,
                         end_offset=offset,
@@ -124,10 +124,10 @@ def chunk_methods(app, intent_senders=None):
                 ChunkNode(
                     id=len(chunks),
                     method=method.method_id,
-                    offset=body[start].offset,
+                    offset=body[start][0],
                     opcode_seq=codes,
                     invoke_mtd=EXIT,
-                    end_offset=body[-1].offset,
+                    end_offset=body[-1][0],
                 )
             )
     return chunks

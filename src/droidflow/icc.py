@@ -42,7 +42,7 @@ def resolve_intent_targets(app, method, send_index, senders) -> tuple:
     body = method.body
     start = 0
     for i in range(send_index - 1, -1, -1):
-        invoked = body[i].invoked_method
+        _, _, _, invoked = body[i]
         if invoked is not None and is_chunk_boundary(app, invoked, senders):
             start = i + 1
             break

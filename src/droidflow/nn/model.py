@@ -53,6 +53,10 @@ class Hyperparams:
     epochs: int = 25
     batch_size: int = 16
 
+    def __post_init__(self):
+        if self.hidden_layers < 1:
+            raise ValueError("hidden_layers must be >= 1")
+
     def replace(self, **kw) -> "Hyperparams":
         from dataclasses import replace as _replace
 
@@ -371,7 +375,7 @@ def _template(header: dict) -> ModelParams:
         state_dim, embed_dim = header["state_dim"], header["embed_dim"]
     except KeyError as exc:
         raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
-    except TypeError as exc:   # hyperparams not an object, or an unknown name in it
+    except (TypeError, ValueError) as exc:   # not an object, an unknown name, a bad value
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
     sizes = {"state_dim": state_dim, "embed_dim": embed_dim, **asdict(hp)}
     for key, value in sizes.items():

@@ -81,13 +81,21 @@ class PipelineConfig:
             return p
 
         caps = data.get("caps", {})
+        unknown = set(caps) - {"max_depth", "max_traces_per_entry"}
+        if unknown:
+            raise ConfigError(f"unknown caps keys: {sorted(unknown)}")
+        try:
+            hyper = Hyperparams(**data.get("hyperparams", {}))
+            train = TrainConfig(**data.get("train", {}))
+        except (TypeError, ValueError) as exc:   # an unknown name, a bad value
+            raise ConfigError(f"bad hyperparams or train config: {exc}") from None
         return cls(
             critical_apis_path=resolve("critical_apis"),
             lifecycle_path=resolve("lifecycle"),
             callbacks_path=resolve("callbacks"),
             intent_senders_path=resolve("intent_senders"),
-            hyper=Hyperparams(**data.get("hyperparams", {})),
-            train=TrainConfig(**data.get("train", {})),
+            hyper=hyper,
+            train=train,
             max_depth=caps.get("max_depth", DEFAULT_MAX_DEPTH),
             max_traces_per_entry=caps.get("max_traces_per_entry", DEFAULT_MAX_TRACES_PER_ENTRY),
             opcode_budget=data.get("opcode_budget", DEFAULT_OPCODE_BUDGET),

@@ -9,8 +9,8 @@ all the downstream analyses consume.
 
 import re
 
-from .appmodel import ClassDef, MethodDef, instructions
-from .dalvik import OPCODES, opcode_from_mnemonic
+from .appmodel import ClassDef, MethodDef
+from .dalvik import CODE_WIDTH, INVOKE_CODES, code_of
 
 _CLASS_RE = re.compile(r"^\.class(?:\s+([\w $-]+?))?\s+(L[^\s;]+;)$")
 _SUPER_RE = re.compile(r"^\.super\s+(L[^\s;]+;)$")
@@ -96,7 +96,7 @@ def parse_smali_class(text: str) -> ClassDef:
     interfaces = []
     methods = []
     method_head = None   # (flags, name, descriptor)
-    rows = None          # (offset, opcode, operands, invoked) of the open method
+    rows = None          # body rows of the open method (see MethodDef)
     offset = 0
     skip_until = None
 
@@ -110,16 +110,15 @@ def parse_smali_class(text: str) -> ClassDef:
             if rows is None:
                 raise SmaliSyntaxError(f"instruction outside a method: {line}", lineno)
             mnemonic, _, operand_text = line.partition(" ")
-            # A miss falls through to opcode_from_mnemonic, which raises.
-            opcode = OPCODES.get(mnemonic) or opcode_from_mnemonic(mnemonic)
+            code = code_of(mnemonic)
             operands = _split_operands(operand_text)
             invoked = None
-            if opcode.is_invoke:
+            if code in INVOKE_CODES:
                 if not (operands and _INVOKE_TARGET_RE.search(operands[-1])):
                     raise SmaliSyntaxError(f"invoke without a method reference: {line}", lineno)
                 invoked = operands[-1]
-            rows.append((offset, opcode, operands, invoked))
-            offset += opcode.width
+            rows.append((offset, code, operands, invoked))
+            offset += CODE_WIDTH[code]
             continue
         if lead == "#":
             continue
@@ -186,7 +185,7 @@ def parse_smali_class(text: str) -> ClassDef:
                 name=mname,
                 descriptor=descriptor,
                 flags=flags,
-                body=[] if flags & abstract_flags else instructions(body),
+                body=[] if flags & abstract_flags else body,
             )
         )
     seen = set()

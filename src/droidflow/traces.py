@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .callgraph import reaching
+from .dalvik import INVOKE_CODES
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TRACES_PER_ENTRY = 256
@@ -139,9 +140,9 @@ def _critical_sites(cg, critical_set):
         if method is None:
             continue
         found = tuple(
-            (ins.offset, ins.invoked_method)
-            for ins in method.body
-            if ins.invoked_method in critical_set
+            (offset, invoked)
+            for offset, _, _, invoked in method.body
+            if invoked in critical_set
         )
         if found:
             sites[mid] = found
@@ -168,10 +169,10 @@ def extract_opcodes(trace: CallTrace, app):
         if method is None:
             raise BrokenTraceError(f"method {mid} not in app")
         last = i == len(stops) - 1
-        for ins in method.body:
-            seq.append(ins.opcode.code)
-            if ins.offset == stop:
-                if not last and not ins.opcode.is_invoke:
+        for offset, code, _, _ in method.body:
+            seq.append(code)
+            if offset == stop:
+                if not last and code not in INVOKE_CODES:
                     raise BrokenTraceError(
                         f"trace hop at {mid} offset {stop} is not an invoke"
                     )

@@ -1,16 +1,16 @@
 """Reference for the smali instruction path.
 
 The parser below walks every operand string one character at a time,
-collects (opcode, operands, invoked) triples per method and offsets them in
-a second pass, exactly as droidflow did before its front end was made fast.
+collects (code, operands, invoked) triples per method and offsets them into
+body rows in a second pass, exactly as droidflow did before its front end was made fast.
 Directive handling shares droidflow.smali's tables and regexes. Tests
 compare droidflow.smali.parse_smali_class against it; droidflow itself does
 not use it. format_class prints a ClassDef back as smali text for the
 parser's round-trip test.
 """
 
-from droidflow.appmodel import ClassDef, Instruction, MethodDef
-from droidflow.dalvik import opcode_from_mnemonic
+from droidflow.appmodel import ClassDef, MethodDef
+from droidflow.dalvik import CODE_TO_MNEMONIC, CODE_WIDTH, INVOKE_CODES, code_of
 from droidflow.smali import (
     _CLASS_RE,
     _IMPLEMENTS_RE,
@@ -45,12 +45,13 @@ def split_operands(text: str):
 
 
 def assign_offsets(instructions):
-    """Re-offset a sequence of (opcode, operands, invoked) by code-unit width."""
+    """Body rows of a sequence of (code, operands, invoked), offset by
+    code-unit width."""
     out = []
     offset = 0
-    for opcode, operands, invoked in instructions:
-        out.append(Instruction(offset, opcode, tuple(operands), invoked))
-        offset += opcode.width
+    for code, operands, invoked in instructions:
+        out.append((offset, code, tuple(operands), invoked))
+        offset += CODE_WIDTH[code]
     return out
 
 
@@ -60,7 +61,7 @@ def parse_smali_class(text: str) -> ClassDef:
     interfaces = []
     methods = []
     method_head = None   # (flags, name, descriptor)
-    raw_body = None      # (opcode, operands, invoked) triples
+    raw_body = None      # (code, operands, invoked) triples
     skip_until = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -122,15 +123,15 @@ def parse_smali_class(text: str) -> ClassDef:
         if method_head is None:
             raise SmaliSyntaxError(f"instruction outside a method: {line}", lineno)
         mnemonic, _, operand_text = line.partition(" ")
-        opcode = opcode_from_mnemonic(mnemonic)
+        code = code_of(mnemonic)
         operands = split_operands(operand_text)
         invoked = None
-        if opcode.is_invoke:
+        if code in INVOKE_CODES:
             m = _INVOKE_TARGET_RE.search(operands[-1] if operands else "")
             if not m:
                 raise SmaliSyntaxError(f"invoke without a method reference: {line}", lineno)
             invoked = operands[-1]
-        raw_body.append((opcode, operands, invoked))
+        raw_body.append((code, operands, invoked))
 
     if name is None:
         raise SmaliSyntaxError("missing .class directive", 1)
@@ -170,10 +171,10 @@ def format_class(cd: ClassDef) -> str:
         head = f".method {flags} {method.name}{method.descriptor}" if flags else f".method {method.name}{method.descriptor}"
         lines.append("")
         lines.append(head)
-        for ins in method.body:
-            if ins.operands:
-                lines.append(f"    {ins.opcode.mnemonic} {', '.join(ins.operands)}")
+        for _, code, operands, _ in method.body:
+            if operands:
+                lines.append(f"    {CODE_TO_MNEMONIC[code]} {', '.join(operands)}")
             else:
-                lines.append(f"    {ins.opcode.mnemonic}")
+                lines.append(f"    {CODE_TO_MNEMONIC[code]}")
         lines.append(".end method")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 
 import pytest
@@ -107,14 +108,39 @@ def test_ir_fixture_round(tmp_path):
     app = app_from_ir(THREE_CLASS_IR)
     assert set(app.classes) == {"Lcom/x/Main;", "Lcom/x/Helper;", "Lcom/x/Unused;"}
     main = app.classes["Lcom/x/Main;"]
-    ins = main.methods[0].body[0]
-    assert ins.invoked_method == "Lcom/x/Helper;->go()V"
-    assert ins.offset == 0
-    assert main.methods[0].body[1].offset == 3  # invoke-direct spans 3 units
+    offset, _, _, invoked = main.methods[0].body[0]
+    assert invoked == "Lcom/x/Helper;->go()V"
+    assert offset == 0
+    assert main.methods[0].body[1][0] == 3  # invoke-direct spans 3 units
 
     root = write_app(tmp_path, ir=THREE_CLASS_IR)
     loaded = load_app(root)
     assert set(loaded.classes) == set(app.classes)
+
+
+def test_body_rows_are_plain_tuples_the_gc_stops_tracking(tmp_path):
+    helper = (".class Lcom/x/Helper;\n.super Ljava/lang/Object;\n.method go()V\n    nop\n"
+              "    const-string v0, \"a, b\"\n    invoke-static {v0}, Lcom/x/Helper;->go()V\n"
+              "    return-void\n.end method\n")
+    (tmp_path / "smali").mkdir()
+    (tmp_path / "ir").mkdir()
+    apps = [
+        load_app(write_app(tmp_path / "smali", manifest=MANIFEST,
+                           smali=dict(SMALI_CLASSES, **{"Helper.smali": helper}))),
+        load_app(write_app(tmp_path / "ir", ir=THREE_CLASS_IR)),
+    ]
+    for app in apps:
+        rows = [row for m in app.methods() for row in m.body]
+        assert len(rows) > 2
+        for row in rows:
+            assert type(row) is tuple and len(row) == 4
+            offset, code, operands, invoked = row
+            assert type(offset) is int and type(code) is int
+            assert type(operands) is tuple and all(type(op) is str for op in operands)
+            assert invoked is None or type(invoked) is str
+        gc.collect()
+        gc.collect()
+        assert not any(gc.is_tracked(row) for row in rows)
 
 
 @pytest.mark.parametrize("path, key", [

@@ -9,6 +9,7 @@ from droidflow.callgraph import (
     build_class_hierarchy,
     collect_entry_points,
 )
+from droidflow.dalvik import CODE_TO_MNEMONIC
 from droidflow.tables import default_callbacks, default_intent_senders, default_lifecycle
 from droidflow.traces import find_call_traces
 
@@ -44,10 +45,11 @@ def _ancestry(app, name):
 
 
 def _naive_targets(app, instruction):
-    if instruction.invoked_method is None:
+    _, code, _, invoked = instruction
+    if invoked is None:
         return set()
-    owner, name, desc = _sig_parts(instruction.invoked_method)
-    mnemonic = instruction.opcode.mnemonic
+    owner, name, desc = _sig_parts(invoked)
+    mnemonic = CODE_TO_MNEMONIC[code]
     found = set()
 
     def defined_in_chain(start):
@@ -109,18 +111,18 @@ def _naive_entries(app):
 def _naive_intent_targets(app, body, send_index):
     boundary = 0
     for i in range(send_index - 1, -1, -1):
-        prev = body[i]
-        if prev.invoked_method is None:
+        _, _, _, invoked = body[i]
+        if invoked is None:
             continue
-        owner = prev.invoked_method.partition("->")[0]
-        pname = prev.invoked_method.partition("->")[2].partition("(")[0]
+        owner = invoked.partition("->")[0]
+        pname = invoked.partition("->")[2].partition("(")[0]
         if owner in app.classes or pname in default_intent_senders():
             boundary = i + 1
             break
     comp_names = {c.path_name for c in app.components}
     explicit, actions = set(), set()
-    for instr in body[boundary : send_index + 1]:
-        for op in instr.operands:
+    for _, _, operands, _ in body[boundary : send_index + 1]:
+        for op in operands:
             if op in comp_names:
                 explicit.add(op)
             for s in re.findall(r'"([^"]*)"', op):
@@ -156,15 +158,15 @@ def oracle_call_graph(app):
         new = set()
         for mid in reach:
             body = methods[mid].body
-            for idx, instr in enumerate(body):
-                if instr.invoked_method is None:
+            for idx, (_, _, _, invoked) in enumerate(body):
+                if invoked is None:
                     continue
-                called = instr.invoked_method.partition("->")[2].partition("(")[0]
+                called = invoked.partition("->")[2].partition("(")[0]
                 if not re.match(r"^(set\w*Listener|register\w+)$", called):
                     continue
-                for prev in body[:idx]:
-                    if prev.opcode.mnemonic in ("new-instance", "const-class"):
-                        for op in prev.operands:
+                for _, prev_code, prev_operands, _ in body[:idx]:
+                    if CODE_TO_MNEMONIC[prev_code] in ("new-instance", "const-class"):
+                        for op in prev_operands:
                             if op in app.classes:
                                 for m in app.classes[op].methods:
                                     if m.name in default_callbacks():
@@ -177,10 +179,10 @@ def oracle_call_graph(app):
     icc = set()
     for mid in sorted(reach):
         body = methods[mid].body
-        for idx, instr in enumerate(body):
-            if instr.invoked_method is None:
+        for idx, (_, _, _, invoked) in enumerate(body):
+            if invoked is None:
                 continue
-            called = instr.invoked_method.partition("->")[2].partition("(")[0]
+            called = invoked.partition("->")[2].partition("(")[0]
             if called not in default_intent_senders():
                 continue
             for comp in _naive_intent_targets(app, body, idx):

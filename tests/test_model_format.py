@@ -237,6 +237,8 @@ def _set(key, value, hyperparam=False):
      "model header lstm_units must be a non-negative integer, not 4.0"),
     (_set("embed_dim", True), "model header embed_dim must be a non-negative integer, not True"),
     (_set("state_dim", -32), "model header state_dim must be a non-negative integer, not -32"),
+    (_set("hidden_layers", 0, hyperparam=True),
+     "malformed model hyperparams: hidden_layers must be >= 1"),
 ])
 def test_malformed_model_file_is_an_input_error(tmp_path, features, capsys, corrupt, message):
     path = tmp_path / "model.bin"

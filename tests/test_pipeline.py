@@ -266,6 +266,14 @@ def test_extract_app_reads_each_configured_table_once(monkeypatch):
         config.lifecycle()["activity"] = ("onCreate",)
 
 
+def test_missing_component_class_is_reported_once():
+    ir = json.loads((FIXTURES / "critical" / "ir.json").read_text())
+    ir["components"].append({"path_name": "Lx/Gone;", "category": "activity"})
+    report = extract_app(app_from_ir(ir), CriticalApiSet.of([SHORT_SMS]), PipelineConfig()).report
+    assert [d for d in report["diagnostics"] if "Lx/Gone;" in d] == [
+        "missing component class Lx/Gone;"]
+
+
 def test_config_validation(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"critical_apis": "missing.txt"}))
@@ -280,6 +288,25 @@ def test_exit_codes(tmp_path):
     assert main(["extract", "--apps", str(tmp_path / "none")]) == 1  # missing --out
     assert main(["extract", "--apps", str(tmp_path / "none"), "--out", str(tmp_path / "o")]) == 2
     assert main(["bogus-command"]) == 1
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"hyperparams": {"hiden_layers": 1}}, "unexpected keyword argument 'hiden_layers'"),
+    ({"train": {"learning_rate": -1}}, "learning_rate must be >= 0"),
+    ({"caps": {"max_deep": 3}}, "unknown caps keys: ['max_deep']"),
+])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, cfg, message):
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(1, seed=1), apps_root)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    rc = main(["extract", "--apps", str(apps_root), "--out", str(tmp_path / "features"),
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+    assert not (tmp_path / "features").exists()
 
 
 def test_mine_apis_cli_deterministic(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from droidflow.dalvik import MNEMONIC_TO_CODE, UnknownOpcodeError
+from droidflow.dalvik import CODE_TO_MNEMONIC, MNEMONIC_TO_CODE, UnknownOpcodeError
 from droidflow.smali import SmaliSyntaxError, parse_smali_class
 
 from smali_reference import format_class
@@ -21,8 +21,8 @@ def test_minimal_class():
     assert len(cd.methods) == 1
     body = cd.methods[0].body
     assert len(body) == 1
-    assert body[0].opcode.mnemonic == "return-void"
-    assert body[0].offset == 0
+    assert CODE_TO_MNEMONIC[body[0][1]] == "return-void"
+    assert body[0][0] == 0
 
 
 def test_unknown_mnemonic_rejected():
@@ -41,10 +41,10 @@ def test_invoke_carries_full_signature():
 .end method
 """
     cd = parse_smali_class(text)
-    ins = cd.methods[0].body[0]
+    _, code, _, invoked = cd.methods[0].body[0]
     # invoke-virtual sits at 0x6e in the Dalvik table
-    assert ins.opcode.code == 0x6E
-    assert ins.invoked_method == (
+    assert code == 0x6E
+    assert invoked == (
         "Landroid/telephony/SmsManager;->sendTextMessage"
         "(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;"
         "Landroid/app/PendingIntent;Landroid/app/PendingIntent;)V"
@@ -66,7 +66,7 @@ def test_offsets_follow_code_unit_widths():
 .end method
 """
     cd = parse_smali_class(text)
-    offsets = [i.offset for i in cd.methods[0].body]
+    offsets = [offset for offset, _, _, _ in cd.methods[0].body]
     # const/4 is 1 unit, const-string 2, invoke-static 3
     assert offsets == [0, 1, 3, 6]
 
@@ -74,7 +74,7 @@ def test_offsets_follow_code_unit_widths():
 def test_offsets_strictly_increasing_from_zero():
     cd = parse_smali_class(MINIMAL)
     for m in cd.methods:
-        offs = [i.offset for i in m.body]
+        offs = [offset for offset, _, _, _ in m.body]
         assert offs == sorted(set(offs))
         if offs:
             assert offs[0] == 0
@@ -103,7 +103,8 @@ def test_debug_directives_and_labels_skipped():
 .end method
 """
     cd = parse_smali_class(text)
-    assert [i.opcode.mnemonic for i in cd.methods[0].body] == ["nop", "return-void"]
+    assert [CODE_TO_MNEMONIC[code] for _, code, _, _ in cd.methods[0].body] == [
+        "nop", "return-void"]
 
 
 def test_abstract_method_has_empty_body():
@@ -159,7 +160,7 @@ def test_invoke_completeness():
 .end method
 """
     cd = parse_smali_class(text)
-    with_target = sum(1 for i in cd.methods[0].body if i.invoked_method is not None)
+    with_target = sum(1 for _, _, _, invoked in cd.methods[0].body if invoked is not None)
     invoke_lines = sum(
         1 for line in text.splitlines() if line.strip().startswith("invoke")
     )

@@ -33,7 +33,7 @@ def enumerate_paths_oracle(cg, critical):
     sites = {}
     for mid in cg.nodes:
         m = app.get_method(mid)
-        sites[mid] = [i.offset for i in m.body if i.invoked_method in set(critical)]
+        sites[mid] = [offset for offset, _, _, invoked in m.body if invoked in set(critical)]
     found = []
     def walk(path):
         for off in sites.get(path[-1], []):
@@ -58,7 +58,7 @@ def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=
         method = app.get_method(method_id)
         if method is None:
             return []
-        return [ins for ins in method.body if ins.invoked_method in critical_set]
+        return [row for row in method.body if row[3] in critical_set]
 
     for entry in cg.entry_points:
         budget = [max_traces_per_entry]
@@ -67,11 +67,11 @@ def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=
             if budget[0] <= 0:
                 return
             current = path[-1]
-            for site in critical_sites(current):
+            for site_offset, _, _, api in critical_sites(current):
                 if budget[0] <= 0:
                     return
-                traces.append(CallTrace(methods=tuple(path), critical_api=site.invoked_method,
-                                        site_offset=site.offset, hop_offsets=tuple(hop_offsets)))
+                traces.append(CallTrace(methods=tuple(path), critical_api=api,
+                                        site_offset=site_offset, hop_offsets=tuple(hop_offsets)))
                 budget[0] -= 1
             if len(path) >= max_depth:
                 return
@@ -325,14 +325,14 @@ def test_off_trace_call_contributes_one_opcode():
     def full_inline(mid, stop_offset, seen=()):
         m = app.get_method(mid)
         out = []
-        for i in m.body:
-            if i.invoked_method and app.is_user_defined(i.invoked_method.partition("->")[0]) \
-                    and i.invoked_method not in seen and i.offset != stop_offset:
-                out.append(i.opcode.code)
-                out.extend(full_inline(i.invoked_method, None, seen + (i.invoked_method,)))
+        for offset, code, _, invoked in m.body:
+            if invoked and app.is_user_defined(invoked.partition("->")[0]) \
+                    and invoked not in seen and offset != stop_offset:
+                out.append(code)
+                out.extend(full_inline(invoked, None, seen + (invoked,)))
                 continue
-            out.append(i.opcode.code)
-            if stop_offset is not None and i.offset == stop_offset:
+            out.append(code)
+            if stop_offset is not None and offset == stop_offset:
                 return out, True
         return out, False
     inlined, _ = full_inline("Lx/Main;->onCreate()V", None)
