@@ -27,7 +27,13 @@ from .appmodel import EmptyAppError
 from .flowgraph import FormatError
 from .manifest import AxmlUnsupportedError, XmlError
 from .metrics import LengthMismatchError, compute_metrics
-from .nn.model import ModelMismatchError, load_model, probabilities, save_model
+from .nn.model import (
+    ModelMismatchError,
+    capped_batches,
+    load_model,
+    probabilities,
+    save_model,
+)
 from .nn.train import DivergedLossError, train
 from .pipeline import (
     ConfigError,
@@ -110,14 +116,15 @@ def cmd_train(args) -> int:
 
 
 def _probabilities(records, model, config):
-    """Yield each record's probability pair (benign, malicious), from one
-    forward pass over its features rebuilt at the model's dimensions."""
-    for rec in records:
-        features = (
-            rec.graph(model.hyper.label_dim),
-            rec.matrix(model.hyper.seq_len, config.opcode_budget),
-        )
-        yield probabilities(features, model, seed=config.train.seed)
+    """Yield each record's probability pair (benign, malicious), in order.
+    The records' features, rebuilt at the model's dimensions, are scored in
+    batches of consecutive records capped by capped_batches, one forward
+    pass per batch."""
+    hp = model.hyper
+    pairs = ((rec.graph(hp.label_dim), rec.matrix(hp.seq_len, config.opcode_budget))
+             for rec in records)
+    for batch in capped_batches(pairs, lambda pair: pair[1].n, hp.lstm_units):
+        yield from probabilities(batch, model, seed=config.train.seed)
 
 
 def cmd_tune(args) -> int:

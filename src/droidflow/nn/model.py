@@ -31,6 +31,11 @@ VOCAB_SIZE = 256
 EMBED_DIM = 128
 STATE_DIM = 32
 FUSED_CLASSES = 2
+# Opcode rows times LSTM units that one forward pass may hold: scoring groups
+# apps into batches within it and training splits a mini-batch over it. The
+# fused LSTM op keeps its gate buffer and states for every row at once, about
+# 5 MB per row at 256 units with 100-opcode rows and two layers.
+BATCH_ROW_UNITS = 64 * 256
 
 
 class RowLengthMismatchError(ValueError):
@@ -56,6 +61,8 @@ class Hyperparams:
     def __post_init__(self):
         if self.hidden_layers < 1:
             raise ValueError("hidden_layers must be >= 1")
+        if self.seq_len < 1:
+            raise ValueError("seq_len must be >= 1")
 
     def replace(self, **kw) -> "Hyperparams":
         from dataclasses import replace as _replace
@@ -127,8 +134,8 @@ def _assemble(hp: Hyperparams, state_dim: int, embed_dim: int, uniform, zeros) -
 # --- tape-level forward builders ----------------------------------------------
 #
 # Every builder takes a batch. forward_var chains them into the fused logits:
-# training runs it on one tape per mini-batch, and probabilities runs it on
-# constant parameters as a batch of one.
+# training runs it on one tape per mini-batch (or per capped part of one), and
+# probabilities runs it on constant parameters over a batch of apps.
 
 @dataclass(frozen=True)
 class GraphArrays:
@@ -281,6 +288,24 @@ def param_vars(params: ModelParams) -> dict:
     return {name: tape.parameter(arr) for name, arr in params.weights.items()}
 
 
+def capped_batches(items, rows, units: int):
+    """Consecutive lists of items, in order, each as long as it can be while
+    its rows times units stays within BATCH_ROW_UNITS; rows(item) is an
+    item's opcode row count. An item counts at least one row, so a run of
+    row-less apps stays bounded too, and an item over the cap is a batch of
+    its own, never split."""
+    batch, held = [], 0
+    for item in items:
+        cost = max(1, rows(item)) * units
+        if batch and held + cost > BATCH_ROW_UNITS:
+            yield batch
+            batch, held = [], 0
+        batch.append(item)
+        held += cost
+    if batch:
+        yield batch
+
+
 def _checked(matrix, seq_len):
     if matrix.row_len != seq_len:
         raise RowLengthMismatchError(
@@ -291,23 +316,23 @@ def _checked(matrix, seq_len):
 
 # --- scoring --------------------------------------------------------------------
 
-def probabilities(features, model: ModelParams, seed=0) -> np.ndarray:
-    """Probability pair (benign, malicious) for a (flow graph, row matrix)
-    feature pair: forward_var on constant parameters as a batch of one, the
-    initial node states drawn from seed. Constants record no tape links, so
-    each branch's intermediates are freed as soon as it is done."""
-    graph, matrix = features
-    graphs = [graph_arrays(graph, model.hyper.label_dim)]
-    matrices = [_checked(matrix, model.hyper.seq_len)]
+def probabilities(pairs, model: ModelParams, seed=0) -> np.ndarray:
+    """(B, 2) probabilities (benign, malicious) for a list of B (flow graph,
+    row matrix) feature pairs: forward_var on constant parameters over the
+    whole list as one batch, each app's initial node states drawn from seed,
+    as when it is scored alone. Constants record no tape links, so each
+    branch's intermediates are freed as soon as it is done."""
+    graphs = [graph_arrays(graph, model.hyper.label_dim) for graph, _ in pairs]
+    matrices = [_checked(matrix, model.hyper.seq_len) for _, matrix in pairs]
     pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
-    init_states = draw_init_states(graphs, [seed], model.state_dim)
+    init_states = draw_init_states(graphs, [seed] * len(graphs), model.state_dim)
     logits = forward_var(model, pv, graphs, matrices, init_states)
-    return np.exp(tape.log_softmax(logits).value[0])
+    return np.exp(tape.log_softmax(logits).value)
 
 
 def score(features, model: ModelParams, seed=0) -> float:
-    """Probability of the malicious class (index 1)."""
-    return float(probabilities(features, model, seed)[1])
+    """Probability of the malicious class (index 1) for one feature pair."""
+    return float(probabilities([features], model, seed)[0, 1])
 
 
 # --- persistence ----------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 class Var:
     """A node in the computation tape: value, accumulated grad, parent links."""
 
-    __slots__ = ("value", "grad", "parents", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "__weakref__")
 
     def __init__(self, value, parents=(), requires_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -41,8 +41,10 @@ def parameter(x) -> Var:
 def backward(root: Var):
     """Accumulate gradients of root w.r.t. every reachable leaf Var.
 
-    An intermediate node's gradient is dropped once it has been passed to
-    the node's parents, so the tape holds few gradients at a time."""
+    Once an intermediate node has passed its gradient to its parents, it
+    drops the gradient and its parent links, so the pass frees each node's
+    closures and buffers as it goes and the tape holds few gradients at a
+    time. The graph below root cannot be run backward twice."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -59,16 +61,17 @@ def backward(root: Var):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones_like(root.value)
-    for v in reversed(order):
-        if v.grad is None:
+    while order:
+        v = order.pop()
+        if not v.parents:
             continue
-        for p, fn in v.parents:
-            if not p.requires_grad:
-                continue
-            g = fn(v.grad)
-            p.grad = g if p.grad is None else p.grad + g
-        if v.parents:
-            v.grad = None
+        if v.grad is not None:
+            for p, fn in v.parents:
+                if p.requires_grad:
+                    g = fn(v.grad)
+                    p.grad = g if p.grad is None else p.grad + g
+        v.grad = None
+        v.parents = ()
 
 
 def _unbroadcast(g, shape):

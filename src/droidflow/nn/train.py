@@ -2,7 +2,9 @@
 
 Each mini-batch is one tape: the batch's graphs run as one disjoint union
 and its opcode rows as one matrix, and the loss is the mean of the
-per-sample losses. All randomness (weight init, per-sample state seeding,
+per-sample losses. A mini-batch whose rows exceed model.BATCH_ROW_UNITS runs
+as consecutive capped parts instead, one tape each, whose gradients add up
+to the same mean's. All randomness (weight init, per-sample state seeding,
 epoch shuffling) derives from the one seed in TrainConfig, so identical runs
 produce bit-identical parameters.
 """
@@ -19,6 +21,7 @@ from .model import (
     ModelParams,
     TrainConfig,
     _checked,
+    capped_batches,
     draw_init_states,
     forward_var,
     graph_arrays,
@@ -108,15 +111,26 @@ def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = 32,
 
 
 def _batch_step(model, graphs, matrices, labels, init_seeds):
-    """One tape over a mini-batch: per-sample losses and the gradients of
-    their mean. Sample k draws its initial node states from init_seeds[k]."""
+    """Per-sample losses of a mini-batch and the gradients of their mean.
+    Sample k draws its initial node states from init_seeds[k]. The batch
+    runs on one tape, or, past the row cap, on one tape per part that
+    capped_batches cuts, whose mean loss is weighted by its share of the
+    batch and whose gradients are summed."""
     # Kept bound until the step ends, as the tape is: freed between the
     # forward and backward passes, the states leave heap gaps that malloc
     # trims, and training on large apps took 2.4 times the page faults.
     init_states = draw_init_states(graphs, init_seeds, model.state_dim)
-    pv = param_vars(model)
-    logits = forward_var(model, pv, graphs, matrices, init_states)
-    tape.backward(loss_var(logits, labels))
-    logp = tape.log_softmax(logits).value
-    losses = [-float(logp[row, label]) for row, label in enumerate(labels)]
-    return losses, {name: var.grad for name, var in pv.items() if var.grad is not None}
+    losses, grads = [], {}
+    for part in capped_batches(range(len(graphs)), lambda k: matrices[k].n,
+                               model.hyper.lstm_units):
+        pv = param_vars(model)
+        logits = forward_var(model, pv, [graphs[k] for k in part],
+                             [matrices[k] for k in part], [init_states[k] for k in part])
+        part_labels = labels[part]
+        tape.backward(tape.scale(loss_var(logits, part_labels), len(part) / len(graphs)))
+        logp = tape.log_softmax(logits).value
+        losses += [-float(logp[row, label]) for row, label in enumerate(part_labels)]
+        for name, var in pv.items():
+            if var.grad is not None:
+                grads[name] = grads[name] + var.grad if name in grads else var.grad
+    return losses, grads

@@ -84,6 +84,15 @@ class PipelineConfig:
         unknown = set(caps) - {"max_depth", "max_traces_per_entry"}
         if unknown:
             raise ConfigError(f"unknown caps keys: {sorted(unknown)}")
+        counts = {
+            "caps.max_depth": caps.get("max_depth", DEFAULT_MAX_DEPTH),
+            "caps.max_traces_per_entry": caps.get("max_traces_per_entry",
+                                                  DEFAULT_MAX_TRACES_PER_ENTRY),
+            "opcode_budget": data.get("opcode_budget", DEFAULT_OPCODE_BUDGET),
+        }
+        for key, value in counts.items():
+            if type(value) is not int or value < 1:   # a bool is an int subclass
+                raise ConfigError(f"{key} must be an integer >= 1, not {value!r}")
         try:
             hyper = Hyperparams(**data.get("hyperparams", {}))
             train = TrainConfig(**data.get("train", {}))
@@ -96,9 +105,9 @@ class PipelineConfig:
             intent_senders_path=resolve("intent_senders"),
             hyper=hyper,
             train=train,
-            max_depth=caps.get("max_depth", DEFAULT_MAX_DEPTH),
-            max_traces_per_entry=caps.get("max_traces_per_entry", DEFAULT_MAX_TRACES_PER_ENTRY),
-            opcode_budget=data.get("opcode_budget", DEFAULT_OPCODE_BUDGET),
+            max_depth=counts["caps.max_depth"],
+            max_traces_per_entry=counts["caps.max_traces_per_entry"],
+            opcode_budget=counts["opcode_budget"],
         )
 
     def critical_apis(self) -> CriticalApiSet:

@@ -61,7 +61,7 @@ def test_loaded_model_scores_bit_for_bit(tmp_path, paper_model, features):
     loaded = load_model(path)
     rec = load_features(features)[0]
     pair = (rec.graph(PAPER_WIDTH.label_dim), rec.matrix(PAPER_WIDTH.seq_len, 8000))
-    assert probabilities(pair, loaded).tobytes() == probabilities(pair, paper_model).tobytes()
+    assert probabilities([pair], loaded).tobytes() == probabilities([pair], paper_model).tobytes()
 
 
 def test_file_is_a_json_header_line_then_the_raw_weights(tmp_path):

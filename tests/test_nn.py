@@ -285,7 +285,7 @@ def test_predict_reports_argmax_probability():
     model = init_model(hp, seed=0, state_dim=4)
     model.weights["fusion.w"][...] = 0.0
     model.weights["fusion.b"][...] = np.array([math.log(9.0), 0.0])  # softmax -> (0.9, 0.1)
-    probs = probabilities((graph_of([], [], 2), SequenceMatrix.empty(4)), model)
+    [probs] = probabilities([(graph_of([], [], 2), SequenceMatrix.empty(4))], model)
     assert np.argmax(probs) == 0
     assert probs[0] == pytest.approx(0.9)
 
@@ -298,7 +298,7 @@ def test_predict_tie_break_and_degenerate_inputs():
     model.weights["fusion.w"][...] = 0.0
     model.weights["fusion.b"][...] = 0.0
     g = graph_of([], [], 2)
-    probs = probabilities((g, SequenceMatrix.empty(4)), model)
+    [probs] = probabilities([(g, SequenceMatrix.empty(4))], model)
     assert np.argmax(probs) == 0
     assert probs[0] == pytest.approx(0.5)
 
@@ -308,7 +308,7 @@ def test_predict_row_length_mismatch():
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
     with pytest.raises(RowLengthMismatchError):
-        probabilities((graph_of([], [], 2), SequenceMatrix(np.array([[1, 2, 3]]), 3)), model)
+        probabilities([(graph_of([], [], 2), SequenceMatrix(np.array([[1, 2, 3]]), 3))], model)
 
 
 # --- training -----------------------------------------------------------------

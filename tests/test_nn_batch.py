@@ -1,16 +1,25 @@
 """The batched model against the per-sample reference in nn_reference.py:
 the fused LSTM op by finite differences, one mini-batch tape against one
-tape per sample, and a whole training run against the per-sample trainer."""
+tape per sample, and a whole training run against the per-sample trainer;
+and a mini-batch over the row cap, split into parts, against one tape."""
+
+import importlib
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import nn_reference as ref
+from droidflow import cli
 from droidflow.appmodel import app_from_ir
 from droidflow.flowgraph import FlowEdge
-from droidflow.nn import Hyperparams, TrainConfig, init_model, tape, train
+from droidflow.nn import Hyperparams, TrainConfig, init_model, probabilities, tape, train
+from droidflow.nn import model as nnmodel
 from droidflow.nn.model import (
+    BATCH_ROW_UNITS,
     bilstm_batch_var,
+    forward_var,
     gnn_batch_var,
     graph_arrays,
     logits_var,
@@ -25,6 +34,8 @@ from synthcorpus import generate_corpus
 from test_gradcheck import gnn_toy_graph
 from test_nn import chunk, graph_of
 from test_nn_tape import scalar
+
+trainer = importlib.import_module("droidflow.nn.train")   # nn.train is the function
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -120,3 +131,74 @@ def test_training_run_matches_per_sample_trainer():
     assert np.abs(np.subtract(got.epoch_losses, want.epoch_losses)).max() <= 1e-12
     for (name, a), (_, b) in zip(got.params.weights.items(), want.params.weights.items()):
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name
+
+
+def test_split_batch_matches_one_tape(monkeypatch):
+    # A cap of three rows cuts the costs [3, 1, 1, 2, 1] into three parts.
+    hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
+                     iterations=5, epochs=1, batch_size=5)
+    model = init_model(hp, seed=64, state_dim=4, embed_dim=5)
+    samples = mixed_samples()
+    args = (model, [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples],
+            [m for _, (_, m, _) in samples], np.array([label for _, (_, _, label) in samples]),
+            [(17, idx) for idx, _ in samples])
+    whole_losses, whole = trainer._batch_step(*args)
+    parts = []
+    monkeypatch.setattr(nnmodel, "BATCH_ROW_UNITS", 3 * hp.lstm_units)
+    monkeypatch.setattr(trainer, "forward_var", lambda m, pv, graphs, *rest:
+                        parts.append(len(graphs)) or forward_var(m, pv, graphs, *rest))
+    split_losses, split = trainer._batch_step(*args)
+    assert parts == [1, 2, 2]
+    assert np.abs(np.subtract(split_losses, whole_losses)).max() <= 1e-12
+    assert set(split) == set(whole)
+    for name, g in split.items():
+        assert np.abs(g - whole[name]).max() <= 1e-12, name
+
+
+def test_training_memory_stays_within_the_row_cap():
+    # One step over three caps' worth of long apps peaks near one cap's worth.
+    hp = Hyperparams(seq_len=8, hidden_layers=1, lstm_units=32, label_dim=3,
+                     iterations=2, epochs=1)
+    cap_rows = BATCH_ROW_UNITS // hp.lstm_units
+    rows = np.random.default_rng(65).integers(0, 256, (cap_rows // 4, hp.seq_len))
+    app = (graph_of([], [], label_dim=3), SequenceMatrix(rows, hp.seq_len))
+
+    def peak_mb(n_apps):
+        dataset = [app + (k % 2,) for k in range(n_apps)]
+        tracemalloc.start()
+        try:
+            train(dataset, hp.replace(batch_size=n_apps), TrainConfig(seed=5),
+                  state_dim=4, embed_dim=8)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    at_cap, over = peak_mb(4), peak_mb(12)
+    assert over < 1.5 * at_cap, (over, at_cap)
+
+
+def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
+    hp = Hyperparams(seq_len=4, hidden_layers=1, lstm_units=256, label_dim=3, iterations=3)
+    model = init_model(hp, seed=66, state_dim=4, embed_dim=5)
+    cap_rows = BATCH_ROW_UNITS // hp.lstm_units
+    rows = np.random.default_rng(67).integers(0, 256, (cap_rows + 9, 4))
+    pairs = [
+        (gnn_toy_graph(), SequenceMatrix.empty(4)),                      # no rows
+        (graph_of([], [], label_dim=3), SequenceMatrix(rows[:5], 4)),    # no nodes
+        (gnn_toy_graph(), SequenceMatrix(rows[5 : cap_rows + 6], 4)),    # over the cap
+        (mixed_samples()[3][1][0], SequenceMatrix(rows[cap_rows + 6 :], 4)),   # a sender only
+    ]
+    alone = [probabilities([pair], model)[0] for pair in pairs]
+    # one forward pass over all four, and the capped batches cli scores them in
+    batches = []
+    monkeypatch.setattr(cli, "probabilities", lambda batch, *args, **kwargs:
+                        batches.append(len(batch)) or probabilities(batch, *args, **kwargs))
+    records = [SimpleNamespace(graph=lambda label_dim, g=g: g,
+                               matrix=lambda seq_len, budget, m=m: m) for g, m in pairs]
+    grouped = list(cli._probabilities(records, model, PipelineConfig(hyper=hp)))
+    assert batches == [2, 1, 1]
+    for scored in (probabilities(pairs, model), grouped):
+        assert len(scored) == len(alone)
+        for probs, want in zip(scored, alone):
+            assert np.argmax(probs) == np.argmax(want)
+            assert np.abs(probs - want).max() <= 1e-12

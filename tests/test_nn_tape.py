@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,29 @@ def test_constants_build_no_tape():
     assert not on_constants.requires_grad and on_constants.parents == ()
     on_parameter = tape.matmul(c, tape.parameter(np.ones((3, 2))))
     assert on_parameter.requires_grad and len(on_parameter.parents) == 2
+
+
+def test_backward_frees_each_node_as_it_passes_on_its_gradient():
+    # An intermediate node is dead before the nodes below it get their
+    # gradients, and no node left alive after the pass keeps parent links.
+    p = tape.parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+    refs, alive_when_low_ran = [], []
+
+    def low_grad(g):
+        alive_when_low_ran.append(refs[0]() is not None)
+        return 2.0 * g
+
+    low = tape.Var(2.0 * p.value, ((p, low_grad),))
+    mid = tape.tanh(low)
+    refs.append(weakref.ref(mid))
+    kept = tape.sigmoid(mid)
+    root = scalar(kept)
+    del mid
+    tape.backward(root)
+    assert alive_when_low_ran == [False]
+    assert refs[0]() is None
+    assert low.parents == () and kept.parents == () and root.parents == ()
+    assert low.grad is None and kept.grad is None
+    y = np.tanh(2.0 * p.value)
+    s = 1.0 / (1.0 + np.exp(-y))
+    assert np.allclose(p.grad, s * (1 - s) * (1 - y * y) * 2.0)

@@ -294,6 +294,11 @@ def test_exit_codes(tmp_path):
     ({"hyperparams": {"hiden_layers": 1}}, "unexpected keyword argument 'hiden_layers'"),
     ({"train": {"learning_rate": -1}}, "learning_rate must be >= 0"),
     ({"caps": {"max_deep": 3}}, "unknown caps keys: ['max_deep']"),
+    ({"caps": {"max_depth": "3"}}, "caps.max_depth must be an integer >= 1, not '3'"),
+    ({"caps": {"max_traces_per_entry": True}},
+     "caps.max_traces_per_entry must be an integer >= 1, not True"),
+    ({"opcode_budget": 0}, "opcode_budget must be an integer >= 1, not 0"),
+    ({"hyperparams": {"seq_len": 0}}, "seq_len must be >= 1"),
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, cfg, message):
     apps_root = tmp_path / "apps"
@@ -447,7 +452,7 @@ def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
     records = load_features(features)
     expected = ["app_id,label,probability,malicious_score"]
     for rec in records:
-        probs = nnmodel.probabilities((rec.graph(13), rec.matrix(100, 8000)), model)
+        [probs] = nnmodel.probabilities([(rec.graph(13), rec.matrix(100, 8000))], model)
         label = int(np.argmax(probs))
         expected.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
 
@@ -464,6 +469,60 @@ def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
                  "--out", str(preds)]) == 0
     assert len(graphs_run) == len(records) == 4
     assert preds.read_text() == "\n".join(expected) + "\n"
+
+
+def test_predict_evaluate_and_tune_score_in_the_same_capped_batches(tmp_path, monkeypatch):
+    from droidflow import cli
+    from droidflow.nn import model as nnmodel
+
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(8, seed=13), apps_root)
+    features = tmp_path / "features"
+    cfg = {
+        "hyperparams": {"seq_len": 100, "hidden_layers": 1, "lstm_units": 4,
+                        "label_dim": 13, "iterations": 2, "epochs": 1, "batch_size": 4},
+        "train": {"learning_rate": 0.01, "seed": 3},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    model_path = tmp_path / "model.bin"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    assert main(["train", "--features", str(features), "--out", str(model_path),
+                 "--config", str(config)]) == 0
+
+    # A cap of two rows: the corpus's apps hold 0, 2 or 3 rows.
+    monkeypatch.setattr(nnmodel, "BATCH_ROW_UNITS", 2 * 4)
+    runs = []   # per command, or per tuning point: the row counts of each batch scored
+    probabilities, train = cli.probabilities, cli.train
+    monkeypatch.setattr(cli, "probabilities", lambda pairs, *args, **kwargs:
+                        runs[-1].append([m.n for _, m in pairs])
+                        or probabilities(pairs, *args, **kwargs))
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs:
+                        runs.append([]) or train(*args, **kwargs))
+    runs.append([])
+    assert main(["predict", "--model", str(model_path), "--features", str(features),
+                 "--out", str(tmp_path / "preds.csv"), "--config", str(config)]) == 0
+    runs.append([])
+    assert main(["evaluate", "--model", str(model_path), "--features", str(features),
+                 "--out", str(tmp_path / "metrics.json"), "--config", str(config)]) == 0
+    assert main(["tune", "--features", str(features), "--out", str(tmp_path / "grid.csv"),
+                 "--config", str(config), "--factor", "iterations"]) == 0
+    predicted, evaluated, *tuned = runs
+    assert predicted == evaluated
+    assert [n for batch in predicted for n in batch] == \
+        [rec.matrix(100, 8000).n for rec in load_features(features)]
+    assert any(len(batch) > 1 for batch in predicted)
+    assert len(tuned) == 4 + 3   # four iteration counts, then the top three revalidated
+
+    def cost(rows):
+        return sum(max(1, n) for n in rows)
+
+    for batches in [predicted] + tuned:
+        assert batches
+        for batch, after in zip(batches, batches[1:] + [None]):
+            assert len(batch) == 1 or cost(batch) <= 2
+            assert after is None or cost(batch + after[:1]) > 2
 
 
 def test_evaluate_hand_built_predictions(tmp_path):

@@ -329,7 +329,7 @@ def test_off_trace_call_contributes_one_opcode():
             if invoked and app.is_user_defined(invoked.partition("->")[0]) \
                     and invoked not in seen and offset != stop_offset:
                 out.append(code)
-                out.extend(full_inline(invoked, None, seen + (invoked,)))
+                out.extend(full_inline(invoked, None, seen + (invoked,))[0])
                 continue
             out.append(code)
             if stop_offset is not None and offset == stop_offset:
