@@ -90,7 +90,10 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = _config(args)
     if args.seed is not None:
-        config.train = dataclasses.replace(config.train, seed=args.seed)
+        try:
+            config.train = dataclasses.replace(config.train, seed=args.seed)
+        except ValueError as exc:
+            raise UsageError(f"--seed: {exc}") from None
     records = load_features(args.features)
     labeled = [r for r in records if r.label is not None]
     if not labeled:
@@ -170,23 +173,40 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _read_predictions(path):
+    """Scores and labels of a predictions CSV, from its score (or
+    malicious_score) and label columns; a malformed file is a ConfigError
+    that names the line."""
+    text = Path(path).read_text().splitlines()
+    if not text:
+        raise ConfigError(f"predictions CSV {path} is empty")
+    header = text[0].split(",")
+    try:
+        s_col = header.index("score") if "score" in header else header.index("malicious_score")
+        l_col = header.index("label")
+    except ValueError as exc:
+        raise ConfigError(f"predictions CSV needs score and label columns: {exc}") from exc
+    scores, labels = [], []
+    for number, line in enumerate(text[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"predictions CSV {path} line {number} has {len(parts)} "
+                              f"columns, its header {len(header)}")
+        try:
+            score, label = float(parts[s_col]), int(parts[l_col])
+        except ValueError as exc:
+            raise ConfigError(f"predictions CSV {path} line {number}: {exc}") from None
+        scores.append(score)
+        labels.append(label)
+    return scores, labels
+
+
 def cmd_evaluate(args) -> int:
     config = _config(args)
     if args.predictions:
-        scores, labels = [], []
-        text = Path(args.predictions).read_text().splitlines()
-        header = text[0].split(",")
-        try:
-            s_col = header.index("score") if "score" in header else header.index("malicious_score")
-            l_col = header.index("label")
-        except ValueError as exc:
-            raise ConfigError(f"predictions CSV needs score and label columns: {exc}") from exc
-        for line in text[1:]:
-            if not line:
-                continue
-            parts = line.split(",")
-            scores.append(float(parts[s_col]))
-            labels.append(int(parts[l_col]))
+        scores, labels = _read_predictions(args.predictions)
     else:
         if not args.model or not args.features:
             raise UsageError("evaluate needs --predictions or both --model and --features")

@@ -19,7 +19,7 @@ feature-less apps still classify.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,8 +33,9 @@ STATE_DIM = 32
 FUSED_CLASSES = 2
 # Opcode rows times LSTM units that one forward pass may hold: scoring groups
 # apps into batches within it and training splits a mini-batch over it. The
-# fused LSTM op keeps its gate buffer and states for every row at once, about
-# 5 MB per row at 256 units with 100-opcode rows and two layers.
+# fused LSTM op keeps its gate buffer and states for every row at once: at 256
+# units with 100-opcode rows and two layers, a training step peaks at about
+# 4 MB per row and scoring at about 0.9 MB.
 BATCH_ROW_UNITS = 64 * 256
 
 
@@ -59,10 +60,12 @@ class Hyperparams:
     batch_size: int = 16
 
     def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ValueError("hidden_layers must be >= 1")
-        if self.seq_len < 1:
-            raise ValueError("seq_len must be >= 1")
+        for name, value in asdict(self).items():
+            if type(value) is not int:   # a bool is an int subclass
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            least = 0 if name == "iterations" else 1
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def replace(self, **kw) -> "Hyperparams":
         from dataclasses import replace as _replace
@@ -79,8 +82,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:   # NaN fails too
             raise ValueError("learning_rate must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, not {self.eps!r}")
+        if type(self.seed) is not int or self.seed < 0:   # a bool is an int subclass
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
 
 
 @dataclass
@@ -226,7 +236,8 @@ def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
     """(B, 32) app vectors for a batch of row matrices. The rows of every app
     run through the `layers` stacked BiLSTM layers as one (N, seq_len) token
     matrix, one fused tape op per layer and direction, and are mean-pooled per app; apps without
-    rows map to zero vectors."""
+    rows map to zero vectors. The layer outputs stay in the op's compute
+    dtype up to the pooling, which sums in float64."""
     counts = np.array([m.n for m in matrices])
     if not counts.sum():
         return tape.constant(np.zeros((len(matrices), 32)))
@@ -396,18 +407,23 @@ def _template(header: dict) -> ModelParams:
     """Uninitialised parameters of the header's architecture, whose weight
     names it must list in ModelParams.weights order."""
     try:
-        hp = Hyperparams(**header["hyperparams"])
-        state_dim, embed_dim = header["state_dim"], header["embed_dim"]
+        hyper = header["hyperparams"]
+        sizes = {"state_dim": header["state_dim"], "embed_dim": header["embed_dim"]}
+        sizes.update((f.name, hyper[f.name]) for f in fields(Hyperparams) if f.name in hyper)
     except KeyError as exc:
         raise ModelMismatchError(f"model header lacks {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:   # not an object, an unknown name, a bad value
+    except TypeError as exc:   # hyperparams not an object
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
-    sizes = {"state_dim": state_dim, "embed_dim": embed_dim, **asdict(hp)}
     for key, value in sizes.items():
         if type(value) is not int or value < 0:   # a bool is an int subclass
             raise ModelMismatchError(
                 f"model header {key} must be a non-negative integer, not {value!r}"
             )
+    try:
+        hp = Hyperparams(**hyper)
+    except (TypeError, ValueError) as exc:   # an unknown name, a value out of range
+        raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
+    state_dim, embed_dim = header["state_dim"], header["embed_dim"]
 
     def empty(shape, bound=None):
         return np.empty(shape, "<f8")

@@ -3,11 +3,18 @@
 Just enough operator coverage for the graph and sequence networks here:
 elementwise arithmetic with broadcasting, matrix products (including the
 batched edge-transform product), gathers/scatters for embeddings and
-message aggregation, and the usual squashing functions. Values are float64
-throughout so finite-difference checks are meaningful.
+message aggregation, and the usual squashing functions. Values and
+gradients are float64, with one exception: the fused LSTM op computes in
+LSTM_DTYPE, float32, and its hidden states stay float32 through the concat
+that feeds the next layer. Every gradient stays float64, so the parameters
+and the optimizer never see float32.
 """
 
 import numpy as np
+
+# Compute dtype of the fused LSTM op, read at each call. float64 is kept
+# only as the reference that the exactness tests pin it to.
+LSTM_DTYPE = np.float32
 
 
 class Var:
@@ -15,8 +22,8 @@ class Var:
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "__weakref__")
 
-    def __init__(self, value, parents=(), requires_grad=None):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, value, parents=(), requires_grad=None, dtype=np.float64):
+        self.value = np.asarray(value, dtype=dtype)
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p, _ in parents)
         self.requires_grad = requires_grad
@@ -176,7 +183,7 @@ def concat(vs, axis=0) -> Var:
 
         parents.append((v, fn))
         start += size
-    return Var(out, tuple(parents))
+    return Var(out, tuple(parents), dtype=out.dtype)
 
 
 def slice_cols(a: Var, start: int, stop: int) -> Var:
@@ -194,7 +201,7 @@ def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.value.shape).copy()
 
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), ((a, fn),))
+    return Var(a.value.sum(axis=axis, keepdims=keepdims, dtype=np.float64), ((a, fn),))
 
 
 def _add_rows(idx, rows, n):
@@ -224,29 +231,35 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
     table (V, d) whose rows the tokens pick; the table is projected through
     wx once (V x 4u) and the projection gathered per token, so the (T*N, d)
     input is never built. Gates are packed i, f, g, o in wx, wh and b.
-    Returns the hidden states H, (T, N, u), in input order.
+    Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE.
 
     The forward loop runs in plain numpy and keeps one (T, N, 4u) buffer of
     gate activations plus the states C and H. The backward pass overwrites
     the buffer in place with the gate pre-activation gradients dZ, from
-    which every input gradient follows in one product each."""
+    which every input gradient follows in one product each. The buffer, the
+    states and the recurrent products are LSTM_DTYPE; every gradient the op
+    returns is float64."""
+    dt = LSTM_DTYPE
     units = wh.value.shape[0]
+    wh_c = wh.value.astype(dt, copy=False)
     if tokens is None:
-        steps, n, d = x.value.shape
-        z = (x.value.reshape(-1, d) @ wx.value).reshape(steps, n, 4 * units)
+        x_c = x.value.astype(dt, copy=False)
+        wx_c = wx.value.astype(dt, copy=False)
+        steps, n, d = x_c.shape
+        z = (x_c.reshape(-1, d) @ wx_c).reshape(steps, n, 4 * units)
     else:
         tokens = np.asarray(tokens).T
         steps, n = tokens.shape
-        z = (x.value @ wx.value)[tokens]
-    z += b.value
-    hs = np.empty((steps, n, units))
-    cs = np.empty((steps, n, units))
+        z = (x.value @ wx.value).astype(dt, copy=False)[tokens]
+    z += b.value.astype(dt, copy=False)
+    hs = np.empty((steps, n, units), dt)
+    cs = np.empty((steps, n, units), dt)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h = np.zeros((n, units))
-    c = np.zeros((n, units))
+    h = np.zeros((n, units), dt)
+    c = np.zeros((n, units), dt)
     for t in order:
         zt = z[t]
-        zt += h @ wh.value
+        zt += h @ wh_c
         zt[:, : 2 * units] = _sigmoid(zt[:, : 2 * units])
         zt[:, 2 * units : 3 * units] = np.tanh(zt[:, 2 * units : 3 * units])
         zt[:, 3 * units :] = _sigmoid(zt[:, 3 * units :])
@@ -262,8 +275,9 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
         """dZ, computed once and shared by every input's gradient."""
         if dz:
             return dz[0]
-        dh = np.zeros((n, units))
-        dc = np.zeros((n, units))
+        dh_out = dh_out.astype(dt, copy=False)
+        dh = np.zeros((n, units), dt)
+        dc = np.zeros((n, units), dt)
         for k, t in enumerate(reversed(order)):
             zt = z[t]
             i, f, g, o = (zt[:, j * units : (j + 1) * units] for j in range(4))
@@ -280,23 +294,26 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
             zt[:, units : 2 * units] = d_f
             zt[:, 2 * units : 3 * units] = d_g
             zt[:, 3 * units :] = d_o
-            dh = zt @ wh.value.T
+            dh = zt @ wh_c.T
         dz.append(z)
         return z
 
     def flat(a):
         return a.reshape(-1, a.shape[-1])
 
+    def wide(a):
+        return a.astype(np.float64, copy=False)
+
     def d_wh(g):
         dzv = gate_grads(g)
         if reverse:
-            return flat(hs[1:]).T @ flat(dzv[:-1])
-        return flat(hs[:-1]).T @ flat(dzv[1:])
+            return wide(flat(hs[1:]).T @ flat(dzv[:-1]))
+        return wide(flat(hs[:-1]).T @ flat(dzv[1:]))
 
     if tokens is None:
         parents = (
-            (x, lambda g: (flat(gate_grads(g)) @ wx.value.T).reshape(x.value.shape)),
-            (wx, lambda g: flat(x.value).T @ flat(gate_grads(g))),
+            (x, lambda g: wide(flat(gate_grads(g)) @ wx_c.T).reshape(x.value.shape)),
+            (wx, lambda g: wide(flat(x_c).T @ flat(gate_grads(g)))),
         )
     else:
         proj = []
@@ -310,7 +327,8 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
             (x, lambda g: d_proj(g) @ wx.value.T),
             (wx, lambda g: x.value.T @ d_proj(g)),
         )
-    return Var(hs, parents + ((wh, d_wh), (b, lambda g: gate_grads(g).sum(axis=(0, 1)))))
+    b_grad = (b, lambda g: gate_grads(g).sum(axis=(0, 1), dtype=np.float64))
+    return Var(hs, parents + ((wh, d_wh), b_grad), dtype=dt)
 
 
 def log_softmax(a: Var) -> Var:

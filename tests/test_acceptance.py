@@ -118,6 +118,7 @@ def test_criterion_4_flow_graph_golden_suite(tmp_path):
 # 5. Gradient fidelity on toy dimensions, under 60 s
 # -----------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_criterion_5_gradient_checks():
     from droidflow.nn import tape
     from droidflow.nn.model import (

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from droidflow.flowgraph import FlowEdge
 from droidflow.nn import Hyperparams, init_model
@@ -52,6 +53,7 @@ def test_gnn_gradients():
     assert err <= 1e-4, err
 
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_bilstm_gradients():
     rng = np.random.default_rng(43)
     arrays = tiny_lstm_params(rng, units=3, embed_dim=4, layers=2)
@@ -82,6 +84,7 @@ def test_fusion_gradients():
     assert err <= 1e-6, err
 
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_full_model_gradients():
     hp = Hyperparams(seq_len=4, hidden_layers=1, lstm_units=3, label_dim=3,
                      iterations=3, epochs=1, batch_size=1)

@@ -205,6 +205,7 @@ def test_bilstm_mean_idempotent_on_identical_rows():
     assert single == pytest.approx(double, abs=1e-12)
 
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_bilstm_hand_recurrence_transcript():
     rng = np.random.default_rng(22)
     units, embed_dim, row_len = 2, 3, 3

@@ -38,6 +38,7 @@ from test_nn_tape import scalar
 trainer = importlib.import_module("droidflow.nn.train")   # nn.train is the function
 
 
+@pytest.mark.usefixtures("lstm_float64")
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("dense", [False, True])
 def test_fused_lstm_gradients(reverse, dense):
@@ -64,6 +65,49 @@ def test_fused_lstm_gradients(reverse, dense):
     assert err <= 1e-4, err
 
 
+def test_float32_lstm_tracks_float64(monkeypatch):
+    # The paper's width: 256 units, two layers, 100-step rows. Against the
+    # float64 op, the float32 op's hidden states and its five kinds of input
+    # gradient (embedding, layer input x, wx, wh, b) differ by at most 1e-5
+    # of each array's largest entry (about 1e-6 measured), and every gradient
+    # is float64.
+    model = init_model(Hyperparams(lstm_units=256, hidden_layers=2), seed=69)
+    rng = np.random.default_rng(70)
+    tokens = rng.integers(0, 256, (4, 100))
+    probe = tape.constant(rng.normal(size=(100, 4, 512)))
+
+    def run():
+        pv = param_vars(model)
+        x_grads = []
+
+        def layer(x, li, tokens=None):
+            return tape.concat([tape.lstm(x, pv[f"lstm.l{li}.{d}.wx"], pv[f"lstm.l{li}.{d}.wh"],
+                                          pv[f"lstm.l{li}.{d}.b"], reverse=d == "bwd",
+                                          tokens=tokens)
+                                for d in ("fwd", "bwd")], axis=2)
+
+        h0 = layer(pv["lstm.embedding"], 0, tokens)
+        # an identity node that records the gradient reaching layer 1's input
+        x1 = tape.Var(h0.value, ((h0, lambda g: x_grads.append(g) or g),), dtype=h0.value.dtype)
+        h1 = layer(x1, 1)
+        tape.backward(scalar(tape.mul(h1, probe)))
+        got = {"h0": h0.value, "h1": h1.value, "x1.grad": x_grads[0]}
+        got.update((name + ".grad", v.grad) for name, v in pv.items() if v.grad is not None)
+        return got
+
+    low = run()
+    with monkeypatch.context() as m:
+        m.setattr(tape, "LSTM_DTYPE", np.float64)
+        ref = run()
+    assert low["h1"].dtype == np.float32
+    assert set(low) == set(ref) and len(ref) == 3 + 1 + 2 * 2 * 3
+    for name, want in ref.items():
+        if name.endswith(".grad"):
+            assert low[name].dtype == np.float64, name
+        err = np.abs(low[name] - want).max() / np.abs(want).max()
+        assert err <= 1e-5, (name, err)
+
+
 def mixed_samples():
     """(index, (graph, matrix, label)) samples covering every batch edge case."""
     sources_only = graph_of(
@@ -83,6 +127,7 @@ def mixed_samples():
     ]
 
 
+@pytest.mark.usefixtures("lstm_float64")
 @pytest.mark.parametrize("iterations", [1, 2, 5])
 def test_batch_matches_per_sample_reference(iterations):
     hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
@@ -113,6 +158,7 @@ def test_batch_matches_per_sample_reference(iterations):
         assert np.abs(g - ref_grads[name]).max() <= 1e-9 * scale, name
 
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_training_run_matches_per_sample_trainer():
     config = PipelineConfig()
     critical = config.critical_apis()
@@ -133,6 +179,21 @@ def test_training_run_matches_per_sample_trainer():
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), name
 
 
+def test_training_gradients_stay_float64():
+    # The float32 LSTM op returns float64 gradients, so Adam sees no float32.
+    hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
+                     iterations=5, epochs=1, batch_size=5)
+    model = init_model(hp, seed=64, state_dim=4, embed_dim=5)
+    samples = mixed_samples()
+    _, grads = trainer._batch_step(
+        model, [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples],
+        [m for _, (_, m, _) in samples], np.array([label for _, (_, _, label) in samples]),
+        [(17, idx) for idx, _ in samples])
+    assert set(grads) == set(model.weights)
+    assert all(g.dtype == np.float64 for g in grads.values())
+
+
+@pytest.mark.usefixtures("lstm_float64")
 def test_split_batch_matches_one_tape(monkeypatch):
     # A cap of three rows cuts the costs [3, 1, 1, 2, 1] into three parts.
     hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
@@ -182,23 +243,30 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
     model = init_model(hp, seed=66, state_dim=4, embed_dim=5)
     cap_rows = BATCH_ROW_UNITS // hp.lstm_units
     rows = np.random.default_rng(67).integers(0, 256, (cap_rows + 9, 4))
+    one_row = np.random.default_rng(68).integers(0, 256, (1, 4))
     pairs = [
         (gnn_toy_graph(), SequenceMatrix.empty(4)),                      # no rows
         (graph_of([], [], label_dim=3), SequenceMatrix(rows[:5], 4)),    # no nodes
         (gnn_toy_graph(), SequenceMatrix(rows[5 : cap_rows + 6], 4)),    # over the cap
         (mixed_samples()[3][1][0], SequenceMatrix(rows[cap_rows + 6 :], 4)),   # a sender only
+        (gnn_toy_graph(), SequenceMatrix(one_row, 4)),                   # one row
     ]
+    # Scored alone, the one-row app's (1, u) @ (u, 4u) recurrent products take
+    # numpy's matrix-vector path, whose float32 sums round apart from the
+    # matrix product of a batch: it gets its own bound, far inside the 5e-7
+    # that perfbench allows between predict and the per-app scan.
+    bounds = [1e-12] * 4 + [1e-9]
     alone = [probabilities([pair], model)[0] for pair in pairs]
-    # one forward pass over all four, and the capped batches cli scores them in
+    # one forward pass over all five, and the capped batches cli scores them in
     batches = []
     monkeypatch.setattr(cli, "probabilities", lambda batch, *args, **kwargs:
                         batches.append(len(batch)) or probabilities(batch, *args, **kwargs))
     records = [SimpleNamespace(graph=lambda label_dim, g=g: g,
                                matrix=lambda seq_len, budget, m=m: m) for g, m in pairs]
     grouped = list(cli._probabilities(records, model, PipelineConfig(hyper=hp)))
-    assert batches == [2, 1, 1]
+    assert batches == [2, 1, 2]
     for scored in (probabilities(pairs, model), grouped):
         assert len(scored) == len(alone)
-        for probs, want in zip(scored, alone):
+        for probs, want, bound in zip(scored, alone, bounds):
             assert np.argmax(probs) == np.argmax(want)
-            assert np.abs(probs - want).max() <= 1e-12
+            assert np.abs(probs - want).max() <= bound

@@ -314,6 +314,70 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, cfg, message):
     assert not (tmp_path / "features").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("hyperparams", "batch_size", 0, "batch_size must be >= 1"),
+    ("hyperparams", "epochs", 0, "epochs must be >= 1"),
+    ("hyperparams", "lstm_units", 0, "lstm_units must be >= 1"),
+    ("hyperparams", "label_dim", 0, "label_dim must be >= 1"),
+    ("hyperparams", "iterations", -1, "iterations must be >= 0"),
+    ("hyperparams", "batch_size", True, "batch_size must be an integer, not True"),
+    ("hyperparams", "epochs", 2.0, "epochs must be an integer, not 2.0"),
+    ("train", "beta1", 1.0, "beta1 must be in [0, 1), not 1.0"),
+    ("train", "beta2", -0.5, "beta2 must be in [0, 1), not -0.5"),
+    ("train", "eps", 0, "eps must be > 0, not 0"),
+    ("train", "learning_rate", float("nan"), "learning_rate must be >= 0"),
+    ("train", "seed", -1, "seed must be an integer >= 0, not -1"),
+    ("train", "seed", 1.5, "seed must be an integer >= 0, not 1.5"),
+])
+def test_train_rejects_out_of_range_config(tmp_path, capsys, section, key, value, message):
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(1, seed=1), apps_root)
+    features = tmp_path / "features"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features)]) == 0
+    cfg = {"hyperparams": {"hidden_layers": 1, "lstm_units": 4, "iterations": 2, "epochs": 1},
+           "train": {}}
+    cfg[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    model = tmp_path / "model.bin"
+    rc = main(["train", "--features", str(features), "--out", str(model), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+    assert not model.exists()
+
+
+def test_negative_train_seed_flag_is_a_usage_error(tmp_path, capsys):
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(1, seed=1), apps_root)
+    features = tmp_path / "features"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(tmp_path / "m.bin"),
+               "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "usage error: --seed: seed must be an integer >= 0, not -1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("app_id,score,label\na,0.9,1\nb,0.2\n", "line 3 has 2 columns, its header 3"),
+    ("app_id,score,label\na,0.9,yes\n", "line 2: invalid literal for int()"),
+    ("app_id,score,label\na,high,1\nb,0.2,0\n", "line 2: could not convert string to float"),
+], ids=["empty", "short_row", "label_not_int", "score_not_float"])
+def test_malformed_predictions_csv_is_an_input_error(tmp_path, capsys, text, message):
+    preds = tmp_path / "preds.csv"
+    preds.write_text(text)
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    rc = main(["evaluate", "--predictions", str(preds), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+    assert not out.exists()
+
+
 def test_mine_apis_cli_deterministic(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
