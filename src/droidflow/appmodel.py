@@ -7,9 +7,11 @@ JSON fixture format (same fields, no smali text involved).
 import json
 import zipfile
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
-from .dalvik import CODE_WIDTH, INVOKE_CODES, code_of
+from .dalvik import INVOKE_CODES, WIDTH_TABLE, code_of
 
 COMPONENT_CATEGORIES = ("activity", "service", "receiver", "provider")
 
@@ -25,22 +27,46 @@ class MalformedIrError(ValueError):
 
 @dataclass
 class MethodDef:
-    """A method and its body. Each body row is a plain tuple
-    (offset, code, operands, invoked): the offset in code units, the int
-    opcode value, the operand strings as a tuple, and the invoked method's
-    signature for an invoke (None otherwise). smali.parse_smali_class and
-    app_from_ir build the rows directly."""
+    """A method and its body, stored as columns, as the Dalvik executable
+    format stores a method as one array of code units:
+
+    - body: bytes, the opcode value of each instruction in order, so
+      len(body) counts instructions and body[i] is instruction i's code;
+    - operands: tuple of str, instruction i's operand text as written (an
+      IR instruction's operands joined by ", "), split with
+      smali._split_operands where it is read;
+    - calls: tuple of (index, offset, invoked), one per invoke in body
+      order: its body index, its offset in code units and the invoked
+      method's signature.
+
+    An instruction's offset is the sum of CODE_WIDTH over the codes before
+    it (offsets(body)). smali.parse_smali_class and app_from_ir build the
+    columns directly."""
 
     owner: str
     name: str
     descriptor: str
     flags: frozenset
-    body: list
+    body: bytes
+    operands: tuple
+    calls: tuple
     is_user_defined: bool = True
 
     @property
     def method_id(self) -> str:
         return f"{self.owner}->{self.name}{self.descriptor}"
+
+
+@lru_cache(maxsize=256)
+def flag_set(flags: tuple) -> frozenset:
+    """The flags of a method as a frozenset shared by every method with the
+    same flags, so that loaded methods hold no set each for the GC to track."""
+    return frozenset(flags)
+
+
+def offsets(body: bytes) -> list:
+    """The offset in code units of each instruction of a body column."""
+    return list(accumulate(body[:-1].translate(WIDTH_TABLE), initial=0)) if body else []
 
 
 @dataclass
@@ -117,8 +143,9 @@ def split_signature(signature: str):
     return owner, name, "(" + descriptor
 
 
-# JSON fixture format: a dict mirroring AppModel field-for-field. Offsets are
-# recomputed from instruction widths, so fixtures only list mnemonics.
+# JSON fixture format: a dict mirroring AppModel field-for-field, with one
+# object per instruction. Offsets are recomputed from instruction widths, so
+# fixtures only list mnemonics.
 
 def app_from_ir(data: dict) -> AppModel:
     try:
@@ -136,20 +163,23 @@ def _app_from_ir(data: dict) -> AppModel:
         methods = []
         for md in cd.get("methods", []):
             method_name = _required(md, "name", f"method of {class_name}")
-            rows = []
-            offset = 0
+            codes, operands, calls, offset = bytearray(), [], [], 0
             # One handler for the whole body, not _required per instruction:
             # this loop is the hot path of loading an IR app.
             try:
                 for ins in md.get("body", []):
                     code = code_of(ins["mnemonic"])
                     invoked = ins.get("invoked_method")
-                    if code in INVOKE_CODES and invoked is None:
+                    if (invoked is not None) != (code in INVOKE_CODES):
                         raise ValueError(
-                            f"invoke without invoked_method in {class_name}.{method_name}"
+                            f"{ins['mnemonic']} with{'out' if invoked is None else ''} "
+                            f"invoked_method in {class_name}.{method_name}"
                         )
-                    rows.append((offset, code, tuple(ins.get("operands", ())), invoked))
-                    offset += CODE_WIDTH[code]
+                    if invoked is not None:
+                        calls.append((len(codes), offset, invoked))
+                    codes.append(code)
+                    operands.append(", ".join(ins.get("operands", ())))
+                    offset += WIDTH_TABLE[code]
             except KeyError:
                 raise MalformedIrError(
                     f"instruction of {class_name}.{method_name} without 'mnemonic'"
@@ -159,8 +189,10 @@ def _app_from_ir(data: dict) -> AppModel:
                     owner=class_name,
                     name=method_name,
                     descriptor=_required(md, "descriptor", f"method {class_name}.{method_name}"),
-                    flags=frozenset(md.get("flags", ())),
-                    body=rows,
+                    flags=flag_set(tuple(md.get("flags", ()))),
+                    body=bytes(codes),
+                    operands=tuple(operands),
+                    calls=tuple(calls),
                     is_user_defined=md.get("is_user_defined", True),
                 )
             )
@@ -206,13 +238,16 @@ def _required(entry: dict, key: str, what: str):
 
 
 def _check_links(app: AppModel):
-    """Record a diagnostic for every unresolvable user-defined call target."""
+    """Record a diagnostic for every call of an unresolvable user-defined
+    method; each distinct signature is looked up once."""
+    unresolved = {}
     for method in app.methods():
-        for _, _, _, invoked in method.body:
-            if invoked is None:
-                continue
-            owner, name, descriptor = split_signature(invoked)
-            if app.is_user_defined(owner) and app.lookup_method(owner, name, descriptor) is None:
+        for _, _, invoked in method.calls:
+            if invoked not in unresolved:
+                owner, name, descriptor = split_signature(invoked)
+                unresolved[invoked] = (app.is_user_defined(owner)
+                                       and app.lookup_method(owner, name, descriptor) is None)
+            if unresolved[invoked]:
                 app.diagnostics.append(f"unresolved call {invoked} from {method.method_id}")
 
 

@@ -16,6 +16,7 @@ from functools import cache, cached_property, partial
 from .appmodel import AppModel, split_signature
 from .dalvik import CODE_TO_MNEMONIC, MNEMONIC_TO_CODE
 from .icc import invoked_name, receiver_entry_method, resolve_intent_targets
+from .smali import _split_operands
 from .tables import default_callbacks, default_intent_senders, default_lifecycle
 
 _REGISTER_RE = re.compile(r"^(set\w*Listener|register\w+)$")
@@ -195,18 +196,23 @@ def generate_call_graph(
     call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
     for mid in sorted(methods_by_id):
         method = methods_by_id[mid]
-        sites, callees, listeners = [], {}, set()
-        for idx, (offset, code, operands, invoked) in enumerate(method.body):
-            if code in _CLASS_REF_CODES:
-                listeners.update(op for op in operands if app.is_user_defined(op))
-            if invoked is None:
-                continue
-            targets = resolve(CODE_TO_MNEMONIC[code], invoked)
+        body = method.body
+        sites, callees = [], {}
+        for idx, offset, invoked in method.calls:
+            targets = resolve(CODE_TO_MNEMONIC[body[idx]], invoked)
             if targets:
                 sites.append((offset, targets))
                 callees.update(dict.fromkeys(targets))
             name = invoked_name(invoked)
             if _REGISTER_RE.match(name):
+                # The user-defined classes named before the call.
+                listeners = {
+                    op
+                    for i, code in enumerate(body[:idx])
+                    if code in _CLASS_REF_CODES
+                    for op in _split_operands(method.operands[i])
+                    if app.is_user_defined(op)
+                }
                 registered.setdefault(mid, []).extend(
                     m.method_id
                     for cls_name in sorted(listeners)

@@ -5,6 +5,16 @@ range are absent so that unknown mnemonics fail loudly at parse time instead
 of being mapped to a neighbouring value.
 """
 
+# The regular families of the table: the array, instance and static field
+# accessors, the invoke kinds, and the binary operations by operand type.
+_ACCESSORS = [f"{op}{kind}" for op in ("aget", "aput", "iget", "iput", "sget", "sput")
+              for kind in ("", "-wide", "-object", "-boolean", "-byte", "-char", "-short")]
+_INVOKES = [f"invoke-{kind}" for kind in ("virtual", "super", "direct", "static", "interface")]
+_BINOPS = ("add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr", "ushr")
+_BINOP_NAMES = [f"{op}-{kind}" for kind, ops in (
+    ("int", _BINOPS), ("long", _BINOPS), ("float", _BINOPS[:5]), ("double", _BINOPS[:5])
+) for op in ops]
+
 CODE_TO_MNEMONIC = {
     0x00: "nop",
     0x01: "move",
@@ -68,58 +78,9 @@ CODE_TO_MNEMONIC = {
     0x3B: "if-gez",
     0x3C: "if-gtz",
     0x3D: "if-lez",
-    0x44: "aget",
-    0x45: "aget-wide",
-    0x46: "aget-object",
-    0x47: "aget-boolean",
-    0x48: "aget-byte",
-    0x49: "aget-char",
-    0x4A: "aget-short",
-    0x4B: "aput",
-    0x4C: "aput-wide",
-    0x4D: "aput-object",
-    0x4E: "aput-boolean",
-    0x4F: "aput-byte",
-    0x50: "aput-char",
-    0x51: "aput-short",
-    0x52: "iget",
-    0x53: "iget-wide",
-    0x54: "iget-object",
-    0x55: "iget-boolean",
-    0x56: "iget-byte",
-    0x57: "iget-char",
-    0x58: "iget-short",
-    0x59: "iput",
-    0x5A: "iput-wide",
-    0x5B: "iput-object",
-    0x5C: "iput-boolean",
-    0x5D: "iput-byte",
-    0x5E: "iput-char",
-    0x5F: "iput-short",
-    0x60: "sget",
-    0x61: "sget-wide",
-    0x62: "sget-object",
-    0x63: "sget-boolean",
-    0x64: "sget-byte",
-    0x65: "sget-char",
-    0x66: "sget-short",
-    0x67: "sput",
-    0x68: "sput-wide",
-    0x69: "sput-object",
-    0x6A: "sput-boolean",
-    0x6B: "sput-byte",
-    0x6C: "sput-char",
-    0x6D: "sput-short",
-    0x6E: "invoke-virtual",
-    0x6F: "invoke-super",
-    0x70: "invoke-direct",
-    0x71: "invoke-static",
-    0x72: "invoke-interface",
-    0x74: "invoke-virtual/range",
-    0x75: "invoke-super/range",
-    0x76: "invoke-direct/range",
-    0x77: "invoke-static/range",
-    0x78: "invoke-interface/range",
+    **dict(enumerate(_ACCESSORS, start=0x44)),
+    **dict(enumerate(_INVOKES, start=0x6E)),
+    **dict(enumerate((f"{name}/range" for name in _INVOKES), start=0x74)),
     0x7B: "neg-int",
     0x7C: "not-int",
     0x7D: "neg-long",
@@ -141,70 +102,8 @@ CODE_TO_MNEMONIC = {
     0x8D: "int-to-byte",
     0x8E: "int-to-char",
     0x8F: "int-to-short",
-    0x90: "add-int",
-    0x91: "sub-int",
-    0x92: "mul-int",
-    0x93: "div-int",
-    0x94: "rem-int",
-    0x95: "and-int",
-    0x96: "or-int",
-    0x97: "xor-int",
-    0x98: "shl-int",
-    0x99: "shr-int",
-    0x9A: "ushr-int",
-    0x9B: "add-long",
-    0x9C: "sub-long",
-    0x9D: "mul-long",
-    0x9E: "div-long",
-    0x9F: "rem-long",
-    0xA0: "and-long",
-    0xA1: "or-long",
-    0xA2: "xor-long",
-    0xA3: "shl-long",
-    0xA4: "shr-long",
-    0xA5: "ushr-long",
-    0xA6: "add-float",
-    0xA7: "sub-float",
-    0xA8: "mul-float",
-    0xA9: "div-float",
-    0xAA: "rem-float",
-    0xAB: "add-double",
-    0xAC: "sub-double",
-    0xAD: "mul-double",
-    0xAE: "div-double",
-    0xAF: "rem-double",
-    0xB0: "add-int/2addr",
-    0xB1: "sub-int/2addr",
-    0xB2: "mul-int/2addr",
-    0xB3: "div-int/2addr",
-    0xB4: "rem-int/2addr",
-    0xB5: "and-int/2addr",
-    0xB6: "or-int/2addr",
-    0xB7: "xor-int/2addr",
-    0xB8: "shl-int/2addr",
-    0xB9: "shr-int/2addr",
-    0xBA: "ushr-int/2addr",
-    0xBB: "add-long/2addr",
-    0xBC: "sub-long/2addr",
-    0xBD: "mul-long/2addr",
-    0xBE: "div-long/2addr",
-    0xBF: "rem-long/2addr",
-    0xC0: "and-long/2addr",
-    0xC1: "or-long/2addr",
-    0xC2: "xor-long/2addr",
-    0xC3: "shl-long/2addr",
-    0xC4: "shr-long/2addr",
-    0xC5: "ushr-long/2addr",
-    0xC6: "add-float/2addr",
-    0xC7: "sub-float/2addr",
-    0xC8: "mul-float/2addr",
-    0xC9: "div-float/2addr",
-    0xCA: "rem-float/2addr",
-    0xCB: "add-double/2addr",
-    0xCC: "sub-double/2addr",
-    0xCD: "mul-double/2addr",
-    0xCE: "div-double/2addr",
-    0xCF: "rem-double/2addr",
+    **dict(enumerate(_BINOP_NAMES, start=0x90)),
+    **dict(enumerate((f"{name}/2addr" for name in _BINOP_NAMES), start=0xB0)),
     0xD0: "add-int/lit16",
     0xD1: "rsub-int",
     0xD2: "mul-int/lit16",
@@ -213,17 +112,7 @@ CODE_TO_MNEMONIC = {
     0xD5: "and-int/lit16",
     0xD6: "or-int/lit16",
     0xD7: "xor-int/lit16",
-    0xD8: "add-int/lit8",
-    0xD9: "rsub-int/lit8",
-    0xDA: "mul-int/lit8",
-    0xDB: "div-int/lit8",
-    0xDC: "rem-int/lit8",
-    0xDD: "and-int/lit8",
-    0xDE: "or-int/lit8",
-    0xDF: "xor-int/lit8",
-    0xE0: "shl-int/lit8",
-    0xE1: "shr-int/lit8",
-    0xE2: "ushr-int/lit8",
+    **dict(enumerate((f"{op}-int/lit8" for op in ("add", "rsub", *_BINOPS[2:])), start=0xD8)),
     0xFA: "invoke-polymorphic",
     0xFB: "invoke-polymorphic/range",
     0xFC: "invoke-custom",
@@ -270,6 +159,8 @@ for _codes, _w in _WIDTH_RANGES:
         if _c in CODE_TO_MNEMONIC:
             CODE_WIDTH[_c] = _w
 del _codes, _w, _c
+# CODE_WIDTH as a bytes.translate table over opcode values (0 where unused).
+WIDTH_TABLE = bytes(CODE_WIDTH.get(code, 0) for code in range(256))
 
 
 class UnknownOpcodeError(ValueError):

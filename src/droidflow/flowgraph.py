@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .callgraph import reaching
-from .dalvik import normalize
+from .dalvik import WIDTH_TABLE, normalize
 from .icc import DEFAULT_INTENT_RECEIVERS, is_chunk_boundary
 from .tables import default_intent_senders
 
@@ -28,8 +28,10 @@ _TYPE_INDEX = {t: i for i, t in enumerate(EDGE_TYPE_ORDER)}
 
 DEFAULT_LABEL_DIM = 13
 
-# Opcode values by their text in nodes.csv: one lookup per opcode read back.
-_CODE_OF = {str(code): code for code in range(256)}
+# The text of each opcode value in nodes.csv and traces.csv, and the value of
+# each text: one lookup per opcode written or read back.
+_CODE_TEXT = {code: str(code) for code in range(256)}
+_CODE_OF = {text: code for code, text in _CODE_TEXT.items()}
 
 
 class FormatError(ValueError):
@@ -97,37 +99,38 @@ def chunk_methods(app, intent_senders=None):
     call, or at the method exit; the terminating invoke belongs to its chunk.
     """
     senders = default_intent_senders() if intent_senders is None else intent_senders
+    boundary = {}   # invoked signature -> is_chunk_boundary, tested once each
     chunks = []
     methods = sorted(
         (m for c in app.classes.values() for m in c.methods), key=lambda m: m.method_id
     )
     for method in methods:
-        body = method.body
-        codes, start = [], 0
-        for idx, (offset, code, _, invoked) in enumerate(body):
-            codes.append(code)
-            if invoked is not None and is_chunk_boundary(app, invoked, senders):
+        body, start, start_offset = method.body, 0, 0
+        for idx, offset, invoked in method.calls:
+            if invoked not in boundary:
+                boundary[invoked] = is_chunk_boundary(app, invoked, senders)
+            if boundary[invoked]:
                 chunks.append(
                     ChunkNode(
                         id=len(chunks),
                         method=method.method_id,
-                        offset=body[start][0],
-                        opcode_seq=codes,
+                        offset=start_offset,
+                        opcode_seq=list(body[start : idx + 1]),
                         invoke_mtd=invoked,
                         end_offset=offset,
                         send_index=idx,
                     )
                 )
-                codes, start = [], idx + 1
-        if codes:
+                start, start_offset = idx + 1, offset + WIDTH_TABLE[body[idx]]
+        if start < len(body):
             chunks.append(
                 ChunkNode(
                     id=len(chunks),
                     method=method.method_id,
-                    offset=body[start][0],
-                    opcode_seq=codes,
+                    offset=start_offset,
+                    opcode_seq=list(body[start:]),
                     invoke_mtd=EXIT,
-                    end_offset=body[-1][0],
+                    end_offset=start_offset + sum(body[start:-1].translate(WIDTH_TABLE)),
                 )
             )
     return chunks
@@ -230,14 +233,21 @@ def build_flow_graph(app, cg, traces, label_dim: int = DEFAULT_LABEL_DIM):
 
 # --- persistence -------------------------------------------------------------
 
+def opcode_text(seq) -> str:
+    """An opcode sequence as its "|"-joined line."""
+    try:
+        return "|".join(map(_CODE_TEXT.__getitem__, seq))
+    except KeyError:   # a value outside 0-255, as a corrupt graph file may hold
+        return "|".join(map(str, seq))
+
+
 def serialize_graph(graph: AbstractFlowGraph, out_dir):
     """Write nodes.csv and edges.csv under out_dir, byte-deterministically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     node_lines = []
     for n in sorted(graph.nodes, key=lambda n: n.id):
-        seq = "|".join(str(c) for c in n.opcode_seq)
-        node_lines.append(f"{n.id},{n.offset},{seq},{n.invoke_mtd}")
+        node_lines.append(f"{n.id},{n.offset},{opcode_text(n.opcode_seq)},{n.invoke_mtd}")
     (out_dir / "nodes.csv").write_text("".join(line + "\n" for line in node_lines))
     edge_lines = [f"{e.source},{e.target},{e.type}" for e in sort_edges(graph.edges)]
     (out_dir / "edges.csv").write_text("".join(line + "\n" for line in edge_lines))

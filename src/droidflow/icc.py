@@ -9,6 +9,8 @@ diagnostics instead of edges.
 
 import re
 
+from .smali import _split_operands
+
 # Methods through which a started child component hands data back to its
 # parent; used for the returning-ICC / implicit-neighbor pattern.
 DEFAULT_INTENT_RECEIVERS = ("onActivityResult", "onNewIntent")
@@ -39,19 +41,17 @@ def resolve_intent_targets(app, method, send_index, senders) -> tuple:
     reads only the chunk the send closes. Explicit class references win over
     action-string matches.
     """
-    body = method.body
     start = 0
-    for i in range(send_index - 1, -1, -1):
-        _, _, _, invoked = body[i]
-        if invoked is not None and is_chunk_boundary(app, invoked, senders):
+    for i, _, invoked in reversed(method.calls):
+        if i < send_index and is_chunk_boundary(app, invoked, senders):
             start = i + 1
             break
 
     by_name = {c.path_name: c for c in app.components}
     explicit = {}
     action_strings = []
-    for _, _, operands, _ in body[start : send_index + 1]:
-        for op in operands:
+    for text in method.operands[start : send_index + 1]:
+        for op in _split_operands(text):
             m = _CLASS_RE.match(op)
             if m and m.group(1) in by_name:
                 explicit[m.group(1)] = by_name[m.group(1)]

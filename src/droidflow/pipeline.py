@@ -16,7 +16,13 @@ from types import MappingProxyType
 from .apimine import CriticalApiSet, load_critical_apis
 from .appmodel import AppModel, EmptyAppError, load_app
 from .callgraph import build_call_graph
-from .flowgraph import AbstractFlowGraph, build_flow_graph, deserialize_graph, serialize_graph
+from .flowgraph import (
+    AbstractFlowGraph,
+    build_flow_graph,
+    deserialize_graph,
+    opcode_text,
+    serialize_graph,
+)
 from .nn.model import Hyperparams, TrainConfig
 from .tables import (
     data_file,
@@ -191,8 +197,9 @@ def write_features(result: ExtractResult, out_dir) -> Path:
     app_dir = Path(out_dir) / result.app_id
     app_dir.mkdir(parents=True, exist_ok=True)
     serialize_graph(result.graph, app_dir)
-    lines = ["|".join(str(c) for c in seq) for seq in result.raw_sequences]
-    (app_dir / "traces.csv").write_text("".join(line + "\n" for line in lines))
+    (app_dir / "traces.csv").write_text(
+        "".join(opcode_text(seq) + "\n" for seq in result.raw_sequences)
+    )
     (app_dir / "report.json").write_text(
         json.dumps(result.report, sort_keys=True, indent=2) + "\n"
     )

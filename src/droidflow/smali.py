@@ -3,14 +3,15 @@
 Recognized directives: .class/.super/.implements/.method/.end method.
 Debug and metadata directives (.line, .locals, annotations, switch payloads,
 ...) are skipped; anything else starting with a dot is a syntax error. Only
-opcodes, call targets and class structure survive into the model, which is
-all the downstream analyses consume.
+opcodes, operand text, call targets and class structure survive into the
+model (the columns documented on appmodel.MethodDef), which is all the
+downstream analyses consume.
 """
 
 import re
 
-from .appmodel import ClassDef, MethodDef
-from .dalvik import CODE_WIDTH, INVOKE_CODES, code_of
+from .appmodel import ClassDef, MethodDef, flag_set
+from .dalvik import INVOKE_CODES, MNEMONIC_TO_CODE, WIDTH_TABLE, code_of
 
 _CLASS_RE = re.compile(r"^\.class(?:\s+([\w $-]+?))?\s+(L[^\s;]+;)$")
 _SUPER_RE = re.compile(r"^\.super\s+(L[^\s;]+;)$")
@@ -33,6 +34,11 @@ _SKIP_BLOCKS = {
     ".subannotation": ".end subannotation",
 }
 _SKIP_BLOCK_STARTS = tuple(_SKIP_BLOCKS)
+# invoke-polymorphic names its method before the proto it ends with;
+# invoke-custom names a call site, whose bootstrap method follows its last "@".
+_POLYMORPHIC_CODES = (MNEMONIC_TO_CODE["invoke-polymorphic"],
+                      MNEMONIC_TO_CODE["invoke-polymorphic/range"])
+_CUSTOM_CODES = (MNEMONIC_TO_CODE["invoke-custom"], MNEMONIC_TO_CODE["invoke-custom/range"])
 
 
 class SmaliSyntaxError(ValueError):
@@ -85,6 +91,19 @@ def _split_operands_by_depth(text: str):
     return tuple(parts)
 
 
+def _method_reference(code: int, operand_text: str):
+    """The signature of the method an invoke calls, or None when its
+    operands name none."""
+    if code in _CUSTOM_CODES:
+        _, at, ref = operand_text.rpartition("@")
+        ref = ref.strip() if at else ""
+    else:
+        operands = _split_operands(operand_text)
+        position = 2 if code in _POLYMORPHIC_CODES else 1
+        ref = operands[-position] if len(operands) >= position else ""
+    return ref if _INVOKE_TARGET_RE.search(ref) else None
+
+
 def parse_smali_class(text: str) -> ClassDef:
     """Parse one smali class file into a ClassDef.
 
@@ -96,8 +115,10 @@ def parse_smali_class(text: str) -> ClassDef:
     interfaces = []
     methods = []
     method_head = None   # (flags, name, descriptor)
-    rows = None          # body rows of the open method (see MethodDef)
-    offset = 0
+    codes = None         # opcode values of the open method
+    operands = None      # its operand texts
+    calls = None         # its (body index, offset, invoked) triples
+    offset = 0           # offset of its next instruction
     skip_until = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -107,18 +128,21 @@ def parse_smali_class(text: str) -> ClassDef:
         lead = line[0]
         if skip_until is None and lead not in "#:.":
             # Instruction line, the most common kind.
-            if rows is None:
+            if codes is None:
                 raise SmaliSyntaxError(f"instruction outside a method: {line}", lineno)
             mnemonic, _, operand_text = line.partition(" ")
-            code = code_of(mnemonic)
-            operands = _split_operands(operand_text)
-            invoked = None
+            try:
+                code = MNEMONIC_TO_CODE[mnemonic]
+            except KeyError:
+                code = code_of(mnemonic)   # raises UnknownOpcodeError
             if code in INVOKE_CODES:
-                if not (operands and _INVOKE_TARGET_RE.search(operands[-1])):
+                invoked = _method_reference(code, operand_text)
+                if invoked is None:
                     raise SmaliSyntaxError(f"invoke without a method reference: {line}", lineno)
-                invoked = operands[-1]
-            rows.append((offset, code, operands, invoked))
-            offset += CODE_WIDTH[code]
+                calls.append((len(codes), offset, invoked))
+            codes.append(code)
+            operands.append(operand_text)
+            offset += WIDTH_TABLE[code]
             continue
         if lead == "#":
             continue
@@ -132,12 +156,26 @@ def parse_smali_class(text: str) -> ClassDef:
         # Directive line. No name tested below is a prefix of a name in
         # another test, so their order cannot change which one matches; the
         # common ones come first.
-        if line.startswith(_SKIP_PREFIXES):
+        if line == ".end method":
+            if method_head is None:
+                raise SmaliSyntaxError(".end method outside a method", lineno)
+            methods.append((*method_head, bytes(codes), tuple(operands), tuple(calls)))
+            method_head = None
+            codes = operands = calls = None
+        elif line.startswith(".method"):
+            if method_head is not None:
+                raise SmaliSyntaxError("nested .method", lineno)
+            m = _METHOD_RE.match(line)
+            if not m:
+                raise SmaliSyntaxError(f"malformed .method: {line}", lineno)
+            flags = flag_set(tuple((m.group(1) or "").split()))
+            method_head = (flags, m.group(2), m.group(3))
+            codes, operands, calls, offset = bytearray(), [], [], 0
+        elif line.startswith(_SKIP_PREFIXES):
             continue
-        if line.startswith(_SKIP_BLOCK_STARTS):
+        elif line.startswith(_SKIP_BLOCK_STARTS):
             skip_until = next(end for block, end in _SKIP_BLOCKS.items() if line.startswith(block))
-            continue
-        if line.startswith(".class"):
+        elif line.startswith(".class"):
             m = _CLASS_RE.match(line)
             if not m:
                 raise SmaliSyntaxError(f"malformed .class: {line}", lineno)
@@ -152,22 +190,6 @@ def parse_smali_class(text: str) -> ClassDef:
             if not m:
                 raise SmaliSyntaxError(f"malformed .implements: {line}", lineno)
             interfaces.append(m.group(1))
-        elif line == ".end method":
-            if method_head is None:
-                raise SmaliSyntaxError(".end method outside a method", lineno)
-            methods.append((*method_head, rows))
-            method_head = None
-            rows = None
-        elif line.startswith(".method"):
-            if method_head is not None:
-                raise SmaliSyntaxError("nested .method", lineno)
-            m = _METHOD_RE.match(line)
-            if not m:
-                raise SmaliSyntaxError(f"malformed .method: {line}", lineno)
-            flags = frozenset((m.group(1) or "").split())
-            method_head = (flags, m.group(2), m.group(3))
-            rows = []
-            offset = 0
         else:
             raise SmaliSyntaxError(f"unsupported directive: {line}", lineno)
 
@@ -178,14 +200,18 @@ def parse_smali_class(text: str) -> ClassDef:
 
     abstract_flags = {"abstract", "native"}
     method_defs = []
-    for flags, mname, descriptor, body in methods:
+    for flags, mname, descriptor, body, operand_texts, invokes in methods:
+        if flags & abstract_flags:
+            body, operand_texts, invokes = b"", (), ()
         method_defs.append(
             MethodDef(
                 owner=name,
                 name=mname,
                 descriptor=descriptor,
                 flags=flags,
-                body=[] if flags & abstract_flags else body,
+                body=body,
+                operands=operand_texts,
+                calls=invokes,
             )
         )
     seen = set()

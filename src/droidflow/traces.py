@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .appmodel import offsets
 from .callgraph import reaching
-from .dalvik import INVOKE_CODES
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TRACES_PER_ENTRY = 256
@@ -140,9 +140,7 @@ def _critical_sites(cg, critical_set):
         if method is None:
             continue
         found = tuple(
-            (offset, invoked)
-            for offset, _, _, invoked in method.body
-            if invoked in critical_set
+            (offset, invoked) for _, offset, invoked in method.calls if invoked in critical_set
         )
         if found:
             sites[mid] = found
@@ -168,17 +166,16 @@ def extract_opcodes(trace: CallTrace, app):
         method = app.get_method(mid)
         if method is None:
             raise BrokenTraceError(f"method {mid} not in app")
-        last = i == len(stops) - 1
-        for offset, code, _, _ in method.body:
-            seq.append(code)
-            if offset == stop:
-                if not last and code not in INVOKE_CODES:
-                    raise BrokenTraceError(
-                        f"trace hop at {mid} offset {stop} is not an invoke"
-                    )
-                break
-        else:
-            raise BrokenTraceError(f"offset {stop} missing in {mid}")
+        end = next((idx for idx, offset, _ in method.calls if offset == stop), None)
+        if end is None:
+            # Not an invoke: only the final method may stop there.
+            at = offsets(method.body)
+            if stop not in at:
+                raise BrokenTraceError(f"offset {stop} missing in {mid}")
+            if i < len(stops) - 1:
+                raise BrokenTraceError(f"trace hop at {mid} offset {stop} is not an invoke")
+            end = at.index(stop)
+        seq.extend(method.body[: end + 1])
     return seq
 
 

@@ -3,12 +3,14 @@
 The parser below walks every operand string one character at a time,
 collects (code, operands, invoked) triples per method and offsets them into
 body rows in a second pass, exactly as droidflow did before its front end was made fast.
-Directive handling shares droidflow.smali's tables and regexes. Tests
-compare droidflow.smali.parse_smali_class against it; droidflow itself does
-not use it. format_class prints a ClassDef back as smali text for the
-parser's round-trip test.
+The rows become MethodDef columns through appbuild.columns. Directive
+handling shares droidflow.smali's tables and regexes. Tests compare
+droidflow.smali.parse_smali_class against it; droidflow itself does not use
+it. format_class prints a ClassDef back as smali text for the parser's
+round-trip test.
 """
 
+from appbuild import columns
 from droidflow.appmodel import ClassDef, MethodDef
 from droidflow.dalvik import CODE_TO_MNEMONIC, CODE_WIDTH, INVOKE_CODES, code_of
 from droidflow.smali import (
@@ -149,7 +151,7 @@ def parse_smali_class(text: str) -> ClassDef:
                 name=mname,
                 descriptor=descriptor,
                 flags=flags,
-                body=assign_offsets(body),
+                **columns(assign_offsets(body)),
             )
         )
     seen = set()
@@ -171,9 +173,9 @@ def format_class(cd: ClassDef) -> str:
         head = f".method {flags} {method.name}{method.descriptor}" if flags else f".method {method.name}{method.descriptor}"
         lines.append("")
         lines.append(head)
-        for _, code, operands, _ in method.body:
+        for code, operands in zip(method.body, method.operands):
             if operands:
-                lines.append(f"    {CODE_TO_MNEMONIC[code]} {', '.join(operands)}")
+                lines.append(f"    {CODE_TO_MNEMONIC[code]} {operands}")
             else:
                 lines.append(f"    {CODE_TO_MNEMONIC[code]}")
         lines.append(".end method")

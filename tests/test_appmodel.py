@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from droidflow.appmodel import EmptyAppError, MalformedIrError, app_from_ir, load_app
+from appbuild import rows
+from droidflow.appmodel import EmptyAppError, MalformedIrError, app_from_ir, load_app, offsets
+from droidflow.dalvik import CODE_TO_MNEMONIC, INVOKE_CODES
+from droidflow.smali import parse_smali_class
 
 THREE_CLASS_IR = {
     "app_id": "fixture",
@@ -107,18 +110,17 @@ def test_meta_sidecar(tmp_path):
 def test_ir_fixture_round(tmp_path):
     app = app_from_ir(THREE_CLASS_IR)
     assert set(app.classes) == {"Lcom/x/Main;", "Lcom/x/Helper;", "Lcom/x/Unused;"}
-    main = app.classes["Lcom/x/Main;"]
-    offset, _, _, invoked = main.methods[0].body[0]
-    assert invoked == "Lcom/x/Helper;->go()V"
-    assert offset == 0
-    assert main.methods[0].body[1][0] == 3  # invoke-direct spans 3 units
+    main = app.classes["Lcom/x/Main;"].methods[0]
+    assert main.calls == ((0, 0, "Lcom/x/Helper;->go()V"),)
+    assert offsets(main.body) == [0, 3]  # invoke-direct spans 3 units
+    assert main.operands == ("{v0}, Lcom/x/Helper;->go()V", "")
 
     root = write_app(tmp_path, ir=THREE_CLASS_IR)
     loaded = load_app(root)
     assert set(loaded.classes) == set(app.classes)
 
 
-def test_body_rows_are_plain_tuples_the_gc_stops_tracking(tmp_path):
+def test_method_columns_hold_no_object_per_instruction(tmp_path):
     helper = (".class Lcom/x/Helper;\n.super Ljava/lang/Object;\n.method go()V\n    nop\n"
               "    const-string v0, \"a, b\"\n    invoke-static {v0}, Lcom/x/Helper;->go()V\n"
               "    return-void\n.end method\n")
@@ -130,17 +132,66 @@ def test_body_rows_are_plain_tuples_the_gc_stops_tracking(tmp_path):
         load_app(write_app(tmp_path / "ir", ir=THREE_CLASS_IR)),
     ]
     for app in apps:
-        rows = [row for m in app.methods() for row in m.body]
-        assert len(rows) > 2
-        for row in rows:
-            assert type(row) is tuple and len(row) == 4
-            offset, code, operands, invoked = row
-            assert type(offset) is int and type(code) is int
-            assert type(operands) is tuple and all(type(op) is str for op in operands)
-            assert invoked is None or type(invoked) is str
-        gc.collect()
-        gc.collect()
-        assert not any(gc.is_tracked(row) for row in rows)
+        assert sum(len(m.body) for m in app.methods()) > 2
+        for m in app.methods():
+            assert type(m.body) is bytes
+            assert type(m.operands) is tuple and len(m.operands) == len(m.body)
+            assert all(type(text) is str for text in m.operands)
+            assert type(m.calls) is tuple
+            for index, offset, invoked in m.calls:
+                assert m.body[index] in INVOKE_CODES
+                assert offset == offsets(m.body)[index] and type(invoked) is str
+    helper_go = apps[0].classes["Lcom/x/Helper;"].methods[0]
+    assert helper_go.operands == ("", 'v0, "a, b"', "{v0}, Lcom/x/Helper;->go()V", "")
+
+
+def _gc_visits(root):
+    """Objects a full collection visits from root: each gc-tracked object
+    reachable from root through tracked objects, and what each refers to."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen.add(id(ref))
+                if gc.is_tracked(ref):
+                    stack.append(ref)
+    return len(seen)
+
+
+def _big_class(methods, per_method):
+    """A smali class of `methods` methods with `per_method` instructions each."""
+    cycle = ["const-string v0, \"s{i}\"", "invoke-static {{v0}}, Lcom/x/Big;->m0()V",
+             "move-result v1", "nop"]
+    lines = [".class Lcom/x/Big;", ".super Ljava/lang/Object;"]
+    for k in range(methods):
+        lines.append(f".method m{k}()V")
+        lines += ["    " + cycle[i % 4].format(i=i) for i in range(per_method)]
+        lines.append(".end method")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("form", ["smali", "ir"])
+def test_gc_work_after_load_grows_with_methods_not_instructions(tmp_path, form):
+    """A full collection pays per method, not per instruction, for a loaded
+    app: the body columns are bytes, strings and tuples the GC untracks."""
+    methods, per_method = 12, 500
+    text = _big_class(methods, per_method)
+    if form == "smali":
+        root = write_app(tmp_path, manifest=MANIFEST, smali={"Big.smali": text})
+    else:
+        big = parse_smali_class(text)
+        ir = {"classes": [{"name": big.name, "methods": [
+            {"name": m.name, "descriptor": m.descriptor, "body": [
+                {"mnemonic": CODE_TO_MNEMONIC[code], "operands": list(operands),
+                 **({"invoked_method": invoked} if invoked else {})}
+                for _, code, operands, invoked in rows(m)]}
+            for m in big.methods]}]}
+        root = write_app(tmp_path, ir=ir)
+    app = load_app(root)
+    gc.collect()
+    gc.collect()
+    assert sum(len(m.body) for m in app.methods()) == methods * per_method
+    assert _gc_visits(app) < 30 * methods
 
 
 @pytest.mark.parametrize("path, key", [
@@ -159,6 +210,17 @@ def test_missing_required_key_is_a_value_error(path, key):
     with pytest.raises(MalformedIrError, match=repr(key)) as info:
         app_from_ir(ir)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("instruction", [
+    {"mnemonic": "nop", "invoked_method": "Lcom/x/Helper;->go()V"},
+    {"mnemonic": "invoke-static", "operands": ["{}", "Lcom/x/Helper;->go()V"]},
+])
+def test_ir_invoked_method_is_given_on_invokes_only(instruction):
+    ir = copy.deepcopy(THREE_CLASS_IR)
+    ir["classes"][1]["methods"][0]["body"].insert(0, instruction)
+    with pytest.raises(ValueError, match=f"{instruction['mnemonic']} with.* invoked_method"):
+        app_from_ir(ir)
 
 
 def test_unresolved_user_call_diagnosed():

@@ -13,7 +13,7 @@ from droidflow.dalvik import CODE_TO_MNEMONIC
 from droidflow.tables import default_callbacks, default_intent_senders, default_lifecycle
 from droidflow.traces import find_call_traces
 
-from appbuild import build_app, cls, component, ins, invoke, method
+from appbuild import build_app, cls, component, ins, invoke, method, rows
 
 OBJ = "Ljava/lang/Object;"
 ACT = "Landroid/app/Activity;"
@@ -147,7 +147,7 @@ def oracle_call_graph(app):
         while True:
             grown = set(reach)
             for mid in reach:
-                for instr in methods[mid].body:
+                for instr in rows(methods[mid]):
                     grown |= _naive_targets(app, instr)
             if grown == reach:
                 return reach
@@ -157,7 +157,7 @@ def oracle_call_graph(app):
         reach = closure(entries)
         new = set()
         for mid in reach:
-            body = methods[mid].body
+            body = rows(methods[mid])
             for idx, (_, _, _, invoked) in enumerate(body):
                 if invoked is None:
                     continue
@@ -178,7 +178,7 @@ def oracle_call_graph(app):
     reach = closure(entries)
     icc = set()
     for mid in sorted(reach):
-        body = methods[mid].body
+        body = rows(methods[mid])
         for idx, (_, _, _, invoked) in enumerate(body):
             if invoked is None:
                 continue
@@ -198,7 +198,7 @@ def oracle_call_graph(app):
 
     edge_pairs = set()
     for mid in reach:
-        for instr in methods[mid].body:
+        for instr in rows(methods[mid]):
             for callee in _naive_targets(app, instr):
                 edge_pairs.add((mid, callee))
     return reach, edge_pairs, icc, entries & reach

@@ -80,7 +80,7 @@ def test_chunks_partition_method():
     for m in app.methods():
         mine = [c for c in chunks if c.method == m.method_id]
         flat = [code for c in mine for code in c.opcode_seq]
-        assert flat == [code for _, code, _, _ in m.body]
+        assert flat == list(m.body)
 
 
 # --- node labels -------------------------------------------------------------

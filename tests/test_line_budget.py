@@ -1,0 +1,13 @@
+"""The package source stays within its line budget."""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "droidflow"
+BUDGET = 4000
+
+
+def test_src_stays_under_its_line_budget():
+    files = [*SRC.glob("*.py"), *SRC.glob("nn/*.py")]
+    # Newline characters, as `cat src/droidflow/*.py src/droidflow/nn/*.py | wc -l` counts.
+    lines = sum(path.read_bytes().count(b"\n") for path in files)
+    assert lines < BUDGET, f"{lines} lines of src, budget {BUDGET}"

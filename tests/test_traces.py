@@ -20,7 +20,7 @@ from droidflow.traces import (
     with_opcode_seqs,
 )
 
-from appbuild import build_app, cls, component, ins, invoke, method
+from appbuild import build_app, cls, component, ins, invoke, method, rows
 from test_callgraph import fx_diamond, fx_linear
 
 SMS = "Landroid/telephony/SmsManager;->sendTextMessage(Ljava/lang/String;)V"
@@ -33,7 +33,7 @@ def enumerate_paths_oracle(cg, critical):
     sites = {}
     for mid in cg.nodes:
         m = app.get_method(mid)
-        sites[mid] = [offset for offset, _, _, invoked in m.body if invoked in set(critical)]
+        sites[mid] = [offset for offset, _, _, invoked in rows(m) if invoked in set(critical)]
     found = []
     def walk(path):
         for off in sites.get(path[-1], []):
@@ -58,7 +58,7 @@ def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=
         method = app.get_method(method_id)
         if method is None:
             return []
-        return [row for row in method.body if row[3] in critical_set]
+        return [row for row in rows(method) if row[3] in critical_set]
 
     for entry in cg.entry_points:
         budget = [max_traces_per_entry]
@@ -325,7 +325,7 @@ def test_off_trace_call_contributes_one_opcode():
     def full_inline(mid, stop_offset, seen=()):
         m = app.get_method(mid)
         out = []
-        for offset, code, _, invoked in m.body:
+        for offset, code, _, invoked in rows(m):
             if invoked and app.is_user_defined(invoked.partition("->")[0]) \
                     and invoked not in seen and offset != stop_offset:
                 out.append(code)
