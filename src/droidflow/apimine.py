@@ -10,10 +10,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .tables import load_name_list
-
-SOURCE_KINDS = ("cve", "exploitdb_verified", "exploitdb_unverified", "code_sample")
 
 # Verified exploit entries carry double weight; everything else is neutral.
 DEFAULT_SOURCE_WEIGHTS = {
@@ -77,8 +76,12 @@ class CriticalApiSet:
     def of(cls, signatures) -> "CriticalApiSet":
         return cls(tuple(sorted(set(signatures))))
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.apis)
+
     def __contains__(self, signature: str) -> bool:
-        return signature in set(self.apis)
+        return signature in self._members
 
     def __iter__(self):
         return iter(self.apis)

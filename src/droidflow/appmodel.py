@@ -7,7 +7,7 @@ JSON fixture format (same fields, no smali text involved).
 import json
 import zipfile
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
 
@@ -76,12 +76,6 @@ class ClassDef:
     interfaces: tuple
     methods: list
 
-    def find_method(self, name: str, descriptor: str | None = None):
-        for m in self.methods:
-            if m.name == name and (descriptor is None or m.descriptor == descriptor):
-                return m
-        return None
-
 
 @dataclass(frozen=True)
 class IntentFilter:
@@ -111,29 +105,38 @@ class AppModel:
     components: list
     metadata: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+    # signature -> get_method's answer, filled on first ask
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_user_defined(self, class_name: str) -> bool:
         return class_name in self.classes
 
+    @cached_property
+    def methods_by_id(self) -> dict:
+        """The app's one method table: method id -> MethodDef, in id order."""
+        table = {m.method_id: m for c in self.classes.values() for m in c.methods}
+        return dict(sorted(table.items()))
+
     def lookup_method(self, owner: str, name: str, descriptor: str | None = None):
-        """Find the defining MethodDef, walking up user-defined superclasses."""
+        """Find the defining MethodDef, walking up user-defined superclasses;
+        without a descriptor, the first method of that name in a class."""
         cls = self.classes.get(owner)
         seen = set()
         while cls is not None and cls.name not in seen:
             seen.add(cls.name)
-            m = cls.find_method(name, descriptor)
+            m = (next((m for m in cls.methods if m.name == name), None) if descriptor is None
+                 else self.methods_by_id.get(f"{cls.name}->{name}{descriptor}"))
             if m is not None:
                 return m
             cls = self.classes.get(cls.superclass)
         return None
 
-    def methods(self):
-        """All user-defined methods in deterministic (class, definition) order."""
-        for name in sorted(self.classes):
-            yield from self.classes[name].methods
-
-    def get_method(self, method_id: str):
-        return self.lookup_method(*split_signature(method_id))
+    def get_method(self, signature: str):
+        """The MethodDef a call of signature lands in, its owner's own or an
+        inherited one, or None; each distinct signature is resolved once."""
+        if signature not in self._resolved:
+            self._resolved[signature] = self.lookup_method(*split_signature(signature))
+        return self._resolved[signature]
 
 
 def split_signature(signature: str):
@@ -238,16 +241,10 @@ def _required(entry: dict, key: str, what: str):
 
 
 def _check_links(app: AppModel):
-    """Record a diagnostic for every call of an unresolvable user-defined
-    method; each distinct signature is looked up once."""
-    unresolved = {}
-    for method in app.methods():
+    """Record a diagnostic for every call of an unresolvable user-defined method."""
+    for method in app.methods_by_id.values():
         for _, _, invoked in method.calls:
-            if invoked not in unresolved:
-                owner, name, descriptor = split_signature(invoked)
-                unresolved[invoked] = (app.is_user_defined(owner)
-                                       and app.lookup_method(owner, name, descriptor) is None)
-            if unresolved[invoked]:
+            if app.is_user_defined(invoked.partition("->")[0]) and app.get_method(invoked) is None:
                 app.diagnostics.append(f"unresolved call {invoked} from {method.method_id}")
 
 
@@ -256,8 +253,8 @@ def load_app(root) -> AppModel:
 
     Expected layout: AndroidManifest.xml plus smali/**/*.smali, or an ir.json
     fixture. Optional meta.json supplies {"timestamp": ..., "label": ...}.
-    Individual class parse failures become diagnostics; only a fully
-    class-less app is fatal.
+    A class file that cannot be read, decoded or parsed becomes a
+    diagnostic naming its path; only a fully class-less app is fatal.
     """
     from .manifest import parse_manifest
     from .smali import SmaliSyntaxError, parse_smali_class
@@ -283,7 +280,7 @@ def load_app(root) -> AppModel:
             try:
                 cd = parse_smali_class(path.read_text())
                 classes[cd.name] = cd
-            except (SmaliSyntaxError, UnknownOpcodeError) as exc:
+            except (SmaliSyntaxError, UnknownOpcodeError, UnicodeDecodeError, OSError) as exc:
                 diagnostics.append(f"{path.relative_to(root)}: {exc}")
         if not classes:
             raise EmptyAppError(f"no class parsed under {root}")

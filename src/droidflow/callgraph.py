@@ -123,23 +123,19 @@ def resolve_invoke(app: AppModel, h: ClassHierarchy, mnemonic: str, invoked: str
     owner, name, descriptor = split_signature(invoked)
     targets = set()
     if mnemonic.startswith(("invoke-virtual", "invoke-interface")):
-        inherited = app.lookup_method(owner, name, descriptor)
+        inherited = app.get_method(invoked)
         if inherited is not None:
             targets.add(inherited.method_id)
         for cls in h.dispatch_roots(owner):
-            cd = app.classes.get(cls)
-            if cd is None:
-                continue
-            m = cd.find_method(name, descriptor)
-            if m is not None:
-                targets.add(m.method_id)
+            if f"{cls}->{name}{descriptor}" in app.methods_by_id:
+                targets.add(f"{cls}->{name}{descriptor}")
     elif mnemonic.startswith("invoke-super"):
         start = h.parent.get(owner, owner)
-        m = app.lookup_method(start, name, descriptor) or app.lookup_method(owner, name, descriptor)
+        m = app.get_method(f"{start}->{name}{descriptor}") or app.get_method(invoked)
         if m is not None:
             targets.add(m.method_id)
     else:  # invoke-direct / invoke-static / remaining kinds: exact lookup
-        m = app.lookup_method(owner, name, descriptor)
+        m = app.get_method(invoked)
         if m is not None:
             targets.add(m.method_id)
     return tuple(sorted(targets))
@@ -191,11 +187,9 @@ def generate_call_graph(
         if not app.is_user_defined(comp.path_name)
     ]
 
-    methods_by_id = {m.method_id: m for m in app.methods()}
     resolve = cache(partial(resolve_invoke, app, h))
     call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
-    for mid in sorted(methods_by_id):
-        method = methods_by_id[mid]
+    for mid, method in app.methods_by_id.items():
         body = method.body
         sites, callees = [], {}
         for idx, offset, invoked in method.calls:
@@ -235,7 +229,7 @@ def generate_call_graph(
     work = list(entry_points)
     while work:
         mid = work.pop()
-        if mid in reached or mid not in methods_by_id:
+        if mid in reached or mid not in app.methods_by_id:
             continue
         reached.add(mid)
         callbacks_found = registered.get(mid, ())

@@ -101,10 +101,7 @@ def chunk_methods(app, intent_senders=None):
     senders = default_intent_senders() if intent_senders is None else intent_senders
     boundary = {}   # invoked signature -> is_chunk_boundary, tested once each
     chunks = []
-    methods = sorted(
-        (m for c in app.classes.values() for m in c.methods), key=lambda m: m.method_id
-    )
-    for method in methods:
+    for method in app.methods_by_id.values():
         body, start, start_offset = method.body, 0, 0
         for idx, offset, invoked in method.calls:
             if invoked not in boundary:

@@ -14,7 +14,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .apimine import CriticalApiSet, load_critical_apis
-from .appmodel import AppModel, EmptyAppError, load_app
+from .appmodel import AppModel, load_app
 from .callgraph import build_call_graph
 from .flowgraph import (
     AbstractFlowGraph,
@@ -212,7 +212,7 @@ def _extract_one(app_path, out_dir, critical, config):
         result = extract_app(app, critical, config)
         write_features(result, out_dir)
         return result.report
-    except (EmptyAppError, ValueError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         return {"app_id": Path(app_path).name, "status": "failed", "error": str(exc)}
 
 

@@ -136,11 +136,10 @@ def _critical_sites(cg, critical_set):
     at least one critical invoke, in body order."""
     sites = {}
     for mid in cg.nodes:
-        method = cg.app.get_method(mid)
-        if method is None:
-            continue
         found = tuple(
-            (offset, invoked) for _, offset, invoked in method.calls if invoked in critical_set
+            (offset, invoked)
+            for _, offset, invoked in cg.app.methods_by_id[mid].calls
+            if invoked in critical_set
         )
         if found:
             sites[mid] = found

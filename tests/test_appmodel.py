@@ -132,8 +132,8 @@ def test_method_columns_hold_no_object_per_instruction(tmp_path):
         load_app(write_app(tmp_path / "ir", ir=THREE_CLASS_IR)),
     ]
     for app in apps:
-        assert sum(len(m.body) for m in app.methods()) > 2
-        for m in app.methods():
+        assert sum(len(m.body) for m in app.methods_by_id.values()) > 2
+        for m in app.methods_by_id.values():
             assert type(m.body) is bytes
             assert type(m.operands) is tuple and len(m.operands) == len(m.body)
             assert all(type(text) is str for text in m.operands)
@@ -190,7 +190,7 @@ def test_gc_work_after_load_grows_with_methods_not_instructions(tmp_path, form):
     app = load_app(root)
     gc.collect()
     gc.collect()
-    assert sum(len(m.body) for m in app.methods()) == methods * per_method
+    assert sum(len(m.body) for m in app.methods_by_id.values()) == methods * per_method
     assert _gc_visits(app) < 30 * methods
 
 
@@ -271,3 +271,24 @@ def test_method_lookup_walks_superclasses():
     app = app_from_ir(ir)
     m = app.lookup_method("Lderived;", "onCreate")
     assert m is not None and m.owner == "Lbase;"
+
+
+def test_unreadable_class_file_is_a_diagnostic_of_its_own(tmp_path):
+    """A .smali path that cannot be read (a directory) or decoded (not UTF-8)
+    drops only itself, with a diagnostic naming it, as a syntax error does."""
+    root = write_app(tmp_path, manifest=MANIFEST, smali=SMALI_CLASSES)
+    (root / "smali" / "x.smali").mkdir()
+    (root / "smali" / "Latin.smali").write_bytes(
+        b".class Lcom/x/Latin;\n.super Ljava/lang/Object;\n# caf\xe9\n")
+    app = load_app(root)
+    assert sorted(app.classes) == ["Lcom/x/A;", "Lcom/x/B;", "Lcom/x/Main;"]
+    assert len(app.diagnostics) == 2
+    assert any(d.startswith("smali/x.smali: ") for d in app.diagnostics)
+    assert any(d.startswith("smali/Latin.smali: ") for d in app.diagnostics)
+
+
+def test_methods_by_id_is_every_method_in_id_order():
+    app = app_from_ir(THREE_CLASS_IR)
+    assert list(app.methods_by_id) == ["Lcom/x/Helper;->go()V",
+                                       "Lcom/x/Main;->onCreate(Landroid/os/Bundle;)V"]
+    assert all(app.methods_by_id[mid].method_id == mid for mid in app.methods_by_id)

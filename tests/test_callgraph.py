@@ -8,6 +8,7 @@ from droidflow.callgraph import (
     build_call_graph,
     build_class_hierarchy,
     collect_entry_points,
+    resolve_invoke,
 )
 from droidflow.dalvik import CODE_TO_MNEMONIC
 from droidflow.tables import default_callbacks, default_intent_senders, default_lifecycle
@@ -596,6 +597,68 @@ def test_determinism():
         assert a.edges == b.edges
         assert a.icc_edges == b.icc_edges
         assert a.entry_points == b.entry_points
+
+
+def test_each_call_signature_is_walked_once_per_app(tmp_path, monkeypatch):
+    """Loading and extracting an app walks the superclasses of each distinct
+    call signature at most once: the link check, every invoke kind of the
+    call graph and the trace walk all resolve through AppModel.get_method."""
+    import json
+
+    from droidflow.appmodel import AppModel, load_app
+    from droidflow.pipeline import PipelineConfig, extract_app
+
+    helper = "Lx/Main;->helper()V"
+    ir = {"classes": [
+        cls("Lx/Base;", [
+            method("helper", "()V", [invoke("virtual", SMS), ins("return-void")]),
+            method("onStart", "()V", [ins("return-void")]),
+        ], superclass=ACT),
+        cls("Lx/Main;", [
+            method("onCreate", "()V", [
+                invoke("virtual", helper),
+                invoke("direct", helper),
+                invoke("static", "Lx/Main;->missing()V"),
+                invoke("super", "Lx/Main;->onStart()V"),
+                ins("return-void"),
+            ]),
+            method("onStart", "()V", [invoke("virtual", helper), ins("return-void")]),
+        ], superclass="Lx/Base;"),
+    ], "components": [component("Lx/Main;")]}
+    (tmp_path / "ir.json").write_text(json.dumps(ir))
+    walks = []
+    lookup = AppModel.lookup_method
+
+    def counting(self, owner, name, descriptor=None):
+        if descriptor is not None:
+            walks.append(f"{owner}->{name}{descriptor}")
+        return lookup(self, owner, name, descriptor)
+
+    monkeypatch.setattr(AppModel, "lookup_method", counting)
+    result = extract_app(load_app(tmp_path), CriticalApiSet.of([SMS]), PipelineConfig())
+    assert result.report["trace_count"] > 0
+    assert {helper, "Lx/Main;->missing()V"} <= set(walks)
+    assert sorted(walks) == sorted(set(walks))
+
+
+def test_interface_call_skips_a_method_the_implementer_inherits():
+    """Class hierarchy analysis as perfbench's oracle applies it: a dispatch
+    root counts only a method it defines itself, so invoke-interface on I
+    reaches nothing when Impl implements I but inherits run() from Base."""
+    app = build_app(
+        [
+            cls("Lx/Base;", [method("run", "()V", [ins("return-void")])]),
+            cls("Lx/Impl;", [], superclass="Lx/Base;", interfaces=("Lx/I;",)),
+            cls("Lx/Main;", [method("onCreate", "()V", [
+                invoke("interface", "Lx/I;->run()V"), ins("return-void")])], superclass=ACT),
+        ],
+        [component("Lx/Main;")],
+    )
+    assert resolve_invoke(app, build_class_hierarchy(app), "invoke-interface",
+                          "Lx/I;->run()V") == ()
+    cg = build_call_graph(app)
+    assert cg.edges["Lx/Main;->onCreate()V"] == ()
+    assert "Lx/Base;->run()V" not in cg.nodes
 
 
 def test_virtual_dispatch_monotone_under_new_override():

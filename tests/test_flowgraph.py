@@ -77,7 +77,7 @@ def test_trailing_intent_send_no_empty_exit_chunk():
 def test_chunks_partition_method():
     app = load_app(FIXTURES / "neighbor_pruning")
     chunks = chunk_methods(app)
-    for m in app.methods():
+    for m in app.methods_by_id.values():
         mine = [c for c in chunks if c.method == m.method_id]
         flat = [code for c in mine for code in c.opcode_seq]
         assert flat == list(m.body)

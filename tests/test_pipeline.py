@@ -107,6 +107,65 @@ def test_nameless_class_fails_only_its_app(tmp_path):
 
 
 
+def _meta_is_a_directory(app_dir):
+    shutil.copytree(FIXTURES / "critical", app_dir)
+    (app_dir / "meta.json").mkdir()
+
+
+def _smali_directory_beside_a_class(app_dir):
+    (app_dir / "smali" / "x.smali").mkdir(parents=True)
+    (app_dir / "smali" / "Main.smali").write_text(
+        ".class Lx/Main;\n.super Landroid/app/Activity;\n"
+        ".method onCreate()V\n    return-void\n.end method\n")
+
+
+def _deep_call_chain(app_dir, length=3000):
+    """onCreate -> m0 -> ... -> m{length-1} -> a critical call."""
+    def call(target):
+        return {"mnemonic": "invoke-static", "operands": ["{}", target],
+                "invoked_method": target}
+
+    chain = [
+        {"name": f"m{i}", "descriptor": "()V", "body": [
+            call(f"Lx/Chain;->m{i + 1}()V" if i + 1 < length else SHORT_SMS),
+            {"mnemonic": "return-void"}]}
+        for i in range(length)
+    ]
+    ir = {"classes": [
+        {"name": "Lx/Main;", "superclass": "Landroid/app/Activity;", "methods": [
+            {"name": "onCreate", "descriptor": "()V", "body": [
+                call("Lx/Chain;->m0()V"), {"mnemonic": "return-void"}]}]},
+        {"name": "Lx/Chain;", "methods": chain}],
+        "components": [{"path_name": "Lx/Main;", "category": "activity"}]}
+    app_dir.mkdir()
+    (app_dir / "ir.json").write_text(json.dumps(ir))
+
+
+@pytest.mark.parametrize("make_bad", [
+    _meta_is_a_directory, _smali_directory_beside_a_class, _deep_call_chain,
+], ids=["meta-directory", "smali-directory", "deep-call-chain"])
+def test_no_app_aborts_the_batch(tmp_path, make_bad):
+    """Whatever one app raises, every other app keeps its entry and the batch
+    report is written; the bad app yields features or one failed entry."""
+    apps_root = tmp_path / "apps"
+    apps_root.mkdir()
+    shutil.copytree(FIXTURES / "critical", apps_root / "good")
+    make_bad(apps_root / "odd")
+    config = fixture_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "caps": {"max_depth": 100_000}}))
+    out = tmp_path / "out"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(out),
+                 "--config", str(config)]) == 0
+    reports = json.loads((out / "extraction_report.json").read_text())
+    assert [r["app_id"] for r in reports] == ["good", "odd"]
+    assert reports[0]["status"] == "ok" and (out / "good" / "report.json").exists()
+    odd = reports[1]
+    assert odd["status"] == "failed" or (out / "odd" / "report.json").exists()
+    if make_bad is _meta_is_a_directory:
+        assert odd["status"] == "failed"
+
+
 def _fixture_ir():
     return json.loads((FIXTURES / "critical" / "ir.json").read_text())
 
