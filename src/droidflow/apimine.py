@@ -34,6 +34,10 @@ class EmptyCorpusError(ValueError):
     pass
 
 
+class ApiDocsError(ValueError):
+    """A malformed --api-docs file."""
+
+
 @dataclass(frozen=True)
 class CorpusDocument:
     doc_id: str
@@ -205,6 +209,25 @@ def load_corpus_dir(corpus_dir):
             CorpusDocument(doc_id, path.read_text(), index.get(doc_id, "cve"))
         )
     return docs
+
+
+def load_api_docs(path) -> list:
+    """ApiDocs of a JSON list of {signature, description} objects, the
+    description optional; a malformed entry is an ApiDocsError naming its index."""
+    import json
+    from pathlib import Path
+
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, list):
+        raise ApiDocsError(f"{path}: not a JSON list")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ApiDocsError(f"{path}: entry {i} is not an object")
+        signature, description = entry.get("signature"), entry.get("description", "")
+        if not (signature and isinstance(signature, str) and isinstance(description, str)):
+            raise ApiDocsError(f"{path}: entry {i} needs a non-empty string signature "
+                               "and a string description")
+    return [ApiDoc(e["signature"], e.get("description", "")) for e in raw]
 
 
 def load_stopwords(path) -> frozenset:

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .apimine import (
-    ApiDoc,
+    ApiDocsError,
     EmptyCorpusError,
+    load_api_docs,
     load_corpus_dir,
     load_stopwords,
     match_critical_apis,
@@ -62,15 +63,15 @@ def _config(args) -> PipelineConfig:
 
 
 def cmd_mine_apis(args) -> int:
+    if args.top_keywords < 1:
+        raise UsageError("--top-keywords must be at least 1")
     corpus = load_corpus_dir(args.corpus)
     if not corpus:
         raise EmptyCorpusError(f"no corpus documents under {args.corpus}")
     stopwords = load_stopwords(args.stopwords or data_file("stopwords.txt"))
     ranked = rank_keywords(corpus, stopwords)
     top = select_top(ranked, args.top_keywords)
-    docs_raw = json.loads(Path(args.api_docs).read_text())
-    docs = [ApiDoc(d["signature"], d.get("description", "")) for d in docs_raw]
-    apis = match_critical_apis(docs, top, args.min_matches)
+    apis = match_critical_apis(load_api_docs(args.api_docs), top, args.min_matches)
     for tool_file in args.tool_list or []:
         apis = merge_tool_lists(load_name_list(tool_file), top, apis)
     save_critical_apis(apis, args.out)
@@ -279,6 +280,7 @@ def make_parser() -> _Parser:
 
 
 INPUT_ERRORS = (
+    ApiDocsError,
     ConfigError,
     EmptyAppError,
     EmptyCorpusError,

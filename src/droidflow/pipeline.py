@@ -39,7 +39,6 @@ from .traces import (
     SequenceMatrix,
     build_matrix,
     find_call_traces,
-    with_opcode_seqs,
 )
 
 
@@ -166,7 +165,6 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
         max_depth=config.max_depth,
         max_traces_per_entry=config.max_traces_per_entry,
     )
-    traces = with_opcode_seqs(traces, app)
     raw_sequences = [t.opcode_seq for t in traces]
     matrix = build_matrix(raw_sequences, config.hyper.seq_len, config.opcode_budget)
     total_raw = sum(map(len, raw_sequences))

@@ -3,18 +3,18 @@ opcode sequences.
 
 A trace is a simple path of user-defined methods whose last element contains
 an invoke of a critical API. Its opcode sequence chains the prefix of each
-method up to the call that continues the trace, descending into the callee,
-and stops at (and includes) the critical invoke. The per-app sequence budget
+method up to the call that continues the trace, descending into the callee
+(off-trace calls add their one opcode and are not entered), and stops at
+(and includes) the critical invoke. The per-app sequence budget
 is enforced by backward truncation so the trailing critical call always
 survives, and sequences are split backward-aligned into fixed-length rows,
 dropping the short leading remainder.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .appmodel import offsets
 from .callgraph import reaching
 
 DEFAULT_MAX_DEPTH = 64
@@ -24,17 +24,12 @@ DEFAULT_OPCODE_BUDGET = 8000
 DFS_VISIT_BUDGET = 100_000
 
 
-class BrokenTraceError(ValueError):
-    """Trace walk could not find the invoke continuing the path."""
-
-
 @dataclass
 class CallTrace:
     methods: tuple            # method ids, entry first, call-site method last
     critical_api: str
     site_offset: int          # offset of the critical invoke in methods[-1]
-    hop_offsets: tuple = ()   # offset of the invoke continuing the trace, per hop
-    opcode_seq: list = field(default_factory=list)
+    opcode_seq: list          # opcode values, ending at the critical invoke
 
     @property
     def entry(self):
@@ -61,19 +56,32 @@ def find_call_traces(
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_traces_per_entry: int = DEFAULT_MAX_TRACES_PER_ENTRY,
 ):
-    """All simple paths from each entry point to a critical-API call site.
+    """All simple paths from each entry point to a critical-API call site,
+    each with its opcode sequence (see the module docstring).
 
-    Depth-first in call-site order, so results are deterministic. The search
+    Depth-first in call-site order on an explicit stack, so results are
+    deterministic and no depth reaches Python's recursion limit. The search
     only enters methods that can reach a critical call site at all (one
     reverse-reachability pass over the call sites), so branches that lead
     to no critical API cost nothing. Three caps bound the rest: the depth
     cap and the per-entry trace cap, and a per-app budget of DFS_VISIT_BUDGET
     method visits for strongly connected code with exponentially many simple
     paths. Hitting a cap is recorded on the call graph diagnostics, not an
-    error; the visit budget ends the whole search.
+    error; the visit budget ends the whole search. The walk keeps each
+    hop's opcode prefix and joins them only for the traces it emits.
     """
     sites = _critical_sites(cg, set(critical))
     live = reaching(cg, sites)
+    methods = cg.app.methods_by_id
+    steps = {}                # method id -> ((body index, live callee), ...)
+    for mid in live:
+        index_at = {offset: index for index, offset, _ in methods[mid].calls}
+        steps[mid] = tuple(
+            (index_at[offset], callee)
+            for offset, targets in cg.call_sites.get(mid, ())
+            for callee in targets
+            if callee in live
+        )
     traces = []
     visits_left = DFS_VISIT_BUDGET
 
@@ -81,49 +89,47 @@ def find_call_traces(
         if entry not in live:
             continue
         traces_left = max_traces_per_entry
-        path, hops, on_path = [entry], [], {entry}
-
-        def dfs():
-            """Extend path; return the name of the cap that ended the entry's
-            search, or None."""
-            nonlocal traces_left, visits_left
-            if visits_left <= 0:
-                return "visit budget"
-            visits_left -= 1
-            current = path[-1]
-            for offset, api in sites.get(current, ()):
-                if traces_left <= 0:
-                    return "trace cap"
-                traces.append(
-                    CallTrace(
-                        methods=tuple(path),
-                        critical_api=api,
-                        site_offset=offset,
-                        hop_offsets=tuple(hops),
-                    )
-                )
-                traces_left -= 1
-            if len(path) >= max_depth:
-                cg.diagnostics.append(f"depth cap hit at entry {entry}")
-                return None
-            for site_offset, targets in cg.call_sites.get(current, ()):
-                for callee in targets:
-                    if callee not in live or callee in on_path:
-                        continue
-                    if traces_left <= 0:
-                        return "trace cap"
-                    path.append(callee)
-                    hops.append(site_offset)
-                    on_path.add(callee)
-                    stop = dfs()
-                    path.pop()
-                    hops.pop()
-                    on_path.remove(callee)
-                    if stop:
-                        return stop
-            return None
-
-        stop = dfs()
+        # path[i]'s untried steps are pending[i]; slices[i] is its opcodes up
+        # to the invoke of path[i + 1].
+        path, on_path, pending, slices = [], set(), [], []
+        callee, stop = entry, None
+        while stop is None:
+            if callee is not None:
+                if visits_left <= 0:
+                    stop = "visit budget"
+                    break
+                visits_left -= 1
+                path.append(callee)
+                on_path.add(callee)
+                found = sites.get(callee, ())
+                if found and traces_left > 0:
+                    prefix = b"".join(slices)
+                    body = methods[callee].body
+                    for index, offset, api in found[:traces_left]:
+                        traces.append(CallTrace(tuple(path), api, offset,
+                                                list(prefix + body[: index + 1])))
+                if len(found) > traces_left:
+                    stop = "trace cap"
+                    break
+                traces_left -= len(found)
+                if len(path) >= max_depth:
+                    cg.diagnostics.append(f"depth cap hit at entry {entry}")
+                    pending.append(iter(()))
+                else:
+                    pending.append(iter(steps[callee]))
+            step = next((s for s in pending[-1] if s[1] not in on_path), None)
+            callee = None
+            if step is None:
+                pending.pop()
+                on_path.remove(path.pop())
+                if not path:
+                    break
+                slices.pop()
+            elif traces_left <= 0:
+                stop = "trace cap"
+            else:
+                index, callee = step
+                slices.append(methods[path[-1]].body[: index + 1])
         if stop:
             cg.diagnostics.append(f"{stop} hit at entry {entry}")
         if stop == "visit budget":
@@ -132,55 +138,16 @@ def find_call_traces(
 
 
 def _critical_sites(cg, critical_set):
-    """Method id -> ((offset, critical API), ...) for call-graph methods with
-    at least one critical invoke, in body order."""
+    """Method id -> ((body index, offset, critical API), ...) for call-graph
+    methods with at least one critical invoke, in body order."""
     sites = {}
     for mid in cg.nodes:
         found = tuple(
-            (offset, invoked)
-            for _, offset, invoked in cg.app.methods_by_id[mid].calls
-            if invoked in critical_set
+            call for call in cg.app.methods_by_id[mid].calls if call[2] in critical_set
         )
         if found:
             sites[mid] = found
     return sites
-
-
-def extract_opcodes(trace: CallTrace, app):
-    """Accumulate the trace's opcode sequence by prefix-chaining its methods.
-
-    Within each method, every instruction up to the trace-continuing invoke
-    (its hop offset) contributes its opcode (off-trace calls contribute one
-    opcode and are not entered); the walk then descends into the next method.
-    In the final method the sequence stops at, and includes, the critical
-    invoke. A trace needs one hop offset per hop, as find_call_traces records.
-    """
-    if len(trace.hop_offsets) != len(trace.methods) - 1:
-        raise BrokenTraceError(
-            f"{len(trace.methods)} methods but {len(trace.hop_offsets)} hop offsets"
-        )
-    seq = []
-    stops = (*trace.hop_offsets, trace.site_offset)
-    for i, (mid, stop) in enumerate(zip(trace.methods, stops)):
-        method = app.get_method(mid)
-        if method is None:
-            raise BrokenTraceError(f"method {mid} not in app")
-        end = next((idx for idx, offset, _ in method.calls if offset == stop), None)
-        if end is None:
-            # Not an invoke: only the final method may stop there.
-            at = offsets(method.body)
-            if stop not in at:
-                raise BrokenTraceError(f"offset {stop} missing in {mid}")
-            if i < len(stops) - 1:
-                raise BrokenTraceError(f"trace hop at {mid} offset {stop} is not an invoke")
-            end = at.index(stop)
-        seq.extend(method.body[: end + 1])
-    return seq
-
-
-def with_opcode_seqs(traces, app):
-    """Copies of traces with opcode_seq filled in."""
-    return [replace(t, opcode_seq=extract_opcodes(t, app)) for t in traces]
 
 
 def sample_opcodes(seqs, budget: int = DEFAULT_OPCODE_BUDGET, row_len: int = 100):

@@ -473,6 +473,30 @@ def test_mine_apis_empty_corpus_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("top, docs, code, message", [
+    ("0", [], 1, "--top-keywords must be at least 1"),
+    ("2", [{"signature": "Camera.open"}, {"description": "no signature"}], 2,
+     "entry 1 needs a non-empty string signature"),
+    ("2", [{"signature": "Camera.open"}, "Runtime.exec"], 2, "entry 1 is not an object"),
+    ("2", [{"signature": "", "description": "empty"}], 2,
+     "entry 0 needs a non-empty string signature"),
+], ids=["top-keywords-0", "no-signature", "not-an-object", "empty-signature"])
+def test_mine_apis_bad_input_is_one_message(tmp_path, capsys, top, docs, code, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_text("open the camera and exec commands")
+    api_docs = tmp_path / "apis.json"
+    api_docs.write_text(json.dumps(docs))
+    out = tmp_path / "critical.txt"
+    rc = main(["mine-apis", "--corpus", str(corpus), "--api-docs", str(api_docs),
+               "--top-keywords", top, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    kind = "usage error: " if code == 1 else "input error: "
+    assert err.count("\n") == 1 and err.startswith(kind) and message in err
+    assert not out.exists()
+
+
 def test_train_predict_evaluate_cli(tmp_path):
     apps_root = tmp_path / "apps"
     write_corpus(generate_corpus(6, seed=11), apps_root)

@@ -1,27 +1,25 @@
 import time
 from collections import Counter
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from droidflow import traces as traces_module
 from droidflow.apimine import CriticalApiSet
+from droidflow.appmodel import load_app
 from droidflow.callgraph import build_call_graph
 from droidflow.pipeline import PipelineConfig, extract_app
 from droidflow.traces import (
     DEFAULT_MAX_TRACES_PER_ENTRY,
-    BrokenTraceError,
     CallTrace,
     build_matrix,
-    extract_opcodes,
     find_call_traces,
     sample_opcodes,
     split_sequence,
-    with_opcode_seqs,
 )
 
 from appbuild import build_app, cls, component, ins, invoke, method, rows
 from test_callgraph import fx_diamond, fx_linear
+from test_pipeline import _deep_call_chain
 
 SMS = "Landroid/telephony/SmsManager;->sendTextMessage(Ljava/lang/String;)V"
 CRITICAL = CriticalApiSet.of([SMS])
@@ -46,8 +44,21 @@ def enumerate_paths_oracle(cg, critical):
     return set(found)
 
 
+def reference_opcodes(app, methods, hop_offsets, site_offset):
+    """The prefix-chaining walk by offsets: in each method, find the row at
+    the offset of the invoke that continues the trace (the critical invoke in
+    the last method) and take the opcodes of every row up to it."""
+    seq = []
+    for mid, stop in zip(methods, (*hop_offsets, site_offset)):
+        body_rows = rows(app.get_method(mid))
+        end = next(i for i, row in enumerate(body_rows) if row[0] == stop)
+        seq.extend(code for _, code, _, _ in body_rows[: end + 1])
+    return seq
+
+
 def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=256):
-    """The unpruned search: every simple path, dead branches included.
+    """The unpruned search: every simple path, dead branches included, each
+    trace's opcode sequence filled by reference_opcodes.
 
     find_call_traces must return exactly this list, in this order."""
     critical_set = set(critical)
@@ -70,8 +81,9 @@ def reference_find_call_traces(cg, critical, max_depth=64, max_traces_per_entry=
             for site_offset, _, _, api in critical_sites(current):
                 if budget[0] <= 0:
                     return
+                seq = reference_opcodes(app, path, hop_offsets, site_offset)
                 traces.append(CallTrace(methods=tuple(path), critical_api=api,
-                                        site_offset=site_offset, hop_offsets=tuple(hop_offsets)))
+                                        site_offset=site_offset, opcode_seq=seq))
                 budget[0] -= 1
             if len(path) >= max_depth:
                 return
@@ -238,9 +250,14 @@ def random_call_graph_app(draw):
     return build_app(classes, [component("Lx/Main;")])
 
 
-@given(random_call_graph_app())
+@given(random_call_graph_app(), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6))
 @settings(max_examples=300, deadline=None)
-def test_pruned_search_matches_reference(app):
+def test_pruned_search_matches_reference(app, max_depth, max_traces_per_entry):
+    caps = {"max_depth": max_depth, "max_traces_per_entry": max_traces_per_entry}
+    cg = build_call_graph(app)
+    assert find_call_traces(cg, CRITICAL, **caps) == reference_find_call_traces(cg, CRITICAL, **caps)
+
     cg = build_call_graph(app)
     reference = reference_find_call_traces(cg, CRITICAL)
     found = find_call_traces(cg, CRITICAL)
@@ -249,6 +266,18 @@ def test_pruned_search_matches_reference(app):
            < DEFAULT_MAX_TRACES_PER_ENTRY)
     assert {(t.methods, t.site_offset) for t in found} == enumerate_paths_oracle(cg, CRITICAL)
     assert cg.diagnostics == []
+
+
+def test_deep_chain_yields_one_trace(tmp_path):
+    # 3,000 chained methods: deeper than Python's recursion limit
+    _deep_call_chain(tmp_path / "app")
+    cg = build_call_graph(load_app(tmp_path / "app"))
+    [trace] = find_call_traces(cg, CRITICAL, max_depth=100_000)
+    assert len(trace.methods) == 3001
+    assert trace.methods[0] == "Lx/Main;->onCreate()V"
+    assert len(trace.opcode_seq) == 3001
+    assert trace.opcode_seq[-1] == 0x71  # invoke-static of the critical API
+    assert trace.critical_api == SMS and cg.diagnostics == []
 
 
 # --- opcode accumulation ----------------------------------------------------
@@ -276,8 +305,7 @@ def test_accumulation_example():
     app = fx_accumulation()
     cg = build_call_graph(app)
     [trace] = find_call_traces(cg, CRITICAL)
-    raw = extract_opcodes(trace, app)
-    assert raw == [0x12, 0x70, 0x6E]
+    assert trace.opcode_seq == [0x12, 0x70, 0x6E]
 
 
 def test_opcodes_after_critical_excluded():
@@ -296,7 +324,7 @@ def test_opcodes_after_critical_excluded():
     )
     cg = build_call_graph(app)
     [trace] = find_call_traces(cg, CRITICAL)
-    assert extract_opcodes(trace, app) == [0x6E]
+    assert trace.opcode_seq == [0x6E]
 
 
 def test_off_trace_call_contributes_one_opcode():
@@ -317,7 +345,7 @@ def test_off_trace_call_contributes_one_opcode():
     cg = build_call_graph(app)
     traces = find_call_traces(cg, CRITICAL)
     trace = next(t for t in traces if t.methods[-1] == "Lx/Main;->m2()V" and len(t.methods) == 2)
-    seq = extract_opcodes(trace, app)
+    seq = trace.opcode_seq
     # invoke offtrace (1 opcode), invoke m2 (1 opcode), then m2's critical invoke
     assert seq == [0x70, 0x70, 0x6E]
 
@@ -337,19 +365,6 @@ def test_off_trace_call_contributes_one_opcode():
         return out, False
     inlined, _ = full_inline("Lx/Main;->onCreate()V", None)
     assert len(inlined) > len(seq)
-
-
-def test_broken_trace():
-    app = fx_accumulation()
-    cg = build_call_graph(app)
-    [trace] = find_call_traces(cg, CRITICAL)
-    bad = type(trace)(
-        methods=("Lx/Main;->m2()V", "Lx/Main;->onCreate()V"),
-        critical_api=SMS,
-        site_offset=0,
-    )
-    with pytest.raises(BrokenTraceError):
-        extract_opcodes(bad, app)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -445,7 +460,7 @@ def test_matrix_empty():
 def test_matrix_rows_end_at_critical():
     app = fx_accumulation()
     cg = build_call_graph(app)
-    traces = with_opcode_seqs(find_call_traces(cg, CRITICAL), app)
+    traces = find_call_traces(cg, CRITICAL)
     # pad the trace artificially to cross a row boundary
     traces[0].opcode_seq[:0] = [1] * 200
     m = build_matrix([t.opcode_seq for t in traces], 100)
