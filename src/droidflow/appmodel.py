@@ -5,7 +5,6 @@ JSON fixture format (same fields, no smali text involved).
 """
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -249,7 +248,7 @@ def _check_links(app: AppModel):
 
 
 def load_app(root) -> AppModel:
-    """Load an app from a directory (or zip of one).
+    """Load an app from a directory.
 
     Expected layout: AndroidManifest.xml plus smali/**/*.smali, or an ir.json
     fixture. Optional meta.json supplies {"timestamp": ..., "label": ...}.
@@ -260,9 +259,6 @@ def load_app(root) -> AppModel:
     from .smali import SmaliSyntaxError, parse_smali_class
 
     root = Path(root)
-    if root.is_file() and root.suffix == ".zip":
-        return _load_zip(root)
-
     ir_path = root / "ir.json"
     if ir_path.exists():
         app = app_from_ir(json.loads(ir_path.read_text()))
@@ -291,15 +287,3 @@ def load_app(root) -> AppModel:
     if meta_path.exists():
         app.metadata.update(json.loads(meta_path.read_text()))
     return app
-
-
-def _load_zip(path: Path) -> AppModel:
-    import tempfile
-
-    with zipfile.ZipFile(path) as zf, tempfile.TemporaryDirectory() as tmp:
-        zf.extractall(tmp)
-        entries = list(Path(tmp).iterdir())
-        root = entries[0] if len(entries) == 1 and entries[0].is_dir() else Path(tmp)
-        app = load_app(root)
-        app.app_id = path.stem
-        return app

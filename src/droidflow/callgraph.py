@@ -78,15 +78,6 @@ class CallGraph:
                     callers.setdefault(callee, set()).add(caller)
         return callers
 
-    def dump_edges(self):
-        lines = []
-        for caller in self.nodes:
-            for callee in self.edges.get(caller, ()):
-                lines.append(f"{caller}\t{callee}\tcall")
-        for sender, receiver in self.icc_edges:
-            lines.append(f"{sender}\t{receiver}\ticc")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def build_class_hierarchy(app: AppModel) -> ClassHierarchy:
     parent = {}

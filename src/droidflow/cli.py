@@ -1,6 +1,7 @@
 """Command-line pipeline: mine-apis, extract, train, tune, predict, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical divergence.
+A warning prints as one "warning: <message>" line on stderr.
 All commands are deterministic given the same inputs and seed.
 """
 
@@ -8,11 +9,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .apimine import (
+    DEFAULT_MIN_MATCHES,
+    DEFAULT_TOP_KEYWORDS,
     ApiDocsError,
     EmptyCorpusError,
     load_api_docs,
@@ -125,7 +129,7 @@ def _probabilities(records, model, config):
     batches of consecutive records capped by capped_batches, one forward
     pass per batch."""
     hp = model.hyper
-    pairs = ((rec.graph(hp.label_dim), rec.matrix(hp.seq_len, config.opcode_budget))
+    pairs = ((rec.graph(), rec.matrix(hp.seq_len, config.opcode_budget))
              for rec in records)
     for batch in capped_batches(pairs, lambda pair: pair[1].n, hp.lstm_units):
         yield from probabilities(batch, model, seed=config.train.seed)
@@ -151,10 +155,8 @@ def cmd_tune(args) -> int:
         if unknown:
             raise UsageError(f"unknown tuning factors: {sorted(unknown)}")
         space = {k: SEARCH_SPACE[k] for k in args.factor}
-    result = grid_search(
-        train_set, val_set, evaluate, space=space, defaults=config.hyper,
-        seed=config.train.seed, revalidate_top=args.revalidate_top,
-    )
+    result = grid_search(train_set, val_set, evaluate, space=space, defaults=config.hyper,
+                         seed=config.train.seed)
     Path(args.out).write_text(grid_to_csv(result))
     best = result.best
     print(f"best F1 {best.report.f1:.4f} at {best.hyper}")
@@ -232,8 +234,8 @@ def make_parser() -> _Parser:
     p.add_argument("--api-docs", required=True, help="JSON list of {signature, description}")
     p.add_argument("--tool-list", action="append", help="tool API list file (repeatable)")
     p.add_argument("--stopwords", help="stopword file (default: packaged list)")
-    p.add_argument("--top-keywords", type=int, default=150)
-    p.add_argument("--min-matches", type=int, default=2)
+    p.add_argument("--top-keywords", type=int, default=DEFAULT_TOP_KEYWORDS)
+    p.add_argument("--min-matches", type=int, default=DEFAULT_MIN_MATCHES)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mine_apis)
 
@@ -256,8 +258,6 @@ def make_parser() -> _Parser:
     p.add_argument("--out", required=True, help="grid CSV path")
     p.add_argument("--config")
     p.add_argument("--factor", action="append", help="restrict sweep to this factor (repeatable)")
-    p.add_argument("--revalidate-top", type=int, default=3,
-                   help="re-evaluate the top points on the full sets (0 disables)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(fn=cmd_tune)
 
@@ -295,11 +295,17 @@ INPUT_ERRORS = (
 )
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -26,8 +26,6 @@ BACKWARD_OF = {"ct": "bct", "is": "bis", "nb": "bnb", "ic": "bic", "in": "bin"}
 EDGE_TYPE_ORDER = FORWARD_TYPES + tuple(BACKWARD_OF[t] for t in FORWARD_TYPES)
 _TYPE_INDEX = {t: i for i, t in enumerate(EDGE_TYPE_ORDER)}
 
-DEFAULT_LABEL_DIM = 13
-
 # The text of each opcode value in nodes.csv and traces.csv, and the value of
 # each text: one lookup per opcode written or read back.
 _CODE_TEXT = {code: str(code) for code in range(256)}
@@ -64,16 +62,13 @@ class FlowEdge:
 class AbstractFlowGraph:
     nodes: list
     edges: list
-    label_dim: int = DEFAULT_LABEL_DIM
 
-    @property
-    def node_labels(self) -> np.ndarray:
+    def node_labels(self, label_dim: int) -> np.ndarray:
         """(n, label_dim): each node's first label_dim opcodes, normalized and
         zero-padded, in node order. These are the node labels that
-        nn.model.forward_var feeds to the graph branch, through graph_arrays."""
-        d = self.label_dim
-        if d < 1:
-            raise ValueError("label_dim must be >= 1")
+        nn.model.forward_var feeds to the graph branch, through graph_arrays,
+        at the model's label_dim."""
+        d = label_dim
         lengths = np.array([min(len(n.opcode_seq), d) for n in self.nodes], dtype=np.intp)
         codes = np.zeros((len(self.nodes), d))
         codes[np.arange(d) < lengths[:, None]] = np.array(
@@ -219,13 +214,12 @@ def build_edges(chunks, cg, traces, components):
     return sort_edges(edges), diagnostics
 
 
-def build_flow_graph(app, cg, traces, label_dim: int = DEFAULT_LABEL_DIM):
+def build_flow_graph(app, cg, traces):
     """Chunks and typed edges of app; chunks close at the intent senders cg
     was built with."""
     chunks = chunk_methods(app, cg.intent_senders)
     edges, diagnostics = build_edges(chunks, cg, traces, app.components)
-    graph = AbstractFlowGraph(chunks, edges, label_dim)
-    return graph, diagnostics
+    return AbstractFlowGraph(chunks, edges), diagnostics
 
 
 # --- persistence -------------------------------------------------------------
@@ -251,7 +245,7 @@ def serialize_graph(graph: AbstractFlowGraph, out_dir):
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 
-def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlowGraph:
+def deserialize_graph(in_dir) -> AbstractFlowGraph:
     """Read a graph written by serialize_graph. Method identities are not part
     of the on-disk format; deserialized chunks carry an empty method field."""
     in_dir = Path(in_dir)
@@ -287,7 +281,7 @@ def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlo
             raise FormatError(f"edges.csv line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
     nodes.sort(key=lambda n: n.id)
-    return AbstractFlowGraph(nodes, sort_edges(edges), label_dim)
+    return AbstractFlowGraph(nodes, sort_edges(edges))
 
 
 def _read_lines(path):
@@ -296,10 +290,3 @@ def _read_lines(path):
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     return [line for line in text.splitlines() if line]
-
-
-def structurally_equal(a: AbstractFlowGraph, b: AbstractFlowGraph) -> bool:
-    """Equality over the persisted fields (quadruples, triples, label size)."""
-    qa = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in a.nodes]
-    qb = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in b.nodes]
-    return qa == qb and sort_edges(a.edges) == sort_edges(b.edges) and a.label_dim == b.label_dim

@@ -159,14 +159,7 @@ class GraphArrays:
 
 
 def graph_arrays(graph, label_dim: int) -> GraphArrays:
-    if not graph.nodes:
-        labels = np.zeros((0, label_dim))
-    else:
-        labels = graph.node_labels
-        if labels.shape[1] != label_dim:
-            raise ModelMismatchError(
-                f"graph label dim {labels.shape[1]} != model label dim {label_dim}"
-            )
+    labels = graph.node_labels(label_dim)
     index = {node.id: i for i, node in enumerate(graph.nodes)}
     src = np.array([index[e.source] for e in graph.edges], dtype=np.intp)
     dst = np.array([index[e.target] for e in graph.edges], dtype=np.intp)

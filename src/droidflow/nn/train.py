@@ -17,6 +17,8 @@ import numpy as np
 
 from . import tape
 from .model import (
+    EMBED_DIM,
+    STATE_DIM,
     Hyperparams,
     ModelParams,
     TrainConfig,
@@ -70,8 +72,8 @@ class Adam:
             self.arrays[name] -= tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.eps)
 
 
-def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = 32,
-          embed_dim: int = 128, progress=None) -> TrainResult:
+def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = STATE_DIM,
+          embed_dim: int = EMBED_DIM, progress=None) -> TrainResult:
     """Train on (flow graph, row matrix, label) triples; returns the fitted
     parameters and the per-epoch mean loss log.
 

@@ -168,7 +168,7 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
     raw_sequences = [t.opcode_seq for t in traces]
     matrix = build_matrix(raw_sequences, config.hyper.seq_len, config.opcode_budget)
     total_raw = sum(map(len, raw_sequences))
-    graph, flow_diags = build_flow_graph(app, cg, traces, label_dim=config.hyper.label_dim)
+    graph, flow_diags = build_flow_graph(app, cg, traces)
     report = {
         "app_id": app.app_id,
         "label": app.metadata.get("label"),
@@ -254,8 +254,8 @@ class FeatureRecord:
     def __post_init__(self):
         self.metadata = {"label": self.label, "timestamp": self.timestamp}
 
-    def graph(self, label_dim: int) -> AbstractFlowGraph:
-        return deserialize_graph(self.path, label_dim)
+    def graph(self) -> AbstractFlowGraph:
+        return deserialize_graph(self.path)
 
     def matrix(self, seq_len: int, opcode_budget: int) -> SequenceMatrix:
         return build_matrix(self.raw_sequences, seq_len, opcode_budget)
@@ -298,6 +298,6 @@ def build_dataset(records, hyper: Hyperparams, opcode_budget: int = DEFAULT_OPCO
         if rec.label is None:
             raise ConfigError(f"feature record {rec.app_id} has no label")
         dataset.append(
-            (rec.graph(hyper.label_dim), rec.matrix(hyper.seq_len, opcode_budget), rec.label)
+            (rec.graph(), rec.matrix(hyper.seq_len, opcode_budget), rec.label)
         )
     return dataset

@@ -131,17 +131,15 @@ class GridSearchResult:
     points: list            # every evaluated GridPoint, in sweep order
     best: GridPoint         # max F1 over all points (first on ties)
     tuned: Hyperparams      # final value of each swept factor
-    revalidated: list       # (GridPoint, full-set MetricReport) pairs
 
 
 def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperparams(),
-                seed: int = 0, revalidate_top: int = 0) -> GridSearchResult:
+                seed: int = 0) -> GridSearchResult:
     """One-factor-at-a-time sweep on stratified SUBSET_FRACTION subsets.
 
     evaluate(hp, train_items, val_items) -> MetricReport does the actual
     training run. Factors sweep in declaration order; after each factor the
-    best value (max F1, earliest on ties) is locked in. With
-    revalidate_top > 0, the top points re-evaluate on the full sets.
+    best value (max F1, earliest on ties) is locked in.
     """
     space = dict(SEARCH_SPACE if space is None else space)
     train_sub = stratified_subset(train, SUBSET_FRACTION, seed)
@@ -161,12 +159,7 @@ def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperp
         current = current.replace(**{factor: getattr(winner.hyper, factor)})
 
     best = max(points, key=lambda p: p.report.f1)
-    revalidated = []
-    if revalidate_top > 0:
-        top = sorted(points, key=lambda p: -p.report.f1)[:revalidate_top]
-        for point in top:
-            revalidated.append((point, evaluate(point.hyper, train, val)))
-    return GridSearchResult(points, best, current, revalidated)
+    return GridSearchResult(points, best, current)
 
 
 GRID_CSV_HEADER = (

@@ -15,7 +15,6 @@ import numpy as np
 from droidflow.dalvik import normalize
 from droidflow.flowgraph import (
     _TYPE_INDEX,
-    DEFAULT_LABEL_DIM,
     AbstractFlowGraph,
     ChunkNode,
     FlowEdge,
@@ -25,7 +24,7 @@ from droidflow.flowgraph import (
 )
 
 
-def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlowGraph:
+def deserialize_graph(in_dir) -> AbstractFlowGraph:
     in_dir = Path(in_dir)
     nodes = []
     ids = set()
@@ -55,10 +54,10 @@ def deserialize_graph(in_dir, label_dim: int = DEFAULT_LABEL_DIM) -> AbstractFlo
             raise FormatError(f"edges.csv line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
     nodes.sort(key=lambda n: n.id)
-    return AbstractFlowGraph(nodes, sort_edges(edges), label_dim)
+    return AbstractFlowGraph(nodes, sort_edges(edges))
 
 
-def node_label(node: ChunkNode, label_dim: int = DEFAULT_LABEL_DIM) -> np.ndarray:
+def node_label(node: ChunkNode, label_dim: int) -> np.ndarray:
     """First label_dim opcodes of the chunk, normalized, zero-padded."""
     if label_dim < 1:
         raise ValueError("label_dim must be >= 1")

@@ -9,12 +9,7 @@ the model did before it was batched. Tests compare the batched builders and
 import numpy as np
 
 from droidflow.nn import tape
-from droidflow.nn.model import (
-    ModelMismatchError,
-    init_model,
-    logits_var,
-    param_vars,
-)
+from droidflow.nn.model import init_model, logits_var, param_vars
 from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
 
 
@@ -23,11 +18,7 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     label_dim, s = pv["gnn.w2"].shape
     if n_nodes == 0:
         return tape.constant(np.zeros((1, s)))
-    labels = graph.node_labels
-    if labels.shape[1] != label_dim:
-        raise ModelMismatchError(
-            f"graph label dim {labels.shape[1]} != model label dim {label_dim}"
-        )
+    labels = graph.node_labels(label_dim)
     id_to_index = {node.id: i for i, node in enumerate(graph.nodes)}
     edges = graph.edges
     if init_state is None:

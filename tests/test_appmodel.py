@@ -244,20 +244,6 @@ def test_unresolved_user_call_diagnosed():
     assert any("missing" in d for d in app.diagnostics)
 
 
-def test_load_zip_archive(tmp_path):
-    import zipfile
-
-    root = write_app(tmp_path, manifest=MANIFEST, smali=SMALI_CLASSES)
-    zip_path = tmp_path / "bundle.zip"
-    with zipfile.ZipFile(zip_path, "w") as zf:
-        for p in sorted(root.rglob("*")):
-            if p.is_file():
-                zf.write(p, p.relative_to(tmp_path))
-    app = load_app(zip_path)
-    assert app.app_id == "bundle"
-    assert len(app.classes) == 3
-
-
 def test_method_lookup_walks_superclasses():
     ir = {
         "classes": [

@@ -559,15 +559,6 @@ def test_each_distinct_call_is_resolved_once_per_app(monkeypatch):
                                                    expected.call_sites)
 
 
-def test_dump_edges_format():
-    cg = build_call_graph(fx_explicit_icc())
-    lines = cg.dump_edges().splitlines()
-    assert "Lx/Main;->onCreate()V\tLx/Second;->onCreate()V\ticc" in lines
-    for line in lines:
-        parts = line.split("\t")
-        assert len(parts) == 3 and parts[2] in ("call", "icc")
-
-
 def test_explicit_icc_edge():
     cg = build_call_graph(fx_explicit_icc())
     assert ("Lx/Main;->onCreate()V", "Lx/Second;->onCreate()V") in cg.icc_edges

@@ -19,7 +19,7 @@ from droidflow.flowgraph import (
     chunk_methods,
     deserialize_graph,
     serialize_graph,
-    structurally_equal,
+    sort_edges,
 )
 from droidflow.tables import default_intent_senders
 from droidflow.traces import find_call_traces
@@ -86,7 +86,7 @@ def test_chunks_partition_method():
 # --- node labels -------------------------------------------------------------
 
 def node_label(node, label_dim):
-    return AbstractFlowGraph([node], [], label_dim).node_labels[0]
+    return AbstractFlowGraph([node], []).node_labels(label_dim)[0]
 
 
 def test_label_pads_with_zero():
@@ -114,11 +114,11 @@ def test_label_empty_zero_vector():
 def test_graph_arrays_match_per_node_reference(seqs, types, label_dim):
     nodes = [ChunkNode(i, "m", 0, seq, EXIT) for i, seq in enumerate(seqs)]
     edges = [FlowEdge(0, 0, t) for t in types]
-    graph = AbstractFlowGraph(nodes, edges, label_dim)
+    graph = AbstractFlowGraph(nodes, edges)
     expected = np.array(
         [flowgraph_reference.node_label(n, label_dim) for n in nodes]
     ).reshape(-1, label_dim)
-    assert np.array_equal(graph.node_labels, expected)
+    assert np.array_equal(graph.node_labels(label_dim), expected)
     onehot = np.zeros((len(types), len(EDGE_TYPE_ORDER)))
     for i, t in enumerate(types):
         onehot[i, EDGE_TYPE_ORDER.index(t)] = 1.0
@@ -242,10 +242,17 @@ def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
 
 # --- serialization -----------------------------------------------------------
 
+def structurally_equal(a, b):
+    """Equality over the persisted fields (quadruples and triples)."""
+    qa = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in a.nodes]
+    qb = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in b.nodes]
+    return qa == qb and sort_edges(a.edges) == sort_edges(b.edges)
+
+
 def test_round_trip_structural_equality(tmp_path):
     graph, _ = extract("intent_self_loop")
     serialize_graph(graph, tmp_path)
-    loaded = deserialize_graph(tmp_path, graph.label_dim)
+    loaded = deserialize_graph(tmp_path)
     assert structurally_equal(graph, loaded)
 
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from droidflow.flowgraph import FlowEdge
-from droidflow.nn import Hyperparams, init_model
 from droidflow.nn import tape
 from droidflow.nn.model import (
+    Hyperparams,
     bilstm_batch_var,
     draw_init_states,
     forward_var,
     gnn_batch_var,
     graph_arrays,
+    init_model,
     logits_var,
     loss_var,
 )
@@ -33,7 +34,7 @@ def gnn_toy_graph():
         FlowEdge(1, 3, "in"), FlowEdge(3, 1, "bin"),  # parallel pair, distinct types
         FlowEdge(2, 3, "nb"), FlowEdge(3, 2, "bnb"),
     ]
-    return graph_of(nodes, edges, label_dim=3)
+    return graph_of(nodes, edges)
 
 
 def test_gnn_gradients():

@@ -4,30 +4,27 @@ import numpy as np
 import pytest
 
 from droidflow.flowgraph import AbstractFlowGraph, ChunkNode, FlowEdge, sort_edges
-from droidflow.nn import (
-    Hyperparams,
-    ModelMismatchError,
-    RowLengthMismatchError,
-    TrainConfig,
-    init_model,
-    load_model,
-    probabilities,
-    save_model,
-    train,
-)
 from droidflow.nn import tape
 from droidflow.nn.model import (
+    Hyperparams,
+    RowLengthMismatchError,
+    TrainConfig,
     bilstm_batch_var,
     draw_init_states,
     gnn_batch_var,
     graph_arrays,
+    init_model,
+    load_model,
     logits_var,
+    probabilities,
+    save_model,
 )
+from droidflow.nn.train import train
 from droidflow.traces import SequenceMatrix
 
 
-def graph_of(nodes, edges, label_dim):
-    return AbstractFlowGraph(nodes, sort_edges(edges), label_dim)
+def graph_of(nodes, edges):
+    return AbstractFlowGraph(nodes, sort_edges(edges))
 
 
 def chunk(nid, seq, offset=0):
@@ -92,7 +89,7 @@ def classify(h_g, h_b, params):
 # --- graph branch ------------------------------------------------------------
 
 def test_gnn_zero_weights_zero_output():
-    g = graph_of([chunk(0, [14])], [], label_dim=3)
+    g = graph_of([chunk(0, [14])], [])
     p = {
         "gnn.w1": np.zeros((16, 4)), "gnn.b1": np.zeros(4), "gnn.w2": np.zeros((3, 2)),
         "gnn.b2": np.zeros(2), "gnn.gate_w": np.zeros((2, 2)), "gnn.gate_b": np.zeros(2),
@@ -106,7 +103,6 @@ def test_gnn_two_node_hand_unrolled():
     g = graph_of(
         [chunk(0, [10, 20, 30]), chunk(1, [40, 50], offset=3)],
         [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct")],
-        label_dim=3,
     )
     rng = np.random.default_rng(9)
     p = tiny_gnn_params(rng, s=2, label_dim=3)
@@ -138,13 +134,11 @@ def test_gnn_relabeled_ids_same_output():
     g1 = graph_of(
         [chunk(0, [1, 2]), chunk(1, [3]), chunk(2, [4, 5])],
         [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct"), FlowEdge(1, 2, "nb"), FlowEdge(2, 1, "bnb")],
-        label_dim=2,
     )
     relabel = {0: 7, 1: 3, 2: 5}
     g2 = graph_of(
         [chunk(relabel[n.id], n.opcode_seq, n.offset) for n in g1.nodes],
         [FlowEdge(relabel[e.source], relabel[e.target], e.type) for e in g1.edges],
-        label_dim=2,
     )
     assert gnn_forward(g1, p, 4, seed=5) == pytest.approx(gnn_forward(g2, p, 4, seed=5), abs=1e-15)
 
@@ -155,9 +149,9 @@ def test_gnn_reordered_nodes_same_output_given_states():
     nodes = [chunk(0, [1, 2]), chunk(1, [3]), chunk(2, [4, 5])]
     edges = [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct"), FlowEdge(1, 2, "is"), FlowEdge(2, 1, "bis")]
     init = np.random.default_rng(1).uniform(-0.1, 0.1, (3, 3))
-    g1 = graph_of(nodes, edges, 2)
+    g1 = graph_of(nodes, edges)
     perm = [2, 0, 1]
-    g2 = AbstractFlowGraph([nodes[i] for i in perm], sort_edges(edges), 2)
+    g2 = AbstractFlowGraph([nodes[i] for i in perm], sort_edges(edges))
     out1 = gnn_forward(g1, p, 5, init_state=init)
     out2 = gnn_forward(g2, p, 5, init_state=init[perm])
     assert out1 == pytest.approx(out2, abs=1e-12)
@@ -165,22 +159,15 @@ def test_gnn_reordered_nodes_same_output_given_states():
 
 def test_gnn_empty_graph_zero_vector():
     p = tiny_gnn_params(np.random.default_rng(0), s=4, label_dim=2)
-    g = graph_of([], [], 2)
+    g = graph_of([], [])
     assert gnn_forward(g, p, 3) == pytest.approx(np.zeros(4))
 
 
 def test_gnn_deterministic_trajectory():
     rng = np.random.default_rng(13)
     p = tiny_gnn_params(rng, s=3, label_dim=2)
-    g = graph_of([chunk(0, [1]), chunk(1, [2])], [FlowEdge(0, 1, "ic"), FlowEdge(1, 0, "bic")], 2)
+    g = graph_of([chunk(0, [1]), chunk(1, [2])], [FlowEdge(0, 1, "ic"), FlowEdge(1, 0, "bic")])
     assert (gnn_forward(g, p, 6, seed=8) == gnn_forward(g, p, 6, seed=8)).all()
-
-
-def test_gnn_label_dim_mismatch():
-    p = tiny_gnn_params(np.random.default_rng(0), s=2, label_dim=5)
-    g = graph_of([chunk(0, [1])], [], label_dim=3)
-    with pytest.raises(ModelMismatchError):
-        gnn_forward(g, p, 3)
 
 
 # --- sequence branch ----------------------------------------------------------
@@ -286,7 +273,7 @@ def test_predict_reports_argmax_probability():
     model = init_model(hp, seed=0, state_dim=4)
     model.weights["fusion.w"][...] = 0.0
     model.weights["fusion.b"][...] = np.array([math.log(9.0), 0.0])  # softmax -> (0.9, 0.1)
-    [probs] = probabilities([(graph_of([], [], 2), SequenceMatrix.empty(4))], model)
+    [probs] = probabilities([(graph_of([], []), SequenceMatrix.empty(4))], model)
     assert np.argmax(probs) == 0
     assert probs[0] == pytest.approx(0.9)
 
@@ -298,7 +285,7 @@ def test_predict_tie_break_and_degenerate_inputs():
     # zero fusion weights force (0.5, 0.5): tie goes to label 0
     model.weights["fusion.w"][...] = 0.0
     model.weights["fusion.b"][...] = 0.0
-    g = graph_of([], [], 2)
+    g = graph_of([], [])
     [probs] = probabilities([(g, SequenceMatrix.empty(4))], model)
     assert np.argmax(probs) == 0
     assert probs[0] == pytest.approx(0.5)
@@ -309,12 +296,12 @@ def test_predict_row_length_mismatch():
                      iterations=3, epochs=1, batch_size=2)
     model = init_model(hp, seed=0, state_dim=4)
     with pytest.raises(RowLengthMismatchError):
-        probabilities([(graph_of([], [], 2), SequenceMatrix(np.array([[1, 2, 3]]), 3))], model)
+        probabilities([(graph_of([], []), SequenceMatrix(np.array([[1, 2, 3]]), 3))], model)
 
 
 # --- training -----------------------------------------------------------------
 
-def toy_dataset(label_dim=3, seq_len=8):
+def toy_dataset(seq_len=8):
     rng = np.random.default_rng(77)
     data = []
     for i in range(4):
@@ -329,7 +316,7 @@ def toy_dataset(label_dim=3, seq_len=8):
             rows = np.tile(np.array([0, 1, 2, 1, 0, 2, 1, 0]), (2, 1))
         rows = rows + rng.integers(0, 2, rows.shape)  # tiny jitter
         data.append(
-            (graph_of(nodes, edges, label_dim), SequenceMatrix(rows, seq_len), int(malicious))
+            (graph_of(nodes, edges), SequenceMatrix(rows, seq_len), int(malicious))
         )
     return data
 

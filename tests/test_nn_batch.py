@@ -3,7 +3,6 @@ the fused LSTM op by finite differences, one mini-batch tape against one
 tape per sample, and a whole training run against the per-sample trainer;
 and a mini-batch over the row cap, split into parts, against one tape."""
 
-import importlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,18 +13,24 @@ import nn_reference as ref
 from droidflow import cli
 from droidflow.appmodel import app_from_ir
 from droidflow.flowgraph import FlowEdge
-from droidflow.nn import Hyperparams, TrainConfig, init_model, probabilities, tape, train
 from droidflow.nn import model as nnmodel
+from droidflow.nn import tape
+from droidflow.nn import train as trainer
 from droidflow.nn.model import (
     BATCH_ROW_UNITS,
+    Hyperparams,
+    TrainConfig,
     bilstm_batch_var,
     forward_var,
     gnn_batch_var,
     graph_arrays,
+    init_model,
     logits_var,
     loss_var,
     param_vars,
+    probabilities,
 )
+from droidflow.nn.train import train
 from droidflow.pipeline import PipelineConfig, extract_app
 from droidflow.traces import SequenceMatrix
 
@@ -34,8 +39,6 @@ from synthcorpus import generate_corpus
 from test_gradcheck import gnn_toy_graph
 from test_nn import chunk, graph_of
 from test_nn_tape import scalar
-
-trainer = importlib.import_module("droidflow.nn.train")   # nn.train is the function
 
 
 @pytest.mark.usefixtures("lstm_float64")
@@ -113,10 +116,9 @@ def mixed_samples():
     sources_only = graph_of(
         [chunk(0, [110, 14]), chunk(1, [26]), chunk(2, [112, 0])],
         [FlowEdge(0, 1, "ct"), FlowEdge(1, 2, "is")],   # node 0 sends, receives nothing
-        label_dim=3,
     )
-    edge_free = graph_of([chunk(0, [14]), chunk(1, [0, 14])], [], label_dim=3)
-    empty = graph_of([], [], label_dim=3)
+    edge_free = graph_of([chunk(0, [14]), chunk(1, [0, 14])], [])
+    empty = graph_of([], [])
     rows = np.random.default_rng(62).integers(0, 256, (6, 4))
     return [
         (4, (gnn_toy_graph(), SequenceMatrix(rows[:3], 4), 1)),
@@ -222,7 +224,7 @@ def test_training_memory_stays_within_the_row_cap():
                      iterations=2, epochs=1)
     cap_rows = BATCH_ROW_UNITS // hp.lstm_units
     rows = np.random.default_rng(65).integers(0, 256, (cap_rows // 4, hp.seq_len))
-    app = (graph_of([], [], label_dim=3), SequenceMatrix(rows, hp.seq_len))
+    app = (graph_of([], []), SequenceMatrix(rows, hp.seq_len))
 
     def peak_mb(n_apps):
         dataset = [app + (k % 2,) for k in range(n_apps)]
@@ -246,7 +248,7 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
     one_row = np.random.default_rng(68).integers(0, 256, (1, 4))
     pairs = [
         (gnn_toy_graph(), SequenceMatrix.empty(4)),                      # no rows
-        (graph_of([], [], label_dim=3), SequenceMatrix(rows[:5], 4)),    # no nodes
+        (graph_of([], []), SequenceMatrix(rows[:5], 4)),    # no nodes
         (gnn_toy_graph(), SequenceMatrix(rows[5 : cap_rows + 6], 4)),    # over the cap
         (mixed_samples()[3][1][0], SequenceMatrix(rows[cap_rows + 6 :], 4)),   # a sender only
         (gnn_toy_graph(), SequenceMatrix(one_row, 4)),                   # one row
@@ -261,7 +263,7 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
     batches = []
     monkeypatch.setattr(cli, "probabilities", lambda batch, *args, **kwargs:
                         batches.append(len(batch)) or probabilities(batch, *args, **kwargs))
-    records = [SimpleNamespace(graph=lambda label_dim, g=g: g,
+    records = [SimpleNamespace(graph=lambda g=g: g,
                                matrix=lambda seq_len, budget, m=m: m) for g, m in pairs]
     grouped = list(cli._probabilities(records, model, PipelineConfig(hyper=hp)))
     assert batches == [2, 1, 2]

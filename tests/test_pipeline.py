@@ -227,7 +227,7 @@ def test_features_round_trip(tmp_path):
         matrix = record.matrix(100, 8000)
         assert matrix.rows.shape == result.matrix.rows.shape == (result.matrix.n, 100), name
         assert (matrix.rows == result.matrix.rows).all()
-        graph = record.graph(13)
+        graph = record.graph()
         assert len(graph.nodes) == len(result.graph.nodes)
 
 
@@ -497,6 +497,20 @@ def test_mine_apis_bad_input_is_one_message(tmp_path, capsys, top, docs, code, m
     assert not out.exists()
 
 
+def test_mine_apis_warning_is_one_plain_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_text("open the camera and exec commands")
+    api_docs = tmp_path / "apis.json"
+    api_docs.write_text(json.dumps([{"signature": "Camera.open", "description": "open the camera"}]))
+    rc = main(["mine-apis", "--corpus", str(corpus), "--api-docs", str(api_docs),
+               "--top-keywords", "10", "--out", str(tmp_path / "critical.txt")])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert err.count("\n") == 1 and err.startswith("warning: requested top 10 keywords but only ")
+    assert err.endswith(" are ranked\n")
+
+
 def test_train_predict_evaluate_cli(tmp_path):
     apps_root = tmp_path / "apps"
     write_corpus(generate_corpus(6, seed=11), apps_root)
@@ -599,7 +613,7 @@ def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
     records = load_features(features)
     expected = ["app_id,label,probability,malicious_score"]
     for rec in records:
-        [probs] = nnmodel.probabilities([(rec.graph(13), rec.matrix(100, 8000))], model)
+        [probs] = nnmodel.probabilities([(rec.graph(), rec.matrix(100, 8000))], model)
         label = int(np.argmax(probs))
         expected.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
 
@@ -660,7 +674,7 @@ def test_predict_evaluate_and_tune_score_in_the_same_capped_batches(tmp_path, mo
     assert [n for batch in predicted for n in batch] == \
         [rec.matrix(100, 8000).n for rec in load_features(features)]
     assert any(len(batch) > 1 for batch in predicted)
-    assert len(tuned) == 4 + 3   # four iteration counts, then the top three revalidated
+    assert len(tuned) == 4   # one training per iteration count
 
     def cost(rows):
         return sum(max(1, n) for n in rows)

@@ -122,28 +122,11 @@ def test_grid_deterministic_and_tie_break():
     assert r1.best.hyper.seq_len == 50  # first of the ties
 
 
-def test_revalidation_of_top_points():
-    items = [mk_item("benign"), mk_item("malicious")] * 16
-    calls = []
-
-    def fake_eval(hp, tr, va):
-        calls.append(len(tr))
-        return report(hp.seq_len / 200)
-
-    result = grid_search(
-        items, items, fake_eval, space={"seq_len": (50, 100, 200)}, revalidate_top=2
-    )
-    assert len(result.revalidated) == 2
-    assert result.revalidated[0][0].hyper.seq_len == 200
-    # revalidation runs on the full set, not the 1/8 subset
-    assert calls[-2:] == [len(items), len(items)]
-
-
 def test_grid_csv_shape():
     pt = GridPoint(Hyperparams(), report(0.75))
     from droidflow.tuning import GridSearchResult
 
-    text = grid_to_csv(GridSearchResult([pt], pt, Hyperparams(), []))
+    text = grid_to_csv(GridSearchResult([pt], pt, Hyperparams()))
     lines = text.strip().splitlines()
     assert lines[0].startswith("seq_len,")
     assert len(lines) == 2
