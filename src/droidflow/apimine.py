@@ -6,11 +6,13 @@ lists (source/sink/callback/taint-wrapper files) are filtered by the same
 keywords and merged in.
 """
 
+import json
 import math
 import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 from .tables import load_name_list
 
@@ -31,7 +33,7 @@ _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
 class EmptyCorpusError(ValueError):
-    pass
+    """A corpus directory with no documents, or with a malformed index.json."""
 
 
 class ApiDocsError(ValueError):
@@ -194,14 +196,13 @@ def merge_tool_lists(tool_apis, keywords, mined: CriticalApiSet) -> CriticalApiS
 
 def load_corpus_dir(corpus_dir):
     """One document per text file, with an index.json mapping doc_id to source kind."""
-    import json
-    from pathlib import Path
-
     corpus_dir = Path(corpus_dir)
     index = {}
     index_path = corpus_dir / "index.json"
     if index_path.exists():
         index = json.loads(index_path.read_text())
+        if not isinstance(index, dict):
+            raise EmptyCorpusError(f"{index_path}: not a JSON object of doc_id -> source kind")
     docs = []
     for path in sorted(corpus_dir.glob("*.txt")):
         doc_id = path.stem
@@ -214,9 +215,6 @@ def load_corpus_dir(corpus_dir):
 def load_api_docs(path) -> list:
     """ApiDocs of a JSON list of {signature, description} objects, the
     description optional; a malformed entry is an ApiDocsError naming its index."""
-    import json
-    from pathlib import Path
-
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, list):
         raise ApiDocsError(f"{path}: not a JSON list")
@@ -231,15 +229,9 @@ def load_api_docs(path) -> list:
 
 
 def load_stopwords(path) -> frozenset:
-    """One token per line; blank lines and # comments skipped."""
-    from pathlib import Path
-
-    words = set()
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.update(line.lower().split())
-    return frozenset(words)
+    """The lowercased words of a name list (tables.load_name_list), any
+    number per line."""
+    return frozenset(word for line in load_name_list(path) for word in line.lower().split())
 
 
 def load_critical_apis(path) -> CriticalApiSet:
@@ -247,6 +239,4 @@ def load_critical_apis(path) -> CriticalApiSet:
 
 
 def save_critical_apis(apis: CriticalApiSet, path):
-    from pathlib import Path
-
     Path(path).write_text("".join(sig + "\n" for sig in apis))

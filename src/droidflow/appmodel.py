@@ -285,5 +285,8 @@ def load_app(root) -> AppModel:
 
     meta_path = root / "meta.json"
     if meta_path.exists():
-        app.metadata.update(json.loads(meta_path.read_text()))
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path.name} is not a JSON object")
+        app.metadata.update(meta)
     return app

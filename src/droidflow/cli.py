@@ -86,6 +86,7 @@ def cmd_mine_apis(args) -> int:
 def cmd_extract(args) -> int:
     config = _config(args)
     critical = config.critical_apis()
+    config.lifecycle(), config.callbacks(), config.intent_senders()   # a bad table fails once, here
     reports = extract_batch(args.apps, args.out, critical, config, workers=args.workers)
     failed = sum(1 for r in reports if r.get("status") != "ok")
     print(f"extracted {len(reports) - failed}/{len(reports)} apps into {args.out}")
@@ -177,18 +178,17 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions(path):
-    """Scores and labels of a predictions CSV, from its score (or
-    malicious_score) and label columns; a malformed file is a ConfigError
-    that names the line."""
+    """Scores and true labels of a CSV, from its score and label columns; a
+    malformed file is a ConfigError that names the line or missing column.
+    predict's CSV has no score column: its label is the predicted one."""
     text = Path(path).read_text().splitlines()
     if not text:
         raise ConfigError(f"predictions CSV {path} is empty")
     header = text[0].split(",")
-    try:
-        s_col = header.index("score") if "score" in header else header.index("malicious_score")
-        l_col = header.index("label")
-    except ValueError as exc:
-        raise ConfigError(f"predictions CSV needs score and label columns: {exc}") from exc
+    missing = [name for name in ("score", "label") if name not in header]
+    if missing:
+        raise ConfigError(f"predictions CSV {path} has no {' or '.join(missing)} column")
+    s_col, l_col = header.index("score"), header.index("label")
     scores, labels = [], []
     for number, line in enumerate(text[1:], start=2):
         if not line:

@@ -226,10 +226,18 @@ def build_flow_graph(app, cg, traces):
 
 def opcode_text(seq) -> str:
     """An opcode sequence as its "|"-joined line."""
+    return "|".join(map(_CODE_TEXT.__getitem__, seq))
+
+
+def parse_opcode_text(text: str) -> list:
+    """The opcode values of a line opcode_text wrote; "" is no opcode. A value
+    spelt another way, or outside 0-255, is read by int(), which raises
+    ValueError on a field that is not an integer."""
+    fields = text.split("|") if text else []
     try:
-        return "|".join(map(_CODE_TEXT.__getitem__, seq))
-    except KeyError:   # a value outside 0-255, as a corrupt graph file may hold
-        return "|".join(map(str, seq))
+        return list(map(_CODE_OF.__getitem__, fields))
+    except KeyError:
+        return list(map(int, fields))
 
 
 def serialize_graph(graph: AbstractFlowGraph, out_dir):
@@ -251,17 +259,12 @@ def deserialize_graph(in_dir) -> AbstractFlowGraph:
     in_dir = Path(in_dir)
     nodes = []
     ids = set()
-    code_of = _CODE_OF.__getitem__
     for lineno, line in enumerate(_read_lines(in_dir / "nodes.csv"), start=1):
         parts = line.split(",", 3)
         if len(parts) != 4:
             raise FormatError(f"nodes.csv line {lineno}: expected 4 fields")
         try:
-            nid, offset = int(parts[0]), int(parts[1])
-            try:
-                seq = list(map(code_of, parts[2].split("|"))) if parts[2] else []
-            except KeyError:   # a code outside 0-255, or one not spelt as str() spells it
-                seq = list(map(int, parts[2].split("|")))
+            nid, offset, seq = int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
         except ValueError as exc:
             raise FormatError(f"nodes.csv line {lineno}: {exc}") from exc
         nodes.append(ChunkNode(nid, "", offset, seq, parts[3]))

@@ -6,16 +6,10 @@ first (aapt2 dump, apktool) and feed the plain XML here.
 
 import xml.etree.ElementTree as ET
 
-from .appmodel import Component, IntentFilter
+from .appmodel import COMPONENT_CATEGORIES, Component, IntentFilter
 
 _ANDROID_NS = "{http://schemas.android.com/apk/res/android}"
-_AXML_MAGIC = b"\x03\x00\x08\x00"
-_TAG_CATEGORY = {
-    "activity": "activity",
-    "service": "service",
-    "receiver": "receiver",
-    "provider": "provider",
-}
+_AXML_MAGIC = "\x03\x00\x08\x00"   # the first four bytes of a binary manifest
 
 
 class XmlError(ValueError):
@@ -41,19 +35,9 @@ def _class_name(raw: str, package: str) -> str:
 
 def parse_manifest(xml) -> list:
     """Parse decoded manifest XML (str or bytes) into Component objects."""
-    if isinstance(xml, bytes):
-        if xml[:4] == _AXML_MAGIC:
-            raise AxmlUnsupportedError(
-                "binary AXML manifest; decode it to plain XML before loading"
-            )
-        text = xml.decode("utf-8", errors="replace")
-    else:
-        if xml[:4] == _AXML_MAGIC.decode("latin-1"):
-            raise AxmlUnsupportedError(
-                "binary AXML manifest; decode it to plain XML before loading"
-            )
-        text = xml
-
+    text = xml.decode("utf-8", errors="replace") if isinstance(xml, bytes) else xml
+    if text.startswith(_AXML_MAGIC):
+        raise AxmlUnsupportedError("binary AXML manifest; decode it to plain XML before loading")
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -65,8 +49,7 @@ def parse_manifest(xml) -> list:
     if application is None:
         return components
     for elem in application:
-        category = _TAG_CATEGORY.get(elem.tag)
-        if category is None:
+        if elem.tag not in COMPONENT_CATEGORIES:
             continue
         raw_name = elem.get(_ANDROID_NS + "name") or elem.get("name")
         if not raw_name:
@@ -90,7 +73,7 @@ def parse_manifest(xml) -> list:
         components.append(
             Component(
                 path_name=_class_name(raw_name, package),
-                category=category,
+                category=elem.tag,
                 intent_filters=filters,
                 exported=exported,
             )

@@ -18,9 +18,11 @@ from .appmodel import AppModel, load_app
 from .callgraph import build_call_graph
 from .flowgraph import (
     AbstractFlowGraph,
+    FormatError,
     build_flow_graph,
     deserialize_graph,
     opcode_text,
+    parse_opcode_text,
     serialize_graph,
 )
 from .nn.model import Hyperparams, TrainConfig
@@ -116,7 +118,8 @@ class PipelineConfig:
         )
 
     def critical_apis(self) -> CriticalApiSet:
-        return load_critical_apis(self.critical_apis_path or data_file("critical_apis.txt"))
+        return self._table("critical_apis", self.critical_apis_path or data_file("critical_apis.txt"),
+                           load_critical_apis)
 
     def lifecycle(self) -> Mapping:
         if self.lifecycle_path is None:
@@ -135,12 +138,16 @@ class PipelineConfig:
                            lambda path: frozenset(load_name_list(path)))
 
     def _table(self, name, path, parse):
-        """parse(path), run at most once per table and path on this config.
+        """parse(path), run at most once per table and path on this config;
+        a file it cannot read, decode or parse is a ConfigError naming it.
         Every caller shares the result, so lifecycle() hands its dict out
         only behind a read-only proxy."""
         key = (name, path)
         if key not in self._tables:
-            self._tables[key] = parse(path)
+            try:
+                self._tables[key] = parse(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot load the {name} table {path}: {exc}") from None
         return self._tables[key]
 
 
@@ -274,10 +281,16 @@ def load_features(features_dir) -> list:
             continue
         raw = []
         traces_path = app_dir / "traces.csv"
-        if traces_path.exists():
-            for line in traces_path.read_text().splitlines():
-                if line:
-                    raw.append([int(x) for x in line.split("|")])
+        lines = traces_path.read_text().splitlines() if traces_path.exists() else []
+        for number, line in enumerate(lines, start=1):
+            try:
+                seq = parse_opcode_text(line)
+                if seq and not 0 <= min(seq) <= max(seq) <= 255:
+                    raise ValueError("an opcode outside 0-255")
+            except ValueError as exc:
+                raise FormatError(f"{traces_path} line {number}: {exc}") from None
+            if seq:
+                raw.append(seq)
         label = report.get("label")
         records.append(
             FeatureRecord(

@@ -50,45 +50,20 @@ class SmaliSyntaxError(ValueError):
 def _split_operands(text: str):
     """Split an operand string on top-level commas, keeping {...} groups whole.
 
-    A comma splits only outside braces; a "}" before any "{" makes the depth
-    negative, and commas there do not split either. Every part is stripped,
+    A comma splits only where the text before it holds as many "}" as "{":
+    neither inside braces nor after an unmatched "}". Every part is stripped,
     and an empty last part is dropped.
     """
-    if "{" not in text and "}" not in text:
-        parts = text.split(",")
-    else:
-        start = text.find("{")
-        end = text.find("}", start)
-        if end < 0 or text.count("{") != 1 or text.count("}") != 1:
-            return _split_operands_by_depth(text)
-        # One register group: it joins the parts it touches on either side.
-        parts = text[:start].split(",")
-        after = text[end + 1:].split(",")
-        parts[-1] += text[start:end + 1] + after[0]
-        parts += after[1:]
-    parts = tuple(map(str.strip, parts))
-    return parts if parts[-1] else parts[:-1]
-
-
-def _split_operands_by_depth(text: str):
-    """_split_operands for any text, one character at a time."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return tuple(parts)
+    parts, held, depth = [], [], 0
+    for piece in text.split(","):
+        held.append(piece)
+        depth += piece.count("{") - piece.count("}")
+        if depth == 0:
+            parts.append(",".join(held).strip())
+            held = []
+    if held:
+        parts.append(",".join(held).strip())
+    return tuple(parts if parts[-1] else parts[:-1])
 
 
 def _method_reference(code: int, operand_text: str):

@@ -16,13 +16,13 @@ def data_file(name: str) -> Path:
 
 
 def load_lifecycle_table(path) -> dict:
+    """Component category -> method names, from "category method" lines."""
     table = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        category, method = line.split()
-        table.setdefault(category, []).append(method)
+    for line in load_name_list(path):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"expected a category and a method name, not {line!r}")
+        table.setdefault(fields[0], []).append(fields[1])
     return {k: tuple(v) for k, v in table.items()}
 
 

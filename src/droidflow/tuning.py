@@ -7,7 +7,7 @@ hyperparameter at a time with every other knob held at its current best.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,9 +63,7 @@ def split_dataset(items, seed: int = 0):
     for idx, item in enumerate(items):
         by_class.setdefault(_label(item), []).append((idx, item))
 
-    have_timestamps = all(
-        _timestamp(item) is not None for _, item in _flatten(by_class)
-    )
+    have_timestamps = all(_timestamp(item) is not None for item in items)
     if not have_timestamps:
         warnings.warn(
             "timestamps missing: holding out a random test split instead of the newest share",
@@ -98,11 +96,6 @@ def split_dataset(items, seed: int = 0):
         return [item for _, item in sorted(part, key=lambda p: p[0])]
 
     return restore(train), restore(val), restore(test)
-
-
-def _flatten(by_class):
-    for members in by_class.values():
-        yield from members
 
 
 def stratified_subset(items, fraction: float, seed: int = 0):
@@ -162,20 +155,13 @@ def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperp
     return GridSearchResult(points, best, current)
 
 
-GRID_CSV_HEADER = (
-    "seq_len,hidden_layers,lstm_units,label_dim,iterations,epochs,batch_size,"
-    "accuracy,precision,recall,f1,fpr,fnr,roc_auc,prc_auc"
-)
-
-
 def grid_to_csv(result: GridSearchResult) -> str:
-    lines = [GRID_CSV_HEADER]
+    """One row per grid point: every Hyperparams field, then every
+    MetricReport score to six decimals."""
+    knobs = [f.name for f in fields(Hyperparams)]
+    scores = [f.name for f in fields(MetricReport) if f.name != "degenerate"]
+    lines = [",".join(knobs + scores)]
     for p in result.points:
-        h, r = p.hyper, p.report
-        lines.append(
-            f"{h.seq_len},{h.hidden_layers},{h.lstm_units},{h.label_dim},"
-            f"{h.iterations},{h.epochs},{h.batch_size},"
-            f"{r.accuracy:.6f},{r.precision:.6f},{r.recall:.6f},{r.f1:.6f},"
-            f"{r.fpr:.6f},{r.fnr:.6f},{r.roc_auc:.6f},{r.prc_auc:.6f}"
-        )
+        lines.append(",".join([str(getattr(p.hyper, k)) for k in knobs]
+                              + [f"{getattr(p.report, k):.6f}" for k in scores]))
     return "\n".join(lines) + "\n"

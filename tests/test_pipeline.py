@@ -112,6 +112,11 @@ def _meta_is_a_directory(app_dir):
     (app_dir / "meta.json").mkdir()
 
 
+def _meta_is_not_an_object(app_dir):
+    shutil.copytree(FIXTURES / "critical", app_dir)
+    (app_dir / "meta.json").write_text("[1, 2]")
+
+
 def _smali_directory_beside_a_class(app_dir):
     (app_dir / "smali" / "x.smali").mkdir(parents=True)
     (app_dir / "smali" / "Main.smali").write_text(
@@ -142,8 +147,9 @@ def _deep_call_chain(app_dir, length=3000):
 
 
 @pytest.mark.parametrize("make_bad", [
-    _meta_is_a_directory, _smali_directory_beside_a_class, _deep_call_chain,
-], ids=["meta-directory", "smali-directory", "deep-call-chain"])
+    _meta_is_a_directory, _meta_is_not_an_object, _smali_directory_beside_a_class,
+    _deep_call_chain,
+], ids=["meta-directory", "meta-not-an-object", "smali-directory", "deep-call-chain"])
 def test_no_app_aborts_the_batch(tmp_path, make_bad):
     """Whatever one app raises, every other app keeps its entry and the batch
     report is written; the bad app yields features or one failed entry."""
@@ -162,7 +168,7 @@ def test_no_app_aborts_the_batch(tmp_path, make_bad):
     assert reports[0]["status"] == "ok" and (out / "good" / "report.json").exists()
     odd = reports[1]
     assert odd["status"] == "failed" or (out / "odd" / "report.json").exists()
-    if make_bad is _meta_is_a_directory:
+    if make_bad in (_meta_is_a_directory, _meta_is_not_an_object):
         assert odd["status"] == "failed"
 
 
@@ -358,10 +364,16 @@ def test_exit_codes(tmp_path):
      "caps.max_traces_per_entry must be an integer >= 1, not True"),
     ({"opcode_budget": 0}, "opcode_budget must be an integer >= 1, not 0"),
     ({"hyperparams": {"seq_len": 0}}, "seq_len must be >= 1"),
+    ({"lifecycle": "one_field.txt"},
+     "one_field.txt: expected a category and a method name, not 'service'"),
+    ({"callbacks": "not_utf8.txt"}, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
+    ({"critical_apis": "not_utf8.txt"}, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, cfg, message):
     apps_root = tmp_path / "apps"
     write_corpus(generate_corpus(1, seed=1), apps_root)
+    (tmp_path / "one_field.txt").write_text("activity onCreate\nservice\n")
+    (tmp_path / "not_utf8.txt").write_bytes(b"onClick\n\xff\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     capsys.readouterr()
@@ -473,6 +485,23 @@ def test_mine_apis_empty_corpus_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_mine_apis_index_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_text("open the camera and exec commands")
+    (corpus / "index.json").write_text('["a"]')
+    api_docs = tmp_path / "apis.json"
+    api_docs.write_text(json.dumps([{"signature": "Camera.open", "description": "open"}]))
+    out = tmp_path / "critical.txt"
+    rc = main(["mine-apis", "--corpus", str(corpus), "--api-docs", str(api_docs),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert f"{corpus / 'index.json'}: not a JSON object" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("top, docs, code, message", [
     ("0", [], 1, "--top-keywords must be at least 1"),
     ("2", [{"signature": "Camera.open"}, {"description": "no signature"}], 2,
@@ -554,6 +583,60 @@ def test_train_predict_evaluate_cli(tmp_path):
     assert metrics["accuracy"] >= 0.9
     by_app = {line.split(",")[0]: line.split(",")[1] for line in lines[1:]}
     assert all(lbl == "1" for app, lbl in by_app.items() if app.startswith("mal"))
+
+
+TINY_CONFIG = {
+    "hyperparams": {"seq_len": 20, "hidden_layers": 1, "lstm_units": 4,
+                    "label_dim": 13, "iterations": 2, "epochs": 1, "batch_size": 4},
+}
+
+
+def _tiny_features(tmp_path):
+    """Features of two synthetic apps, one per class, and a config to train on them."""
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus(generate_corpus(1, seed=11), apps_root)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    return features, config
+
+
+def test_evaluate_rejects_the_csv_predict_writes(tmp_path, capsys):
+    """predict's label column is the predicted label, and it has no score
+    column: scored as truth, it would agree with itself."""
+    features, config = _tiny_features(tmp_path)
+    model, preds = tmp_path / "model.bin", tmp_path / "preds.csv"
+    assert main(["train", "--features", str(features), "--out", str(model),
+                 "--config", str(config)]) == 0
+    assert main(["predict", "--model", str(model), "--features", str(features),
+                 "--out", str(preds), "--config", str(config)]) == 0
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    rc = main(["evaluate", "--predictions", str(preds), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"input error: predictions CSV {preds} has no score column\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "invalid literal for int()"),
+    ("300", "an opcode outside 0-255"),
+    ("-1", "an opcode outside 0-255"),
+], ids=["x", "300", "-1"])
+def test_corrupt_traces_csv_is_an_input_error(tmp_path, capsys, value, message):
+    features, config = _tiny_features(tmp_path)
+    traces = sorted(features.glob("*/traces.csv"))[0]
+    traces.write_text(f"1|2\n14|{value}|110\n")
+    model = tmp_path / "model.bin"
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(model),
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"input error: {traces} line 2: ") and message in err
+    assert not model.exists()
 
 
 def test_diverged_training_exit_code(tmp_path, monkeypatch):
