@@ -130,7 +130,7 @@ def _probabilities(records, model, config):
     batches of consecutive records capped by capped_batches, one forward
     pass per batch."""
     hp = model.hyper
-    pairs = ((rec.graph(), rec.matrix(hp.seq_len, config.opcode_budget))
+    pairs = ((rec.graph(hp.label_dim), rec.matrix(hp.seq_len, config.opcode_budget))
              for rec in records)
     for batch in capped_batches(pairs, lambda pair: pair[1].n, hp.lstm_units):
         yield from probabilities(batch, model, seed=config.train.seed)

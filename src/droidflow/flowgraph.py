@@ -7,7 +7,7 @@ forward edge is mirrored by a backward edge of the hatted type (bct, bis,
 bnb, bic, bin). Neighbor edges are only built inside methods that issue a
 ct/is/ic edge and are pruned when neither endpoint touches a non-neighbor
 edge. Nodes persist as ``id,offset,opcode_seq,invoke_mtd`` quadruples and
-edges as ``source,target,type`` triples.
+edges as ``source,target,type`` triples, read back straight into GraphArrays.
 """
 
 from dataclasses import dataclass, field
@@ -58,29 +58,46 @@ class FlowEdge:
             raise FormatError(f"unknown edge type {self.type!r}")
 
 
+@dataclass(frozen=True)
+class GraphArrays:
+    """A flow graph as the graph branch reads it: node labels, edge endpoints
+    as node positions, and each edge's feature row [l_u ; type one-hot ; l_v].
+    A node's label is its first label_dim opcodes, normalized and zero-padded."""
+
+    labels: np.ndarray          # (n, label_dim)
+    src: np.ndarray             # (E,)
+    dst: np.ndarray             # (E,)
+    edge_feat: np.ndarray       # (E, 2 * label_dim + 10)
+
+    def arrays(self, label_dim: int) -> "GraphArrays":
+        """These arrays, built at label_dim."""
+        return self
+
+
 @dataclass
 class AbstractFlowGraph:
     nodes: list
     edges: list
 
-    def node_labels(self, label_dim: int) -> np.ndarray:
-        """(n, label_dim): each node's first label_dim opcodes, normalized and
-        zero-padded, in node order. These are the node labels that
-        nn.model.forward_var feeds to the graph branch, through graph_arrays,
-        at the model's label_dim."""
-        d = label_dim
-        lengths = np.array([min(len(n.opcode_seq), d) for n in self.nodes], dtype=np.intp)
-        codes = np.zeros((len(self.nodes), d))
-        codes[np.arange(d) < lengths[:, None]] = np.array(
-            [c for n in self.nodes for c in n.opcode_seq[:d]], dtype=np.float64
-        )
-        return normalize(codes)
+    def arrays(self, label_dim: int) -> GraphArrays:
+        """The graph's arrays, nodes and edges in list order."""
+        lengths = np.array([len(n.opcode_seq) for n in self.nodes], dtype=np.intp)
+        heads = [c for n in self.nodes for c in n.opcode_seq[:label_dim]]
+        return _graph_arrays(lengths, heads, [n.id for n in self.nodes], self.edges, label_dim)
 
-    def edge_onehot(self) -> np.ndarray:
-        onehot = np.zeros((len(self.edges), len(EDGE_TYPE_ORDER)))
-        types = np.array([_TYPE_INDEX[e.type] for e in self.edges], dtype=np.intp)
-        onehot[np.arange(len(self.edges)), types] = 1.0
-        return onehot
+
+def _graph_arrays(lengths, heads, ids, edges, label_dim: int) -> GraphArrays:
+    """GraphArrays of nodes of these opcode counts and ids, their first label_dim
+    opcodes back to back in heads, and of edges, each to the last node of its id."""
+    codes = np.zeros((len(lengths), label_dim))
+    codes[np.arange(label_dim) < np.minimum(lengths, label_dim)[:, None]] = heads
+    labels = normalize(codes)
+    index = dict(zip(ids, range(len(ids))))
+    src = np.array([index[e.source] for e in edges], dtype=np.intp)
+    dst = np.array([index[e.target] for e in edges], dtype=np.intp)
+    onehot = np.zeros((len(edges), len(EDGE_TYPE_ORDER)))
+    onehot[np.arange(len(edges)), np.array([_TYPE_INDEX[e.type] for e in edges], dtype=np.intp)] = 1
+    return GraphArrays(labels, src, dst, np.concatenate([labels[src], onehot, labels[dst]], axis=1))
 
 
 def sort_edges(edges):
@@ -253,38 +270,51 @@ def serialize_graph(graph: AbstractFlowGraph, out_dir):
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 
-def deserialize_graph(in_dir) -> AbstractFlowGraph:
-    """Read a graph written by serialize_graph. Method identities are not part
-    of the on-disk format; deserialized chunks carry an empty method field."""
-    in_dir = Path(in_dir)
-    nodes = []
-    ids = set()
-    for lineno, line in enumerate(_read_lines(in_dir / "nodes.csv"), start=1):
-        parts = line.split(",", 3)
-        if len(parts) != 4:
-            raise FormatError(f"nodes.csv line {lineno}: expected 4 fields")
-        try:
-            nid, offset, seq = int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"nodes.csv line {lineno}: {exc}") from exc
-        nodes.append(ChunkNode(nid, "", offset, seq, parts[3]))
-        ids.add(nid)
-    edges = []
-    for lineno, line in enumerate(_read_lines(in_dir / "edges.csv"), start=1):
+def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
+    """The arrays() of a graph serialize_graph wrote, its nodes in stable id
+    order and its edges in sort_edges order. nodes.csv is read a column at a
+    time: each line is split once, all opcode fields parsed in one pass. An
+    error names the file and the first line that fails a check."""
+    path = Path(in_dir) / "nodes.csv"
+    rows = [line.split(",", 3) for line in _read_lines(path)]
+    try:
+        if set(map(len, rows)) - {4}:
+            raise ValueError
+        ids, offsets, texts, _ = list(zip(*rows)) or [()] * 4
+        ids, _ = list(map(int, ids)), list(map(int, offsets))
+        codes = parse_opcode_text("|".join(filter(None, texts)))
+    except ValueError:
+        for lineno, parts in enumerate(rows, start=1):
+            try:
+                if len(parts) != 4:
+                    raise ValueError("expected 4 fields")
+                int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
+            except ValueError as exc:
+                raise FormatError(f"{path} line {lineno}: {exc}") from None
+        raise
+    known, edges = set(ids), []
+    path = path.with_name("edges.csv")
+    for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(",")
         if len(parts) != 3:
-            raise FormatError(f"edges.csv line {lineno}: expected 3 fields")
+            raise FormatError(f"{path} line {lineno}: expected 3 fields")
         try:
             s, t = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise FormatError(f"edges.csv line {lineno}: {exc}") from exc
+            raise FormatError(f"{path} line {lineno}: {exc}") from exc
         if parts[2] not in _TYPE_INDEX:
-            raise FormatError(f"edges.csv line {lineno}: unknown edge type {parts[2]!r}")
-        if s not in ids or t not in ids:
-            raise FormatError(f"edges.csv line {lineno}: dangling endpoint")
+            raise FormatError(f"{path} line {lineno}: unknown edge type {parts[2]!r}")
+        if s not in known or t not in known:
+            raise FormatError(f"{path} line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
-    nodes.sort(key=lambda n: n.id)
-    return AbstractFlowGraph(nodes, sort_edges(edges))
+    counts = np.array([text.count("|") + 1 if text else 0 for text in texts], dtype=np.intp)
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    lengths, starts = counts[order], (np.cumsum(counts) - counts)[order]
+    cols = np.arange(label_dim)
+    heads = (starts[:, None] + cols)[cols < np.minimum(lengths, label_dim)[:, None]]
+    # An int past float64's range stays an object: only a label's codes convert.
+    return _graph_arrays(lengths, np.array(codes)[heads], [ids[i] for i in order],
+                         sort_edges(edges), label_dim)
 
 
 def _read_lines(path):

@@ -147,26 +147,6 @@ def _assemble(hp: Hyperparams, state_dim: int, embed_dim: int, uniform, zeros) -
 # training runs it on one tape per mini-batch (or per capped part of one), and
 # probabilities runs it on constant parameters over a batch of apps.
 
-@dataclass(frozen=True)
-class GraphArrays:
-    """A flow graph as the graph branch reads it: node labels, edge endpoints
-    as node positions, and each edge's feature row [l_u ; type one-hot ; l_v]."""
-
-    labels: np.ndarray          # (n, label_dim)
-    src: np.ndarray             # (E,)
-    dst: np.ndarray             # (E,)
-    edge_feat: np.ndarray       # (E, 2 * label_dim + 10)
-
-
-def graph_arrays(graph, label_dim: int) -> GraphArrays:
-    labels = graph.node_labels(label_dim)
-    index = {node.id: i for i, node in enumerate(graph.nodes)}
-    src = np.array([index[e.source] for e in graph.edges], dtype=np.intp)
-    dst = np.array([index[e.target] for e in graph.edges], dtype=np.intp)
-    edge_feat = np.concatenate([labels[src], graph.edge_onehot(), labels[dst]], axis=1)
-    return GraphArrays(labels, src, dst, edge_feat)
-
-
 def gnn_batch_var(graphs, init_states, pv: dict, iterations: int) -> Var:
     """(B, state_dim) graph vectors for a batch of GraphArrays, run as one
     disjoint union with node positions offset per graph, over `iterations`
@@ -322,11 +302,11 @@ def _checked(matrix, seq_len):
 
 def probabilities(pairs, model: ModelParams, seed=0) -> np.ndarray:
     """(B, 2) probabilities (benign, malicious) for a list of B (flow graph,
-    row matrix) feature pairs: forward_var on constant parameters over the
-    whole list as one batch, each app's initial node states drawn from seed,
-    as when it is scored alone. Constants record no tape links, so each
-    branch's intermediates are freed as soon as it is done."""
-    graphs = [graph_arrays(graph, model.hyper.label_dim) for graph, _ in pairs]
+    row matrix) feature pairs: forward_var on the graphs' arrays(), on
+    constant parameters over the whole list as one batch, each app's initial
+    node states drawn from seed, as when it is scored alone. Constants record
+    no tape links, so each branch's intermediates are freed once it is done."""
+    graphs = [graph.arrays(model.hyper.label_dim) for graph, _ in pairs]
     matrices = [_checked(matrix, model.hyper.seq_len) for _, matrix in pairs]
     pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
     init_states = draw_init_states(graphs, [seed] * len(graphs), model.state_dim)

@@ -26,7 +26,6 @@ from .model import (
     capped_batches,
     draw_init_states,
     forward_var,
-    graph_arrays,
     init_model,
     loss_var,
     param_vars,
@@ -74,8 +73,8 @@ class Adam:
 
 def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = STATE_DIM,
           embed_dim: int = EMBED_DIM, progress=None) -> TrainResult:
-    """Train on (flow graph, row matrix, label) triples; returns the fitted
-    parameters and the per-epoch mean loss log.
+    """Train on (flow graph, row matrix, label) triples, with graphs in either
+    form of arrays(); returns the fitted parameters and the per-epoch losses.
 
     progress, if given, is called after every epoch with (epoch, mean loss,
     mean over the epoch's batches of the gradient's L2 norm, wall seconds)."""
@@ -83,7 +82,7 @@ def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = STATE_DIM,
         raise ValueError("empty training dataset")
     model = init_model(hp, seed=(tc.seed, INIT_STREAM), state_dim=state_dim,
                        embed_dim=embed_dim)
-    graphs = [graph_arrays(graph, hp.label_dim) for graph, _, _ in dataset]
+    graphs = [graph.arrays(hp.label_dim) for graph, _, _ in dataset]
     matrices = [_checked(matrix, hp.seq_len) for _, matrix, _ in dataset]
     labels = np.array([int(label) for _, _, label in dataset])
     opt = Adam(model.weights, tc)

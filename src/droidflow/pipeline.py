@@ -19,6 +19,7 @@ from .callgraph import build_call_graph
 from .flowgraph import (
     AbstractFlowGraph,
     FormatError,
+    GraphArrays,
     build_flow_graph,
     deserialize_graph,
     opcode_text,
@@ -261,8 +262,8 @@ class FeatureRecord:
     def __post_init__(self):
         self.metadata = {"label": self.label, "timestamp": self.timestamp}
 
-    def graph(self) -> AbstractFlowGraph:
-        return deserialize_graph(self.path)
+    def graph(self, label_dim: int) -> GraphArrays:
+        return deserialize_graph(self.path, label_dim)
 
     def matrix(self, seq_len: int, opcode_budget: int) -> SequenceMatrix:
         return build_matrix(self.raw_sequences, seq_len, opcode_budget)
@@ -276,7 +277,12 @@ def load_features(features_dir) -> list:
         report_path = app_dir / "report.json"
         if not report_path.exists():
             continue
-        report = json.loads(report_path.read_text())
+        try:
+            report = json.loads(report_path.read_text())
+        except (OSError, ValueError) as exc:   # unreadable, not UTF-8 or not JSON
+            raise FormatError(f"cannot read {report_path}: {exc}") from None
+        if not isinstance(report, dict) or not isinstance(report.get("app_id"), str):
+            raise FormatError(f"{report_path} is not a JSON object with a string app_id")
         if report.get("status") != "ok":
             continue
         raw = []
@@ -311,6 +317,6 @@ def build_dataset(records, hyper: Hyperparams, opcode_budget: int = DEFAULT_OPCO
         if rec.label is None:
             raise ConfigError(f"feature record {rec.app_id} has no label")
         dataset.append(
-            (rec.graph(), rec.matrix(hyper.seq_len, opcode_budget), rec.label)
+            (rec.graph(hyper.label_dim), rec.matrix(hyper.seq_len, opcode_budget), rec.label)
         )
     return dataset

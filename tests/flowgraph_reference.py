@@ -1,10 +1,11 @@
 """Per-element references for flow-graph reading and node labels.
 
-deserialize_graph below reads nodes.csv one line at a time and parses each
-opcode with its own int() call, exactly as droidflow did before it read the
-file column by column; node_label builds one node's label vector with a loop
-over its opcodes. Tests compare droidflow.flowgraph.deserialize_graph and
-AbstractFlowGraph.node_labels against them; droidflow itself does not use
+deserialize_graph below reads nodes.csv one line at a time into ChunkNodes
+and parses each opcode with its own int() call, as droidflow did before it
+read the file column by column straight into GraphArrays; its errors name
+the file as droidflow's do. node_label builds one node's label vector with a
+loop over its opcodes. Tests compare droidflow.flowgraph.deserialize_graph
+and AbstractFlowGraph.arrays against them; droidflow itself does not use
 them.
 """
 
@@ -25,33 +26,33 @@ from droidflow.flowgraph import (
 
 
 def deserialize_graph(in_dir) -> AbstractFlowGraph:
-    in_dir = Path(in_dir)
+    nodes_path, edges_path = Path(in_dir) / "nodes.csv", Path(in_dir) / "edges.csv"
     nodes = []
     ids = set()
-    for lineno, line in enumerate(_read_lines(in_dir / "nodes.csv"), start=1):
+    for lineno, line in enumerate(_read_lines(nodes_path), start=1):
         parts = line.split(",", 3)
         if len(parts) != 4:
-            raise FormatError(f"nodes.csv line {lineno}: expected 4 fields")
+            raise FormatError(f"{nodes_path} line {lineno}: expected 4 fields")
         try:
             nid, offset = int(parts[0]), int(parts[1])
             seq = [int(x) for x in parts[2].split("|")] if parts[2] else []
         except ValueError as exc:
-            raise FormatError(f"nodes.csv line {lineno}: {exc}") from exc
+            raise FormatError(f"{nodes_path} line {lineno}: {exc}") from exc
         nodes.append(ChunkNode(nid, "", offset, seq, parts[3]))
         ids.add(nid)
     edges = []
-    for lineno, line in enumerate(_read_lines(in_dir / "edges.csv"), start=1):
+    for lineno, line in enumerate(_read_lines(edges_path), start=1):
         parts = line.split(",")
         if len(parts) != 3:
-            raise FormatError(f"edges.csv line {lineno}: expected 3 fields")
+            raise FormatError(f"{edges_path} line {lineno}: expected 3 fields")
         try:
             s, t = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise FormatError(f"edges.csv line {lineno}: {exc}") from exc
+            raise FormatError(f"{edges_path} line {lineno}: {exc}") from exc
         if parts[2] not in _TYPE_INDEX:
-            raise FormatError(f"edges.csv line {lineno}: unknown edge type {parts[2]!r}")
+            raise FormatError(f"{edges_path} line {lineno}: unknown edge type {parts[2]!r}")
         if s not in ids or t not in ids:
-            raise FormatError(f"edges.csv line {lineno}: dangling endpoint")
+            raise FormatError(f"{edges_path} line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
     nodes.sort(key=lambda n: n.id)
     return AbstractFlowGraph(nodes, sort_edges(edges))

@@ -8,9 +8,12 @@ the model did before it was batched. Tests compare the batched builders and
 
 import numpy as np
 
+from droidflow.flowgraph import EDGE_TYPE_ORDER
 from droidflow.nn import tape
 from droidflow.nn.model import init_model, logits_var, param_vars
 from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
+
+from flowgraph_reference import node_label
 
 
 def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
@@ -18,7 +21,7 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     label_dim, s = pv["gnn.w2"].shape
     if n_nodes == 0:
         return tape.constant(np.zeros((1, s)))
-    labels = graph.node_labels(label_dim)
+    labels = np.array([node_label(n, label_dim) for n in graph.nodes])
     id_to_index = {node.id: i for i, node in enumerate(graph.nodes)}
     edges = graph.edges
     if init_state is None:
@@ -28,7 +31,9 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     if edges:
         src = np.array([id_to_index[e.source] for e in edges])
         dst = np.array([id_to_index[e.target] for e in edges])
-        onehot = graph.edge_onehot()
+        onehot = np.zeros((len(edges), len(EDGE_TYPE_ORDER)))
+        for i, e in enumerate(edges):
+            onehot[i, EDGE_TYPE_ORDER.index(e.type)] = 1.0
         edge_feat = np.concatenate([labels[src], onehot, labels[dst]], axis=1)
         transform = tape.reshape(
             tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),

@@ -124,7 +124,6 @@ def test_criterion_5_gradient_checks():
     from droidflow.nn.model import (
         bilstm_batch_var,
         gnn_batch_var,
-        graph_arrays,
         logits_var,
         loss_var,
     )
@@ -138,7 +137,7 @@ def test_criterion_5_gradient_checks():
     graph = gnn_toy_graph()  # 4 nodes
     gnn_params = tiny_gnn_params(np.random.default_rng(51), s=4, label_dim=3)
     probe_g = np.random.default_rng(52).normal(size=(1, 4))
-    arrays = graph_arrays(graph, 3)
+    arrays = graph.arrays(3)
     init = np.random.default_rng(5).uniform(-0.1, 0.1, (len(arrays.labels), 4))
 
     def gnn_builder(pv):

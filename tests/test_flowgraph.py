@@ -86,7 +86,7 @@ def test_chunks_partition_method():
 # --- node labels -------------------------------------------------------------
 
 def node_label(node, label_dim):
-    return AbstractFlowGraph([node], []).node_labels(label_dim)[0]
+    return AbstractFlowGraph([node], []).arrays(label_dim).labels[0]
 
 
 def test_label_pads_with_zero():
@@ -108,21 +108,27 @@ def test_label_empty_zero_vector():
 
 @given(
     seqs=st.lists(st.lists(st.integers(0, 255), max_size=30), max_size=20),
-    types=st.lists(st.sampled_from(EDGE_TYPE_ORDER), max_size=30),
+    drawn=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19),
+                             st.sampled_from(EDGE_TYPE_ORDER)), max_size=30),
     label_dim=st.integers(1, 20),
 )
-def test_graph_arrays_match_per_node_reference(seqs, types, label_dim):
+def test_graph_arrays_match_per_node_reference(seqs, drawn, label_dim):
     nodes = [ChunkNode(i, "m", 0, seq, EXIT) for i, seq in enumerate(seqs)]
-    edges = [FlowEdge(0, 0, t) for t in types]
-    graph = AbstractFlowGraph(nodes, edges)
+    n = len(nodes)
+    edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
+    arrays = AbstractFlowGraph(nodes, edges).arrays(label_dim)
     expected = np.array(
-        [flowgraph_reference.node_label(n, label_dim) for n in nodes]
+        [flowgraph_reference.node_label(node, label_dim) for node in nodes]
     ).reshape(-1, label_dim)
-    assert np.array_equal(graph.node_labels(label_dim), expected)
-    onehot = np.zeros((len(types), len(EDGE_TYPE_ORDER)))
-    for i, t in enumerate(types):
-        onehot[i, EDGE_TYPE_ORDER.index(t)] = 1.0
-    assert np.array_equal(graph.edge_onehot(), onehot)
+    assert np.array_equal(arrays.labels, expected)
+    assert arrays.src.tolist() == [e.source for e in edges]
+    assert arrays.dst.tolist() == [e.target for e in edges]
+    feat = np.zeros((len(edges), 2 * label_dim + len(EDGE_TYPE_ORDER)))
+    for i, e in enumerate(edges):
+        feat[i, :label_dim] = expected[e.source]
+        feat[i, label_dim + EDGE_TYPE_ORDER.index(e.type)] = 1.0
+        feat[i, -label_dim:] = expected[e.target]
+    assert np.array_equal(arrays.edge_feat, feat)
 
 
 # --- golden fixtures ---------------------------------------------------------
@@ -252,7 +258,7 @@ def structurally_equal(a, b):
 def test_round_trip_structural_equality(tmp_path):
     graph, _ = extract("intent_self_loop")
     serialize_graph(graph, tmp_path)
-    loaded = deserialize_graph(tmp_path)
+    loaded = flowgraph_reference.deserialize_graph(tmp_path)
     assert structurally_equal(graph, loaded)
 
 
@@ -266,20 +272,44 @@ def test_serialization_deterministic(tmp_path):
     assert (a / "edges.csv").read_bytes() == (b / "edges.csv").read_bytes()
 
 
-def read_outcome(read, directory):
+def outcome(arrays):
+    """Every array of a GraphArrays, bit for bit, with its shape and dtype."""
+    return [(a.shape, a.dtype.str, a.tobytes())
+            for a in (arrays.labels, arrays.src, arrays.dst, arrays.edge_feat)]
+
+
+def read_outcome(read, directory, label_dim):
+    """The arrays read(directory, label_dim) returns, or the error it raises."""
     try:
-        return read(directory)
+        return outcome(read(directory, label_dim))
     except FormatError as exc:
         return str(exc)
+    except OverflowError as exc:   # an opcode in a label past float64's range
+        return repr(exc)
+
+
+def reference_read(directory, label_dim):
+    return flowgraph_reference.deserialize_graph(directory).arrays(label_dim)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_arrays_read_back_equal_the_graphs_arrays(tmp_path, name):
+    graph, _ = extract(name)
+    serialize_graph(graph, tmp_path)
+    for label_dim in (1, 3, 13, 40):
+        expected = outcome(graph.arrays(label_dim))
+        assert read_outcome(deserialize_graph, tmp_path, label_dim) == expected, label_dim
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
 def test_reader_matches_reference_on_golden_files(name):
     golden = FIXTURES / name / "golden"
-    assert deserialize_graph(golden) == flowgraph_reference.deserialize_graph(golden)
+    for label_dim in (1, 3, 13, 40):
+        expected = read_outcome(reference_read, golden, label_dim)
+        assert read_outcome(deserialize_graph, golden, label_dim) == expected
 
 
-ODD_FIELDS = ["007", " 3", "-1", "+5", "x", "", "0x1"]
+ODD_FIELDS = ["007", " 3", "-1", "+5", "x", "", "0x1", "9" * 400]
 
 
 @st.composite
@@ -300,29 +330,32 @@ def node_line(draw):
     return f"{draw(field_text(st.integers(0, 9)))},{draw(field_text(st.integers(0, 9)))},{seq},{invoke_mtd}"
 
 
-@given(st.lists(node_line(), max_size=8), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]))
-@example(["x,0,300|y,exit"], "")   # two bad fields: the first one is reported
+@given(st.lists(node_line(), max_size=8), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]),
+       st.integers(1, 13))
+@example(["x,0,300|y,exit"], "", 13)   # two bad fields: the first one is reported
 @settings(max_examples=300, deadline=None)
-def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, edges):
+def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, edges, label_dim):
     directory = tmp_path_factory.mktemp("graph")
     (directory / "nodes.csv").write_text("".join(line + "\n" for line in lines))
     (directory / "edges.csv").write_text(edges)
-    expected = read_outcome(flowgraph_reference.deserialize_graph, directory)
-    assert read_outcome(deserialize_graph, directory) == expected
+    expected = read_outcome(reference_read, directory, label_dim)
+    assert read_outcome(deserialize_graph, directory, label_dim) == expected
 
 
 def test_unknown_edge_tag_rejected(tmp_path):
     (tmp_path / "nodes.csv").write_text("0,0,14,exit\n1,0,14,exit\n")
     (tmp_path / "edges.csv").write_text("0,1,zz\n")
-    with pytest.raises(FormatError):
-        deserialize_graph(tmp_path)
+    expected = f"{tmp_path / 'edges.csv'} line 1: unknown edge type 'zz'"
+    assert read_outcome(reference_read, tmp_path, 13) == expected
+    assert read_outcome(deserialize_graph, tmp_path, 13) == expected
 
 
 def test_dangling_edge_rejected(tmp_path):
     (tmp_path / "nodes.csv").write_text("0,0,14,exit\n")
     (tmp_path / "edges.csv").write_text("0,7,ct\n")
-    with pytest.raises(FormatError):
-        deserialize_graph(tmp_path)
+    expected = f"{tmp_path / 'edges.csv'} line 1: dangling endpoint"
+    assert read_outcome(reference_read, tmp_path, 13) == expected
+    assert read_outcome(deserialize_graph, tmp_path, 13) == expected
 
 
 def test_edge_type_order_canonical():

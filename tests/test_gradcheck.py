@@ -9,7 +9,6 @@ from droidflow.nn.model import (
     draw_init_states,
     forward_var,
     gnn_batch_var,
-    graph_arrays,
     init_model,
     logits_var,
     loss_var,
@@ -43,7 +42,7 @@ def test_gnn_gradients():
     arrays = tiny_gnn_params(rng, s=4, label_dim=3)
     probe_rng = np.random.default_rng(42)
     probe = probe_rng.normal(size=(1, 4))
-    arrays_g = graph_arrays(graph, 3)
+    arrays_g = graph.arrays(3)
     init = np.random.default_rng(7).uniform(-0.1, 0.1, (len(arrays_g.labels), 4))
 
     def builder(pv):
@@ -94,7 +93,7 @@ def test_full_model_gradients():
     matrix = SequenceMatrix(np.array([[5, 110, 26, 14]]), 4)
     arrays = model.weights
 
-    graphs = [graph_arrays(graph, hp.label_dim)]
+    graphs = [graph.arrays(hp.label_dim)]
     init_states = draw_init_states(graphs, [6], model.state_dim)
 
     def builder(pv):

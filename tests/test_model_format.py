@@ -60,7 +60,7 @@ def test_loaded_model_scores_bit_for_bit(tmp_path, paper_model, features):
     save_model(paper_model, path)
     loaded = load_model(path)
     rec = load_features(features)[0]
-    pair = (rec.graph(), rec.matrix(PAPER_WIDTH.seq_len, 8000))
+    pair = (rec.graph(PAPER_WIDTH.label_dim), rec.matrix(PAPER_WIDTH.seq_len, 8000))
     assert probabilities([pair], loaded).tobytes() == probabilities([pair], paper_model).tobytes()
 
 

@@ -12,7 +12,6 @@ from droidflow.nn.model import (
     bilstm_batch_var,
     draw_init_states,
     gnn_batch_var,
-    graph_arrays,
     init_model,
     load_model,
     logits_var,
@@ -67,7 +66,7 @@ def gnn_forward(graph, params, iterations, seed=0, init_state=None):
     """Graph vector of size state_dim: gnn_batch_var on constant parameters
     as a batch of one, initial node states from seed unless given."""
     label_dim, state_dim = params["gnn.w2"].shape
-    arrays = graph_arrays(graph, label_dim)
+    arrays = graph.arrays(label_dim)
     if init_state is None:
         [init_state] = draw_init_states([arrays], [seed], state_dim)
     return gnn_batch_var([arrays], [init_state], constants(params), iterations).value[0]

@@ -23,7 +23,6 @@ from droidflow.nn.model import (
     bilstm_batch_var,
     forward_var,
     gnn_batch_var,
-    graph_arrays,
     init_model,
     logits_var,
     loss_var,
@@ -140,7 +139,7 @@ def test_batch_matches_per_sample_reference(iterations):
     ref_losses, ref_grads = ref.batch_grads(model, samples, seed)
 
     pv = param_vars(model)
-    graphs = [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples]
+    graphs = [g.arrays(hp.label_dim) for _, (g, _, _) in samples]
     init_states = [
         np.random.default_rng((seed, idx)).uniform(-0.1, 0.1, (len(a.labels), 4))
         for (idx, _), a in zip(samples, graphs)
@@ -188,7 +187,7 @@ def test_training_gradients_stay_float64():
     model = init_model(hp, seed=64, state_dim=4, embed_dim=5)
     samples = mixed_samples()
     _, grads = trainer._batch_step(
-        model, [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples],
+        model, [g.arrays(hp.label_dim) for _, (g, _, _) in samples],
         [m for _, (_, m, _) in samples], np.array([label for _, (_, _, label) in samples]),
         [(17, idx) for idx, _ in samples])
     assert set(grads) == set(model.weights)
@@ -202,7 +201,7 @@ def test_split_batch_matches_one_tape(monkeypatch):
                      iterations=5, epochs=1, batch_size=5)
     model = init_model(hp, seed=64, state_dim=4, embed_dim=5)
     samples = mixed_samples()
-    args = (model, [graph_arrays(g, hp.label_dim) for _, (g, _, _) in samples],
+    args = (model, [g.arrays(hp.label_dim) for _, (g, _, _) in samples],
             [m for _, (_, m, _) in samples], np.array([label for _, (_, _, label) in samples]),
             [(17, idx) for idx, _ in samples])
     whole_losses, whole = trainer._batch_step(*args)
@@ -263,7 +262,7 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
     batches = []
     monkeypatch.setattr(cli, "probabilities", lambda batch, *args, **kwargs:
                         batches.append(len(batch)) or probabilities(batch, *args, **kwargs))
-    records = [SimpleNamespace(graph=lambda g=g: g,
+    records = [SimpleNamespace(graph=lambda label_dim, g=g: g,
                                matrix=lambda seq_len, budget, m=m: m) for g, m in pairs]
     grouped = list(cli._probabilities(records, model, PipelineConfig(hyper=hp)))
     assert batches == [2, 1, 2]

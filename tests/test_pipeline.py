@@ -233,8 +233,10 @@ def test_features_round_trip(tmp_path):
         matrix = record.matrix(100, 8000)
         assert matrix.rows.shape == result.matrix.rows.shape == (result.matrix.n, 100), name
         assert (matrix.rows == result.matrix.rows).all()
-        graph = record.graph()
-        assert len(graph.nodes) == len(result.graph.nodes)
+        graph, expected = record.graph(13), result.graph.arrays(13)
+        assert len(graph.labels) == len(result.graph.nodes)
+        for part in ("labels", "src", "dst", "edge_feat"):
+            assert np.array_equal(getattr(graph, part), getattr(expected, part)), (name, part)
 
 
 def test_parallel_extraction_matches_sequential(tmp_path):
@@ -639,6 +641,60 @@ def test_corrupt_traces_csv_is_an_input_error(tmp_path, capsys, value, message):
     assert not model.exists()
 
 
+def _bad_node_id(path):
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text("x" + first[first.index(","):] + "\n" + rest)
+    return "line 1: invalid literal for int() with base 10: 'x'"
+
+
+def _unknown_edge_type(path):
+    path.write_text("0,0,zz\n")
+    return "line 1: unknown edge type 'zz'"
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("nodes.csv", _bad_node_id),
+    ("edges.csv", _unknown_edge_type),
+], ids=["nodes", "edges"])
+def test_corrupt_graph_file_error_names_its_app(tmp_path, capsys, name, corrupt):
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus(generate_corpus(2, seed=11), apps_root)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    bad = sorted(features.glob(f"*/{name}"))[2]
+    detail = corrupt(bad)
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+               "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"input error: {bad} {detail}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1]", "{report} is not a JSON object with a string app_id\n"),
+    (b'{"status": "ok"}', "{report} is not a JSON object with a string app_id\n"),
+    (b"nope", "cannot read {report}: Expecting value: line 1 column 1 (char 0)\n"),
+    (b"\xff", "cannot read {report}: 'utf-8' codec can't decode byte 0xff"),
+    (None, "cannot read {report}: [Errno 21] Is a directory"),
+], ids=["list", "no-app-id", "not-json", "not-utf8", "directory"])
+def test_malformed_report_json_is_an_input_error(tmp_path, capsys, content, message):
+    features, config = _tiny_features(tmp_path)
+    report = sorted(features.glob("*/report.json"))[1]
+    if content is None:
+        report.unlink()
+        report.mkdir()
+    else:
+        report.write_bytes(content)
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: " + message.format(report=report))
+
+
 def test_diverged_training_exit_code(tmp_path, monkeypatch):
     import droidflow.cli as cli
     from droidflow.nn.train import DivergedLossError
@@ -696,7 +752,8 @@ def test_predict_runs_one_forward_pass_per_app(tmp_path, monkeypatch):
     records = load_features(features)
     expected = ["app_id,label,probability,malicious_score"]
     for rec in records:
-        [probs] = nnmodel.probabilities([(rec.graph(), rec.matrix(100, 8000))], model)
+        [probs] = nnmodel.probabilities([(rec.graph(hyper.label_dim), rec.matrix(100, 8000))],
+                                         model)
         label = int(np.argmax(probs))
         expected.append(f"{rec.app_id},{label},{probs[label]:.6f},{probs[1]:.6f}")
 
