@@ -5,8 +5,8 @@ Graph branch: node states are seeded randomly in [-0.1, 0.1] and updated for
 a fixed number of unrolled steps. Each directed edge (u, v) contributes the
 message reshape(W1 [l_u ; l_uv ; l_v] + b1) h_u; node v averages its incoming
 messages, adds W2 l_v + b2, and squashes with tanh (the linear transition
-alone cannot keep the iteration bounded). The readout gates each final state
-with sigmoid(affine(state)) and tanh-squashes the gated sum.
+alone cannot keep the iteration bounded). The readout, one tape node that keeps
+the final states and gates only, tanh-squashes the sum of sigmoid(affine(state)) * state.
 
 Sequence branch: opcode rows embed to 128-wide vectors, run through stacked
 bidirectional LSTM layers, are mean-pooled over the row positions, projected
@@ -156,26 +156,27 @@ def gnn_batch_var(graphs, init_states, pv: dict, iterations: int) -> Var:
     total = sum(sizes)
     if total == 0:
         return tape.constant(np.zeros((len(graphs), pv["gnn.w2"].shape[1])))
+    receivers, h_recv = (), None
     if iterations < 2:
         h = tape.constant(np.concatenate(init_states))
     else:
         offsets = np.cumsum([0] + sizes[:-1])
         labels = np.concatenate([g.labels for g in graphs])
-        base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+        base = tape.affine(tape.constant(labels), pv["gnn.w2"], pv["gnn.b2"])
         h = tape.tanh(base)
         src = np.concatenate([g.src + off for g, off in zip(graphs, offsets)])
         if len(src):
             dst = np.concatenate([g.dst + off for g, off in zip(graphs, offsets)])
             edge_feat = np.concatenate([g.edge_feat for g in graphs])
-            h = _message_updates(h, base, src, dst, edge_feat,
-                                 np.concatenate(init_states)[src], pv, iterations)
-    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+            receivers, h_recv = _message_updates(h, base, src, dst, edge_feat,
+                                                 np.concatenate(init_states)[src], pv, iterations)
     graph_index = np.repeat(np.arange(len(graphs)), sizes)
-    return tape.tanh(tape.segment_sum(tape.mul(gate, h), graph_index, len(graphs)))
+    return tape.tanh(tape.gated_readout(h, receivers, h_recv, pv["gnn.gate_w"],
+                                        pv["gnn.gate_b"], graph_index, len(graphs)))
 
 
-def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterations) -> Var:
-    """Final node states of a graph union with edges (src, dst).
+def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterations):
+    """(receivers, their final states) for a graph union with edges (src, dst).
 
     Only the receivers, the nodes some edge points to, are iterated: from the
     first update on, every other node's state is exactly
@@ -184,10 +185,8 @@ def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterati
     receivers, to_receiver = np.unique(dst, return_inverse=True)
     n_recv = len(receivers)
     coef = (1.0 / np.bincount(to_receiver))[:, None]
-    transform = tape.reshape(
-        tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
-        (len(src), s, s),
-    )
+    transform = tape.reshape(tape.affine(tape.constant(edge_feat), pv["gnn.w1"], pv["gnn.b1"]),
+                             (len(src), s, s))
     base_recv = tape.gather_rows(base, receivers)
     # From the second update on, a source's state is its receiver row, or
     # tanh(base) for a source that receives nothing.
@@ -201,8 +200,7 @@ def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterati
             h_src = tape.gather_rows(tape.concat([h_recv, src_unreached]), src_pos)
         agg = tape.segment_sum(tape.bmm_vec(transform, h_src), to_receiver, n_recv)
         h_recv = tape.tanh(tape.add(tape.scale(agg, coef), base_recv))
-    node_pos = np.where(rank >= 0, rank, n_recv + np.arange(total))
-    return tape.gather_rows(tape.concat([h_recv, unreached]), node_pos)
+    return receivers, h_recv
 
 
 def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
@@ -227,15 +225,15 @@ def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
             axis=2,
         )
     pooled = tape.scale(tape.sum_axis(x, axis=0, keepdims=False), 1.0 / tokens.shape[1])
-    h3 = tape.add(tape.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
-    h4 = tape.add(tape.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
+    h3 = tape.affine(pooled, pv["lstm.out3_w"], pv["lstm.out3_b"])
+    h4 = tape.affine(h3, pv["lstm.out4_w"], pv["lstm.out4_b"])
     app_sums = tape.segment_sum(h4, np.repeat(np.arange(len(matrices)), counts), len(matrices))
     return tape.scale(app_sums, (1.0 / np.maximum(1, counts))[:, None])
 
 
 def logits_var(hg: Var, hb: Var, pv: dict) -> Var:
     fused = tape.concat([hg, hb], axis=1)
-    return tape.add(tape.matmul(fused, pv["fusion.w"]), pv["fusion.b"])
+    return tape.affine(fused, pv["fusion.w"], pv["fusion.b"])
 
 
 def draw_init_states(graphs, init_seeds, state_dim: int) -> list:

@@ -137,6 +137,14 @@ def matmul(a: Var, b: Var) -> Var:
     )
 
 
+def affine(x: Var, w: Var, b: Var) -> Var:
+    """x @ w + b for a 2-D x and a 1-D b, as one node that keeps no product."""
+    out = x.value @ w.value
+    out += b.value
+    return Var(out, ((x, lambda g: g @ w.value.T), (w, lambda g: x.value.T @ g),
+                     (b, lambda g: g.sum(axis=0))))
+
+
 def bmm_vec(a: Var, x: Var) -> Var:
     """Batched (E, s, s) @ (E, s) -> (E, s)."""
     out = np.einsum("eij,ej->ei", a.value, x.value)
@@ -204,13 +212,27 @@ def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
     return Var(a.value.sum(axis=axis, keepdims=keepdims, dtype=np.float64), ((a, fn),))
 
 
+# Index cells one bincount of _add_rows may take: a wider scatter runs over
+# blocks of columns, so its scratch stays near 24 MB whatever its size.
+_ADD_ROWS_CELLS = 1 << 20
+
+
 def _add_rows(idx, rows, n):
-    """(n, ...) array whose row k sums rows[j] over idx[j] == k, added in j
-    order as np.add.at would, through one flat bincount (several times
-    faster than np.add.at on 2-D rows)."""
+    """(n, ...) float64 array whose row k sums rows[j] over idx[j] == k,
+    added in j order as np.add.at would, through one flat bincount per block
+    of columns (several times faster than np.add.at on 2-D rows)."""
+    idx = np.asarray(idx)
     width = int(np.prod(rows.shape[1:]))
-    flat = (np.asarray(idx)[:, None] * width + np.arange(width)).reshape(-1)
-    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    flat_rows = rows.reshape(len(idx), width)
+    step = max(1, _ADD_ROWS_CELLS // max(1, len(idx)))
+    out = np.empty((n, width))
+    for lo in range(0, width, step):
+        cols = flat_rows[:, lo : lo + step]
+        w = cols.shape[1]
+        if lo == 0 or w < step:   # blocks of one width share their bins
+            bins = (idx[:, None] * w + np.arange(w)).reshape(-1)
+        out[:, lo : lo + w] = np.bincount(bins, weights=cols.reshape(-1),
+                                          minlength=n * w).reshape(n, w)
     return out.reshape((n,) + rows.shape[1:])
 
 
@@ -222,6 +244,46 @@ def gather_rows(table: Var, idx) -> Var:
 def segment_sum(x: Var, seg, num_segments: int) -> Var:
     seg = np.asarray(seg)
     return Var(_add_rows(seg, x.value, num_segments), ((x, lambda g: g[seg]),))
+
+
+def gated_readout(states: Var, rows, row_states, w: Var, b: Var, seg, num_segments: int) -> Var:
+    """The gated graph readout segment_sum(mul(sigmoid(affine(h, w, b)), h),
+    seg, num_segments) as one node, h being states with rows `rows` replaced
+    by row_states (None when rows is empty). It keeps h and the gate only.
+    Its backward pass computes the gradients of h and of the gate's
+    pre-activation once, in place, with the composed ops' arithmetic, so
+    each gradient it returns is theirs bit for bit."""
+    rows = np.asarray(rows, dtype=np.intp)
+    h = states.value
+    if len(rows):
+        h = h.copy()
+        h[rows] = row_states.value
+    gate = _sigmoid(h @ w.value + b.value)
+    shared = []
+
+    def grads(g):
+        """(d states, d row_states, d pre-activation), computed once."""
+        if not shared:
+            dh = g[seg]
+            da = dh * h             # mul, to the gate
+            da *= gate              # sigmoid: g * y * (1 - y)
+            dh *= gate              # mul, to h
+            np.subtract(1.0, gate, out=gate)
+            da *= gate
+            dh += np.matmul(da, w.value.T, out=gate)   # affine, to h; gate is spent
+            d_rows = dh[rows]
+            dh[rows] = 0.0
+            shared.append((dh, d_rows, da))
+        return shared[0]
+
+    parents = (
+        (states, lambda g: grads(g)[0]),
+        (w, lambda g: h.T @ grads(g)[2]),
+        (b, lambda g: grads(g)[2].sum(axis=0)),
+    )
+    if row_states is not None:
+        parents += ((row_states, lambda g: grads(g)[1]),)
+    return Var(_add_rows(seg, gate * h, num_segments), parents)
 
 
 def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -> Var:

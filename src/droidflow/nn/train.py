@@ -54,21 +54,26 @@ class Adam:
         self.t = 0
 
     def step(self, grads: dict):
+        """One Adam update in place, through two scratch buffers that every
+        weight shares; the textbook update's arithmetic, in its order."""
         tc = self.tc
         self.t += 1
+        c1, c2 = 1 - tc.beta1**self.t, 1 - tc.beta2**self.t
+        scratch = np.empty((2, max(a.size for a in self.arrays.values())))
         for name in sorted(self.arrays):
             g = grads.get(name)
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
+            arr, m, v = self.arrays[name], self.m[name], self.v[name]
+            step, denom = (buf[: arr.size].reshape(arr.shape) for buf in scratch)
             m *= tc.beta1
-            m += (1 - tc.beta1) * g
+            m += np.multiply(1 - tc.beta1, g, out=step)
             v *= tc.beta2
-            v += (1 - tc.beta2) * g * g
-            m_hat = m / (1 - tc.beta1**self.t)
-            v_hat = v / (1 - tc.beta2**self.t)
-            self.arrays[name] -= tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.eps)
+            v += np.multiply(np.multiply(1 - tc.beta2, g, out=step), g, out=step)
+            np.sqrt(np.divide(v, c2, out=denom), out=denom)
+            denom += tc.eps
+            np.multiply(np.divide(m, c1, out=step), tc.learning_rate, out=step)
+            arr -= np.divide(step, denom, out=step)
 
 
 def train(dataset, hp: Hyperparams, tc: TrainConfig, state_dim: int = STATE_DIM,

@@ -269,6 +269,14 @@ class FeatureRecord:
         return build_matrix(self.raw_sequences, seq_len, opcode_budget)
 
 
+def _read(path, parse):
+    """parse(path's text); a file unreadable, not UTF-8 or rejected by parse is a FormatError."""
+    try:
+        return parse(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+
+
 def load_features(features_dir) -> list:
     """FeatureRecords for every extracted app, sorted by app id."""
     features_dir = Path(features_dir)
@@ -277,17 +285,14 @@ def load_features(features_dir) -> list:
         report_path = app_dir / "report.json"
         if not report_path.exists():
             continue
-        try:
-            report = json.loads(report_path.read_text())
-        except (OSError, ValueError) as exc:   # unreadable, not UTF-8 or not JSON
-            raise FormatError(f"cannot read {report_path}: {exc}") from None
+        report = _read(report_path, json.loads)
         if not isinstance(report, dict) or not isinstance(report.get("app_id"), str):
             raise FormatError(f"{report_path} is not a JSON object with a string app_id")
         if report.get("status") != "ok":
             continue
         raw = []
         traces_path = app_dir / "traces.csv"
-        lines = traces_path.read_text().splitlines() if traces_path.exists() else []
+        lines = _read(traces_path, str.splitlines) if traces_path.exists() else []
         for number, line in enumerate(lines, start=1):
             try:
                 seq = parse_opcode_text(line)

@@ -4,6 +4,9 @@ The builders below build one tape per sample, with one node per LSTM gate
 and timestep and one GNN update over every node per iteration, exactly as
 the model did before it was batched. Tests compare the batched builders and
 `train` against them; they are not used by droidflow itself.
+composed_gnn_batch_var is the batched graph branch before its affine maps
+and gated readout became single tape nodes, the reference they must match
+bit for bit.
 """
 
 import numpy as np
@@ -51,6 +54,57 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
             h = tape.tanh(base)
     gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
+
+
+def composed_gnn_batch_var(graphs, init_states, pv, iterations):
+    """model.gnn_batch_var built from single ops: each affine map as
+    add(matmul), the final node states assembled by gather_rows over a concat
+    of the receiver states and tanh(W2 l + b2), and the readout as
+    sigmoid(add(matmul)), mul and segment_sum."""
+    sizes = [len(g.labels) for g in graphs]
+    total = sum(sizes)
+    if total == 0:
+        return tape.constant(np.zeros((len(graphs), pv["gnn.w2"].shape[1])))
+    if iterations < 2:
+        h = tape.constant(np.concatenate(init_states))
+    else:
+        offsets = np.cumsum([0] + sizes[:-1])
+        labels = np.concatenate([g.labels for g in graphs])
+        base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+        h = tape.tanh(base)
+        src = np.concatenate([g.src + off for g, off in zip(graphs, offsets)])
+        if len(src):
+            dst = np.concatenate([g.dst + off for g, off in zip(graphs, offsets)])
+            edge_feat = np.concatenate([g.edge_feat for g in graphs])
+            h = _composed_message_updates(h, base, src, dst, edge_feat,
+                                          np.concatenate(init_states)[src], pv, iterations)
+    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+    graph_index = np.repeat(np.arange(len(graphs)), sizes)
+    return tape.tanh(tape.segment_sum(tape.mul(gate, h), graph_index, len(graphs)))
+
+
+def _composed_message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterations):
+    total, s = base.shape
+    receivers, to_receiver = np.unique(dst, return_inverse=True)
+    n_recv = len(receivers)
+    coef = (1.0 / np.bincount(to_receiver))[:, None]
+    transform = tape.reshape(
+        tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
+        (len(src), s, s),
+    )
+    base_recv = tape.gather_rows(base, receivers)
+    rank = np.full(total, -1)
+    rank[receivers] = np.arange(n_recv)
+    src_pos = np.where(rank[src] >= 0, rank[src], n_recv + np.arange(len(src)))
+    src_unreached = tape.gather_rows(unreached, src)
+    h_src = tape.constant(src_init)
+    for step in range(iterations - 1):
+        if step:
+            h_src = tape.gather_rows(tape.concat([h_recv, src_unreached]), src_pos)
+        agg = tape.segment_sum(tape.bmm_vec(transform, h_src), to_receiver, n_recv)
+        h_recv = tape.tanh(tape.add(tape.scale(agg, coef), base_recv))
+    node_pos = np.where(rank >= 0, rank, n_recv + np.arange(total))
+    return tape.gather_rows(tape.concat([h_recv, unreached]), node_pos)
 
 
 def _lstm_direction(xs, wx, wh, b, units, reverse=False):

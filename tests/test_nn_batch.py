@@ -1,7 +1,9 @@
 """The batched model against the per-sample reference in nn_reference.py:
 the fused LSTM op by finite differences, one mini-batch tape against one
 tape per sample, and a whole training run against the per-sample trainer;
-and a mini-batch over the row cap, split into parts, against one tape."""
+a mini-batch over the row cap, split into parts, against one tape; the
+fused graph-branch nodes against the composed ops and the in-place Adam
+step against the textbook one, bit for bit."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ import pytest
 import nn_reference as ref
 from droidflow import cli
 from droidflow.appmodel import app_from_ir
-from droidflow.flowgraph import FlowEdge
+from droidflow.flowgraph import FlowEdge, GraphArrays
 from droidflow.nn import model as nnmodel
 from droidflow.nn import tape
 from droidflow.nn import train as trainer
@@ -21,6 +23,7 @@ from droidflow.nn.model import (
     Hyperparams,
     TrainConfig,
     bilstm_batch_var,
+    draw_init_states,
     forward_var,
     gnn_batch_var,
     init_model,
@@ -36,7 +39,7 @@ from droidflow.traces import SequenceMatrix
 from gradcheck import grad_check
 from synthcorpus import generate_corpus
 from test_gradcheck import gnn_toy_graph
-from test_nn import chunk, graph_of
+from test_nn import chunk, graph_of, tiny_gnn_params
 from test_nn_tape import scalar
 
 
@@ -271,3 +274,138 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
         for probs, want, bound in zip(scored, alone, bounds):
             assert np.argmax(probs) == np.argmax(want)
             assert np.abs(probs - want).max() <= bound
+
+
+def random_graph(rng, n, edges, label_dim=3):
+    """GraphArrays of n nodes with random labels and the given (src, dst)
+    edges, each of a random type."""
+    labels = rng.uniform(0, 1, (n, label_dim))
+    src = np.array([u for u, _ in edges], dtype=np.intp)
+    dst = np.array([v for _, v in edges], dtype=np.intp)
+    onehot = np.zeros((len(edges), 10))
+    onehot[np.arange(len(edges)), rng.integers(0, 10, len(edges))] = 1.0
+    return GraphArrays(labels, src, dst, np.concatenate([labels[src], onehot, labels[dst]], 1))
+
+
+READOUT_CASES = {
+    "no-edges": [(5, [])],
+    "one-graph": [(6, [(0, 1), (1, 2), (3, 2), (2, 4)])],
+    "empty-graph-in-batch": [(4, [(0, 1), (1, 3)]), (0, []), (3, [(2, 0)]), (2, [])],
+    "every-node-a-receiver": [(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])],
+    "duplicates-and-self-loops": [(4, [(0, 0), (1, 1), (0, 1), (0, 1), (2, 1), (2, 1)])],
+}
+
+
+def bits_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 10])
+@pytest.mark.parametrize("case", list(READOUT_CASES))
+def test_fused_graph_branch_matches_composed_ops_bit_for_bit(case, iterations):
+    # The affine nodes and the gated readout give the graph vectors and every
+    # gradient of the composed ops, bit for bit and sign bit for sign bit.
+    rng = np.random.default_rng(71)
+    graphs = [random_graph(rng, n, edges) for n, edges in READOUT_CASES[case]]
+    params = tiny_gnn_params(rng, s=4, label_dim=3)
+    init_states = draw_init_states(graphs, range(len(graphs)), 4)
+    probe = tape.constant(rng.normal(size=(len(graphs), 4)))
+
+    def run(builder):
+        pv = {name: tape.parameter(arr) for name, arr in params.items()}
+        hg = builder(graphs, init_states, pv, iterations)
+        tape.backward(scalar(tape.mul(hg, probe)))
+        return hg.value, {name: v.grad for name, v in pv.items() if v.grad is not None}
+
+    got, got_grads = run(gnn_batch_var)
+    want, want_grads = run(ref.composed_gnn_batch_var)
+    assert bits_equal(got, want)
+    assert set(got_grads) == set(want_grads)
+    assert ("gnn.w1" in got_grads) == (iterations > 1 and case != "no-edges")
+    for name, g in got_grads.items():
+        assert g.dtype == np.float64 and bits_equal(g, want_grads[name]), name
+
+
+def test_training_matches_composed_ops_bit_for_bit(monkeypatch):
+    # A whole run: every weight as with the graph branch and each affine map
+    # built from single ops.
+    hp = Hyperparams(seq_len=4, hidden_layers=2, lstm_units=3, label_dim=3,
+                     iterations=4, epochs=2, batch_size=3)
+    dataset = [(g, m, label) for _, (g, m, label) in mixed_samples()]
+    tc = TrainConfig(learning_rate=0.01, seed=3)
+    got = train(dataset, hp, tc, state_dim=4, embed_dim=5)
+    monkeypatch.setattr(nnmodel, "gnn_batch_var", ref.composed_gnn_batch_var)
+    monkeypatch.setattr(tape, "affine", lambda x, w, b: tape.add(tape.matmul(x, w), b))
+    want = train(dataset, hp, tc, state_dim=4, embed_dim=5)
+    assert got.epoch_losses == want.epoch_losses
+    for name, arr in got.params.weights.items():
+        assert bits_equal(arr, want.params.weights[name]), name
+
+
+def test_graph_branch_forward_holds_few_node_arrays():
+    # 20,000 nodes and 200 edges into 200 nodes at most, about the shape of
+    # the large-apps corpus. After the forward pass, the tape holds base,
+    # tanh(base), the readout's h and gate, the labels and the segment ids:
+    # about 5.3 node-sized (n, 32) float64 arrays. The composed ops held
+    # about 10.7.
+    rng = np.random.default_rng(72)
+    n = 20_000
+    edges = list(zip(rng.integers(0, n, 200), rng.integers(0, 200, 200)))
+    graph = random_graph(rng, n, edges, label_dim=13)
+    model = init_model(Hyperparams(lstm_units=4, hidden_layers=1), seed=73)
+    init_states = draw_init_states([graph], [0], model.state_dim)
+    pv = param_vars(model)
+    node_bytes = n * model.state_dim * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hg = gnn_batch_var([graph], init_states, pv, 10)
+        held = (tracemalloc.get_traced_memory()[0] - before) / node_bytes
+    finally:
+        tracemalloc.stop()
+    assert hg.requires_grad
+    assert held <= 6, held
+
+
+def textbook_adam(weights, grads_per_step, tc):
+    """The Adam update as written before it ran in place."""
+    weights = {k: v.copy() for k, v in weights.items()}
+    m = {k: np.zeros_like(v) for k, v in weights.items()}
+    v = {k: np.zeros_like(a) for k, a in weights.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for name in sorted(weights):
+            g = grads.get(name)
+            if g is None:
+                continue
+            m[name] *= tc.beta1
+            m[name] += (1 - tc.beta1) * g
+            v[name] *= tc.beta2
+            v[name] += (1 - tc.beta2) * g * g
+            m_hat = m[name] / (1 - tc.beta1**t)
+            v_hat = v[name] / (1 - tc.beta2**t)
+            weights[name] -= tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.eps)
+    return weights
+
+
+def test_adam_in_place_matches_textbook_update():
+    # Five steps over weights of several shapes, one of which gets no
+    # gradient at step 2 and one never does: bit-identical weights, and the
+    # gradients passed in are left as they were.
+    rng = np.random.default_rng(74)
+    weights = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=5),
+               "c": rng.normal(size=(3, 4, 2)), "never": rng.normal(size=4)}
+    steps = [{name: rng.normal(scale=10.0 ** rng.integers(-8, 2), size=arr.shape)
+              for name, arr in weights.items() if name != "never"} for _ in range(5)]
+    del steps[1]["c"]
+    steps[3]["a"][0, 0] = -0.0
+    tc = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-7)
+    want = textbook_adam(weights, steps, tc)
+    opt = trainer.Adam({k: v.copy() for k, v in weights.items()}, tc)
+    for grads in steps:
+        kept = {k: g.copy() for k, g in grads.items()}
+        opt.step(grads)
+        assert all(bits_equal(grads[k], kept[k]) for k in grads)
+    for name in weights:
+        assert bits_equal(opt.arrays[name], want[name]), name
+    assert bits_equal(opt.arrays["never"], weights["never"])

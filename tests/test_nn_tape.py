@@ -1,7 +1,10 @@
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from droidflow.nn import tape
 
@@ -66,6 +69,79 @@ def test_gather_segment():
         return scalar(tape.tanh(tape.segment_sum(rows, seg, 2)))
 
     check(builder, arrays)
+
+
+def test_affine():
+    rng = np.random.default_rng(8)
+    arrays = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(3, 4)),
+              "b": rng.normal(size=4)}
+    check(lambda pv: scalar(tape.tanh(tape.affine(pv["x"], pv["w"], pv["b"]))), arrays)
+
+
+@pytest.mark.parametrize("rows", [[], [1, 4], [0, 1, 2, 3, 4, 5]], ids=["none", "some", "all"])
+def test_gated_readout(rows):
+    rng = np.random.default_rng(9)
+    arrays = {"states": rng.normal(size=(6, 3)), "w": rng.normal(size=(3, 3)),
+              "b": rng.normal(size=3)}
+    if rows:
+        arrays["row_states"] = rng.normal(size=(len(rows), 3))
+    seg = np.array([0, 0, 2, 2, 2, 0])   # segment 1 is empty
+
+    def builder(pv):
+        out = tape.gated_readout(pv["states"], rows, pv.get("row_states"), pv["w"], pv["b"],
+                                 seg, 3)
+        return scalar(tape.tanh(out))
+
+    check(builder, arrays)
+
+
+def one_shot_add_rows(idx, rows, n):
+    """_add_rows as one bincount over every cell, as it was before its
+    column blocks."""
+    width = int(np.prod(rows.shape[1:]))
+    flat = (np.asarray(idx)[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + rows.shape[1:])
+
+
+@given(st.data(), st.integers(1, 40), st.integers(1, 9), st.integers(0, 12),
+       st.integers(0, 3), st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=200, deadline=None)
+def test_blocked_add_rows_matches_one_bincount(data, cells, n, length, extra_dims, dtype):
+    # The cell budget is drawn small, so the widths fall on both sides of a
+    # block's width and on its edges; every sum must be bit for bit the one
+    # bincount's, -0.0 terms and all, and float64 even for no rows.
+    shape = (length,) + tuple(data.draw(st.lists(st.integers(0, 7), min_size=extra_dims,
+                                                 max_size=extra_dims)))
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=length,
+                                      max_size=length)), dtype=np.intp)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    rows[rows > 1.5] = -0.0
+    if extra_dims and data.draw(st.booleans()):   # a strided view, as gradients can be
+        rows = np.asfortranarray(rows)
+    with mock.patch.object(tape, "_ADD_ROWS_CELLS", cells):
+        got = tape._add_rows(idx, rows, n)
+    want = one_shot_add_rows(idx, rows, n).astype(np.float64)   # int64 zeros when idx is empty
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_add_rows_scratch_is_bounded():
+    # Layer 1's embedding gradient at the row cap: 64 rows of 100 opcodes
+    # scattered onto 256 tokens at 4 * 256 units, in the LSTM's float32. One
+    # bincount over every cell took about 107 MB on top of its result.
+    rng = np.random.default_rng(10)
+    idx = rng.integers(0, 256, 6400)
+    rows = rng.normal(size=(6400, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = tape._add_rows(idx, rows, 256)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (256, 1024)
+    assert peak < 40, peak
 
 
 def test_log_softmax_pick():

@@ -695,6 +695,26 @@ def test_malformed_report_json_is_an_input_error(tmp_path, capsys, content, mess
     assert err.startswith("input error: " + message.format(report=report))
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff", "cannot read {traces}: 'utf-8' codec can't decode byte 0xff"),
+    (None, "cannot read {traces}: [Errno 21] Is a directory"),
+], ids=["not-utf8", "directory"])
+def test_unreadable_traces_csv_is_an_input_error(tmp_path, capsys, content, message):
+    features, config = _tiny_features(tmp_path)
+    traces = sorted(features.glob("*/traces.csv"))[1]
+    if content is None:
+        traces.unlink()
+        traces.mkdir()
+    else:
+        traces.write_bytes(content)
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: " + message.format(traces=traces))
+
+
 def test_diverged_training_exit_code(tmp_path, monkeypatch):
     import droidflow.cli as cli
     from droidflow.nn.train import DivergedLossError
