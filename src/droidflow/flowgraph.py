@@ -83,16 +83,16 @@ class AbstractFlowGraph:
         """The graph's arrays, nodes and edges in list order."""
         lengths = np.array([len(n.opcode_seq) for n in self.nodes], dtype=np.intp)
         heads = [c for n in self.nodes for c in n.opcode_seq[:label_dim]]
-        return _graph_arrays(lengths, heads, [n.id for n in self.nodes], self.edges, label_dim)
+        index = {n.id: pos for pos, n in enumerate(self.nodes)}
+        return _graph_arrays(lengths, heads, index, self.edges, label_dim)
 
 
-def _graph_arrays(lengths, heads, ids, edges, label_dim: int) -> GraphArrays:
-    """GraphArrays of nodes of these opcode counts and ids, their first label_dim
-    opcodes back to back in heads, and of edges, each to the last node of its id."""
+def _graph_arrays(lengths, heads, index, edges, label_dim: int) -> GraphArrays:
+    """GraphArrays of nodes of these opcode counts, their first label_dim opcodes back
+    to back in heads, and of edges, each endpoint at the position index maps its id to."""
     codes = np.zeros((len(lengths), label_dim))
     codes[np.arange(label_dim) < np.minimum(lengths, label_dim)[:, None]] = heads
     labels = normalize(codes)
-    index = dict(zip(ids, range(len(ids))))
     src = np.array([index[e.source] for e in edges], dtype=np.intp)
     dst = np.array([index[e.target] for e in edges], dtype=np.intp)
     onehot = np.zeros((len(edges), len(EDGE_TYPE_ORDER)))
@@ -258,41 +258,27 @@ def parse_opcode_text(text: str) -> list:
 
 
 def serialize_graph(graph: AbstractFlowGraph, out_dir):
-    """Write nodes.csv and edges.csv under out_dir, byte-deterministically."""
+    """Write nodes.csv and edges.csv under out_dir, UTF-8 and byte-deterministic."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     node_lines = []
     for n in sorted(graph.nodes, key=lambda n: n.id):
         node_lines.append(f"{n.id},{n.offset},{opcode_text(n.opcode_seq)},{n.invoke_mtd}")
-    (out_dir / "nodes.csv").write_text("".join(line + "\n" for line in node_lines))
+    (out_dir / "nodes.csv").write_text("".join(line + "\n" for line in node_lines), "utf-8")
     edge_lines = [f"{e.source},{e.target},{e.type}" for e in sort_edges(graph.edges)]
-    (out_dir / "edges.csv").write_text("".join(line + "\n" for line in edge_lines))
+    (out_dir / "edges.csv").write_text("".join(line + "\n" for line in edge_lines), "utf-8")
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 
 def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
     """The arrays() of a graph serialize_graph wrote, its nodes in stable id
-    order and its edges in sort_edges order. nodes.csv is read a column at a
-    time: each line is split once, all opcode fields parsed in one pass. An
-    error names the file and the first line that fails a check."""
+    order and its edges in sort_edges order. An error names the file, and the
+    first line that fails a check if the file is UTF-8 text."""
     path = Path(in_dir) / "nodes.csv"
-    rows = [line.split(",", 3) for line in _read_lines(path)]
-    try:
-        if set(map(len, rows)) - {4}:
-            raise ValueError
-        ids, offsets, texts, _ = list(zip(*rows)) or [()] * 4
-        ids, _ = list(map(int, ids)), list(map(int, offsets))
-        codes = parse_opcode_text("|".join(filter(None, texts)))
-    except ValueError:
-        for lineno, parts in enumerate(rows, start=1):
-            try:
-                if len(parts) != 4:
-                    raise ValueError("expected 4 fields")
-                int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path} line {lineno}: {exc}") from None
-        raise
-    known, edges = set(ids), []
+    data, text = _read_text(path)
+    lengths, heads, index = (_writer_nodes(data, text, label_dim)
+                             or _nodes_by_line(path, text, label_dim))
+    edges = []
     path = path.with_name("edges.csv")
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(",")
@@ -304,22 +290,88 @@ def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
             raise FormatError(f"{path} line {lineno}: {exc}") from exc
         if parts[2] not in _TYPE_INDEX:
             raise FormatError(f"{path} line {lineno}: unknown edge type {parts[2]!r}")
-        if s not in known or t not in known:
+        if s not in index or t not in index:
             raise FormatError(f"{path} line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
-    counts = np.array([text.count("|") + 1 if text else 0 for text in texts], dtype=np.intp)
-    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    lengths, starts = counts[order], (np.cumsum(counts) - counts)[order]
+    return _graph_arrays(lengths, heads, index, sort_edges(edges), label_dim)
+
+
+# The line breaks of str.splitlines other than "\n".
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _writer_nodes(data: bytes, text: str, label_dim: int):
+    """(opcode counts, label codes, id index) of a nodes.csv as serialize_graph
+    writes it, in one pass of array operations: lines end in "\n", ids run
+    0..n-1, and ids, offsets and opcodes 0-255 are digits without leading
+    zeros. None for any other file, which _nodes_by_line reads."""
+    if data[-1:] not in (b"", b"\n") or any(map(text.__contains__, _OTHER_BREAKS)):
+        return None
+    b = np.frombuffer(b"\n" + data, np.uint8)   # b[0] ends a line before the first
+    breaks = np.flatnonzero(b == ord("\n"))
+    starts, n = breaks[:-1] + 1, len(breaks) - 1
+    commas = np.flatnonzero(b == ord(","))
+    first = np.searchsorted(commas, starts)
+    if (np.searchsorted(commas, breaks[1:]) - first < 3).any():   # a blank line has none
+        return None
+    c1, c2, c3 = commas[first], commas[first + 1], commas[first + 2]
+    # Each byte's field: 0-2 for the id, offset and opcodes with the comma
+    # that ends each, 3 for the rest of the line with its "\n" (and b[0]).
+    bounds = np.append(0, np.column_stack((starts, c1 + 1, c2 + 1, c3 + 1)))
+    values = np.append(np.int8(3), np.tile(np.arange(4, dtype=np.int8), n))
+    field = np.repeat(values, np.diff(bounds, append=len(b)))
+    digit = (b - ord("0")) < 10                # uint8 arithmetic wraps below "0"
+    bar, opcodes = b == ord("|"), field == 2
+    lead = np.append(True, ~digit[:-1])        # the byte before is no digit
+    follow = np.append(~digit[1:], True)       # nor the byte after
+    bad = ~digit & (b != ord(",")) & ~(bar & opcodes)            # only digits, "," and "|"
+    bad |= lead & (~digit & (field < 2) | bar) | follow & bar    # an empty field or opcode
+    bad |= (b == ord("0")) & lead & ~follow                      # a leading zero
+    # Each id, from up to len(str(n)) digits left of its comma: a longer id is not in 0..n-1.
+    width, place = c1 - starts, np.arange(len(str(n)))
+    digits = b[np.maximum(c1[:, None] - 1 - place, 0)].astype(np.intp) - ord("0")
+    ids = (digits * (place < width[:, None])) @ 10 ** place
+    last = np.flatnonzero(opcodes & digit & follow)   # the last digit of each opcode
+    ones, tens, hundreds = (b[last - k].astype(np.intp) - ord("0") for k in range(3))
+    two, three = digit[last - 1], digit[last - 1] & digit[last - 2]   # opcodes of 2+, 3+ digits
+    value = ones + two * 10 * tens + three * 100 * hundreds
+    if ((bad & (field < 3)).any() or (three & digit[last - 3]).any() or (value > 255).any()
+            or (width > len(place)).any() or (ids != np.arange(n)).any()):
+        return None
+    at = np.append(0, np.searchsorted(last, c3))   # each line's first opcode, then the end
+    lengths, at = np.diff(at), at[:-1]
     cols = np.arange(label_dim)
-    heads = (starts[:, None] + cols)[cols < np.minimum(lengths, label_dim)[:, None]]
-    # An int past float64's range stays an object: only a label's codes convert.
-    return _graph_arrays(lengths, np.array(codes)[heads], [ids[i] for i in order],
-                         sort_edges(edges), label_dim)
+    heads = value[(at[:, None] + cols)[cols < np.minimum(lengths, label_dim)[:, None]]]
+    return lengths, heads, range(n)
+
+
+def _nodes_by_line(path, text: str, label_dim: int):
+    """_writer_nodes' result for any nodes.csv, with int() on every field of
+    every line; nodes in stable id order, an id at its last node's position."""
+    rows = []
+    for lineno, line in enumerate(filter(None, text.splitlines()), start=1):
+        parts = line.split(",", 3)
+        try:
+            if len(parts) != 4:
+                raise ValueError("expected 4 fields")
+            nid, _, seq = int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path} line {lineno}: {exc}") from None
+        rows.append((nid, len(seq), seq[:label_dim]))
+    rows.sort(key=lambda row: row[0])
+    return (np.array([row[1] for row in rows], dtype=np.intp),
+            [c for row in rows for c in row[2]], {row[0]: pos for pos, row in enumerate(rows)})
+
+
+def _read_text(path):
+    """The bytes of path and their text; a file that cannot be read or is not
+    UTF-8 is a FormatError."""
+    try:
+        data = Path(path).read_bytes()
+        return data, data.decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_lines(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return [line for line in text.splitlines() if line]
+    return list(filter(None, _read_text(path)[1].splitlines()))

@@ -1,12 +1,15 @@
 """Per-element references for flow-graph reading and node labels.
 
 deserialize_graph below reads nodes.csv one line at a time into ChunkNodes
-and parses each opcode with its own int() call, as droidflow did before it
-read the file column by column straight into GraphArrays; its errors name
-the file as droidflow's do. node_label builds one node's label vector with a
-loop over its opcodes. Tests compare droidflow.flowgraph.deserialize_graph
-and AbstractFlowGraph.arrays against them; droidflow itself does not use
-them.
+and parses each opcode with its own int() call; its errors name the file as
+droidflow's do, and it reads each file through droidflow's _read_lines, so a
+file that cannot be read or is not UTF-8 is the same error in both.
+droidflow.flowgraph.deserialize_graph instead reads a nodes.csv in the exact
+form serialize_graph writes in one pass of array operations over its bytes,
+and any other nodes.csv with its own line-by-line walk; tests compare the
+outcomes of both paths with this one. node_label builds one node's label
+vector with a loop over its opcodes; tests compare AbstractFlowGraph.arrays
+with it. droidflow itself does not use this module.
 """
 
 from pathlib import Path

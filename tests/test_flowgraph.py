@@ -1,11 +1,14 @@
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from droidflow import flowgraph
 from droidflow.apimine import CriticalApiSet
-from droidflow.appmodel import load_app
+from droidflow.appmodel import app_from_ir, load_app
 from droidflow.callgraph import build_call_graph
 from droidflow.flowgraph import (
     EDGE_TYPE_ORDER,
@@ -21,11 +24,13 @@ from droidflow.flowgraph import (
     serialize_graph,
     sort_edges,
 )
+from droidflow.pipeline import PipelineConfig, extract_app, write_features
 from droidflow.tables import default_intent_senders
 from droidflow.traces import find_call_traces
 
 import flowgraph_reference
 from appbuild import build_app, cls, component, ins, invoke, method
+from synthcorpus import generate_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 SMS = "Landroid/telephony/SmsManager;->sendTextMessage(Ljava/lang/String;)V"
@@ -333,6 +338,10 @@ def node_line(draw):
 @given(st.lists(node_line(), max_size=8), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]),
        st.integers(1, 13))
 @example(["x,0,300|y,exit"], "", 13)   # two bad fields: the first one is reported
+@example(["0,0,14,exit\r", "1,4,1|2,La;->f()V\r"], "0,1,ct\r\n", 13)   # CRLF line ends
+@example(["0,0,14,exit", "", "1,4,,exit"], "0,1,ct\n", 3)              # a blank line
+@example(["0,0,14,La;->f\x85()V", "1,4,1|2,exit"], "", 13)            # \x85 ends a line
+@example(["0,0,14,exit\u20281,4,5,exit"], "0,1,ct\n", 13)              # so does \u2028
 @settings(max_examples=300, deadline=None)
 def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, edges, label_dim):
     directory = tmp_path_factory.mktemp("graph")
@@ -340,6 +349,103 @@ def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, ed
     (directory / "edges.csv").write_text(edges)
     expected = read_outcome(reference_read, directory, label_dim)
     assert read_outcome(deserialize_graph, directory, label_dim) == expected
+
+
+FOURTH_FIELD = st.text(st.sampled_from("La;->f(IJ)V,|\u00e9\u2192\u4e2d \x85\u2028"), max_size=10)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2 ** 16), st.lists(st.integers(0, 255), max_size=30),
+                          FOURTH_FIELD), max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                          st.sampled_from(EDGE_TYPE_ORDER)), max_size=8),
+       st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_reference_on_writer_output(tmp_path_factory, chunks, drawn, label_dim):
+    """Files serialize_graph wrote, with or without nodes, opcodes or a label's
+    worth of them, and with any text after the third comma."""
+    nodes = [ChunkNode(i, "m", offset, seq, mtd) for i, (offset, seq, mtd) in enumerate(chunks)]
+    n = len(nodes)
+    edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
+    directory = tmp_path_factory.mktemp("graph")
+    serialize_graph(AbstractFlowGraph(nodes, edges), directory)
+    expected = read_outcome(reference_read, directory, label_dim)
+    assert read_outcome(deserialize_graph, directory, label_dim) == expected
+
+
+def _no_line_walk(*args):
+    raise AssertionError("writer output read line by line")
+
+
+def test_writer_output_is_read_in_one_pass(tmp_path, monkeypatch):
+    """Every golden fixture and a synthetic corpus's graphs skip the line-by-line
+    walk and still give the graph's own arrays."""
+    graphs = [(extract(name)[0], FIXTURES / name / "golden")
+              for name in sorted(p.name for p in FIXTURES.iterdir())]
+    critical = PipelineConfig().critical_apis()
+    for ir in generate_corpus(2, seed=5):
+        result = extract_app(app_from_ir(ir), critical, PipelineConfig())
+        graphs.append((result.graph, write_features(result, tmp_path)))
+    monkeypatch.setattr(flowgraph, "_nodes_by_line", _no_line_walk)
+    for graph, directory in graphs:
+        for label_dim in (1, 3, 13, 40):
+            expected = outcome(graph.arrays(label_dim))
+            assert read_outcome(deserialize_graph, directory, label_dim) == expected, directory
+
+
+def _with_line_1(id_="1", offset="4", codes="1|2|3"):
+    return f"0,0,14|110,exit\n{id_},{offset},{codes},La;->f()V\n2,9,,exit\n"
+
+
+@pytest.mark.parametrize("content", [
+    *(_with_line_1(codes=f"1|{c}|3") for c in ("007", "+5", "300", "1000", " 3", "-1", "1_0",
+                                                "\u0663", "2\u00a0", "", "9" * 400)),
+    _with_line_1(codes="|1"), _with_line_1(codes="1|"),
+    *(_with_line_1(id_=i) for i in ("01", "+1", " 1", "\u0661", "")),
+    *(_with_line_1(offset=o) for o in ("04", "+4", "-4", " 4", "4|5", "")),
+    ",0,14,exit\n1,4,5,exit\n",                                  # an empty first id
+    _with_line_1(id_="0"), _with_line_1(id_="3"), "1,0,14,exit\n0,4,5,exit\n",
+    _with_line_1().replace("\n", "\r\n"), _with_line_1().replace("\n", "\r"),
+    _with_line_1()[:-1],                                          # no final "\n"
+    "\n\n", _with_line_1().replace("\n2", "\n\n2"),                # blank lines
+    *(_with_line_1().replace("()V", f"({c}),V") for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+], ids=lambda content: repr(content)[:40])
+def test_other_files_are_read_line_by_line(tmp_path, monkeypatch, content):
+    """int() and str.splitlines() read more than serialize_graph writes: any
+    other spelling, duplicate or unsorted ids, and any other line break take
+    the line-by-line walk."""
+    (tmp_path / "nodes.csv").write_text(content, "utf-8", newline="")
+    (tmp_path / "edges.csv").write_text("0,1,ct\n")
+    walks, walk = [], flowgraph._nodes_by_line
+    monkeypatch.setattr(flowgraph, "_nodes_by_line", lambda *args: walks.append(1) or walk(*args))
+    expected = read_outcome(reference_read, tmp_path, 13)
+    assert read_outcome(deserialize_graph, tmp_path, 13) == expected
+    assert walks
+
+
+def test_one_pass_read_makes_as_many_calls_at_any_size(tmp_path):
+    """Reading writer output costs no Python call per node or per opcode: a
+    200-node and a 20,000-node graph with the same edges make the same calls."""
+    edges = [FlowEdge(0, 1, "ct"), FlowEdge(1, 0, "bct"), FlowEdge(2, 9, "nb"),
+             FlowEdge(9, 2, "bnb")]
+    counts = []
+    for n in (200, 20_000):
+        nodes = [ChunkNode(i, "m", 3 * i, [(7 * i + k) % 256 for k in range(i % 30)],
+                           EXIT if i % 4 else "La;->f(I,J)V") for i in range(n)]
+        serialize_graph(AbstractFlowGraph(nodes, edges), tmp_path / str(n))
+        events = Counter()
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                events[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            deserialize_graph(tmp_path / str(n), 13)
+        finally:
+            sys.setprofile(None)
+        counts.append(events)
+    assert counts[0] == counts[1]
+    assert counts[0]["call"] > 0 and counts[0]["c_call"] > 0
 
 
 def test_unknown_edge_tag_rejected(tmp_path):

@@ -715,6 +715,26 @@ def test_unreadable_traces_csv_is_an_input_error(tmp_path, capsys, content, mess
     assert err.startswith("input error: " + message.format(traces=traces))
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("name", ["nodes.csv", "edges.csv"])
+def test_non_utf8_graph_file_is_an_input_error(tmp_path, capsys, name, command):
+    features, config = _tiny_features(tmp_path)
+    model, preds = tmp_path / "model.bin", tmp_path / "preds.csv"
+    common = ["--features", str(features), "--config", str(config)]
+    if command == "predict":
+        assert main(["train", "--out", str(model), *common]) == 0
+    bad = sorted(features.glob(f"*/{name}"))[1]
+    bad.write_bytes(b"\xff" + bad.read_bytes()[1:])
+    capsys.readouterr()
+    args = ["train", "--out", str(model)] if command == "train" else \
+        ["predict", "--model", str(model), "--out", str(preds)]
+    rc = main([*args, *common])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"input error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert not (model if command == "train" else preds).exists()
+
+
 def test_diverged_training_exit_code(tmp_path, monkeypatch):
     import droidflow.cli as cli
     from droidflow.nn.train import DivergedLossError
