@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .tables import load_name_list
+from .tables import InputError, load_name_list, read_input
 
 # Verified exploit entries carry double weight; everything else is neutral.
 DEFAULT_SOURCE_WEIGHTS = {
@@ -32,11 +32,11 @@ _WORD_SPLIT_RE = re.compile(r"[^a-zA-Z0-9]+")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-class EmptyCorpusError(ValueError):
+class EmptyCorpusError(InputError):
     """A corpus directory with no documents, or with a malformed index.json."""
 
 
-class ApiDocsError(ValueError):
+class ApiDocsError(InputError):
     """A malformed --api-docs file."""
 
 
@@ -200,22 +200,17 @@ def load_corpus_dir(corpus_dir):
     index = {}
     index_path = corpus_dir / "index.json"
     if index_path.exists():
-        index = json.loads(index_path.read_text())
+        index = read_input(index_path, json.loads)
         if not isinstance(index, dict):
             raise EmptyCorpusError(f"{index_path}: not a JSON object of doc_id -> source kind")
-    docs = []
-    for path in sorted(corpus_dir.glob("*.txt")):
-        doc_id = path.stem
-        docs.append(
-            CorpusDocument(doc_id, path.read_text(), index.get(doc_id, "cve"))
-        )
-    return docs
+    return [CorpusDocument(path.stem, read_input(path), index.get(path.stem, "cve"))
+            for path in sorted(corpus_dir.glob("*.txt"))]
 
 
 def load_api_docs(path) -> list:
     """ApiDocs of a JSON list of {signature, description} objects, the
     description optional; a malformed entry is an ApiDocsError naming its index."""
-    raw = json.loads(Path(path).read_text())
+    raw = read_input(path, json.loads)
     if not isinstance(raw, list):
         raise ApiDocsError(f"{path}: not a JSON list")
     for i, entry in enumerate(raw):

@@ -11,11 +11,12 @@ from itertools import accumulate
 from pathlib import Path
 
 from .dalvik import INVOKE_CODES, WIDTH_TABLE, code_of
+from .tables import InputError
 
 COMPONENT_CATEGORIES = ("activity", "service", "receiver", "provider")
 
 
-class EmptyAppError(ValueError):
+class EmptyAppError(InputError):
     """No class of the app could be parsed."""
 
 

@@ -1,6 +1,14 @@
 """Command-line pipeline: mine-apis, extract, train, tune, predict, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical divergence.
+An input error (tables.InputError, or an OSError naming its path) prints as
+one "input error: <message>" line on stderr. Every file a command is given
+is read by tables.read_input, so one that cannot be read, is not UTF-8 or
+does not parse is one: the config and its tables, --api-docs, --tool-list,
+--stopwords, corpus documents and index.json, --predictions, and each app's
+report.json, traces.csv, nodes.csv and edges.csv. So is a --model that cannot
+be opened or does not fit this build. An app's own file that extract cannot
+load fails only that app, as an entry of its report.
 A warning prints as one "warning: <message>" line on stderr.
 All commands are deterministic given the same inputs and seed.
 """
@@ -17,7 +25,6 @@ import numpy as np
 from .apimine import (
     DEFAULT_MIN_MATCHES,
     DEFAULT_TOP_KEYWORDS,
-    ApiDocsError,
     EmptyCorpusError,
     load_api_docs,
     load_corpus_dir,
@@ -28,17 +35,8 @@ from .apimine import (
     save_critical_apis,
     select_top,
 )
-from .appmodel import EmptyAppError
-from .flowgraph import FormatError
-from .manifest import AxmlUnsupportedError, XmlError
-from .metrics import LengthMismatchError, compute_metrics
-from .nn.model import (
-    ModelMismatchError,
-    capped_batches,
-    load_model,
-    probabilities,
-    save_model,
-)
+from .metrics import compute_metrics
+from .nn.model import capped_batches, load_model, probabilities, save_model
 from .nn.train import DivergedLossError, train
 from .pipeline import (
     ConfigError,
@@ -47,7 +45,7 @@ from .pipeline import (
     extract_batch,
     load_features,
 )
-from .tables import data_file, load_name_list
+from .tables import InputError, data_file, load_name_list, read_input
 from .tuning import SEARCH_SPACE, grid_search, grid_to_csv, split_dataset
 
 
@@ -100,11 +98,7 @@ def cmd_train(args) -> int:
             config.train = dataclasses.replace(config.train, seed=args.seed)
         except ValueError as exc:
             raise UsageError(f"--seed: {exc}") from None
-    records = load_features(args.features)
-    labeled = [r for r in records if r.label is not None]
-    if not labeled:
-        raise ConfigError(f"no labeled features under {args.features}")
-    dataset = build_dataset(labeled, config.hyper, config.opcode_budget)
+    dataset = build_dataset(_labeled_records(args.features), config.hyper, config.opcode_budget)
     # Per-epoch telemetry goes to its own file, one JSON line per epoch as it
     # ends: the model and loss files stay byte-identical across reruns.
     with Path(args.out).with_suffix(".train_log.jsonl").open("w") as log:
@@ -124,6 +118,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _labeled_records(features):
+    """The labeled FeatureRecords under features; none is a ConfigError."""
+    records = [r for r in load_features(features) if r.label is not None]
+    if not records:
+        raise ConfigError(f"no labeled features under {features}")
+    return records
+
+
 def _probabilities(records, model, config):
     """Yield each record's probability pair (benign, malicious), in order.
     The records' features, rebuilt at the model's dimensions, are scored in
@@ -138,10 +140,7 @@ def _probabilities(records, model, config):
 
 def cmd_tune(args) -> int:
     config = _config(args)
-    records = [r for r in load_features(args.features) if r.label is not None]
-    if not records:
-        raise ConfigError(f"no labeled features under {args.features}")
-    train_set, val_set, _ = split_dataset(records, seed=config.train.seed)
+    train_set, val_set, _ = split_dataset(_labeled_records(args.features), seed=config.train.seed)
 
     def evaluate(hp, train_items, val_items):
         dataset = build_dataset(train_items, hp, config.opcode_budget)
@@ -181,7 +180,7 @@ def _read_predictions(path):
     """Scores and true labels of a CSV, from its score and label columns; a
     malformed file is a ConfigError that names the line or missing column.
     predict's CSV has no score column: its label is the predicted one."""
-    text = Path(path).read_text().splitlines()
+    text = read_input(path, str.splitlines)
     if not text:
         raise ConfigError(f"predictions CSV {path} is empty")
     header = text[0].split(",")
@@ -214,9 +213,7 @@ def cmd_evaluate(args) -> int:
         if not args.model or not args.features:
             raise UsageError("evaluate needs --predictions or both --model and --features")
         model = load_model(args.model)
-        records = [r for r in load_features(args.features) if r.label is not None]
-        if not records:
-            raise ConfigError(f"no labeled features under {args.features}")
+        records = _labeled_records(args.features)
         scores = [float(probs[1]) for probs in _probabilities(records, model, config)]
         labels = [rec.label for rec in records]
     confusion, report = compute_metrics(scores, labels, args.threshold)
@@ -279,22 +276,6 @@ def make_parser() -> _Parser:
     return parser
 
 
-INPUT_ERRORS = (
-    ApiDocsError,
-    ConfigError,
-    EmptyAppError,
-    EmptyCorpusError,
-    FormatError,
-    ModelMismatchError,
-    LengthMismatchError,
-    XmlError,
-    AxmlUnsupportedError,
-    FileNotFoundError,
-    NotADirectoryError,
-    json.JSONDecodeError,
-)
-
-
 def _show_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
@@ -309,7 +290,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DivergedLossError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .callgraph import reaching
 from .dalvik import WIDTH_TABLE, normalize
 from .icc import DEFAULT_INTENT_RECEIVERS, is_chunk_boundary
-from .tables import default_intent_senders
+from .tables import InputError, default_intent_senders, read_input
 
 EXIT = "exit"
 FORWARD_TYPES = ("ct", "is", "nb", "ic", "in")
@@ -32,7 +32,7 @@ _CODE_TEXT = {code: str(code) for code in range(256)}
 _CODE_OF = {text: code for code, text in _CODE_TEXT.items()}
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Corrupt or unrecognized graph file."""
 
 
@@ -275,8 +275,8 @@ def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
     order and its edges in sort_edges order. An error names the file, and the
     first line that fails a check if the file is UTF-8 text."""
     path = Path(in_dir) / "nodes.csv"
-    data, text = _read_text(path)
-    lengths, heads, index = (_writer_nodes(data, text, label_dim)
+    text = read_input(path)
+    lengths, heads, index = (_writer_nodes(text.encode(), text, label_dim)
                              or _nodes_by_line(path, text, label_dim))
     edges = []
     path = path.with_name("edges.csv")
@@ -363,15 +363,5 @@ def _nodes_by_line(path, text: str, label_dim: int):
             [c for row in rows for c in row[2]], {row[0]: pos for pos, row in enumerate(rows)})
 
 
-def _read_text(path):
-    """The bytes of path and their text; a file that cannot be read or is not
-    UTF-8 is a FormatError."""
-    try:
-        data = Path(path).read_bytes()
-        return data, data.decode()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_lines(path):
-    return list(filter(None, _read_text(path)[1].splitlines()))
+    return list(filter(None, read_input(path).splitlines()))

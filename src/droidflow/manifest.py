@@ -7,16 +7,17 @@ first (aapt2 dump, apktool) and feed the plain XML here.
 import xml.etree.ElementTree as ET
 
 from .appmodel import COMPONENT_CATEGORIES, Component, IntentFilter
+from .tables import InputError
 
 _ANDROID_NS = "{http://schemas.android.com/apk/res/android}"
 _AXML_MAGIC = "\x03\x00\x08\x00"   # the first four bytes of a binary manifest
 
 
-class XmlError(ValueError):
+class XmlError(InputError):
     """Malformed manifest XML."""
 
 
-class AxmlUnsupportedError(ValueError):
+class AxmlUnsupportedError(InputError):
     """Binary AXML input; only decoded plain-text manifests are accepted."""
 
 

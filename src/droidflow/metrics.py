@@ -6,10 +6,12 @@ on the report instead of raising, so batch evaluation never aborts.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .tables import InputError
 
 
-class LengthMismatchError(ValueError):
+class LengthMismatchError(InputError):
     pass
 
 
@@ -42,22 +44,9 @@ class MetricReport:
     degenerate: tuple = field(default=())
 
     def to_dict(self, confusion: Confusion | None = None) -> dict:
-        out = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "roc_auc": self.roc_auc,
-            "prc_auc": self.prc_auc,
-            "degenerate": sorted(self.degenerate),
-        }
+        out = asdict(self) | {"degenerate": sorted(self.degenerate)}
         if confusion is not None:
-            out["confusion"] = {
-                "tp": confusion.tp, "fp": confusion.fp,
-                "tn": confusion.tn, "fn": confusion.fn,
-            }
+            out["confusion"] = asdict(confusion)
         return out
 
     def to_json(self, confusion: Confusion | None = None) -> str:

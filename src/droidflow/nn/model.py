@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..flowgraph import EDGE_TYPE_ORDER
+from ..tables import InputError
 from . import tape
 from .tape import Var
 
@@ -43,7 +44,7 @@ class RowLengthMismatchError(ValueError):
     pass
 
 
-class ModelMismatchError(ValueError):
+class ModelMismatchError(InputError):
     pass
 
 

@@ -28,12 +28,14 @@ from .flowgraph import (
 )
 from .nn.model import Hyperparams, TrainConfig
 from .tables import (
+    InputError,
     data_file,
     default_callbacks,
     default_intent_senders,
     default_lifecycle,
     load_lifecycle_table,
     load_name_list,
+    read_input,
 )
 from .traces import (
     DEFAULT_MAX_DEPTH,
@@ -45,7 +47,7 @@ from .traces import (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -64,11 +66,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(data, base=Path(path).parent)
+        return cls.from_dict(read_input(path, json.loads), base=Path(path).parent)
 
     @classmethod
     def from_dict(cls, data: dict, base: Path = Path(".")) -> "PipelineConfig":
@@ -76,6 +74,8 @@ class PipelineConfig:
             "critical_apis", "lifecycle", "callbacks", "intent_senders",
             "hyperparams", "train", "caps", "opcode_budget",
         }
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -83,12 +83,16 @@ class PipelineConfig:
         def resolve(key):
             if key not in data:
                 return None
+            if not isinstance(data[key], str):
+                raise ConfigError(f"config path for {key} must be a string, not {data[key]!r}")
             p = (base / data[key]).resolve()
             if not p.exists():
                 raise ConfigError(f"config path for {key} does not exist: {p}")
             return p
 
         caps = data.get("caps", {})
+        if not isinstance(caps, dict):
+            raise ConfigError(f"caps must be a JSON object, not {caps!r}")
         unknown = set(caps) - {"max_depth", "max_traces_per_entry"}
         if unknown:
             raise ConfigError(f"unknown caps keys: {sorted(unknown)}")
@@ -139,16 +143,12 @@ class PipelineConfig:
                            lambda path: frozenset(load_name_list(path)))
 
     def _table(self, name, path, parse):
-        """parse(path), run at most once per table and path on this config;
-        a file it cannot read, decode or parse is a ConfigError naming it.
+        """parse(path), run at most once per table and path on this config.
         Every caller shares the result, so lifecycle() hands its dict out
         only behind a read-only proxy."""
         key = (name, path)
         if key not in self._tables:
-            try:
-                self._tables[key] = parse(path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load the {name} table {path}: {exc}") from None
+            self._tables[key] = parse(path)
         return self._tables[key]
 
 
@@ -257,24 +257,16 @@ class FeatureRecord:
     label: int | None
     timestamp: str | None
     raw_sequences: list
-    metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.metadata = {"label": self.label, "timestamp": self.timestamp}
+    @property
+    def metadata(self) -> dict:
+        return {"label": self.label, "timestamp": self.timestamp}
 
     def graph(self, label_dim: int) -> GraphArrays:
         return deserialize_graph(self.path, label_dim)
 
     def matrix(self, seq_len: int, opcode_budget: int) -> SequenceMatrix:
         return build_matrix(self.raw_sequences, seq_len, opcode_budget)
-
-
-def _read(path, parse):
-    """parse(path's text); a file unreadable, not UTF-8 or rejected by parse is a FormatError."""
-    try:
-        return parse(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
 
 
 def load_features(features_dir) -> list:
@@ -285,14 +277,14 @@ def load_features(features_dir) -> list:
         report_path = app_dir / "report.json"
         if not report_path.exists():
             continue
-        report = _read(report_path, json.loads)
+        report = read_input(report_path, json.loads)
         if not isinstance(report, dict) or not isinstance(report.get("app_id"), str):
             raise FormatError(f"{report_path} is not a JSON object with a string app_id")
         if report.get("status") != "ok":
             continue
         raw = []
         traces_path = app_dir / "traces.csv"
-        lines = _read(traces_path, str.splitlines) if traces_path.exists() else []
+        lines = read_input(traces_path, str.splitlines) if traces_path.exists() else []
         for number, line in enumerate(lines, start=1):
             try:
                 seq = parse_opcode_text(line)

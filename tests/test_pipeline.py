@@ -341,6 +341,17 @@ def test_missing_component_class_is_reported_once():
         "missing component class Lx/Gone;"]
 
 
+def test_feature_record_metadata_is_its_label_and_timestamp():
+    from droidflow.pipeline import FeatureRecord
+
+    record = FeatureRecord("a", Path("a"), 1, "2020-01-01", [])
+    assert record.metadata == {"label": 1, "timestamp": "2020-01-01"}
+    with pytest.raises(AttributeError):
+        record.metadata = {"label": 0}
+    with pytest.raises(TypeError):   # once accepted, then silently replaced
+        FeatureRecord("a", Path("a"), 1, None, [], metadata={"label": 0})
+
+
 def test_config_validation(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"critical_apis": "missing.txt"}))
@@ -370,6 +381,9 @@ def test_exit_codes(tmp_path):
      "one_field.txt: expected a category and a method name, not 'service'"),
     ({"callbacks": "not_utf8.txt"}, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
     ({"critical_apis": "not_utf8.txt"}, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
+    ([], "config must be a JSON object, not list"),
+    ({"caps": 5}, "caps must be a JSON object, not 5"),
+    ({"critical_apis": 5}, "config path for critical_apis must be a string, not 5"),
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, cfg, message):
     apps_root = tmp_path / "apps"
@@ -449,6 +463,45 @@ def test_malformed_predictions_csv_is_an_input_error(tmp_path, capsys, text, mes
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
     assert not out.exists()
+
+
+MINE_APIS = ["mine-apis", "--corpus", "{tmp}/corpus", "--api-docs", "{tmp}/apis.json",
+             "--top-keywords", "2", "--out", "{tmp}/critical.txt"]
+
+
+@pytest.mark.parametrize("bad, argv", [
+    ("config.json", ["extract", "--apps", "{tmp}/corpus", "--out", "{tmp}/features",
+                     "--config", "{bad}"]),
+    ("apis.json", MINE_APIS),
+    ("tool.txt", MINE_APIS + ["--tool-list", "{bad}"]),
+    ("stopwords.txt", MINE_APIS + ["--stopwords", "{bad}"]),
+    ("corpus/doc2.txt", MINE_APIS),
+    ("corpus/index.json", MINE_APIS),
+    ("preds.csv", ["evaluate", "--predictions", "{bad}", "--out", "{tmp}/metrics.json"]),
+    (None, MINE_APIS + ["--tool-list", "{bad}"]),
+    (None, ["evaluate", "--predictions", "{bad}", "--out", "{tmp}/metrics.json"]),
+    (None, ["predict", "--model", "{bad}", "--features", "{tmp}/corpus",
+            "--out", "{tmp}/preds.csv"]),
+], ids=["config", "api-docs", "tool-list", "stopwords", "corpus-doc", "corpus-index",
+        "predictions", "tool-list-dir", "predictions-dir", "model-dir"])
+def test_unreadable_input_file_is_one_input_error(tmp_path, capsys, bad, argv):
+    """A file that is not UTF-8 (bad names it), or a directory where a file
+    belongs, is one input error naming it."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_text("open the camera and exec commands")
+    (tmp_path / "apis.json").write_text(json.dumps([{"signature": "Camera.open"}]))
+    if bad is None:
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+    else:
+        bad = tmp_path / bad
+        bad.write_bytes(b"\xff\n")
+    capsys.readouterr()
+    rc = main([arg.format(tmp=tmp_path, bad=bad) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ") and str(bad) in err
 
 
 def test_mine_apis_cli_deterministic(tmp_path):
