@@ -162,13 +162,12 @@ def generate_call_graph(
     """One worklist fixed point over calls, callback registration and ICC, as
     in FlowDroid (Arzt et al., PLDI 2014) and IccTA (Li et al., ICSE 2015).
 
-    Each method body is scanned once, for its call sites, the callbacks of
-    the listener classes it registers and the receiver method of each intent
-    it sends; every send in the app is resolved here, so the flow graph
-    reuses the resolutions. The worklist visits each method once, when it is
-    first reached, and pushes its callees, its registered callbacks and its
-    intent receivers; the last two join the entry points. Each distinct
-    (invoke kind, signature) pair is resolved once per app.
+    Only intent sends are resolved in every method, since the flow graph
+    reads each send's receivers app-wide. A method's call sites and the
+    callbacks of the listener classes it registers are resolved when the
+    worklist first reaches it, which then pushes its callees, its registered
+    callbacks and its intent receivers; the last two join the entry points.
+    Each distinct (invoke kind, signature) pair is resolved once per app.
     """
     callback_names = frozenset(default_callbacks() if callbacks is None else callbacks)
     senders = default_intent_senders() if intent_senders is None else intent_senders
@@ -178,18 +177,35 @@ def generate_call_graph(
         if not app.is_user_defined(comp.path_name)
     ]
 
-    resolve = cache(partial(resolve_invoke, app, h))
-    call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
+    names, sends, intent_sends = {}, {}, {}   # names: invoked signature -> method name
     for mid, method in app.methods_by_id.items():
+        for idx, offset, invoked in method.calls:
+            if invoked not in names:
+                names[invoked] = invoked_name(invoked)
+            if names[invoked] in senders:
+                receivers = []
+                for comp in resolve_intent_targets(app, method, idx, senders):
+                    recv = receiver_entry_method(app, comp)
+                    receivers.append((comp.path_name, None if recv is None else recv.method_id))
+                intent_sends[(mid, idx)] = receivers = tuple(receivers)
+                sends.setdefault(mid, []).append((offset, receivers))
+
+    resolve = cache(partial(resolve_invoke, app, h))
+    call_sites, adjacency = {}, {}
+    entries, icc, work = set(entry_points), set(), list(entry_points)
+    while work:
+        mid = work.pop()
+        method = app.methods_by_id.get(mid)
+        if method is None or mid in call_sites:
+            continue
         body = method.body
-        sites, callees = [], {}
+        sites, callees, callbacks_found = [], {}, []
         for idx, offset, invoked in method.calls:
             targets = resolve(CODE_TO_MNEMONIC[body[idx]], invoked)
             if targets:
                 sites.append((offset, targets))
                 callees.update(dict.fromkeys(targets))
-            name = invoked_name(invoked)
-            if _REGISTER_RE.match(name):
+            if _REGISTER_RE.match(names[invoked]):
                 # The user-defined classes named before the call.
                 listeners = {
                     op
@@ -198,32 +214,14 @@ def generate_call_graph(
                     for op in _split_operands(method.operands[i])
                     if app.is_user_defined(op)
                 }
-                registered.setdefault(mid, []).extend(
+                callbacks_found.extend(
                     m.method_id
                     for cls_name in sorted(listeners)
                     for m in app.classes[cls_name].methods
                     if m.name in callback_names
                 )
-            if name in senders:
-                receivers = []
-                for comp in resolve_intent_targets(app, method, idx, senders):
-                    recv = receiver_entry_method(app, comp)
-                    receivers.append((comp.path_name, None if recv is None else recv.method_id))
-                intent_sends[(mid, idx)] = receivers = tuple(receivers)
-                sends.setdefault(mid, []).append((offset, receivers))
         call_sites[mid] = tuple(sites)
         adjacency[mid] = tuple(callees)
-
-    entries = set(entry_points)
-    icc = set()
-    reached = set()
-    work = list(entry_points)
-    while work:
-        mid = work.pop()
-        if mid in reached or mid not in app.methods_by_id:
-            continue
-        reached.add(mid)
-        callbacks_found = registered.get(mid, ())
         entries.update(callbacks_found)
         work.extend(adjacency[mid])
         work.extend(callbacks_found)
@@ -238,14 +236,14 @@ def generate_call_graph(
                 entries.add(recv)
                 work.append(recv)
 
-    nodes = tuple(sorted(reached))
+    nodes = tuple(sorted(call_sites))
     return CallGraph(
         app=app,
         nodes=nodes,
         edges={mid: adjacency[mid] for mid in nodes},
         call_sites={mid: call_sites[mid] for mid in nodes},
         icc_edges=tuple(sorted(icc)),
-        entry_points=tuple(sorted(entries & reached)),
+        entry_points=tuple(sorted(entries.intersection(call_sites))),
         intent_sends=intent_sends,
         intent_senders=senders,
         diagnostics=diagnostics,
@@ -262,6 +260,56 @@ def reaching(cg: CallGraph, targets) -> set:
                 seen.add(caller)
                 stack.append(caller)
     return seen
+
+
+def entries_reaching(cg: CallGraph) -> dict:
+    """Method id -> the entry points with a call path (possibly empty) to it,
+    as a bitset of positions in cg.entry_points, for every method of cg.
+
+    One pass, as transitive closure by SCC condensation (Nuutila 1994):
+    iterative Tarjan condenses the call graph's strongly connected
+    components, then each component's bitset flows to its callees' in
+    topological order, O(V + E) bitset operations in all."""
+    edges = cg.edges
+    index, low, component = {}, {}, {}
+    stack, components = [], []   # components in Tarjan's order, callees first
+    for root in cg.nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        frames = [(root, iter(edges[root]))]
+        while frames:
+            v, callees = frames[-1]
+            for w in callees:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    frames.append((w, iter(edges[w])))
+                    break
+                if w not in component:   # visited and not yet condensed: on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        component[members[-1]] = len(components)
+                    components.append(members)
+
+    bits = [0] * len(components)
+    for e, entry in enumerate(cg.entry_points):
+        bits[component[entry]] |= 1 << e
+    for c in range(len(components) - 1, -1, -1):
+        for v in components[c]:
+            for w in edges[v]:
+                if component[w] != c:
+                    bits[component[w]] |= bits[c]
+    return {v: bits[c] for v, c in component.items()}
 
 
 def build_call_graph(app: AppModel, lifecycle=None, callbacks=None,

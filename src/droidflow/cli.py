@@ -7,7 +7,8 @@ is read by tables.read_input, so one that cannot be read, is not UTF-8 or
 does not parse is one: the config and its tables, --api-docs, --tool-list,
 --stopwords, corpus documents and index.json, --predictions, and each app's
 report.json, traces.csv, nodes.csv and edges.csv. So is a --model that cannot
-be opened or does not fit this build. An app's own file that extract cannot
+be opened or does not fit this build; that error, and one about the content
+of --config, start with the file's path. An app's own file that extract cannot
 load fails only that app, as an entry of its report.
 A warning prints as one "warning: <message>" line on stderr.
 All commands are deterministic given the same inputs and seed.

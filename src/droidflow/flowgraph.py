@@ -1,21 +1,24 @@
 """Abstract flow graph over code chunks with ten typed edge sets.
 
 Methods are carved into chunks at user-defined and intent-sending call
-sites. Forward edge types: critical-trace (ct), intent-sending (is),
-neighbor (nb), inter-component (ic) and implicit-neighbor (in); every
-forward edge is mirrored by a backward edge of the hatted type (bct, bis,
-bnb, bic, bin). Neighbor edges are only built inside methods that issue a
-ct/is/ic edge and are pruned when neither endpoint touches a non-neighbor
-edge. Nodes persist as ``id,offset,opcode_seq,invoke_mtd`` quadruples and
-edges as ``source,target,type`` triples, read back straight into GraphArrays.
+sites, held as per-method columns over the methods' bodies. Forward edge
+types: critical-trace (ct), intent-sending (is), neighbor (nb),
+inter-component (ic) and implicit-neighbor (in); every forward edge is
+mirrored by a backward edge of the hatted type (bct, bis, bnb, bic, bin).
+Neighbor edges are only built inside methods that issue a ct/is/ic edge and
+are pruned when neither endpoint touches a non-neighbor edge. Nodes persist
+as ``id,offset,opcode_seq,invoke_mtd`` quadruples and edges as
+``source,target,type`` triples, read back straight into GraphArrays.
 """
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
-from .callgraph import reaching
+from .callgraph import entries_reaching
 from .dalvik import WIDTH_TABLE, normalize
 from .icc import DEFAULT_INTENT_RECEIVERS, is_chunk_boundary
 from .tables import InputError, default_intent_senders, read_input
@@ -34,17 +37,6 @@ _CODE_OF = {text: code for code, text in _CODE_TEXT.items()}
 
 class FormatError(InputError):
     """Corrupt or unrecognized graph file."""
-
-
-@dataclass
-class ChunkNode:
-    id: int
-    method: str
-    offset: int
-    opcode_seq: list
-    invoke_mtd: str
-    end_offset: int = field(default=-1, compare=False)
-    send_index: int = field(default=-1, compare=False)  # body index of the terminator
 
 
 @dataclass(frozen=True, order=True)
@@ -76,15 +68,40 @@ class GraphArrays:
 
 @dataclass
 class AbstractFlowGraph:
-    nodes: list
+    """Chunks as per-method columns, as MethodDef stores its body: the chunks
+    of methods[j] have ids first[j] to first[j + 1] - 1, and chunk k holds
+    its method's body[ends[k - 1]:ends[k]] (from 0 for a method's first
+    chunk), starts at offset offsets[k] and closes at the call of invoked[k],
+    or at the method exit (EXIT)."""
+
+    methods: list     # the MethodDefs with a non-empty body, in id order
+    first: list       # each method's first chunk id, then the number of chunks
+    ends: list        # per chunk: the body index just past its last instruction
+    offsets: list     # per chunk: the offset of its first instruction
+    invoked: list     # per chunk: the signature of the call that closes it, or EXIT
     edges: list
 
+    def __len__(self) -> int:
+        """The number of chunks."""
+        return len(self.ends)
+
     def arrays(self, label_dim: int) -> GraphArrays:
-        """The graph's arrays, nodes and edges in list order."""
-        lengths = np.array([len(n.opcode_seq) for n in self.nodes], dtype=np.intp)
-        heads = [c for n in self.nodes for c in n.opcode_seq[:label_dim]]
-        index = {n.id: pos for pos, n in enumerate(self.nodes)}
-        return _graph_arrays(lengths, heads, index, self.edges, label_dim)
+        """The graph's arrays, nodes in id order and edges in list order."""
+        codes, lengths = self._laid_out()
+        cols = np.arange(label_dim)
+        at = (np.cumsum(lengths) - lengths)[:, None] + cols
+        heads = codes[at[cols < np.minimum(lengths, label_dim)[:, None]]]
+        return _graph_arrays(lengths, heads, range(len(self)), self.edges, label_dim)
+
+    def _laid_out(self):
+        """The methods' bodies laid end to end as one array of opcodes, which
+        the chunks tile in id order, and each chunk's number of opcodes."""
+        codes = np.frombuffer(b"".join([m.body for m in self.methods]), np.uint8)
+        ends = np.array(self.ends, dtype=np.intp)
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1]
+        starts[self.first[:-1]] = 0
+        return codes, ends - starts
 
 
 def _graph_arrays(lengths, heads, index, edges, label_dim: int) -> GraphArrays:
@@ -104,122 +121,120 @@ def sort_edges(edges):
     return sorted(set(edges), key=lambda e: (_TYPE_INDEX[e.type], e.source, e.target))
 
 
-def chunk_methods(app, intent_senders=None):
-    """Partition every method body into chunk nodes, ids in (method, offset) order.
+def chunk_methods(app, intent_senders=None) -> AbstractFlowGraph:
+    """Partition every method body into chunks, ids in (method, offset)
+    order: the graph's chunk columns, without edges.
 
     A chunk closes at a call to a user-defined method, at an intent-sending
     call, or at the method exit; the terminating invoke belongs to its chunk.
     """
     senders = default_intent_senders() if intent_senders is None else intent_senders
     boundary = {}   # invoked signature -> is_chunk_boundary, tested once each
-    chunks = []
+    methods, first, ends, offsets, invoked = [], [], [], [], []
     for method in app.methods_by_id.values():
-        body, start, start_offset = method.body, 0, 0
-        for idx, offset, invoked in method.calls:
-            if invoked not in boundary:
-                boundary[invoked] = is_chunk_boundary(app, invoked, senders)
-            if boundary[invoked]:
-                chunks.append(
-                    ChunkNode(
-                        id=len(chunks),
-                        method=method.method_id,
-                        offset=start_offset,
-                        opcode_seq=list(body[start : idx + 1]),
-                        invoke_mtd=invoked,
-                        end_offset=offset,
-                        send_index=idx,
-                    )
-                )
+        body = method.body
+        if not body:
+            continue
+        methods.append(method)
+        first.append(len(ends))
+        start, start_offset = 0, 0
+        for idx, offset, callee in method.calls:
+            if callee not in boundary:
+                boundary[callee] = is_chunk_boundary(app, callee, senders)
+            if boundary[callee]:
+                ends.append(idx + 1)
+                offsets.append(start_offset)
+                invoked.append(callee)
                 start, start_offset = idx + 1, offset + WIDTH_TABLE[body[idx]]
         if start < len(body):
-            chunks.append(
-                ChunkNode(
-                    id=len(chunks),
-                    method=method.method_id,
-                    offset=start_offset,
-                    opcode_seq=list(body[start:]),
-                    invoke_mtd=EXIT,
-                    end_offset=start_offset + sum(body[start:-1].translate(WIDTH_TABLE)),
-                )
-            )
-    return chunks
+            ends.append(len(body))
+            offsets.append(start_offset)
+            invoked.append(EXIT)
+    first.append(len(ends))
+    return AbstractFlowGraph(methods, first, ends, offsets, invoked, [])
 
 
-def build_edges(chunks, cg, traces, components):
-    """Construct all typed edges over the chunk nodes (forward plus mirrors).
+def build_edges(graph: AbstractFlowGraph, cg, traces, components):
+    """Construct all typed edges over the graph's chunks (forward plus mirrors).
 
     Intent sends are not resolved again: the call graph holds the receivers
-    of every send in the app, keyed by (method, body index)."""
+    of every send in the app, keyed by (method, body index), and each send
+    closes a chunk, since the chunks close at the senders cg was built with."""
     app = cg.app
-    by_method = {}
-    for c in chunks:
-        by_method.setdefault(c.method, []).append(c)
-    first_chunk = {m: cs[0] for m, cs in by_method.items()}
+    first, ends, offsets = graph.first, graph.ends, graph.offsets
+    position = {m.method_id: j for j, m in enumerate(graph.methods)}
+
+    def first_chunk(method_id):
+        j = position.get(method_id)
+        return None if j is None else first[j]
 
     def chunk_at(method_id, offset):
-        for c in by_method.get(method_id, ()):
-            if c.offset <= offset <= c.end_offset:
-                return c
-        return None
+        """The chunk of method_id holding the instruction at offset, or None."""
+        j = position.get(method_id)
+        if j is None:
+            return None
+        k = bisect_right(offsets, offset, first[j], first[j + 1]) - 1
+        if k < first[j]:
+            return None
+        start = ends[k - 1] if k > first[j] else 0
+        last = offsets[k] + sum(graph.methods[j].body[start : ends[k] - 1].translate(WIDTH_TABLE))
+        return k if offset <= last else None
 
     diagnostics = []
     ct, is_, ic, in_ = set(), set(), set(), set()
 
     for trace in traces:
-        src = first_chunk.get(trace.methods[0])
+        src = first_chunk(trace.methods[0])
         tgt = chunk_at(trace.methods[-1], trace.site_offset)
         if src is None or tgt is None:
             diagnostics.append(f"trace without chunks: {trace.methods}")
             continue
-        ct.add((src.id, tgt.id))
+        ct.add((src, tgt))
 
-    intent_chunks = [c for c in chunks if (c.method, c.send_index) in cg.intent_sends]
-    sends_by_method = {}
-    for c in intent_chunks:
-        sends_by_method.setdefault(c.method, []).append(c)
+    sends = []   # (chunk id, method id, body index) of each chunk an intent send closes
+    for mid, idx in cg.intent_sends:
+        j = position[mid]
+        sends.append((bisect_left(ends, idx + 1, first[j], first[j + 1]), mid, idx))
+    sends.sort()
 
     # is: from each entry point to the sends of every method it reaches
-    entries = set(cg.entry_points)
-    for method_id, sends in sends_by_method.items():
-        for entry in entries & reaching(cg, {method_id}):
-            src = first_chunk.get(entry)
-            if src is None:
-                continue
-            for c in sends:
-                if c.id != src.id:
-                    is_.add((src.id, c.id))
+    sends_by_method = {}
+    for k, mid, _ in sends:
+        sends_by_method.setdefault(mid, []).append(k)
+    reach = entries_reaching(cg) if sends else {}
+    for mid, chunks in sends_by_method.items():
+        bits = reach.get(mid, 0)
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            src = first_chunk(cg.entry_points[low.bit_length() - 1])
+            if src is not None:
+                is_.update((src, k) for k in chunks if k != src)
 
-    comp_by_class = {c.path_name: c for c in components}
-    for c in intent_chunks:
-        receivers = cg.intent_sends[(c.method, c.send_index)]
+    component_classes = {c.path_name for c in components}
+    returns = {}   # component class -> first chunks of its DEFAULT_INTENT_RECEIVERS
+    for k, mid, idx in sends:
+        receivers = cg.intent_sends[(mid, idx)]
         if not receivers:
-            diagnostics.append(f"unresolved intent at chunk {c.id}")
+            diagnostics.append(f"unresolved intent at chunk {k}")
         for path_name, recv in receivers:
-            tgt = first_chunk.get(recv)
+            tgt = first_chunk(recv)
             if tgt is None:
                 diagnostics.append(f"no receiver chunk for {path_name}")
                 continue
-            ic.add((c.id, tgt.id))
-        owner = c.method.partition("->")[0]
-        if owner in comp_by_class:
-            for rname in DEFAULT_INTENT_RECEIVERS:
-                recv = app.lookup_method(owner, rname)
-                if recv is None:
-                    continue
-                tgt = first_chunk.get(recv.method_id)
-                if tgt is None:
-                    continue
-                ic.add((c.id, tgt.id))
-                in_.add((c.id, tgt.id))
+            ic.add((k, tgt))
+        owner = mid.partition("->")[0]
+        if owner in component_classes and owner not in returns:
+            found = (app.lookup_method(owner, rname) for rname in DEFAULT_INTENT_RECEIVERS)
+            returns[owner] = [first_chunk(m.method_id) for m in found if m is not None]
+        for tgt in returns.get(owner, ()):
+            if tgt is not None:
+                ic.add((k, tgt))
+                in_.add((k, tgt))
 
-    method_of = {c.id: c.method for c in chunks}
-    issuing = {method_of[s] for s, _ in ct | is_ | ic}
-    nb = set()
-    for method_id in sorted(issuing):
-        cs = by_method.get(method_id, ())
-        for a, b in zip(cs, cs[1:]):
-            if a.invoke_mtd != EXIT:
-                nb.add((a.id, b.id))
+    # nb: between consecutive chunks of each method that issues a ct, is or ic edge
+    issuing = {bisect_right(first, s) - 1 for s, _ in ct | is_ | ic}
+    nb = {(k, k + 1) for j in issuing for k in range(first[j], first[j + 1] - 1)}
     touched = {x for pair in ct | is_ | ic | in_ for x in pair}
     nb = {(s, t) for s, t in nb if s in touched or t in touched}
 
@@ -234,9 +249,9 @@ def build_edges(chunks, cg, traces, components):
 def build_flow_graph(app, cg, traces):
     """Chunks and typed edges of app; chunks close at the intent senders cg
     was built with."""
-    chunks = chunk_methods(app, cg.intent_senders)
-    edges, diagnostics = build_edges(chunks, cg, traces, app.components)
-    return AbstractFlowGraph(chunks, edges), diagnostics
+    graph = chunk_methods(app, cg.intent_senders)
+    graph.edges, diagnostics = build_edges(graph, cg, traces, app.components)
+    return graph, diagnostics
 
 
 # --- persistence -------------------------------------------------------------
@@ -257,16 +272,29 @@ def parse_opcode_text(text: str) -> list:
         return list(map(int, fields))
 
 
+# Each opcode value's text followed by "|", as a row of four bytes, and its length.
+_BAR_TEXT = np.array([list(f"{code}|".encode().ljust(4)) for code in range(256)], np.uint8)
+_BAR_WIDTH = np.array([len(f"{code}|") for code in range(256)])
+
+
 def serialize_graph(graph: AbstractFlowGraph, out_dir):
-    """Write nodes.csv and edges.csv under out_dir, UTF-8 and byte-deterministic."""
+    """Write nodes.csv and edges.csv under out_dir, UTF-8 and byte-deterministic.
+    The opcode texts of all chunks come from the bodies' bytes in one pass of
+    array operations, each chunk's last "|" turned into the line break that
+    splits them apart."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    node_lines = []
-    for n in sorted(graph.nodes, key=lambda n: n.id):
-        node_lines.append(f"{n.id},{n.offset},{opcode_text(n.opcode_seq)},{n.invoke_mtd}")
-    (out_dir / "nodes.csv").write_text("".join(line + "\n" for line in node_lines), "utf-8")
-    edge_lines = [f"{e.source},{e.target},{e.type}" for e in sort_edges(graph.edges)]
-    (out_dir / "edges.csv").write_text("".join(line + "\n" for line in edge_lines), "utf-8")
+    codes, lengths = graph._laid_out()
+    width = _BAR_WIDTH[codes]
+    text = _BAR_TEXT[codes][np.arange(4) < width[:, None]]
+    text[np.cumsum(width)[np.cumsum(lengths) - 1] - 1] = ord("\n")
+    texts = text.tobytes().decode("ascii").split("\n")
+    (out_dir / "nodes.csv").write_text("".join([
+        f"{k},{offset},{seq},{invoked}\n"
+        for k, offset, seq, invoked in zip(count(), graph.offsets, texts, graph.invoked)
+    ]), "utf-8")
+    (out_dir / "edges.csv").write_text(
+        "".join(f"{e.source},{e.target},{e.type}\n" for e in sort_edges(graph.edges)), "utf-8")
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 

@@ -345,15 +345,20 @@ def save_model(model: ModelParams, path):
 
 
 def load_model(path) -> ModelParams:
-    with open(path, "rb") as f:
-        model = _template(_header(f.readline()))
-        arrays = list(model.weights.values())
-        size = sum(f.readinto(arr) for arr in arrays) + len(f.read())
-    expected = sum(arr.nbytes for arr in arrays)
-    if size != expected:
-        raise ModelMismatchError(
-            f"model file holds {size} weight bytes, its header's weights need {expected}"
-        )
+    """The model saved at path; a file that does not fit this build is a
+    ModelMismatchError naming it."""
+    try:
+        with open(path, "rb") as f:
+            model = _template(_header(f.readline()))
+            arrays = list(model.weights.values())
+            size = sum(f.readinto(arr) for arr in arrays) + len(f.read())
+        expected = sum(arr.nbytes for arr in arrays)
+        if size != expected:
+            raise ModelMismatchError(
+                f"model file holds {size} weight bytes, its header's weights need {expected}"
+            )
+    except ModelMismatchError as exc:
+        raise ModelMismatchError(f"{path}: {exc}") from None
     return model
 
 

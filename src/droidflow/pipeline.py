@@ -66,7 +66,12 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        return cls.from_dict(read_input(path, json.loads), base=Path(path).parent)
+        """The config in a JSON file; a ConfigError names the file."""
+        data = read_input(path, json.loads)
+        try:
+            return cls.from_dict(data, base=Path(path).parent)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, data: dict, base: Path = Path(".")) -> "PipelineConfig":
@@ -191,7 +196,7 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
         "sampling_applied": total_raw > config.opcode_budget,
         "matrix_rows": matrix.n,
         "empty_matrix": matrix.n == 0,
-        "graph_nodes": len(graph.nodes),
+        "graph_nodes": len(graph),
         "graph_edges": len(graph.edges),
         "diagnostics": sorted(set(app.diagnostics + cg.diagnostics + flow_diags)),
         "status": "ok",

@@ -68,14 +68,22 @@ def _split_operands(text: str):
 
 def _method_reference(code: int, operand_text: str):
     """The signature of the method an invoke calls, or None when its
-    operands name none."""
+    operands name none.
+
+    A plain invoke's reference is its last operand: the stripped text after
+    the last comma, when it is not empty and the text before that comma holds
+    as many "{" as "}", so that the comma splits. Any other operand text is
+    split with _split_operands."""
     if code in _CUSTOM_CODES:
         _, at, ref = operand_text.rpartition("@")
         ref = ref.strip() if at else ""
     else:
-        operands = _split_operands(operand_text)
-        position = 2 if code in _POLYMORPHIC_CODES else 1
-        ref = operands[-position] if len(operands) >= position else ""
+        head, _, ref = operand_text.rpartition(",")
+        ref = ref.strip()
+        if code in _POLYMORPHIC_CODES or not ref or head.count("{") != head.count("}"):
+            operands = _split_operands(operand_text)
+            position = 2 if code in _POLYMORPHIC_CODES else 1
+            ref = operands[-position] if len(operands) >= position else ""
     return ref if _INVOKE_TARGET_RE.search(ref) else None
 
 

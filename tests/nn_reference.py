@@ -6,7 +6,8 @@ the model did before it was batched. Tests compare the batched builders and
 `train` against them; they are not used by droidflow itself.
 composed_gnn_batch_var is the batched graph branch before its affine maps
 and gated readout became single tape nodes, the reference they must match
-bit for bit.
+bit for bit. gnn_vector_var reads a flow graph's nodes as
+flowgraph_reference's ChunkNodes.
 """
 
 import numpy as np
@@ -16,10 +17,11 @@ from droidflow.nn import tape
 from droidflow.nn.model import init_model, logits_var, param_vars
 from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
 
-from flowgraph_reference import node_label
+from flowgraph_reference import as_chunk_graph, node_label
 
 
 def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
+    graph = as_chunk_graph(graph)
     n_nodes = len(graph.nodes)
     label_dim, s = pv["gnn.w2"].shape
     if n_nodes == 0:

@@ -1,20 +1,31 @@
 import re
+from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from droidflow.apimine import CriticalApiSet
+from droidflow.appmodel import app_from_ir
 from droidflow.callgraph import (
+    _CLASS_REF_CODES,
+    _REGISTER_RE,
+    CallGraph,
     CyclicHierarchyError,
     build_call_graph,
     build_class_hierarchy,
     collect_entry_points,
+    entries_reaching,
+    reaching,
     resolve_invoke,
 )
 from droidflow.dalvik import CODE_TO_MNEMONIC
+from droidflow.icc import invoked_name, receiver_entry_method, resolve_intent_targets
+from droidflow.smali import _split_operands
 from droidflow.tables import default_callbacks, default_intent_senders, default_lifecycle
 from droidflow.traces import find_call_traces
 
 from appbuild import build_app, cls, component, ins, invoke, method, rows
+from synthcorpus import generate_corpus
 
 OBJ = "Ljava/lang/Object;"
 ACT = "Landroid/app/Activity;"
@@ -751,3 +762,161 @@ def test_building_the_call_graph_leaves_the_app_unchanged():
         cg = build_call_graph(app)
         assert app.diagnostics == before
         assert "missing component class Lx/Gone;" in cg.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Call sites resolved only in reached methods: the builder as it was, scanning
+# every method up front, gives the same CallGraph field for field
+# ---------------------------------------------------------------------------
+
+def _eager_call_graph(app, lifecycle=None, callbacks=None, intent_senders=None):
+    h = build_class_hierarchy(app)
+    entry_points = collect_entry_points(app, h, lifecycle, callbacks)
+    callback_names = frozenset(default_callbacks() if callbacks is None else callbacks)
+    senders = default_intent_senders() if intent_senders is None else intent_senders
+    diagnostics = [
+        f"missing component class {comp.path_name}"
+        for comp in sorted(app.components, key=lambda c: c.path_name)
+        if not app.is_user_defined(comp.path_name)
+    ]
+    resolve = cache(partial(resolve_invoke, app, h))
+    call_sites, adjacency, registered, sends, intent_sends = {}, {}, {}, {}, {}
+    for mid, m in app.methods_by_id.items():
+        body = m.body
+        sites, callees = [], {}
+        for idx, offset, invoked in m.calls:
+            targets = resolve(CODE_TO_MNEMONIC[body[idx]], invoked)
+            if targets:
+                sites.append((offset, targets))
+                callees.update(dict.fromkeys(targets))
+            name = invoked_name(invoked)
+            if _REGISTER_RE.match(name):
+                listeners = {
+                    op
+                    for i, code in enumerate(body[:idx])
+                    if code in _CLASS_REF_CODES
+                    for op in _split_operands(m.operands[i])
+                    if app.is_user_defined(op)
+                }
+                registered.setdefault(mid, []).extend(
+                    c.method_id
+                    for cls_name in sorted(listeners)
+                    for c in app.classes[cls_name].methods
+                    if c.name in callback_names
+                )
+            if name in senders:
+                receivers = []
+                for comp in resolve_intent_targets(app, m, idx, senders):
+                    recv = receiver_entry_method(app, comp)
+                    receivers.append((comp.path_name, None if recv is None else recv.method_id))
+                intent_sends[(mid, idx)] = receivers = tuple(receivers)
+                sends.setdefault(mid, []).append((offset, receivers))
+        call_sites[mid] = tuple(sites)
+        adjacency[mid] = tuple(callees)
+
+    entries, icc, reached, work = set(entry_points), set(), set(), list(entry_points)
+    while work:
+        mid = work.pop()
+        if mid in reached or mid not in app.methods_by_id:
+            continue
+        reached.add(mid)
+        callbacks_found = registered.get(mid, ())
+        entries.update(callbacks_found)
+        work.extend(adjacency[mid])
+        work.extend(callbacks_found)
+        for offset, receivers in sends.get(mid, ()):
+            if not receivers:
+                diagnostics.append(f"unresolved intent target at {mid} offset {offset}")
+            for path_name, recv in receivers:
+                if recv is None:
+                    diagnostics.append(f"component {path_name} has no intent entry method")
+                    continue
+                icc.add((mid, recv))
+                entries.add(recv)
+                work.append(recv)
+    nodes = tuple(sorted(reached))
+    return CallGraph(
+        app=app, nodes=nodes, edges={mid: adjacency[mid] for mid in nodes},
+        call_sites={mid: call_sites[mid] for mid in nodes}, icc_edges=tuple(sorted(icc)),
+        entry_points=tuple(sorted(entries & reached)), intent_sends=intent_sends,
+        intent_senders=senders, diagnostics=diagnostics,
+    )
+
+
+def _fields(cg):
+    return {name: getattr(cg, name) for name in CallGraph.__dataclass_fields__} | {
+        "intent_sends order": list(cg.intent_sends), "edges order": list(cg.edges)}
+
+
+def test_lazy_resolution_builds_the_eager_call_graph():
+    apps = [fx() for fx in ALL_FIXTURES] + [app_from_ir(ir) for ir in generate_corpus(8, seed=13)]
+    for app in apps:
+        assert _fields(build_call_graph(app)) == _fields(_eager_call_graph(app)), app.app_id
+        for tables in ({"lifecycle": START_ONLY}, {"callbacks": ()},
+                       {"intent_senders": frozenset({"sendBroadcast"})}):
+            expected = _fields(_eager_call_graph(app, **tables))
+            assert _fields(build_call_graph(app, **tables)) == expected, (app.app_id, tables)
+
+
+def test_call_sites_are_resolved_only_in_reached_methods(monkeypatch):
+    from droidflow import callgraph
+
+    app = build_app(
+        [
+            cls("Lx/Main;", [
+                method("onCreate", "()V", [invoke("direct", "Lx/Main;->g()V"), ins("return-void")]),
+                method("g", "()V", [ins("return-void")]),
+                method("never", "()V", [
+                    invoke("direct", "Lx/Main;->h()V"),
+                    ins("new-instance", "v0", "Lx/L;"),
+                    invoke("virtual", SET_LISTENER, "{v1, v0}"),
+                    *_start("Lx/Main;"),
+                ]),
+                method("h", "()V", [ins("return-void")]),
+            ], superclass=ACT),
+            cls("Lx/L;", [method("onClick", "(Landroid/view/View;)V", [ins("return-void")])]),
+        ],
+        [component("Lx/Main;")],
+    )
+    resolved = []
+    resolve = callgraph.resolve_invoke
+
+    def recording(app, h, mnemonic, invoked):
+        resolved.append(invoked)
+        return resolve(app, h, mnemonic, invoked)
+
+    monkeypatch.setattr(callgraph, "resolve_invoke", recording)
+    cg = build_call_graph(app)
+    assert cg.nodes == ("Lx/Main;->g()V", "Lx/Main;->onCreate()V")
+    assert resolved == ["Lx/Main;->g()V"]
+    # the unreached method's send is still resolved, and its listener is no entry point
+    assert cg.intent_sends == {("Lx/Main;->never()V", 4): (("Lx/Main;", "Lx/Main;->onCreate()V"),)}
+    assert cg.entry_points == ("Lx/Main;->onCreate()V",)
+
+
+@st.composite
+def call_graphs(draw):
+    """A CallGraph of up to 12 methods with any call edges, cycles included,
+    and any subset of them as entry points."""
+    n = draw(st.integers(1, 12))
+    ids = [f"Lx/M;->m{i:02d}()V" for i in range(n)]
+    callees = {mid: tuple(dict.fromkeys(draw(st.lists(st.sampled_from(ids), max_size=4))))
+               for mid in ids}
+    entries = tuple(sorted(draw(st.sets(st.sampled_from(ids)))))
+    return CallGraph(app=None, nodes=tuple(ids), edges=callees,
+                     call_sites={mid: tuple((i, (c,)) for i, c in enumerate(cs))
+                                 for mid, cs in callees.items()},
+                     icc_edges=(), entry_points=entries, intent_sends={},
+                     intent_senders=frozenset())
+
+
+@given(call_graphs())
+@settings(max_examples=300, deadline=None)
+def test_entries_reaching_matches_one_reverse_walk_per_method(cg):
+    reach = entries_reaching(cg)
+    assert set(reach) == set(cg.nodes)
+    for mid in cg.nodes:
+        bits = reach[mid]
+        found = {e for i, e in enumerate(cg.entry_points) if bits >> i & 1}
+        assert bits < 1 << len(cg.entry_points)
+        assert found == set(cg.entry_points) & reaching(cg, {mid}), mid

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from droidflow import flowgraph
 from droidflow.apimine import CriticalApiSet
-from droidflow.appmodel import app_from_ir, load_app
+from droidflow.appmodel import MethodDef, app_from_ir, load_app
 from droidflow.callgraph import build_call_graph
 from droidflow.flowgraph import (
     EDGE_TYPE_ORDER,
     EXIT,
     BACKWARD_OF,
     AbstractFlowGraph,
-    ChunkNode,
     FlowEdge,
     FormatError,
     build_flow_graph,
@@ -30,6 +29,7 @@ from droidflow.traces import find_call_traces
 
 import flowgraph_reference
 from appbuild import build_app, cls, component, ins, invoke, method
+from flowgraph_reference import ChunkGraph, ChunkNode, chunk_nodes
 from synthcorpus import generate_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
@@ -49,7 +49,7 @@ def extract(name):
 
 def test_no_calls_single_exit_chunk():
     app = build_app([cls("La;", [method("f", "()V", [ins("nop"), ins("return-void")])])])
-    chunks = chunk_methods(app)
+    chunks = chunk_nodes(chunk_methods(app))
     assert len(chunks) == 1
     assert chunks[0].invoke_mtd == EXIT
     assert chunks[0].opcode_seq == [0x00, 0x0E]
@@ -62,7 +62,7 @@ def test_user_call_splits_two_chunks():
             method("g", "()V", [ins("return-void")]),
         ])
     ])
-    chunks = [c for c in chunk_methods(app) if c.method == "La;->f()V"]
+    chunks = [c for c in chunk_nodes(chunk_methods(app)) if c.method == "La;->f()V"]
     assert len(chunks) == 2
     assert chunks[0].invoke_mtd == "La;->g()V"
     assert chunks[1].invoke_mtd == EXIT
@@ -74,14 +74,14 @@ def test_trailing_intent_send_no_empty_exit_chunk():
     app = build_app([
         cls("La;", [method("f", "()V", [ins("nop"), invoke("virtual", start)])])
     ])
-    chunks = chunk_methods(app)
+    chunks = chunk_nodes(chunk_methods(app))
     assert len(chunks) == 1
     assert chunks[0].invoke_mtd == start
 
 
 def test_chunks_partition_method():
     app = load_app(FIXTURES / "neighbor_pruning")
-    chunks = chunk_methods(app)
+    chunks = chunk_nodes(chunk_methods(app))
     for m in app.methods_by_id.values():
         mine = [c for c in chunks if c.method == m.method_id]
         flat = [code for c in mine for code in c.opcode_seq]
@@ -90,38 +90,59 @@ def test_chunks_partition_method():
 
 # --- node labels -------------------------------------------------------------
 
-def node_label(node, label_dim):
-    return AbstractFlowGraph([node], []).arrays(label_dim).labels[0]
+def column_graph(methods, edges=()):
+    """An AbstractFlowGraph of one method per list of chunks, each chunk an
+    (offset, non-empty opcode list, invoke_mtd) triple."""
+    first, ends, offsets, invoked, defs = [0], [], [], [], []
+    for i, chunks in enumerate(methods):
+        body = b"".join(bytes(seq) for _, seq, _ in chunks)
+        defs.append(MethodDef("La;", f"m{i}", "()V", frozenset(), body, ("",) * len(body), ()))
+        for offset, seq, mtd in chunks:
+            ends.append((ends[-1] if len(ends) > first[-1] else 0) + len(seq))
+            offsets.append(offset)
+            invoked.append(mtd)
+        first.append(len(ends))
+    return AbstractFlowGraph(defs, first, ends, offsets, invoked, list(edges))
+
+
+def node_label(seq, label_dim):
+    return column_graph([[(0, seq, EXIT)]]).arrays(label_dim).labels[0]
 
 
 def test_label_pads_with_zero():
-    node = ChunkNode(0, "m", 0, [0x0E, 0x6E], EXIT)
-    vec = node_label(node, 13)
+    vec = node_label([0x0E, 0x6E], 13)
     assert vec[0] == pytest.approx(14 / 255)
     assert vec[1] == pytest.approx(110 / 255)
     assert (vec[2:] == 0).all()
 
 
 def test_label_truncates():
-    node = ChunkNode(0, "m", 0, list(range(20)), EXIT)
-    assert node_label(node, 13).shape == (13,)
+    assert node_label(list(range(20)), 13).shape == (13,)
 
 
 def test_label_empty_zero_vector():
-    assert (node_label(ChunkNode(0, "m", 0, [], EXIT), 13) == 0).all()
+    # no chunk is empty, but a nodes.csv line may list no opcodes
+    graph = ChunkGraph([ChunkNode(0, "m", 0, [], EXIT)], [])
+    assert (graph.arrays(13).labels[0] == 0).all()
+
+
+CHUNK = st.lists(st.integers(0, 255), min_size=1, max_size=30)
 
 
 @given(
-    seqs=st.lists(st.lists(st.integers(0, 255), max_size=30), max_size=20),
-    drawn=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19),
+    methods=st.lists(st.lists(CHUNK, min_size=1, max_size=4), max_size=8),
+    drawn=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31),
                              st.sampled_from(EDGE_TYPE_ORDER)), max_size=30),
     label_dim=st.integers(1, 20),
 )
-def test_graph_arrays_match_per_node_reference(seqs, drawn, label_dim):
-    nodes = [ChunkNode(i, "m", 0, seq, EXIT) for i, seq in enumerate(seqs)]
+def test_graph_arrays_match_per_node_reference(methods, drawn, label_dim):
+    graph = column_graph([[(0, seq, EXIT) for seq in chunks] for chunks in methods])
+    nodes = chunk_nodes(graph)
+    assert [n.opcode_seq for n in nodes] == [seq for chunks in methods for seq in chunks]
     n = len(nodes)
     edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
-    arrays = AbstractFlowGraph(nodes, edges).arrays(label_dim)
+    graph.edges = edges
+    arrays = graph.arrays(label_dim)
     expected = np.array(
         [flowgraph_reference.node_label(node, label_dim) for node in nodes]
     ).reshape(-1, label_dim)
@@ -205,20 +226,23 @@ def test_unconnected_method_gets_zero_nb_edges():
 
 
 def test_callers_index_is_built_once_per_call_graph():
-    # trace search and the is edges of both intent-sending methods all ask
-    # which methods reach a target
-    app = load_app(FIXTURES / "intent_self_loop")
-    cg = build_call_graph(app)
-    scans = []
+    # trace search asks once which methods reach its call sites; the is edges
+    # of both intent-sending methods read the call graph's own edges instead
+    for name, builds in (("critical", 1), ("intent_self_loop", 0)):
+        app = load_app(FIXTURES / name)
+        cg = build_call_graph(app)
+        scans = []
 
-    class CountingSites(dict):
-        def items(self):
-            scans.append(1)
-            return super().items()
+        class CountingSites(dict):
+            def items(self):
+                scans.append(1)
+                return super().items()
 
-    cg.call_sites = CountingSites(cg.call_sites)
-    build_flow_graph(app, cg, find_call_traces(cg, CRITICAL))
-    assert len(scans) == 1
+        cg.call_sites = CountingSites(cg.call_sites)
+        traces = find_call_traces(cg, CRITICAL)
+        assert len(traces) == builds
+        graph, _ = build_flow_graph(app, cg, traces)
+        assert graph.edges and len(scans) == builds, name
 
 
 def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
@@ -240,7 +264,7 @@ def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
     cg = build_call_graph(app, intent_senders=default_intent_senders() | {"post"})
     assert cg.icc_edges == (("Lx/Main;->onCreate()V", "Lx/Second;->onCreate()V"),)
     graph, diags = build_flow_graph(app, cg, [])
-    assert [(n.method, n.invoke_mtd) for n in graph.nodes] == [
+    assert [(n.method, n.invoke_mtd) for n in chunk_nodes(graph)] == [
         ("Lx/Main;->onCreate()V", post),
         ("Lx/Main;->onCreate()V", EXIT),
         ("Lx/Second;->onCreate()V", EXIT),
@@ -255,7 +279,7 @@ def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
 
 def structurally_equal(a, b):
     """Equality over the persisted fields (quadruples and triples)."""
-    qa = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in a.nodes]
+    qa = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in chunk_nodes(a)]
     qb = [(n.id, n.offset, tuple(n.opcode_seq), n.invoke_mtd) for n in b.nodes]
     return qa == qb and sort_edges(a.edges) == sort_edges(b.edges)
 
@@ -361,13 +385,15 @@ FOURTH_FIELD = st.text(st.sampled_from("La;->f(IJ)V,|\u00e9\u2192\u4e2d \x85\u20
        st.integers(1, 20))
 @settings(max_examples=200, deadline=None)
 def test_reader_matches_reference_on_writer_output(tmp_path_factory, chunks, drawn, label_dim):
-    """Files serialize_graph wrote, with or without nodes, opcodes or a label's
-    worth of them, and with any text after the third comma."""
+    """Files in serialize_graph's form, with or without nodes, opcodes or a
+    label's worth of them, and with any text after the third comma. A chunk
+    with no opcodes is drawn too, which no app yields, so the reference
+    writer writes them."""
     nodes = [ChunkNode(i, "m", offset, seq, mtd) for i, (offset, seq, mtd) in enumerate(chunks)]
     n = len(nodes)
     edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
     directory = tmp_path_factory.mktemp("graph")
-    serialize_graph(AbstractFlowGraph(nodes, edges), directory)
+    flowgraph_reference.serialize_graph(ChunkGraph(nodes, edges), directory)
     expected = read_outcome(reference_read, directory, label_dim)
     assert read_outcome(deserialize_graph, directory, label_dim) == expected
 
@@ -431,7 +457,7 @@ def test_one_pass_read_makes_as_many_calls_at_any_size(tmp_path):
     for n in (200, 20_000):
         nodes = [ChunkNode(i, "m", 3 * i, [(7 * i + k) % 256 for k in range(i % 30)],
                            EXIT if i % 4 else "La;->f(I,J)V") for i in range(n)]
-        serialize_graph(AbstractFlowGraph(nodes, edges), tmp_path / str(n))
+        flowgraph_reference.serialize_graph(ChunkGraph(nodes, edges), tmp_path / str(n))
         events = Counter()
 
         def profile(frame, event, arg):
@@ -468,3 +494,189 @@ def test_edge_type_order_canonical():
     assert EDGE_TYPE_ORDER == ("ct", "is", "nb", "ic", "in", "bct", "bis", "bnb", "bic", "bin")
     bad = pytest.raises(FormatError, FlowEdge, 0, 1, "xx")
     assert bad
+
+
+# --- the column build against the ChunkNode build it replaced ------------------
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 2 ** 16), CHUNK, FOURTH_FIELD),
+                         min_size=1, max_size=4), max_size=6),
+       st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23),
+                          st.sampled_from(EDGE_TYPE_ORDER)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_reference_writer(tmp_path_factory, methods, drawn):
+    """serialize_graph writes each chunk's line from its method's body bytes
+    as the reference writes it from the chunk's own opcode list."""
+    graph = column_graph(methods)
+    n = len(graph)
+    graph.edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
+    new, ref = tmp_path_factory.mktemp("new"), tmp_path_factory.mktemp("ref")
+    serialize_graph(graph, new)
+    flowgraph_reference.serialize_graph(ChunkGraph(chunk_nodes(graph), graph.edges), ref)
+    for name in ("nodes.csv", "edges.csv"):
+        assert (new / name).read_bytes() == (ref / name).read_bytes()
+
+
+ACT = "Landroid/app/Activity;"
+START = "Landroid/app/Activity;->startActivity(Landroid/content/Intent;)V"
+HELPER = "Lx/Main;->helper()V"
+
+
+def _activity(name, body, *extra):
+    return cls(name, [method("onCreate", "()V", body), *extra], superclass=ACT)
+
+
+def _send(target=None):
+    """An explicit intent to target, or one naming no component."""
+    const = [ins("const-class", "v0", target)] if target else [ins("const/4", "v0", "0x0")]
+    return [*const, invoke("virtual", START, "{p0, v0}")]
+
+
+HAND_MADE = {
+    "abstract method and empty body": [
+        _activity("Lx/Main;", [invoke("virtual", "Lx/Main;->g()V"), invoke("direct", "Lx/Main;->h()V"),
+                               *_send("Lx/Second;"), ins("return-void")],
+                  method("g", "()V", [], flags=("public", "abstract")), method("h", "()V", [])),
+        _activity("Lx/Second;", [ins("return-void")]),
+    ],
+    "send as the last instruction and two sends in one method": [
+        _activity("Lx/Main;", [*_send("Lx/Second;"), ins("nop"), *_send("Lx/Third;")],
+                  method("onActivityResult", "()V", [ins("return-void")])),
+        _activity("Lx/Second;", [ins("nop"), invoke("direct", "Lx/Second;->both()V"),
+                                 ins("return-void")],
+                  method("both", "()V", [*_send("Lx/Main;"), *_send("Lx/Third;"),
+                                         ins("return-void")])),
+        _activity("Lx/Third;", [ins("return-void")],
+                  method("onActivityResult", "()V", [ins("return-void")])),
+    ],
+    "trace sites on a chunk's last offset": [
+        _activity("Lx/Main;", [ins("const-wide", "v0", "0x1"), invoke("direct", HELPER),
+                               ins("nop"), invoke("virtual", SMS)],
+                  method("helper", "()V", [ins("nop"), invoke("virtual", SMS)])),
+    ],
+    "unresolved intents": [
+        _activity("Lx/Main;", [*_send(), *_send("Lx/NoEntry;"), *_send("Lx/Missing;"),
+                               ins("return-void")],
+                  method("unreached", "()V", [*_send(), *_send("Lx/NoEntry;"), ins("return-void")])),
+        cls("Lx/NoEntry;", [method("run", "()V", [ins("return-void")])], superclass=ACT),
+    ],
+}
+HAND_MADE_COMPONENTS = ["Lx/Main;", "Lx/Second;", "Lx/Third;", "Lx/NoEntry;", "Lx/Missing;"]
+# A critical user-defined method: its call closes a chunk.
+HAND_MADE_CRITICAL = CriticalApiSet.of([SMS, HELPER])
+
+
+def _hand_made_apps():
+    for name, classes in HAND_MADE.items():
+        defined = {c["name"] for c in classes}
+        components = [component(c) for c in HAND_MADE_COMPONENTS
+                      if c in defined or name == "unresolved intents"]
+        yield name, build_app(classes, components, app_id=name.replace(" ", "_").replace("'", ""))
+
+
+def _assert_builds_agree(app, critical, tmp_path, monkeypatch):
+    """The column build and the ChunkNode build give the same feature files,
+    diagnostics in the same order, reports and arrays."""
+    from droidflow import pipeline
+
+    config = PipelineConfig()
+    result = extract_app(app, critical, config)
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "build_flow_graph", flowgraph_reference.build_flow_graph)
+        patched.setattr(pipeline, "serialize_graph", flowgraph_reference.serialize_graph)
+        expected = extract_app(app, critical, config)
+        ref_dir = write_features(expected, tmp_path / "ref")
+    new_dir = write_features(result, tmp_path / "new")
+    assert result.report == expected.report
+    for name in ("nodes.csv", "edges.csv", "traces.csv", "report.json"):
+        assert (new_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+    for label_dim in (1, 3, 13):
+        assert outcome(result.graph.arrays(label_dim)) == outcome(expected.graph.arrays(label_dim))
+    cg = build_call_graph(app)
+    traces = find_call_traces(cg, critical)
+    graph, diagnostics = build_flow_graph(app, cg, traces)
+    assert diagnostics == flowgraph_reference.build_flow_graph(app, cg, traces)[1]
+    return result.report
+
+
+@pytest.mark.parametrize("name", HAND_MADE)
+def test_hand_made_cases_build_as_the_reference(tmp_path, monkeypatch, name):
+    app = dict(_hand_made_apps())[name]
+    report = _assert_builds_agree(app, HAND_MADE_CRITICAL, tmp_path, monkeypatch)
+    assert report["graph_edges"] > 0
+
+
+def test_hand_made_cases_cover_what_they_name(tmp_path, monkeypatch):
+    apps = dict(_hand_made_apps())
+    cg = build_call_graph(apps["trace sites on a chunk's last offset"])
+    traces = find_call_traces(cg, HAND_MADE_CRITICAL)
+    nodes = chunk_nodes(build_flow_graph(cg.app, cg, traces)[0])
+    ends = {(n.method, n.end_offset) for n in nodes}
+    assert len(traces) == 3 and all((t.methods[-1], t.site_offset) in ends for t in traces)
+    diagnostics = build_call_graph(apps["unresolved intents"]).diagnostics
+    assert any(d.startswith("unresolved intent target") for d in diagnostics)
+    assert "component Lx/NoEntry; has no intent entry method" in diagnostics
+    assert "missing component class Lx/Missing;" in diagnostics
+    cg = build_call_graph(apps["send as the last instruction and two sends in one method"])
+    graph, _ = build_flow_graph(cg.app, cg, [])
+    assert {"is", "ic", "in", "nb"} <= {e.type for e in graph.edges}
+
+
+def test_corpus_builds_as_the_reference(tmp_path, monkeypatch):
+    critical = PipelineConfig().critical_apis()
+    for i, ir in enumerate(generate_corpus(8, seed=21)):
+        _assert_builds_agree(app_from_ir(ir), critical, tmp_path / str(i), monkeypatch)
+    for name in sorted(p.name for p in FIXTURES.iterdir()):
+        _assert_builds_agree(load_app(FIXTURES / name), CRITICAL, tmp_path / name, monkeypatch)
+
+
+class _CountingMap(dict):
+    """A dict that counts its lookups."""
+
+    def __init__(self, data, counter):
+        super().__init__(data)
+        self.counter = counter
+
+    def __getitem__(self, key):
+        self.counter.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.counter.append(key)
+        return super().get(key, default)
+
+
+def _sender_chain(n):
+    """n methods in one call chain from an activity's onCreate, each sending an intent."""
+    names = ["onCreate"] + [f"m{i}" for i in range(1, n)]
+    methods = [
+        method(name, "()V", [*_send(), *([invoke("direct", f"Lx/Main;->{names[i + 1]}()V")]
+                                         if i + 1 < n else []), ins("return-void")])
+        for i, name in enumerate(names)
+    ]
+    return build_app([cls("Lx/Main;", methods, superclass=ACT)], [component("Lx/Main;")])
+
+
+def test_intent_send_edges_take_one_reachability_pass(monkeypatch):
+    """A chain of N senders costs O(N) call-graph lookups, not one reverse
+    walk per sender: doubling N at most doubles them. The sending class's
+    onActivityResult and onNewIntent, each a scan of its N methods, are
+    looked up once, not once per send."""
+    from droidflow.appmodel import AppModel
+
+    counts, by_name = [], []
+    lookup = AppModel.lookup_method
+    for n in (500, 1000):
+        app = _sender_chain(n)
+        cg = build_call_graph(app)
+        lookups, named = [], []
+        cg.edges = _CountingMap(cg.edges, lookups)
+        cg.__dict__["callers"] = _CountingMap(cg.callers, lookups)
+        with monkeypatch.context() as patched:
+            patched.setattr(AppModel, "lookup_method",
+                            lambda self, *args: named.append(args) or lookup(self, *args))
+            graph, _ = build_flow_graph(app, cg, [])
+        assert sum(e.type == "is" for e in graph.edges) == n - 1   # not to its own first chunk
+        counts.append(len(lookups))
+        by_name.append(len(named))
+    assert counts[0] > 0 and counts[1] <= 2.1 * counts[0], counts
+    assert by_name[0] == by_name[1] == 2, by_name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from droidflow.flowgraph import AbstractFlowGraph, ChunkNode, FlowEdge, sort_edges
+from droidflow.flowgraph import FlowEdge, sort_edges
 from droidflow.nn import tape
 from droidflow.nn.model import (
     Hyperparams,
@@ -21,9 +21,11 @@ from droidflow.nn.model import (
 from droidflow.nn.train import train
 from droidflow.traces import SequenceMatrix
 
+from flowgraph_reference import ChunkGraph, ChunkNode
+
 
 def graph_of(nodes, edges):
-    return AbstractFlowGraph(nodes, sort_edges(edges))
+    return ChunkGraph(nodes, sort_edges(edges))
 
 
 def chunk(nid, seq, offset=0):
@@ -150,7 +152,7 @@ def test_gnn_reordered_nodes_same_output_given_states():
     init = np.random.default_rng(1).uniform(-0.1, 0.1, (3, 3))
     g1 = graph_of(nodes, edges)
     perm = [2, 0, 1]
-    g2 = AbstractFlowGraph([nodes[i] for i in perm], sort_edges(edges))
+    g2 = ChunkGraph([nodes[i] for i in perm], sort_edges(edges))
     out1 = gnn_forward(g1, p, 5, init_state=init)
     out2 = gnn_forward(g2, p, 5, init_state=init[perm])
     assert out1 == pytest.approx(out2, abs=1e-12)

@@ -234,7 +234,7 @@ def test_features_round_trip(tmp_path):
         assert matrix.rows.shape == result.matrix.rows.shape == (result.matrix.n, 100), name
         assert (matrix.rows == result.matrix.rows).all()
         graph, expected = record.graph(13), result.graph.arrays(13)
-        assert len(graph.labels) == len(result.graph.nodes)
+        assert len(graph.labels) == len(result.graph)
         for part in ("labels", "src", "dst", "edge_feat"):
             assert np.array_equal(getattr(graph, part), getattr(expected, part)), (name, part)
 
@@ -673,6 +673,34 @@ def test_evaluate_rejects_the_csv_predict_writes(tmp_path, capsys):
     assert rc == 2
     assert err == f"input error: predictions CSV {preds} has no score column\n"
     assert not out.exists()
+
+
+def test_model_that_does_not_fit_names_its_file(tmp_path, capsys):
+    features, config = _tiny_features(tmp_path)
+    model = tmp_path / "model.bin"
+    model.write_text("garbage")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--features", str(features),
+               "--out", str(tmp_path / "preds.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"input error: {model}: model header is not JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_bad_config_value_names_its_file(tmp_path, capsys):
+    features, _ = _tiny_features(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"hyperparams": {"epochs": 0}}))
+    model = tmp_path / "model.bin"
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(model),
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"input error: {config}: bad hyperparams or train config: epochs must be >= 1\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("value, message", [

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smali_reference
-from droidflow.dalvik import UnknownOpcodeError
-from droidflow.smali import SmaliSyntaxError, _split_operands, parse_smali_class
+from droidflow.dalvik import INVOKE_CODES, UnknownOpcodeError
+from droidflow.smali import (
+    _CUSTOM_CODES,
+    _INVOKE_TARGET_RE,
+    _POLYMORPHIC_CODES,
+    SmaliSyntaxError,
+    _method_reference,
+    _split_operands,
+    parse_smali_class,
+)
 
 
 def outcome(parse, text):
@@ -29,6 +37,41 @@ def assert_same(text):
 @settings(max_examples=500)
 def test_operand_split_matches_the_reference(text):
     assert _split_operands(text) == smali_reference.split_operands(text)
+
+
+def reference_pick(code, text):
+    """The invoked method as picked from the reference's operand split: the
+    last operand, the one before it for invoke-polymorphic, and the text
+    after the last "@" for invoke-custom."""
+    if code in _CUSTOM_CODES:
+        _, at, ref = text.rpartition("@")
+        ref = ref.strip() if at else ""
+    else:
+        operands = smali_reference.split_operands(text)
+        position = 2 if code in _POLYMORPHIC_CODES else 1
+        ref = operands[-position] if len(operands) >= position else ""
+    return ref if _INVOKE_TARGET_RE.search(ref) else None
+
+
+OPERAND_PARTS = ["{v0}", "{v0, v1}", "{}", "{p0 .. p3}", "{", "}", "}{", "", " ", "v0",
+                 "La;->g()V", " Lb/C;->h(ILjava/lang/String;)Z ", "[I->clone()Ljava/lang/Object;",
+                 "(I)V", "call_site_0@La;->b()V", "@", "x@La;->g()V}", '"a, {b}"']
+
+
+@st.composite
+def invoke_operands(draw):
+    """Invoke-shaped operand text: register groups, references, protos and
+    call sites joined by commas, with stray braces, "@" and empty parts."""
+    parts = draw(st.lists(st.sampled_from(OPERAND_PARTS), max_size=5))
+    text = "".join(part + draw(st.sampled_from([",", ", ", " ,"])) for part in parts)
+    return text + draw(st.sampled_from(OPERAND_PARTS))
+
+
+@given(st.sampled_from(sorted(INVOKE_CODES)),
+       st.one_of(invoke_operands(), st.text(alphabet="{}, @La;->g()V[", max_size=30)))
+@settings(max_examples=1000)
+def test_method_reference_matches_the_reference_split(code, text):
+    assert _method_reference(code, text) == reference_pick(code, text)
 
 
 REGISTER_GROUPS = ["{}", "{v0}", "{v0, v1}", "{p0, v1, v2}", "{v0 .. v5}"]
