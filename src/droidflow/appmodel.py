@@ -223,14 +223,12 @@ def _app_from_ir(data: dict) -> AppModel:
         )
         for c in data.get("components", [])
     ]
-    app = AppModel(
+    return AppModel(
         app_id=data.get("app_id", "app"),
         classes=classes,
         components=components,
         metadata=dict(data.get("metadata", {})),
     )
-    _check_links(app)
-    return app
 
 
 def _required(entry: dict, key: str, what: str):
@@ -238,14 +236,6 @@ def _required(entry: dict, key: str, what: str):
         return entry[key]
     except KeyError:
         raise MalformedIrError(f"{what} without {key!r}") from None
-
-
-def _check_links(app: AppModel):
-    """Record a diagnostic for every call of an unresolvable user-defined method."""
-    for method in app.methods_by_id.values():
-        for _, _, invoked in method.calls:
-            if app.is_user_defined(invoked.partition("->")[0]) and app.get_method(invoked) is None:
-                app.diagnostics.append(f"unresolved call {invoked} from {method.method_id}")
 
 
 def load_app(root) -> AppModel:
@@ -282,7 +272,6 @@ def load_app(root) -> AppModel:
         if not classes:
             raise EmptyAppError(f"no class parsed under {root}")
         app = AppModel(root.name, classes, components, diagnostics=diagnostics)
-        _check_links(app)
 
     meta_path = root / "meta.json"
     if meta_path.exists():

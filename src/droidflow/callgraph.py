@@ -6,7 +6,8 @@ classes registered inside reachable code contribute their callback methods as
 new entry points, and so do the receiver methods of the intents reachable
 code sends. Virtual and interface calls resolve by class hierarchy analysis:
 every defined override in the subtree of the static receiver type becomes an
-edge target.
+edge target. Both reachability questions, reaching and entries_reaching, read
+one cached condensation of the call graph into strongly connected components.
 """
 
 import re
@@ -68,15 +69,42 @@ class CallGraph:
     diagnostics: list = field(default_factory=list)
 
     @cached_property
-    def callers(self) -> dict:
-        """callee id -> set of the ids of the methods that call it; built
-        once, on first use."""
-        callers = {}
-        for caller, call_sites in self.call_sites.items():
-            for _, callees in call_sites:
-                for callee in callees:
-                    callers.setdefault(callee, set()).add(caller)
-        return callers
+    def condensation(self) -> tuple:
+        """(components, component): the call graph's strongly connected
+        components as lists of method ids, callees first, and method id ->
+        its component's index; built once, on first use, by iterative
+        Tarjan (Tarjan 1972)."""
+        edges = self.edges
+        index, low, component = {}, {}, {}
+        stack, components = [], []   # components in Tarjan's order, callees first
+        for root in self.nodes:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            frames = [(root, iter(edges[root]))]
+            while frames:
+                v, callees = frames[-1]
+                for w in callees:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        frames.append((w, iter(edges[w])))
+                        break
+                    if w not in component:   # visited and not yet condensed: on the stack
+                        low[v] = min(low[v], index[w])
+                else:
+                    frames.pop()
+                    if frames:
+                        u = frames[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        members = []
+                        while not members or members[-1] != v:
+                            members.append(stack.pop())
+                            component[members[-1]] = len(components)
+                        components.append(members)
+        return components, component
 
 
 def build_class_hierarchy(app: AppModel) -> ClassHierarchy:
@@ -162,11 +190,13 @@ def generate_call_graph(
     """One worklist fixed point over calls, callback registration and ICC, as
     in FlowDroid (Arzt et al., PLDI 2014) and IccTA (Li et al., ICSE 2015).
 
-    Only intent sends are resolved in every method, since the flow graph
-    reads each send's receivers app-wide. A method's call sites and the
-    callbacks of the listener classes it registers are resolved when the
-    worklist first reaches it, which then pushes its callees, its registered
-    callbacks and its intent receivers; the last two join the entry points.
+    One pass over every call of every method first resolves each intent
+    send's receivers, since the flow graph reads them app-wide, and reports
+    each call of a user-defined class's method that resolves to none. A
+    method's call sites and the callbacks of the listener classes it
+    registers are resolved when the worklist first reaches it, which then
+    pushes its callees, its registered callbacks and its intent receivers;
+    the last two join the entry points.
     Each distinct (invoke kind, signature) pair is resolved once per app.
     """
     callback_names = frozenset(default_callbacks() if callbacks is None else callbacks)
@@ -178,10 +208,16 @@ def generate_call_graph(
     ]
 
     names, sends, intent_sends = {}, {}, {}   # names: invoked signature -> method name
+    unresolved = set()   # called signatures of user-defined classes that name no method
     for mid, method in app.methods_by_id.items():
         for idx, offset, invoked in method.calls:
             if invoked not in names:
                 names[invoked] = invoked_name(invoked)
+                if (app.is_user_defined(invoked.partition("->")[0])
+                        and app.get_method(invoked) is None):
+                    unresolved.add(invoked)
+            if invoked in unresolved:
+                diagnostics.append(f"unresolved call {invoked} from {mid}")
             if names[invoked] in senders:
                 receivers = []
                 for comp in resolve_intent_targets(app, method, idx, senders):
@@ -251,56 +287,25 @@ def generate_call_graph(
 
 
 def reaching(cg: CallGraph, targets) -> set:
-    """Methods with a call path (possibly empty) to one of targets."""
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        for caller in cg.callers.get(stack.pop(), ()):
-            if caller not in seen:
-                seen.add(caller)
-                stack.append(caller)
-    return seen
+    """Targets plus the methods with a call path to one of them: one pass
+    over the condensation, callees first, where a component is live when it
+    holds a target or calls a live one."""
+    edges, live = cg.edges, set(targets)
+    for members in cg.condensation[0]:
+        if any(v in live or not live.isdisjoint(edges[v]) for v in members):
+            live.update(members)
+    return live
 
 
 def entries_reaching(cg: CallGraph) -> dict:
     """Method id -> the entry points with a call path (possibly empty) to it,
     as a bitset of positions in cg.entry_points, for every method of cg.
 
-    One pass, as transitive closure by SCC condensation (Nuutila 1994):
-    iterative Tarjan condenses the call graph's strongly connected
-    components, then each component's bitset flows to its callees' in
-    topological order, O(V + E) bitset operations in all."""
+    Transitive closure by SCC condensation (Nuutila 1994): each component's
+    bitset flows to its callees' in topological order, O(V + E) bitset
+    operations in all."""
     edges = cg.edges
-    index, low, component = {}, {}, {}
-    stack, components = [], []   # components in Tarjan's order, callees first
-    for root in cg.nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        frames = [(root, iter(edges[root]))]
-        while frames:
-            v, callees = frames[-1]
-            for w in callees:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    frames.append((w, iter(edges[w])))
-                    break
-                if w not in component:   # visited and not yet condensed: on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        component[members[-1]] = len(components)
-                    components.append(members)
-
+    components, component = cg.condensation
     bits = [0] * len(components)
     for e, entry in enumerate(cg.entry_points):
         bits[component[entry]] |= 1 << e

@@ -17,6 +17,7 @@ All commands are deterministic given the same inputs and seed.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -201,6 +202,9 @@ def _read_predictions(path):
             score, label = float(parts[s_col]), int(parts[l_col])
         except ValueError as exc:
             raise ConfigError(f"predictions CSV {path} line {number}: {exc}") from None
+        if label not in (0, 1) or not math.isfinite(score):
+            raise ConfigError(f"predictions CSV {path} line {number}: "
+                              "the label must be 0 or 1 and the score finite")
         scores.append(score)
         labels.append(label)
     return scores, labels

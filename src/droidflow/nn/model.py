@@ -68,11 +68,6 @@ class Hyperparams:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
 
-    def replace(self, **kw) -> "Hyperparams":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class TrainConfig:

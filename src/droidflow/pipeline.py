@@ -299,13 +299,15 @@ def load_features(features_dir) -> list:
                 raise FormatError(f"{traces_path} line {number}: {exc}") from None
             if seq:
                 raw.append(seq)
-        label = report.get("label")
+        label, timestamp = report.get("label"), report.get("timestamp")
+        if not all(v is None or isinstance(v, str) for v in (label, timestamp)):
+            raise FormatError(f"{report_path}: label and timestamp must be strings or null")
         records.append(
             FeatureRecord(
                 app_id=report["app_id"],
                 path=app_dir,
                 label={"benign": 0, "malicious": 1}.get(label),
-                timestamp=report.get("timestamp"),
+                timestamp=timestamp,
                 raw_sequences=raw,
             )
         )

@@ -7,7 +7,7 @@ hyperparameter at a time with every other knob held at its current best.
 """
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -143,13 +143,13 @@ def grid_search(train, val, evaluate, space=None, defaults: Hyperparams = Hyperp
     for factor in (f for f in SWEEP_ORDER if f in space):
         factor_points = []
         for value in space[factor]:
-            hp = current.replace(**{factor: value})
+            hp = replace(current, **{factor: value})
             report = evaluate(hp, train_sub, val_sub)
             point = GridPoint(hp, report)
             points.append(point)
             factor_points.append(point)
         winner = max(factor_points, key=lambda p: p.report.f1)
-        current = current.replace(**{factor: getattr(winner.hyper, factor)})
+        current = replace(current, **{factor: getattr(winner.hyper, factor)})
 
     best = max(points, key=lambda p: p.report.f1)
     return GridSearchResult(points, best, current)

@@ -5,7 +5,7 @@ ChunkGraph is the flow graph as droidflow built it before chunks became
 per-method columns: one ChunkNode, with a copy of its opcodes, per chunk.
 chunk_methods, build_edges and serialize_graph below are that build: the
 `is` edges walk the callers of each intent-sending method once per method
-(callgraph.reaching), chunk lookups scan a method's chunks in order, a
+(reaching below), chunk lookups scan a method's chunks in order, a
 component's onActivityResult and onNewIntent are looked up once per send,
 and each nodes.csv line is formatted from its node. Tests compare
 droidflow.flowgraph's column build with it byte for byte. chunk_nodes turns
@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from droidflow.callgraph import reaching
 from droidflow.dalvik import WIDTH_TABLE, normalize
 from droidflow.flowgraph import (
     _TYPE_INDEX,
@@ -132,6 +131,31 @@ def chunk_methods(app, intent_senders=None):
     return chunks
 
 
+def callers_index(cg) -> dict:
+    """callee id -> set of the ids of the methods that call it."""
+    callers = {}
+    for caller, call_sites in cg.call_sites.items():
+        for _, callees in call_sites:
+            for callee in callees:
+                callers.setdefault(callee, set()).add(caller)
+    return callers
+
+
+def reaching(cg, targets, callers=None) -> set:
+    """Targets plus the methods with a call path to one of them: a reverse
+    walk over the callers index, as droidflow's callgraph.reaching was
+    before it read the call graph's condensation."""
+    callers = callers_index(cg) if callers is None else callers
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for caller in callers.get(stack.pop(), ()):
+            if caller not in seen:
+                seen.add(caller)
+                stack.append(caller)
+    return seen
+
+
 def build_edges(chunks, cg, traces, components):
     """Construct all typed edges over the chunk nodes (forward plus mirrors)."""
     app = cg.app
@@ -163,9 +187,9 @@ def build_edges(chunks, cg, traces, components):
         sends_by_method.setdefault(c.method, []).append(c)
 
     # is: from each entry point to the sends of every method it reaches
-    entries = set(cg.entry_points)
+    entries, callers = set(cg.entry_points), callers_index(cg)
     for method_id, sends in sends_by_method.items():
-        for entry in entries & reaching(cg, {method_id}):
+        for entry in entries & reaching(cg, {method_id}, callers):
             src = first_chunk.get(entry)
             if src is None:
                 continue

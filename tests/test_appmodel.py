@@ -223,27 +223,6 @@ def test_ir_invoked_method_is_given_on_invokes_only(instruction):
         app_from_ir(ir)
 
 
-def test_unresolved_user_call_diagnosed():
-    ir = {
-        "app_id": "x",
-        "classes": [
-            {
-                "name": "La;",
-                "methods": [
-                    {"name": "f", "descriptor": "()V", "body": [
-                        {"mnemonic": "invoke-static", "operands": ["{}", "La;->missing()V"],
-                         "invoked_method": "La;->missing()V"},
-                        {"mnemonic": "return-void"},
-                    ]}
-                ],
-            }
-        ],
-        "components": [],
-    }
-    app = app_from_ir(ir)
-    assert any("missing" in d for d in app.diagnostics)
-
-
 def test_method_lookup_walks_superclasses():
     ir = {
         "classes": [

@@ -25,6 +25,7 @@ from droidflow.tables import default_callbacks, default_intent_senders, default_
 from droidflow.traces import find_call_traces
 
 from appbuild import build_app, cls, component, ins, invoke, method, rows
+from flowgraph_reference import reaching as reverse_walk
 from synthcorpus import generate_corpus
 
 OBJ = "Ljava/lang/Object;"
@@ -603,8 +604,8 @@ def test_determinism():
 
 def test_each_call_signature_is_walked_once_per_app(tmp_path, monkeypatch):
     """Loading and extracting an app walks the superclasses of each distinct
-    call signature at most once: the link check, every invoke kind of the
-    call graph and the trace walk all resolve through AppModel.get_method."""
+    call signature at most once: the call graph's link check and every
+    invoke kind, and the trace walk, all resolve through AppModel.get_method."""
     import json
 
     from droidflow.appmodel import AppModel, load_app
@@ -785,6 +786,9 @@ def _eager_call_graph(app, lifecycle=None, callbacks=None, intent_senders=None):
         body = m.body
         sites, callees = [], {}
         for idx, offset, invoked in m.calls:
+            owner = _sig_parts(invoked)[0]
+            if owner in app.classes and app.lookup_method(*_sig_parts(invoked)) is None:
+                diagnostics.append(f"unresolved call {invoked} from {mid}")
             targets = resolve(CODE_TO_MNEMONIC[body[idx]], invoked)
             if targets:
                 sites.append((offset, targets))
@@ -848,8 +852,64 @@ def _fields(cg):
         "intent_sends order": list(cg.intent_sends), "edges order": list(cg.edges)}
 
 
+def _unresolved_calls_app():
+    """Calls of methods a user-defined class does not define, from reached
+    and unreached methods, among calls that resolve and platform calls."""
+    return build_app(
+        [
+            cls("Lx/Main;", [
+                method("onCreate", "()V", [
+                    invoke("static", "Lx/Main;->missing()V"),
+                    invoke("direct", "Lx/Main;->g()V"),
+                    invoke("virtual", "Lx/Helper;->absent(I)V"),
+                    invoke("static", "Lx/Gone;->f()V"),
+                    invoke("virtual", SMS),
+                    ins("return-void"),
+                ]),
+                method("g", "()V", [invoke("static", "Lx/Main;->missing()V"), ins("return-void")]),
+                method("never", "()V", [
+                    invoke("virtual", "Lx/Helper;->absent(I)V"),
+                    invoke("super", "Lx/Main;->onStart()V"),
+                    invoke("static", "Lx/Main;->missing()V"),
+                    ins("return-void"),
+                ]),
+            ], superclass=ACT),
+            cls("Lx/Helper;", [method("present", "()V", [ins("return-void")])]),
+        ],
+        [component("Lx/Main;")],
+    )
+
+
+UNRESOLVED_DIAGNOSTICS = [
+    "unresolved call Lx/Main;->missing()V from Lx/Main;->g()V",
+    "unresolved call Lx/Helper;->absent(I)V from Lx/Main;->never()V",
+    "unresolved call Lx/Main;->onStart()V from Lx/Main;->never()V",
+    "unresolved call Lx/Main;->missing()V from Lx/Main;->never()V",
+    "unresolved call Lx/Main;->missing()V from Lx/Main;->onCreate()V",
+    "unresolved call Lx/Helper;->absent(I)V from Lx/Main;->onCreate()V",
+]
+
+
+def test_unresolved_user_calls_are_diagnosed_by_the_call_graph_and_the_report():
+    """Each call of a user-defined class's method that resolves to none is
+    one call-graph diagnostic, in method id and call order, whether the
+    method is reached or not; a call into a class the app does not define
+    is none. Loading leaves them out of the app's own diagnostics, and
+    report.json lists them."""
+    from droidflow.pipeline import PipelineConfig, extract_app
+
+    app = _unresolved_calls_app()
+    assert app.diagnostics == []
+    cg = build_call_graph(app)
+    assert "Lx/Main;->never()V" not in cg.nodes
+    assert cg.diagnostics == UNRESOLVED_DIAGNOSTICS
+    report = extract_app(_unresolved_calls_app(), CriticalApiSet.of([SMS]), PipelineConfig()).report
+    assert report["diagnostics"] == sorted(UNRESOLVED_DIAGNOSTICS)
+
+
 def test_lazy_resolution_builds_the_eager_call_graph():
     apps = [fx() for fx in ALL_FIXTURES] + [app_from_ir(ir) for ir in generate_corpus(8, seed=13)]
+    apps.append(_unresolved_calls_app())
     for app in apps:
         assert _fields(build_call_graph(app)) == _fields(_eager_call_graph(app)), app.app_id
         for tables in ({"lifecycle": START_ONLY}, {"callbacks": ()},
@@ -919,4 +979,11 @@ def test_entries_reaching_matches_one_reverse_walk_per_method(cg):
         bits = reach[mid]
         found = {e for i, e in enumerate(cg.entry_points) if bits >> i & 1}
         assert bits < 1 << len(cg.entry_points)
-        assert found == set(cg.entry_points) & reaching(cg, {mid}), mid
+        assert found == set(cg.entry_points) & reverse_walk(cg, {mid}), mid
+
+
+@given(call_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_reaching_matches_the_reverse_walk(cg, data):
+    targets = data.draw(st.sets(st.sampled_from(cg.nodes)))
+    assert reaching(cg, targets) == reverse_walk(cg, targets)

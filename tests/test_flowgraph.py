@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from droidflow import flowgraph
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import MethodDef, app_from_ir, load_app
-from droidflow.callgraph import build_call_graph
+from droidflow.callgraph import CallGraph, build_call_graph
 from droidflow.flowgraph import (
     EDGE_TYPE_ORDER,
     EXIT,
@@ -225,24 +226,26 @@ def test_unconnected_method_gets_zero_nb_edges():
     assert graph.edges == []
 
 
-def test_callers_index_is_built_once_per_call_graph():
-    # trace search asks once which methods reach its call sites; the is edges
-    # of both intent-sending methods read the call graph's own edges instead
-    for name, builds in (("critical", 1), ("intent_self_loop", 0)):
+def test_one_condensation_per_call_graph(monkeypatch):
+    """The trace search and the is edges read one condensation of the call
+    graph: Tarjan runs once per call graph, whichever reader asks first."""
+    condense = CallGraph.condensation.func
+    runs = []
+    counting = cached_property(lambda cg: runs.append(cg) or condense(cg))
+    counting.__set_name__(CallGraph, "condensation")
+    monkeypatch.setattr(CallGraph, "condensation", counting)
+    for name, trace_count in (("critical", 1), ("intent_self_loop", 0)):
         app = load_app(FIXTURES / name)
         cg = build_call_graph(app)
-        scans = []
-
-        class CountingSites(dict):
-            def items(self):
-                scans.append(1)
-                return super().items()
-
-        cg.call_sites = CountingSites(cg.call_sites)
+        runs.clear()
         traces = find_call_traces(cg, CRITICAL)
-        assert len(traces) == builds
+        assert len(traces) == trace_count and runs == [cg], name
         graph, _ = build_flow_graph(app, cg, traces)
-        assert graph.edges and len(scans) == builds, name
+        assert graph.edges and runs == [cg], name
+    # the is edges read it too: a call graph the trace search never saw
+    fresh = build_call_graph(app)
+    build_flow_graph(app, fresh, [])
+    assert runs == [cg, fresh]
 
 
 def test_flow_graph_closes_chunks_at_the_call_graphs_senders():
@@ -670,7 +673,6 @@ def test_intent_send_edges_take_one_reachability_pass(monkeypatch):
         cg = build_call_graph(app)
         lookups, named = [], []
         cg.edges = _CountingMap(cg.edges, lookups)
-        cg.__dict__["callers"] = _CountingMap(cg.callers, lookups)
         with monkeypatch.context() as patched:
             patched.setattr(AppModel, "lookup_method",
                             lambda self, *args: named.append(args) or lookup(self, *args))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ def test_train_loss_decreases():
 
 def test_train_zero_learning_rate_keeps_params():
     data = toy_dataset()
-    result = train(data, TOY_HP.replace(epochs=2), TrainConfig(learning_rate=0.0, seed=3),
+    result = train(data, replace(TOY_HP, epochs=2), TrainConfig(learning_rate=0.0, seed=3),
                    state_dim=4)
     fresh = init_model(TOY_HP, seed=(3, 0x11), state_dim=4)
     for (n1, a1), (n2, a2) in zip(result.params.weights.items(), fresh.weights.items()):
@@ -347,8 +348,8 @@ def test_train_zero_learning_rate_keeps_params():
 
 def test_train_deterministic():
     data = toy_dataset()
-    r1 = train(data, TOY_HP.replace(epochs=3), TrainConfig(seed=9), state_dim=4)
-    r2 = train(data, TOY_HP.replace(epochs=3), TrainConfig(seed=9), state_dim=4)
+    r1 = train(data, replace(TOY_HP, epochs=3), TrainConfig(seed=9), state_dim=4)
+    r2 = train(data, replace(TOY_HP, epochs=3), TrainConfig(seed=9), state_dim=4)
     for (n1, a1), (n2, a2) in zip(r1.params.weights.items(), r2.params.weights.items()):
         assert n1 == n2 and np.array_equal(a1, a2)
     assert r1.epoch_losses == r2.epoch_losses
@@ -358,7 +359,7 @@ def test_train_deterministic():
 
 def test_model_save_load_round_trip(tmp_path):
     data = toy_dataset()
-    result = train(data, TOY_HP.replace(epochs=1), TrainConfig(seed=4), state_dim=4)
+    result = train(data, replace(TOY_HP, epochs=1), TrainConfig(seed=4), state_dim=4)
     path = tmp_path / "model.json"
     save_model(result.params, path)
     loaded = load_model(path)

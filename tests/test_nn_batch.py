@@ -6,6 +6,7 @@ fused graph-branch nodes against the composed ops and the in-place Adam
 step against the textbook one, bit for bit."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -232,7 +233,7 @@ def test_training_memory_stays_within_the_row_cap():
         dataset = [app + (k % 2,) for k in range(n_apps)]
         tracemalloc.start()
         try:
-            train(dataset, hp.replace(batch_size=n_apps), TrainConfig(seed=5),
+            train(dataset, replace(hp, batch_size=n_apps), TrainConfig(seed=5),
                   state_dim=4, embed_dim=8)
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:

@@ -452,7 +452,12 @@ def test_negative_train_seed_flag_is_a_usage_error(tmp_path, capsys):
     ("app_id,score,label\na,0.9,1\nb,0.2\n", "line 3 has 2 columns, its header 3"),
     ("app_id,score,label\na,0.9,yes\n", "line 2: invalid literal for int()"),
     ("app_id,score,label\na,high,1\nb,0.2,0\n", "line 2: could not convert string to float"),
-], ids=["empty", "short_row", "label_not_int", "score_not_float"])
+    ("app_id,score,label\na,0.9,2\nb,0.1,0\nc,0.8,1\n",
+     "line 2: the label must be 0 or 1 and the score finite"),
+    ("app_id,score,label\na,0.9,1\nb,nan,0\n", "line 3: the label must be 0 or 1"),
+    ("app_id,score,label\na,-inf,1\nb,0.2,0\n", "line 2: the label must be 0 or 1"),
+], ids=["empty", "short_row", "label_not_int", "score_not_float", "label_not_binary",
+        "score_nan", "score_infinite"])
 def test_malformed_predictions_csv_is_an_input_error(tmp_path, capsys, text, message):
     preds = tmp_path / "preds.csv"
     preds.write_text(text)
@@ -655,6 +660,33 @@ def _tiny_features(tmp_path):
     assert main(["extract", "--apps", str(apps_root), "--out", str(features),
                  "--config", str(config)]) == 0
     return features, config
+
+
+@pytest.mark.parametrize("command, meta", [
+    ("train", {"label": ["malicious"]}),
+    ("tune", {"label": "benign", "timestamp": 2017}),
+], ids=["label_list", "timestamp_int"])
+def test_report_label_or_timestamp_of_the_wrong_type_is_an_input_error(
+        tmp_path, capsys, command, meta):
+    """report.json copies label and timestamp from meta.json as they are; a
+    value that is neither a string nor null fails load_features, naming the
+    report, before train or tune reads it."""
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus(generate_corpus(6, seed=88), apps_root)
+    app_dir = sorted(apps_root.iterdir())[0]
+    (app_dir / "meta.json").write_text(json.dumps(meta))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([command, "--features", str(features), "--out", str(out), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    report = features / app_dir.name / "report.json"
+    assert err == f"input error: {report}: label and timestamp must be strings or null\n"
+    assert not out.exists()
 
 
 def test_evaluate_rejects_the_csv_predict_writes(tmp_path, capsys):
