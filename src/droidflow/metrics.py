@@ -6,12 +6,17 @@ on the report instead of raising, so batch evaluation never aborts.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .tables import InputError
 
 
 class LengthMismatchError(InputError):
+    pass
+
+
+class NonFiniteScoreError(InputError):
     pass
 
 
@@ -93,7 +98,10 @@ def compute_metrics(scores, labels, threshold: float = 0.5):
     """(Confusion, MetricReport) at the given decision threshold.
 
     Curve areas are included when both classes are present; otherwise they
-    are flagged-0."""
+    are flagged-0. A score that is not finite, as from a model whose weights
+    went NaN, is a NonFiniteScoreError."""
+    if not all(math.isfinite(s) for s in scores):
+        raise NonFiniteScoreError("a score is NaN or infinite: the model's outputs are unusable")
     c = confusion_counts(scores, labels, threshold)
     flags = []
     if c.tp + c.fn == 0 or c.tn + c.fp == 0:
@@ -118,13 +126,12 @@ def _curve_points(scores, labels):
     tp = fp = 0
     i = 0
     while i < len(order):
-        j = i
+        j = i + 1       # past i even when its score, NaN, equals none
         while j < len(order) and scores[order[j]] == scores[order[i]]:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
             j += 1
+        positives = sum(labels[k] == 1 for k in order[i:j])
+        tp += positives
+        fp += j - i - positives
         points.append((tp, fp))
         i = j
     return points, n_pos, n_neg

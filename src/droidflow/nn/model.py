@@ -36,7 +36,7 @@ FUSED_CLASSES = 2
 # apps into batches within it and training splits a mini-batch over it. The
 # fused LSTM op keeps its gate buffer and states for every row at once: at 256
 # units with 100-opcode rows and two layers, a training step peaks at about
-# 4 MB per row and scoring at about 0.9 MB.
+# 4.1 MB per row and scoring at about 0.93 MB (tracemalloc).
 BATCH_ROW_UNITS = 64 * 256
 
 
@@ -146,8 +146,9 @@ def _assemble(hp: Hyperparams, state_dim: int, embed_dim: int, uniform, zeros) -
 def gnn_batch_var(graphs, init_states, pv: dict, iterations: int) -> Var:
     """(B, state_dim) graph vectors for a batch of GraphArrays, run as one
     disjoint union with node positions offset per graph, over `iterations`
-    unrolled steps. init_states[k] holds graph k's initial node states,
-    (n_k, state_dim). Graphs without nodes map to zero vectors."""
+    unrolled steps. init_states[k] holds graph k's initial node states, of
+    the rows that are read, as draw_init_states gives them. Graphs without
+    nodes map to zero vectors."""
     sizes = [len(g.labels) for g in graphs]
     total = sum(sizes)
     if total == 0:
@@ -165,7 +166,8 @@ def gnn_batch_var(graphs, init_states, pv: dict, iterations: int) -> Var:
             dst = np.concatenate([g.dst + off for g, off in zip(graphs, offsets)])
             edge_feat = np.concatenate([g.edge_feat for g in graphs])
             receivers, h_recv = _message_updates(h, base, src, dst, edge_feat,
-                                                 np.concatenate(init_states)[src], pv, iterations)
+                                                 np.concatenate(init_states), pv, iterations)
+        base.value = None   # read by no backward closure: tanh keeps its own output
     graph_index = np.repeat(np.arange(len(graphs)), sizes)
     return tape.tanh(tape.gated_readout(h, receivers, h_recv, pv["gnn.gate_w"],
                                         pv["gnn.gate_b"], graph_index, len(graphs)))
@@ -211,15 +213,8 @@ def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
     tokens = np.concatenate([m.rows for m in matrices])
     x = pv["lstm.embedding"]
     for li in range(layers):
-        x = tape.concat(
-            [
-                tape.lstm(x, pv[f"lstm.l{li}.{d}.wx"], pv[f"lstm.l{li}.{d}.wh"],
-                          pv[f"lstm.l{li}.{d}.b"], reverse=d == "bwd",
-                          tokens=tokens if li == 0 else None)
-                for d in ("fwd", "bwd")
-            ],
-            axis=2,
-        )
+        fwd, bwd = ([pv[f"lstm.l{li}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+        x = tape.bilstm(x, fwd, bwd, tokens=tokens if li == 0 else None)
     pooled = tape.scale(tape.sum_axis(x, axis=0, keepdims=False), 1.0 / tokens.shape[1])
     h3 = tape.affine(pooled, pv["lstm.out3_w"], pv["lstm.out3_b"])
     h4 = tape.affine(h3, pv["lstm.out4_w"], pv["lstm.out4_b"])
@@ -232,14 +227,25 @@ def logits_var(hg: Var, hb: Var, pv: dict) -> Var:
     return tape.affine(fused, pv["fusion.w"], pv["fusion.b"])
 
 
-def draw_init_states(graphs, init_seeds, state_dim: int) -> list:
-    """Initial node states, one (n_k, state_dim) array per graph: uniform in
-    [-0.1, 0.1] from default_rng(init_seeds[k]), one row per node in list
-    order."""
-    return [
-        np.random.default_rng(seed).uniform(-0.1, 0.1, (len(g.labels), state_dim))
-        for g, seed in zip(graphs, init_seeds)
-    ]
+def draw_init_states(graphs, init_seeds, state_dim: int, iterations: int) -> list:
+    """Initial node states, one array per graph, of the rows gnn_batch_var
+    reads: every node's when iterations < 2, else each edge source's, in edge
+    order. Each is its row of default_rng(init_seeds[k]).uniform(-0.1, 0.1,
+    (n_k, state_dim)): a value takes one 64-bit step of the PCG64 stream, so
+    the stream is advanced over the rows that are not read, and each run of
+    consecutive rows is drawn in one call."""
+    out = []
+    for g, seed in zip(graphs, init_seeds):
+        read = np.arange(len(g.labels)) if iterations < 2 else g.src
+        rows, where = np.unique(read, return_inverse=True)
+        rng, drawn, at = np.random.default_rng(seed), np.empty((len(rows), state_dim)), 0
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist() + [len(rows)]
+        for lo, hi in zip(starts, starts[1:]):
+            rng.bit_generator.advance((int(rows[lo]) - at) * state_dim)
+            drawn[lo:hi] = rng.uniform(-0.1, 0.1, (hi - lo, state_dim))
+            at = int(rows[hi - 1]) + 1   # rows of the stream spent
+        out.append(drawn if iterations < 2 else drawn[where])
+    return out
 
 
 def forward_var(model: ModelParams, pv: dict, graphs, matrices, init_states) -> Var:
@@ -303,7 +309,8 @@ def probabilities(pairs, model: ModelParams, seed=0) -> np.ndarray:
     graphs = [graph.arrays(model.hyper.label_dim) for graph, _ in pairs]
     matrices = [_checked(matrix, model.hyper.seq_len) for _, matrix in pairs]
     pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
-    init_states = draw_init_states(graphs, [seed] * len(graphs), model.state_dim)
+    init_states = draw_init_states(graphs, [seed] * len(graphs), model.state_dim,
+                                   model.hyper.iterations)
     logits = forward_var(model, pv, graphs, matrices, init_states)
     return np.exp(tape.log_softmax(logits).value)
 

@@ -102,16 +102,6 @@ def add(a: Var, b: Var) -> Var:
     )
 
 
-def sub(a: Var, b: Var) -> Var:
-    return Var(
-        a.value - b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g, b.value.shape)),
-        ),
-    )
-
-
 def mul(a: Var, b: Var) -> Var:
     return Var(
         a.value * b.value,
@@ -159,11 +149,21 @@ def bmm_vec(a: Var, x: Var) -> Var:
 
 def tanh(a: Var) -> Var:
     y = np.tanh(a.value)
-    return Var(y, ((a, lambda g: g * (1.0 - y * y)),))
+
+    def fn(g):
+        d = y * y           # g * (1 - y * y), in one buffer
+        return np.multiply(np.subtract(1.0, d, out=d), g, out=d)
+
+    return Var(y, ((a, fn),))
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x, out=None):
+    """0.5 * (1 + tanh(0.5 * x)), written into out (which may be x) if given."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def sigmoid(a: Var) -> Var:
@@ -194,15 +194,6 @@ def concat(vs, axis=0) -> Var:
     return Var(out, tuple(parents), dtype=out.dtype)
 
 
-def slice_cols(a: Var, start: int, stop: int) -> Var:
-    def fn(g):
-        out = np.zeros_like(a.value)
-        out[:, start:stop] = g
-        return out
-
-    return Var(a.value[:, start:stop], ((a, fn),))
-
-
 def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
     def fn(g):
         if not keepdims:
@@ -225,20 +216,23 @@ def _add_rows(idx, rows, n):
     width = int(np.prod(rows.shape[1:]))
     flat_rows = rows.reshape(len(idx), width)
     step = max(1, _ADD_ROWS_CELLS // max(1, len(idx)))
-    out = np.empty((n, width))
+    out = None if 0 < width <= step else np.empty((n, width))   # one block is its own
     for lo in range(0, width, step):
         cols = flat_rows[:, lo : lo + step]
         w = cols.shape[1]
         if lo == 0 or w < step:   # blocks of one width share their bins
             bins = (idx[:, None] * w + np.arange(w)).reshape(-1)
-        out[:, lo : lo + w] = np.bincount(bins, weights=cols.reshape(-1),
-                                          minlength=n * w).reshape(n, w)
+        sums = np.bincount(bins, weights=cols.reshape(-1), minlength=n * w).reshape(n, w)
+        if out is None:
+            out = sums.astype(np.float64, copy=False)   # int64 when idx is empty
+        else:
+            out[:, lo : lo + w] = sums
     return out.reshape((n,) + rows.shape[1:])
 
 
 def gather_rows(table: Var, idx) -> Var:
-    idx = np.asarray(idx)
-    return Var(table.value[idx], ((table, lambda g: _add_rows(idx, g, len(table.value))),))
+    idx, n = np.asarray(idx), len(table.value)   # backward reads no value of table
+    return Var(table.value[idx], ((table, lambda g: _add_rows(idx, g, n)),))
 
 
 def segment_sum(x: Var, seg, num_segments: int) -> Var:
@@ -249,51 +243,60 @@ def segment_sum(x: Var, seg, num_segments: int) -> Var:
 def gated_readout(states: Var, rows, row_states, w: Var, b: Var, seg, num_segments: int) -> Var:
     """The gated graph readout segment_sum(mul(sigmoid(affine(h, w, b)), h),
     seg, num_segments) as one node, h being states with rows `rows` replaced
-    by row_states (None when rows is empty). It keeps h and the gate only.
-    Its backward pass computes the gradients of h and of the gate's
-    pre-activation once, in place, with the composed ops' arithmetic, so
-    each gradient it returns is theirs bit for bit."""
+    by row_states (None when rows is empty). It keeps no node-sized array:
+    while it runs, states' own value holds h, whose rows it puts back, and
+    its backward pass computes the gate again, then the gradients of h and
+    of the gate's pre-activation once, in place, with the composed ops'
+    arithmetic, so each gradient it returns is theirs bit for bit."""
     rows = np.asarray(rows, dtype=np.intp)
-    h = states.value
-    if len(rows):
-        h = h.copy()
-        h[rows] = row_states.value
-    gate = _sigmoid(h @ w.value + b.value)
-    shared = []
+    own_rows, shared = states.value[rows], []
 
-    def grads(g):
-        """(d states, d row_states, d pre-activation), computed once."""
+    def with_h(fn):
+        """fn(h, gate), called while states.value holds h."""
+        h = states.value
+        h[rows] = row_states.value if len(rows) else own_rows
+        try:
+            gate = h @ w.value
+            gate += b.value
+            return fn(h, _sigmoid(gate, out=gate))
+        finally:
+            h[rows] = own_rows
+
+    def backward(h, gate, g):
+        dh = g[seg]
+        da = dh * h             # mul, to the gate
+        da *= gate              # sigmoid: g * y * (1 - y)
+        dh *= gate              # mul, to h
+        da *= np.subtract(1.0, gate, out=gate)
+        dh += np.matmul(da, w.value.T, out=gate)   # affine, to h; gate is spent
+        d_rows = dh[rows]
+        dh[rows] = 0.0
+        return dh, d_rows, da.sum(axis=0), h.T @ da
+
+    def grads(g, k):
+        """Gradient k of (states, row_states, b, w), all computed once."""
         if not shared:
-            dh = g[seg]
-            da = dh * h             # mul, to the gate
-            da *= gate              # sigmoid: g * y * (1 - y)
-            dh *= gate              # mul, to h
-            np.subtract(1.0, gate, out=gate)
-            da *= gate
-            dh += np.matmul(da, w.value.T, out=gate)   # affine, to h; gate is spent
-            d_rows = dh[rows]
-            dh[rows] = 0.0
-            shared.append((dh, d_rows, da))
-        return shared[0]
+            shared.append(with_h(lambda h, gate: backward(h, gate, g)))
+        return shared[0][k]
 
-    parents = (
-        (states, lambda g: grads(g)[0]),
-        (w, lambda g: h.T @ grads(g)[2]),
-        (b, lambda g: grads(g)[2].sum(axis=0)),
-    )
+    parents = ((states, lambda g: grads(g, 0)), (w, lambda g: grads(g, 3)),
+               (b, lambda g: grads(g, 2)))
     if row_states is not None:
-        parents += ((row_states, lambda g: grads(g)[1]),)
-    return Var(_add_rows(seg, gate * h, num_segments), parents)
+        parents += ((row_states, lambda g: grads(g, 1)),)
+    return Var(with_h(lambda h, gate: _add_rows(seg, np.multiply(gate, h, out=gate),
+                                                num_segments)), parents)
 
 
-def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -> Var:
+def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
+         out=None) -> Var:
     """One direction of an LSTM layer over a batch of rows, as one tape node.
 
     Time-major: x is (T, N, d), or, when tokens (N, T) are given, a lookup
     table (V, d) whose rows the tokens pick; the table is projected through
     wx once (V x 4u) and the projection gathered per token, so the (T*N, d)
     input is never built. Gates are packed i, f, g, o in wx, wh and b.
-    Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE.
+    Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE,
+    written into out (a (T, N, u) LSTM_DTYPE array or view) when given.
 
     The forward loop runs in plain numpy and keeps one (T, N, 4u) buffer of
     gate activations plus the states C and H. The backward pass overwrites
@@ -314,7 +317,7 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
         steps, n = tokens.shape
         z = (x.value @ wx.value).astype(dt, copy=False)[tokens]
     z += b.value.astype(dt, copy=False)
-    hs = np.empty((steps, n, units), dt)
+    hs = np.empty((steps, n, units), dt) if out is None else out
     cs = np.empty((steps, n, units), dt)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = np.zeros((n, units), dt)
@@ -393,6 +396,18 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None) -
     return Var(hs, parents + ((wh, d_wh), b_grad), dtype=dt)
 
 
+def bilstm(x: Var, fwd, bwd, tokens=None) -> Var:
+    """A bidirectional LSTM layer, (T, N, 2u): the lstm nodes of the two
+    directions, fwd and bwd being each one's (wx, wh, b), write their H into
+    the halves of the one buffer this node holds, not a concatenated copy."""
+    steps, n = np.shape(tokens)[::-1] if tokens is not None else x.value.shape[:2]
+    u = fwd[1].value.shape[0]
+    out = np.empty((steps, n, 2 * u), LSTM_DTYPE)
+    f = lstm(x, *fwd, tokens=tokens, out=out[:, :, :u])
+    r = lstm(x, *bwd, reverse=True, tokens=tokens, out=out[:, :, u:])
+    return Var(out, ((f, lambda g: g[:, :, :u]), (r, lambda g: g[:, :, u:])), dtype=out.dtype)
+
+
 def log_softmax(a: Var) -> Var:
     z = a.value - a.value.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -401,16 +416,3 @@ def log_softmax(a: Var) -> Var:
         return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
 
     return Var(logp, ((a, fn),))
-
-
-def pick(a: Var, row: int, col: int) -> Var:
-    def fn(g):
-        out = np.zeros_like(a.value)
-        out[row, col] = g.reshape(())
-        return out
-
-    return Var(a.value[row, col].reshape(()), ((a, fn),))
-
-
-def neg(a: Var) -> Var:
-    return scale(a, -1.0)

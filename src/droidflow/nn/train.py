@@ -122,10 +122,10 @@ def _batch_step(model, graphs, matrices, labels, init_seeds):
     runs on one tape, or, past the row cap, on one tape per part that
     capped_batches cuts, whose mean loss is weighted by its share of the
     batch and whose gradients are summed."""
-    # Kept bound until the step ends, as the tape is: freed between the
-    # forward and backward passes, the states leave heap gaps that malloc
-    # trims, and training on large apps took 2.4 times the page faults.
-    init_states = draw_init_states(graphs, init_seeds, model.state_dim)
+    # Drawn once per step, and only the rows the graph branch reads: a few
+    # hundred on large apps, where every node's state took 4.4 MB, so
+    # holding them for the whole step leaves malloc no gap worth trimming.
+    init_states = draw_init_states(graphs, init_seeds, model.state_dim, model.hyper.iterations)
     losses, grads = [], {}
     for part in capped_batches(range(len(graphs)), lambda k: matrices[k].n,
                                model.hyper.lstm_units):

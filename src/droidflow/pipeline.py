@@ -263,10 +263,6 @@ class FeatureRecord:
     timestamp: str | None
     raw_sequences: list
 
-    @property
-    def metadata(self) -> dict:
-        return {"label": self.label, "timestamp": self.timestamp}
-
     def graph(self, label_dim: int) -> GraphArrays:
         return deserialize_graph(self.path, label_dim)
 

@@ -28,28 +28,19 @@ SPLIT_RATIOS = (8, 1, 1)        # train : val : test
 SUBSET_FRACTION = 1 / 8
 
 
-def _metadata(item):
-    meta = getattr(item, "metadata", None)
-    if meta is None and isinstance(item, dict):
-        meta = item.get("metadata", item)
-    return meta
-
-
-def _label(item):
-    label = _metadata(item).get("label")
-    if label in ("malicious", 1, True):
-        return 1
-    if label in ("benign", 0, False):
-        return 0
-    raise ValueError(f"item without usable label: {item!r}")
-
-
-def _timestamp(item):
-    return _metadata(item).get("timestamp")
+def _by_class(items) -> dict:
+    """label -> [(position, item)] for items whose .label is 0 or 1."""
+    by_class = {}
+    for idx, item in enumerate(items):
+        if item.label not in (0, 1):
+            raise ValueError(f"item without usable label: {item!r}")
+        by_class.setdefault(int(item.label), []).append((idx, item))
+    return by_class
 
 
 def split_dataset(items, seed: int = 0):
-    """(train, val, test) split, per class, at SPLIT_RATIOS.
+    """(train, val, test) split, per class, at SPLIT_RATIOS, of items with a
+    .label, 0 or 1, and a .timestamp, None when unknown, as FeatureRecords.
 
     With timestamps on every item, the newest test share of each class is
     held out and the remainder splits randomly at the train:val ratio.
@@ -59,11 +50,8 @@ def split_dataset(items, seed: int = 0):
     r_train, r_val, r_test = SPLIT_RATIOS
     total = r_train + r_val + r_test
     rng = np.random.default_rng(seed)
-    by_class = {}
-    for idx, item in enumerate(items):
-        by_class.setdefault(_label(item), []).append((idx, item))
-
-    have_timestamps = all(_timestamp(item) is not None for item in items)
+    by_class = _by_class(items)
+    have_timestamps = all(item.timestamp is not None for item in items)
     if not have_timestamps:
         warnings.warn(
             "timestamps missing: holding out a random test split instead of the newest share",
@@ -76,7 +64,7 @@ def split_dataset(items, seed: int = 0):
         n = len(members)
         n_test = round(n * r_test / total)
         if have_timestamps:
-            newest_first = sorted(members, key=lambda p: (_timestamp(p[1]), -p[0]),
+            newest_first = sorted(members, key=lambda p: (p[1].timestamp, -p[0]),
                                   reverse=True)
             test_part = newest_first[:n_test]
             rest = newest_first[n_test:]
@@ -101,9 +89,7 @@ def split_dataset(items, seed: int = 0):
 def stratified_subset(items, fraction: float, seed: int = 0):
     """Per-class random subset of about `fraction`, at least one per class."""
     rng = np.random.default_rng(seed)
-    by_class = {}
-    for idx, item in enumerate(items):
-        by_class.setdefault(_label(item), []).append((idx, item))
+    by_class = _by_class(items)
     chosen = []
     for label in sorted(by_class):
         members = by_class[label]

@@ -6,8 +6,10 @@ the model did before it was batched. Tests compare the batched builders and
 `train` against them; they are not used by droidflow itself.
 composed_gnn_batch_var is the batched graph branch before its affine maps
 and gated readout became single tape nodes, the reference they must match
-bit for bit. gnn_vector_var reads a flow graph's nodes as
-flowgraph_reference's ChunkNodes.
+bit for bit; it reads every node's initial state, as full_init_states
+draws them, where the model draws only the rows it reads. composed_bilstm
+is a BiLSTM layer as the concat of its two directions. gnn_vector_var
+reads a flow graph's nodes as flowgraph_reference's ChunkNodes.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from droidflow.nn import tape
 from droidflow.nn.model import init_model, logits_var, param_vars
 from droidflow.nn.train import INIT_STREAM, SHUFFLE_STREAM, Adam, TrainResult
 
+import tape_ops
 from flowgraph_reference import as_chunk_graph, node_label
 
 
@@ -56,6 +59,26 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
             h = tape.tanh(base)
     gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
+
+
+def full_init_states(graphs, init_seeds, state_dim, iterations=None):
+    """Every node's initial state, one (n_k, state_dim) array per graph, drawn
+    as model.draw_init_states drew them before it drew only the rows read
+    (iterations, which it takes, changes nothing here)."""
+    return [np.random.default_rng(seed).uniform(-0.1, 0.1, (len(g.labels), state_dim))
+            for g, seed in zip(graphs, init_seeds)]
+
+
+def rows_read(init_states, graphs, iterations):
+    """The rows of every node's initial states that model.gnn_batch_var reads:
+    all of them below two iterations, else each edge source's, in edge order."""
+    return [s if iterations < 2 else s[g.src] for s, g in zip(init_states, graphs)]
+
+
+def composed_bilstm(x, fwd, bwd, tokens=None):
+    """tape.bilstm as the concat of one lstm node per direction."""
+    return tape.concat([tape.lstm(x, *fwd, tokens=tokens),
+                        tape.lstm(x, *bwd, reverse=True, tokens=tokens)], axis=2)
 
 
 def composed_gnn_batch_var(graphs, init_states, pv, iterations):
@@ -117,10 +140,10 @@ def _lstm_direction(xs, wx, wh, b, units, reverse=False):
     order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
     for t in order:
         z = tape.add(tape.add(tape.matmul(xs[t], wx), tape.matmul(h, wh)), b)
-        i = tape.sigmoid(tape.slice_cols(z, 0, units))
-        f = tape.sigmoid(tape.slice_cols(z, units, 2 * units))
-        g = tape.tanh(tape.slice_cols(z, 2 * units, 3 * units))
-        o = tape.sigmoid(tape.slice_cols(z, 3 * units, 4 * units))
+        i = tape.sigmoid(tape_ops.slice_cols(z, 0, units))
+        f = tape.sigmoid(tape_ops.slice_cols(z, units, 2 * units))
+        g = tape.tanh(tape_ops.slice_cols(z, 2 * units, 3 * units))
+        o = tape.sigmoid(tape_ops.slice_cols(z, 3 * units, 4 * units))
         c = tape.add(tape.mul(f, c), tape.mul(i, g))
         h = tape.mul(o, tape.tanh(c))
         outputs[t] = h
@@ -158,7 +181,7 @@ def sample_loss(params, graph, matrix, label, init_seed):
     hg = gnn_vector_var(graph, pv, params.hyper.iterations, rng)
     hb = bilstm_vector_var(matrix, pv, params.hyper.hidden_layers)
     logits = logits_var(hg, hb, pv)
-    return tape.neg(tape.pick(tape.log_softmax(logits), 0, int(label))), pv
+    return tape_ops.neg(tape_ops.pick(tape.log_softmax(logits), 0, int(label))), pv
 
 
 def batch_grads(params, samples, seed):

@@ -4,6 +4,7 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,8 @@ def test_criterion_5_gradient_checks():
         loss_var,
     )
     from droidflow.traces import SequenceMatrix
+    import nn_reference as ref
+    import tape_ops
     from gradcheck import grad_check
     from test_gradcheck import gnn_toy_graph
     from test_nn import tiny_gnn_params, tiny_lstm_params
@@ -141,8 +144,8 @@ def test_criterion_5_gradient_checks():
     init = np.random.default_rng(5).uniform(-0.1, 0.1, (len(arrays.labels), 4))
 
     def gnn_builder(pv):
-        hg = gnn_batch_var([arrays], [init], pv, 3)
-        return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe_g)), axis=1), 0, 0)
+        hg = gnn_batch_var([arrays], ref.rows_read([init], [arrays], 3), pv, 3)
+        return tape_ops.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe_g)), axis=1), 0, 0)
 
     err_gnn = grad_check(gnn_builder, gnn_params, epsilon=1e-4, seed=53)
     assert err_gnn <= 1e-4, err_gnn
@@ -153,7 +156,7 @@ def test_criterion_5_gradient_checks():
 
     def lstm_builder(pv):
         hb = bilstm_batch_var([matrix], pv, 2)
-        return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe_b)), axis=1), 0, 0)
+        return tape_ops.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe_b)), axis=1), 0, 0)
 
     err_lstm = grad_check(lstm_builder, lstm_params, epsilon=1e-4, seed=56)
     assert err_lstm <= 1e-4, err_lstm
@@ -232,10 +235,8 @@ def test_criterion_7_synthetic_training_gate():
     class Item:
         def __init__(self, result):
             self.result = result
-            self.metadata = {
-                "label": result.report["label"],
-                "timestamp": result.report["timestamp"],
-            }
+            self.label = 1 if result.report["label"] == "malicious" else 0
+            self.timestamp = result.report["timestamp"]
 
     items = [Item(r) for r in extracted]
     train_items, _, test_items = split_dataset(items, seed=3)
@@ -248,15 +249,14 @@ def test_criterion_7_synthetic_training_gate():
     tc = TrainConfig(seed=3)
 
     def triple(item):
-        label = 1 if item.metadata["label"] == "malicious" else 0
-        return (item.result.graph, item.result.matrix, label)
+        return (item.result.graph, item.result.matrix, item.label)
 
     outcome = train([triple(i) for i in train_items], hp, tc, state_dim=32)
     scores = [
         score((i.result.graph, i.result.matrix), outcome.params, seed=tc.seed)
         for i in test_items
     ]
-    labels = [1 if i.metadata["label"] == "malicious" else 0 for i in test_items]
+    labels = [i.label for i in test_items]
     _, report = compute_metrics(scores, labels, 0.5)
     elapsed = time.time() - started
     assert report.f1 >= 0.90, f"held-out F1 {report.f1:.4f}"
@@ -311,7 +311,7 @@ def test_criterion_9_grid_search_protocol():
     from droidflow.tuning import SEARCH_SPACE, grid_search
 
     def mk(label):
-        return {"metadata": {"label": label, "timestamp": None}}
+        return SimpleNamespace(label={"benign": 0, "malicious": 1}[label], timestamp=None)
 
     train_items = [mk("benign") for _ in range(80)] + [mk("malicious") for _ in range(88)]
     val_items = [mk("benign") for _ in range(40)] + [mk("malicious") for _ in range(44)]
@@ -321,7 +321,7 @@ def test_criterion_9_grid_search_protocol():
 
     def fake_eval(hp, tr, va):
         seen.append(hp.seq_len)
-        n_b = sum(1 for i in tr if i["metadata"]["label"] == "benign")
+        n_b = sum(1 for i in tr if i.label == 0)
         n_m = len(tr) - n_b
         subset_sizes.append((n_b, n_m))
         f1 = {50: 0.2, 75: 0.4, 100: 0.93, 125: 0.6, 150: 0.93, 175: 0.5, 200: 0.3}[hp.seq_len]

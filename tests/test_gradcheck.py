@@ -15,13 +15,15 @@ from droidflow.nn.model import (
 )
 from droidflow.traces import SequenceMatrix
 
+import nn_reference as ref
+import tape_ops
 from gradcheck import grad_check
 from test_nn import chunk, graph_of, tiny_gnn_params, tiny_lstm_params
 
 
 def probe_scalar(v, rng):
     r = tape.constant(rng.normal(size=v.value.shape))
-    return tape.pick(tape.sum_axis(tape.mul(v, r), axis=1), 0, 0)
+    return tape_ops.pick(tape.sum_axis(tape.mul(v, r), axis=1), 0, 0)
 
 
 def gnn_toy_graph():
@@ -46,8 +48,8 @@ def test_gnn_gradients():
     init = np.random.default_rng(7).uniform(-0.1, 0.1, (len(arrays_g.labels), 4))
 
     def builder(pv):
-        hg = gnn_batch_var([arrays_g], [init], pv, 3)
-        return tape.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe)), axis=1), 0, 0)
+        hg = gnn_batch_var([arrays_g], ref.rows_read([init], [arrays_g], 3), pv, 3)
+        return tape_ops.pick(tape.sum_axis(tape.mul(hg, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=1)
     assert err <= 1e-4, err
@@ -62,7 +64,7 @@ def test_bilstm_gradients():
 
     def builder(pv):
         hb = bilstm_batch_var([matrix], pv, 2)
-        return tape.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe)), axis=1), 0, 0)
+        return tape_ops.pick(tape.sum_axis(tape.mul(hb, tape.constant(probe)), axis=1), 0, 0)
 
     err = grad_check(builder, arrays, epsilon=1e-4, n_coords=100, seed=2)
     assert err <= 1e-4, err
@@ -94,7 +96,7 @@ def test_full_model_gradients():
     arrays = model.weights
 
     graphs = [graph.arrays(hp.label_dim)]
-    init_states = draw_init_states(graphs, [6], model.state_dim)
+    init_states = draw_init_states(graphs, [6], model.state_dim, hp.iterations)
 
     def builder(pv):
         return loss_var(forward_var(model, pv, graphs, [matrix], init_states), label=0)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import droidflow
 from droidflow.metrics import (
     Confusion,
     LengthMismatchError,
+    NonFiniteScoreError,
     SingleClassError,
     compute_metrics,
     confusion_counts,
@@ -12,6 +19,7 @@ from droidflow.metrics import (
     prc_auc,
     roc_auc,
 )
+from droidflow.tables import InputError
 
 
 def oracle_metrics(tp, fp, tn, fn):
@@ -160,3 +168,33 @@ def test_majority_class_accuracy():
     scores = [1.0] * 10  # predict everything malicious
     _, r = compute_metrics(scores, labels, 0.5)
     assert r.accuracy == pytest.approx(0.7)
+
+
+def run_python(code, *args, timeout=60):
+    """code run in a fresh interpreter that imports this droidflow, so that a
+    hang fails the test at its timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(droidflow.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_nan_score_neither_hangs_nor_passes():
+    # _curve_points once closed a tie group on scores equal to its first,
+    # which a NaN is not, and never advanced past it.
+    proc = run_python(
+        "from droidflow.metrics import compute_metrics, prc_auc, roc_auc\n"
+        "nan = float('nan')\n"
+        "print(roc_auc([nan, 0.2, 0.7], [1, 0, 1]), prc_auc([nan, 0.2, 0.7], [1, 0, 1]))\n"
+        "try:\n"
+        "    compute_metrics([nan, 0.2, 0.7], [1, 0, 1])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "NonFiniteScoreError"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_score_is_an_input_error(bad):
+    with pytest.raises(NonFiniteScoreError):
+        compute_metrics([0.3, bad, 0.7], [1, 0, 1])
+    assert issubclass(NonFiniteScoreError, InputError)

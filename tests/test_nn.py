@@ -22,6 +22,7 @@ from droidflow.nn.model import (
 from droidflow.nn.train import train
 from droidflow.traces import SequenceMatrix
 
+import nn_reference as ref
 from flowgraph_reference import ChunkGraph, ChunkNode
 
 
@@ -71,7 +72,9 @@ def gnn_forward(graph, params, iterations, seed=0, init_state=None):
     label_dim, state_dim = params["gnn.w2"].shape
     arrays = graph.arrays(label_dim)
     if init_state is None:
-        [init_state] = draw_init_states([arrays], [seed], state_dim)
+        [init_state] = draw_init_states([arrays], [seed], state_dim, iterations)
+    else:
+        [init_state] = ref.rows_read([init_state], [arrays], iterations)
     return gnn_batch_var([arrays], [init_state], constants(params), iterations).value[0]
 
 

@@ -8,6 +8,7 @@ import pytest
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import app_from_ir
 from droidflow.cli import main
+from droidflow.nn.model import load_model, save_model
 from droidflow.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -18,6 +19,7 @@ from droidflow.pipeline import (
 )
 
 from synthcorpus import generate_corpus, make_app, write_corpus
+from test_metrics import run_python
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 SHORT_SMS = "Landroid/telephony/SmsManager;->sendTextMessage(Ljava/lang/String;)V"
@@ -339,17 +341,6 @@ def test_missing_component_class_is_reported_once():
     report = extract_app(app_from_ir(ir), CriticalApiSet.of([SHORT_SMS]), PipelineConfig()).report
     assert [d for d in report["diagnostics"] if "Lx/Gone;" in d] == [
         "missing component class Lx/Gone;"]
-
-
-def test_feature_record_metadata_is_its_label_and_timestamp():
-    from droidflow.pipeline import FeatureRecord
-
-    record = FeatureRecord("a", Path("a"), 1, "2020-01-01", [])
-    assert record.metadata == {"label": 1, "timestamp": "2020-01-01"}
-    with pytest.raises(AttributeError):
-        record.metadata = {"label": 0}
-    with pytest.raises(TypeError):   # once accepted, then silently replaced
-        FeatureRecord("a", Path("a"), 1, None, [], metadata={"label": 0})
 
 
 def test_config_validation(tmp_path):
@@ -704,6 +695,27 @@ def test_evaluate_rejects_the_csv_predict_writes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"input error: predictions CSV {preds} has no score column\n"
+    assert not out.exists()
+
+
+def test_evaluate_rejects_a_model_with_nan_outputs(tmp_path):
+    """A model whose weights went NaN scores NaN, which evaluate rejects in
+    one line. It runs in a subprocess: the curve areas once looped forever
+    on a NaN score."""
+    features, config = _tiny_features(tmp_path)
+    model_path = tmp_path / "model.bin"
+    assert main(["train", "--features", str(features), "--out", str(model_path),
+                 "--config", str(config)]) == 0
+    model = load_model(model_path)
+    model.weights["fusion.b"][:] = np.nan
+    save_model(model, model_path)
+    out = tmp_path / "metrics.json"
+    proc = run_python("import sys; from droidflow.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "evaluate", "--model", str(model_path), "--features", str(features),
+                      "--out", str(out), "--config", str(config))
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: a score is NaN or infinite: "
+                           "the model's outputs are unusable\n")
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from droidflow.metrics import MetricReport
@@ -13,7 +15,7 @@ from droidflow.tuning import (
 
 
 def mk_item(label, timestamp=None):
-    return {"metadata": {"label": label, "timestamp": timestamp}}
+    return SimpleNamespace(label={"benign": 0, "malicious": 1}[label], timestamp=timestamp)
 
 
 def dated_corpus(n_per_class=100):
@@ -32,11 +34,11 @@ def test_newest_tenth_held_out_per_class():
     items = dated_corpus(100)
     train, val, test = split_dataset(items, seed=1)
     assert len(test) == 20
-    test_b = [i for i in test if i["metadata"]["label"] == "benign"]
-    test_m = [i for i in test if i["metadata"]["label"] == "malicious"]
+    test_b = [i for i in test if i.label == 0]
+    test_m = [i for i in test if i.label == 1]
     assert len(test_b) == 10 and len(test_m) == 10
-    cutoff_b = max(i["metadata"]["timestamp"] for i in train + val if i["metadata"]["label"] == "benign")
-    assert all(i["metadata"]["timestamp"] >= cutoff_b for i in test_b)
+    cutoff_b = max(i.timestamp for i in train + val if i.label == 0)
+    assert all(i.timestamp >= cutoff_b for i in test_b)
     assert len(train) + len(val) + len(test) == 200
     assert len(train) == 160 and len(val) == 20
 
@@ -59,7 +61,7 @@ def test_split_deterministic():
 def test_stratified_subset_ratio_within_one():
     items = [mk_item("benign")] * 80 + [mk_item("malicious")] * 88
     sub = stratified_subset(items, 1 / 8, seed=3)
-    n_b = sum(1 for i in sub if i["metadata"]["label"] == "benign")
+    n_b = sum(1 for i in sub if i.label == 0)
     n_m = len(sub) - n_b
     assert n_b == 10 and n_m == 11
     full_ratio = 80 / 88
