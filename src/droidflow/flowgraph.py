@@ -29,14 +29,13 @@ BACKWARD_OF = {"ct": "bct", "is": "bis", "nb": "bnb", "ic": "bic", "in": "bin"}
 EDGE_TYPE_ORDER = FORWARD_TYPES + tuple(BACKWARD_OF[t] for t in FORWARD_TYPES)
 _TYPE_INDEX = {t: i for i, t in enumerate(EDGE_TYPE_ORDER)}
 
-# The text of each opcode value in nodes.csv and traces.csv, and the value of
-# each text: one lookup per opcode written or read back.
+# The text of each opcode value in nodes.csv and traces.csv: one lookup per
+# opcode written.
 _CODE_TEXT = {code: str(code) for code in range(256)}
-_CODE_OF = {text: code for code, text in _CODE_TEXT.items()}
 
 
 class FormatError(InputError):
-    """Corrupt or unrecognized graph file."""
+    """A feature file not in the form extract writes."""
 
 
 @dataclass(frozen=True, order=True)
@@ -88,10 +87,7 @@ class AbstractFlowGraph:
     def arrays(self, label_dim: int) -> GraphArrays:
         """The graph's arrays, nodes in id order and edges in list order."""
         codes, lengths = self._laid_out()
-        cols = np.arange(label_dim)
-        at = (np.cumsum(lengths) - lengths)[:, None] + cols
-        heads = codes[at[cols < np.minimum(lengths, label_dim)[:, None]]]
-        return _graph_arrays(lengths, heads, range(len(self)), self.edges, label_dim)
+        return _graph_arrays(codes, lengths, range(len(self)), self.edges, label_dim)
 
     def _laid_out(self):
         """The methods' bodies laid end to end as one array of opcodes, which
@@ -104,12 +100,15 @@ class AbstractFlowGraph:
         return codes, ends - starts
 
 
-def _graph_arrays(lengths, heads, index, edges, label_dim: int) -> GraphArrays:
-    """GraphArrays of nodes of these opcode counts, their first label_dim opcodes back
-    to back in heads, and of edges, each endpoint at the position index maps its id to."""
-    codes = np.zeros((len(lengths), label_dim))
-    codes[np.arange(label_dim) < np.minimum(lengths, label_dim)[:, None]] = heads
-    labels = normalize(codes)
+def _graph_arrays(codes, lengths, index, edges, label_dim: int) -> GraphArrays:
+    """GraphArrays of nodes of these opcode counts, their opcodes laid end to end
+    in codes, and of edges, each endpoint at the position index maps its id to."""
+    cols = np.arange(label_dim)
+    at = (np.cumsum(lengths) - lengths)[:, None] + cols
+    held = cols < np.minimum(lengths, label_dim)[:, None]   # the cells a node's opcodes fill
+    labels = np.zeros((len(lengths), label_dim))
+    labels[held] = codes[at[held]]
+    labels = normalize(labels)
     src = np.array([index[e.source] for e in edges], dtype=np.intp)
     dst = np.array([index[e.target] for e in edges], dtype=np.intp)
     onehot = np.zeros((len(edges), len(EDGE_TYPE_ORDER)))
@@ -261,17 +260,6 @@ def opcode_text(seq) -> str:
     return "|".join(map(_CODE_TEXT.__getitem__, seq))
 
 
-def parse_opcode_text(text: str) -> list:
-    """The opcode values of a line opcode_text wrote; "" is no opcode. A value
-    spelt another way, or outside 0-255, is read by int(), which raises
-    ValueError on a field that is not an integer."""
-    fields = text.split("|") if text else []
-    try:
-        return list(map(_CODE_OF.__getitem__, fields))
-    except KeyError:
-        return list(map(int, fields))
-
-
 # Each opcode value's text followed by "|", as a row of four bytes, and its length.
 _BAR_TEXT = np.array([list(f"{code}|".encode().ljust(4)) for code in range(256)], np.uint8)
 _BAR_WIDTH = np.array([len(f"{code}|") for code in range(256)])
@@ -281,34 +269,34 @@ def serialize_graph(graph: AbstractFlowGraph, out_dir):
     """Write nodes.csv and edges.csv under out_dir, UTF-8 and byte-deterministic.
     The opcode texts of all chunks come from the bodies' bytes in one pass of
     array operations, each chunk's last "|" turned into the line break that
-    splits them apart."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    splits them apart. A ValueError, before anything is written, if a chunk's
+    invoked method holds a "\n", which would split its line."""
     codes, lengths = graph._laid_out()
     width = _BAR_WIDTH[codes]
     text = _BAR_TEXT[codes][np.arange(4) < width[:, None]]
     text[np.cumsum(width)[np.cumsum(lengths) - 1] - 1] = ord("\n")
     texts = text.tobytes().decode("ascii").split("\n")
-    (out_dir / "nodes.csv").write_text("".join([
-        f"{k},{offset},{seq},{invoked}\n"
-        for k, offset, seq, invoked in zip(count(), graph.offsets, texts, graph.invoked)
-    ]), "utf-8")
+    nodes = "".join([f"{k},{offset},{seq},{mtd}\n"
+                     for k, offset, seq, mtd in zip(count(), graph.offsets, texts, graph.invoked)])
+    if nodes.count("\n") != len(graph):
+        broken = next(mtd for mtd in graph.invoked if "\n" in mtd)
+        raise ValueError(f"cannot write nodes.csv: invoked method {broken!r} holds a line break")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "nodes.csv").write_text(nodes, "utf-8")
     (out_dir / "edges.csv").write_text(
         "".join(f"{e.source},{e.target},{e.type}\n" for e in sort_edges(graph.edges)), "utf-8")
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 
 def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
-    """The arrays() of a graph serialize_graph wrote, its nodes in stable id
-    order and its edges in sort_edges order. An error names the file, and the
-    first line that fails a check if the file is UTF-8 text."""
+    """The arrays() of a graph serialize_graph wrote, its edges in sort_edges
+    order. An error names the file, and its first bad line if it is UTF-8."""
     path = Path(in_dir) / "nodes.csv"
-    text = read_input(path)
-    lengths, heads, index = (_writer_nodes(text.encode(), text, label_dim)
-                             or _nodes_by_line(path, text, label_dim))
-    edges = []
+    codes, lengths = _read_nodes(path)
+    index, edges = range(len(lengths)), []
     path = path.with_name("edges.csv")
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(filter(None, read_input(path).splitlines()), start=1):
         parts = line.split(",")
         if len(parts) != 3:
             raise FormatError(f"{path} line {lineno}: expected 3 fields")
@@ -321,75 +309,81 @@ def deserialize_graph(in_dir, label_dim: int) -> GraphArrays:
         if s not in index or t not in index:
             raise FormatError(f"{path} line {lineno}: dangling endpoint")
         edges.append(FlowEdge(s, t, parts[2]))
-    return _graph_arrays(lengths, heads, index, sort_edges(edges), label_dim)
+    return _graph_arrays(codes, lengths, index, sort_edges(edges), label_dim)
 
 
-# The line breaks of str.splitlines other than "\n".
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_OPCODES = 'opcodes 0-255 joined by "|"'
+_NODE_LINE = f"id,offset,opcodes,text with ids 0, 1, 2, ... and {_OPCODES}"
 
 
-def _writer_nodes(data: bytes, text: str, label_dim: int):
-    """(opcode counts, label codes, id index) of a nodes.csv as serialize_graph
-    writes it, in one pass of array operations: lines end in "\n", ids run
-    0..n-1, and ids, offsets and opcodes 0-255 are digits without leading
-    zeros. None for any other file, which _nodes_by_line reads."""
-    if data[-1:] not in (b"", b"\n") or any(map(text.__contains__, _OTHER_BREAKS)):
-        return None
-    b = np.frombuffer(b"\n" + data, np.uint8)   # b[0] ends a line before the first
-    breaks = np.flatnonzero(b == ord("\n"))
-    starts, n = breaks[:-1] + 1, len(breaks) - 1
-    commas = np.flatnonzero(b == ord(","))
-    first = np.searchsorted(commas, starts)
-    if (np.searchsorted(commas, breaks[1:]) - first < 3).any():   # a blank line has none
-        return None
-    c1, c2, c3 = commas[first], commas[first + 1], commas[first + 2]
+def read_opcode_lines(path) -> list:
+    """The opcode sequences of the non-empty lines of a file in the form
+    write_features gives traces.csv, opcode_text lines each ended by "\n", in
+    one pass of array operations. Any other file is a FormatError at its
+    first bad line."""
+    b = np.frombuffer(b"\n" + read_input(path, str.encode), np.uint8)
+    breaks = np.flatnonzero(b == ord("\n"))      # breaks[k] ends line k
+    _, bad, last, value = _opcodes(b, b != ord("\n"))
+    _raise_at_first_bad_line(path, breaks, bad, _OPCODES)
+    ends = np.searchsorted(last, breaks)            # the opcodes before each line's end
+    cuts, values = ends[np.diff(ends, prepend=-1) > 0].tolist(), value.tolist()
+    return [values[start:end] for start, end in zip(cuts, cuts[1:])]
+
+
+def _read_nodes(path):
+    """The opcodes of a nodes.csv exactly as serialize_graph writes it, end to
+    end, and each line's count of them, in one pass of array operations: lines
+    end in "\n", ids run 0..n-1, and ids, offsets and opcodes 0-255 are digits
+    without leading zeros. Any other file is a FormatError at its first bad line."""
+    b = np.frombuffer(b"\n" + read_input(path, str.encode), np.uint8)
+    breaks = np.flatnonzero(b == ord("\n"))      # breaks[k] ends line k
+    starts, ends, n = breaks[:-1] + 1, breaks[1:], len(breaks) - 1
+    commas = np.append(np.flatnonzero(b == ord(",")), [len(b)] * 3)
+    # Each line's first three commas; in place of each it lacks, its "\n",
+    # which then lies in a field that must not hold it.
+    c1, c2, c3 = (np.minimum(commas[np.searchsorted(commas, starts) + k], ends) for k in range(3))
     # Each byte's field: 0-2 for the id, offset and opcodes with the comma
     # that ends each, 3 for the rest of the line with its "\n" (and b[0]).
     bounds = np.append(0, np.column_stack((starts, c1 + 1, c2 + 1, c3 + 1)))
     values = np.append(np.int8(3), np.tile(np.arange(4, dtype=np.int8), n))
     field = np.repeat(values, np.diff(bounds, append=len(b)))
-    digit = (b - ord("0")) < 10                # uint8 arithmetic wraps below "0"
-    bar, opcodes = b == ord("|"), field == 2
-    lead = np.append(True, ~digit[:-1])        # the byte before is no digit
-    follow = np.append(~digit[1:], True)       # nor the byte after
-    bad = ~digit & (b != ord(",")) & ~(bar & opcodes)            # only digits, "," and "|"
-    bad |= lead & (~digit & (field < 2) | bar) | follow & bar    # an empty field or opcode
-    bad |= (b == ord("0")) & lead & ~follow                      # a leading zero
+    (digit, lead, follow), bad, last, value = _opcodes(b, (field == 2) & (b != ord(",")))
+    number = field < 2                                        # an id or offset, with its comma
+    bad |= number & ~digit & ((b != ord(",")) | lead)         # digits only, at least one
+    bad |= number & (b == ord("0")) & lead & ~follow          # no leading zero
     # Each id, from up to len(str(n)) digits left of its comma: a longer id is not in 0..n-1.
     width, place = c1 - starts, np.arange(len(str(n)))
     digits = b[np.maximum(c1[:, None] - 1 - place, 0)].astype(np.intp) - ord("0")
     ids = (digits * (place < width[:, None])) @ 10 ** place
-    last = np.flatnonzero(opcodes & digit & follow)   # the last digit of each opcode
-    ones, tens, hundreds = (b[last - k].astype(np.intp) - ord("0") for k in range(3))
+    bad[starts] |= (ids != np.arange(n)) | (width > len(place))
+    _raise_at_first_bad_line(path, breaks, bad, _NODE_LINE)
+    return value, np.diff(np.searchsorted(last, c3), prepend=0)
+
+
+def _opcodes(b, inside):
+    """The byte classes of b, a file's bytes after a "\n" (masks of its digits
+    and of the bytes after and before a non-digit); a mask of its bad bytes;
+    and the last position in b and the value of each opcode in the fields of
+    the bytes where inside is set, each ended by a byte outside. A byte is bad
+    if it breaks opcode_text's form there, "|"-joined values 0-255 in digits
+    without leading zeros, or if it ends the file but not in "\n"."""
+    digit = (b - ord("0")) < 10                # uint8 arithmetic wraps below "0"
+    lead = np.append(True, ~digit[:-1])        # the byte before is no digit
+    follow = np.append(~digit[1:], True)       # nor the byte after
+    bar = inside & (b == ord("|"))
+    bad = inside & ~digit & ~bar | bar & (lead | follow)    # "|"-joined digits, none empty
+    bad |= inside & (b == ord("0")) & lead & ~follow         # no leading zero
+    bad[-1] |= b[-1] != ord("\n")                           # an unended last line
+    last = np.flatnonzero(inside & digit & follow)           # the last digit of each opcode
+    ones, tens, hundreds = (b[last - k].astype(np.int16) - ord("0") for k in range(3))
     two, three = digit[last - 1], digit[last - 1] & digit[last - 2]   # opcodes of 2+, 3+ digits
-    value = ones + two * 10 * tens + three * 100 * hundreds
-    if ((bad & (field < 3)).any() or (three & digit[last - 3]).any() or (value > 255).any()
-            or (width > len(place)).any() or (ids != np.arange(n)).any()):
-        return None
-    at = np.append(0, np.searchsorted(last, c3))   # each line's first opcode, then the end
-    lengths, at = np.diff(at), at[:-1]
-    cols = np.arange(label_dim)
-    heads = value[(at[:, None] + cols)[cols < np.minimum(lengths, label_dim)[:, None]]]
-    return lengths, heads, range(n)
+    value = ones + 10 * tens * two + 100 * hundreds * three
+    bad[last] |= three & digit[last - 3] | (value > 255)
+    return (digit, lead, follow), bad, last, value
 
 
-def _nodes_by_line(path, text: str, label_dim: int):
-    """_writer_nodes' result for any nodes.csv, with int() on every field of
-    every line; nodes in stable id order, an id at its last node's position."""
-    rows = []
-    for lineno, line in enumerate(filter(None, text.splitlines()), start=1):
-        parts = line.split(",", 3)
-        try:
-            if len(parts) != 4:
-                raise ValueError("expected 4 fields")
-            nid, _, seq = int(parts[0]), int(parts[1]), parse_opcode_text(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"{path} line {lineno}: {exc}") from None
-        rows.append((nid, len(seq), seq[:label_dim]))
-    rows.sort(key=lambda row: row[0])
-    return (np.array([row[1] for row in rows], dtype=np.intp),
-            [c for row in rows for c in row[2]], {row[0]: pos for pos, row in enumerate(rows)})
-
-
-def _read_lines(path):
-    return list(filter(None, read_input(path).splitlines()))
+def _raise_at_first_bad_line(path, breaks, bad, expected: str):
+    """A FormatError at the line of path's first bad byte, if it has one."""
+    lines = np.searchsorted(breaks, np.flatnonzero(bad))
+    if len(lines):
+        raise FormatError(f"{path} line {lines[0]}: expected {expected}")

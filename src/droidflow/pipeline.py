@@ -23,7 +23,7 @@ from .flowgraph import (
     build_flow_graph,
     deserialize_graph,
     opcode_text,
-    parse_opcode_text,
+    read_opcode_lines,
     serialize_graph,
 )
 from .nn.model import Hyperparams, TrainConfig
@@ -206,8 +206,7 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
 
 def write_features(result: ExtractResult, out_dir) -> Path:
     app_dir = Path(out_dir) / result.app_id
-    app_dir.mkdir(parents=True, exist_ok=True)
-    serialize_graph(result.graph, app_dir)
+    serialize_graph(result.graph, app_dir)   # first: it makes app_dir or writes nothing
     (app_dir / "traces.csv").write_text(
         "".join(opcode_text(seq) + "\n" for seq in result.raw_sequences)
     )
@@ -283,18 +282,6 @@ def load_features(features_dir) -> list:
             raise FormatError(f"{report_path} is not a JSON object with a string app_id")
         if report.get("status") != "ok":
             continue
-        raw = []
-        traces_path = app_dir / "traces.csv"
-        lines = read_input(traces_path, str.splitlines) if traces_path.exists() else []
-        for number, line in enumerate(lines, start=1):
-            try:
-                seq = parse_opcode_text(line)
-                if seq and not 0 <= min(seq) <= max(seq) <= 255:
-                    raise ValueError("an opcode outside 0-255")
-            except ValueError as exc:
-                raise FormatError(f"{traces_path} line {number}: {exc}") from None
-            if seq:
-                raw.append(seq)
         label, timestamp = report.get("label"), report.get("timestamp")
         if not all(v is None or isinstance(v, str) for v in (label, timestamp)):
             raise FormatError(f"{report_path}: label and timestamp must be strings or null")
@@ -304,7 +291,7 @@ def load_features(features_dir) -> list:
                 path=app_dir,
                 label={"benign": 0, "malicious": 1}.get(label),
                 timestamp=timestamp,
-                raw_sequences=raw,
+                raw_sequences=read_opcode_lines(app_dir / "traces.csv"),
             )
         )
     return records

@@ -13,14 +13,16 @@ a column graph into the ChunkNodes this build would have made.
 
 deserialize_graph below reads nodes.csv one line at a time into ChunkNodes
 and parses each opcode with its own int() call; its errors name the file as
-droidflow's do, and it reads each file through droidflow's _read_lines, so a
-file that cannot be read or is not UTF-8 is the same error in both.
-droidflow.flowgraph.deserialize_graph instead reads a nodes.csv in the exact
-form serialize_graph writes in one pass of array operations over its bytes,
-and any other nodes.csv with its own line-by-line walk; tests compare the
-outcomes of both paths with this one. node_label builds one node's label
-vector with a loop over its opcodes; tests compare the graphs' arrays
-with it. droidflow itself does not use this module.
+droidflow's do, and _read_lines reads each file through droidflow's
+read_input, so a file that cannot be read or is not UTF-8 is the same error
+in both. It accepts more than droidflow does: int() spellings such as `007`
+or `+5`, opcodes outside 0-255, unsorted ids, and every line break of
+str.splitlines. droidflow.flowgraph.deserialize_graph reads only a nodes.csv
+in the exact form serialize_graph writes, in one pass of array operations
+over its bytes; tests compare it with this reader on files in that form.
+node_label builds one node's label vector with a loop over its opcodes;
+tests compare the graphs' arrays with it. droidflow itself does not use
+this module.
 """
 
 from dataclasses import dataclass, field
@@ -36,12 +38,11 @@ from droidflow.flowgraph import (
     FlowEdge,
     FormatError,
     _graph_arrays,
-    _read_lines,
     opcode_text,
     sort_edges,
 )
 from droidflow.icc import DEFAULT_INTENT_RECEIVERS, is_chunk_boundary
-from droidflow.tables import default_intent_senders
+from droidflow.tables import default_intent_senders, read_input
 
 
 @dataclass
@@ -66,9 +67,9 @@ class ChunkGraph:
     def arrays(self, label_dim: int):
         """The graph's arrays, nodes and edges in list order."""
         lengths = np.array([len(n.opcode_seq) for n in self.nodes], dtype=np.intp)
-        heads = [c for n in self.nodes for c in n.opcode_seq[:label_dim]]
+        codes = np.array([c for n in self.nodes for c in n.opcode_seq], dtype=np.intp)
         index = {n.id: pos for pos, n in enumerate(self.nodes)}
-        return _graph_arrays(lengths, heads, index, self.edges, label_dim)
+        return _graph_arrays(codes, lengths, index, self.edges, label_dim)
 
 
 def chunk_nodes(graph) -> list:
@@ -258,11 +259,13 @@ def serialize_graph(graph: ChunkGraph, out_dir):
     return out_dir / "nodes.csv", out_dir / "edges.csv"
 
 
-def deserialize_graph(in_dir) -> ChunkGraph:
+def deserialize_graph(in_dir, read_lines=None) -> ChunkGraph:
+    """The graph under in_dir, nodes.csv split into lines by read_lines(path),
+    by default _read_lines."""
     nodes_path, edges_path = Path(in_dir) / "nodes.csv", Path(in_dir) / "edges.csv"
     nodes = []
     ids = set()
-    for lineno, line in enumerate(_read_lines(nodes_path), start=1):
+    for lineno, line in enumerate((read_lines or _read_lines)(nodes_path), start=1):
         parts = line.split(",", 3)
         if len(parts) != 4:
             raise FormatError(f"{nodes_path} line {lineno}: expected 4 fields")
@@ -289,6 +292,10 @@ def deserialize_graph(in_dir) -> ChunkGraph:
         edges.append(FlowEdge(s, t, parts[2]))
     nodes.sort(key=lambda n: n.id)
     return ChunkGraph(nodes, sort_edges(edges))
+
+
+def _read_lines(path):
+    return list(filter(None, read_input(path).splitlines()))
 
 
 def node_label(node: ChunkNode, label_dim: int) -> np.ndarray:

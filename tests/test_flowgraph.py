@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from droidflow import flowgraph
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import MethodDef, app_from_ir, load_app
 from droidflow.callgraph import CallGraph, build_call_graph
@@ -21,6 +20,7 @@ from droidflow.flowgraph import (
     build_flow_graph,
     chunk_methods,
     deserialize_graph,
+    opcode_text,
     serialize_graph,
     sort_edges,
 )
@@ -341,7 +341,45 @@ def test_reader_matches_reference_on_golden_files(name):
         assert read_outcome(deserialize_graph, golden, label_dim) == expected
 
 
-ODD_FIELDS = ["007", " 3", "-1", "+5", "x", "", "0x1", "9" * 400]
+NODE_LINE = 'id,offset,opcodes,text with ids 0, 1, 2, ... and opcodes 0-255 joined by "|"'
+
+
+def first_bad_line(text):
+    """The number of the first line of a nodes.csv text that is not as
+    serialize_graph writes line k, "k,<offset>,<opcode_text>,<text>\n", or
+    None: an oracle that checks one line at a time, split at "\n" only."""
+    lines = text.split("\n")
+    for k, line in enumerate(lines[:-1]):
+        parts = line.split(",", 3)
+        try:   # opcode_text raises KeyError on an opcode outside 0-255
+            offset, seq = int(parts[1]), [int(c) for c in parts[2].split("|") if parts[2]]
+            if (len(parts) == 4 and parts[0] == str(k) and parts[1] == str(offset) and offset >= 0
+                    and opcode_text(seq) == parts[2]):
+                continue
+        except (ValueError, IndexError, KeyError):
+            pass
+        return k + 1
+    return len(lines) if lines[-1] else None
+
+
+def read_at_newlines(directory, label_dim):
+    """The reference reader's arrays, nodes.csv split into lines at "\n" only."""
+    split = lambda path: path.read_bytes().decode().split("\n")[:-1]   # noqa: E731
+    return flowgraph_reference.deserialize_graph(directory, split).arrays(label_dim)
+
+
+def assert_reads_as_writer_form(directory, label_dim):
+    """deserialize_graph reads the nodes.csv under directory as the reference
+    reads it if serialize_graph could have written it, and is otherwise a
+    FormatError at its first line that breaks that form."""
+    bad = first_bad_line((directory / "nodes.csv").read_bytes().decode())
+    expected = read_outcome(read_at_newlines, directory, label_dim) if bad is None else \
+        f"{directory / 'nodes.csv'} line {bad}: expected {NODE_LINE}"
+    assert read_outcome(deserialize_graph, directory, label_dim) == expected
+    return bad
+
+
+ODD_FIELDS = ["007", " 3", "-1", "+5", "x", "", "0x1", "9" * 400, "\u0663", "3\r"]
 
 
 @st.composite
@@ -358,27 +396,37 @@ def node_line(draw):
     if draw(st.integers(0, 19)) == 0:   # a line with the wrong number of fields
         return ",".join(draw(st.lists(field_text(st.integers(0, 9)), max_size=3)))
     seq = "|".join(draw(st.lists(field_text(st.integers(0, 300)), max_size=6)))
-    invoke_mtd = draw(st.sampled_from(["exit", "La;->f()V", "La;->g(I,J)V"]))
+    invoke_mtd = draw(st.sampled_from(["exit", "La;->f()V", "La;->g(I,J)V", "La;->h\x85()V"]))
     return f"{draw(field_text(st.integers(0, 9)))},{draw(field_text(st.integers(0, 9)))},{seq},{invoke_mtd}"
 
 
-@given(st.lists(node_line(), max_size=8), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]),
-       st.integers(1, 13))
-@example(["x,0,300|y,exit"], "", 13)   # two bad fields: the first one is reported
-@example(["0,0,14,exit\r", "1,4,1|2,La;->f()V\r"], "0,1,ct\r\n", 13)   # CRLF line ends
-@example(["0,0,14,exit", "", "1,4,,exit"], "0,1,ct\n", 3)              # a blank line
-@example(["0,0,14,La;->f\x85()V", "1,4,1|2,exit"], "", 13)            # \x85 ends a line
-@example(["0,0,14,exit\u20281,4,5,exit"], "0,1,ct\n", 13)              # so does \u2028
+@given(st.lists(node_line(), max_size=8), st.booleans(), st.sampled_from(["\n", "\r\n"]),
+       st.booleans(), st.sampled_from(["", "0,1,ct\n", "2,0,bnb\n"]), st.integers(1, 13))
+@example(["x,0,300|y,exit"], False, "\n", False, "", 13)   # two bad fields: the first is reported
+@example(["0,0,14,exit", "1,4,1|2,La;->f()V"], False, "\r\n", False, "0,1,ct\r\n", 13)   # CRLF
+@example(["0,0,14,exit", "", "1,4,,exit"], False, "\n", False, "0,1,ct\n", 3)   # a blank line
+@example(["0,0,14,La;->f\x85()V", "1,4,1|2,exit"], False, "\n", False, "", 13)   # \x85 is text
+@example(["0,0,14,exit\u20281,4,5,exit"], False, "\n", False, "0,1,ct\n", 13)   # so is \u2028
+@example(["0,0,14,exit", "1,4,5,exit"], False, "\n", True, "0,1,ct\n", 13)      # no final "\n"
 @settings(max_examples=300, deadline=None)
-def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, edges, label_dim):
+def test_reader_matches_reference_on_generated_files(tmp_path_factory, lines, renumber, end, cut,
+                                                     edges, label_dim):
+    """The reference's arrays if the file is in serialize_graph's form, and
+    otherwise a FormatError at its first line that is not. Lines are drawn
+    with their own ids, or renumbered 0, 1, 2, ... so that more files are in
+    that form, and each ends in end, but for the last "\n" if cut is set."""
+    if renumber:
+        lines = [f"{k},{line.partition(',')[2]}" for k, line in enumerate(lines)]
+    text = "".join(line + end for line in lines)
     directory = tmp_path_factory.mktemp("graph")
-    (directory / "nodes.csv").write_text("".join(line + "\n" for line in lines))
+    (directory / "nodes.csv").write_bytes(text[:-1 if cut else None].encode())
     (directory / "edges.csv").write_text(edges)
-    expected = read_outcome(reference_read, directory, label_dim)
-    assert read_outcome(deserialize_graph, directory, label_dim) == expected
+    assert_reads_as_writer_form(directory, label_dim)
 
 
-FOURTH_FIELD = st.text(st.sampled_from("La;->f(IJ)V,|\u00e9\u2192\u4e2d \x85\u2028"), max_size=10)
+# Any text but "\n": every other line break of str.splitlines among it.
+FOURTH_FIELD = st.text(st.sampled_from("La;->f(IJ)V,|\u00e9\u2192\u4e2d \r\v\f\x1c\x1d\x1e\x85\u2028"
+                                       "\u2029"), max_size=10)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2 ** 16), st.lists(st.integers(0, 255), max_size=30),
@@ -389,7 +437,8 @@ FOURTH_FIELD = st.text(st.sampled_from("La;->f(IJ)V,|\u00e9\u2192\u4e2d \x85\u20
 @settings(max_examples=200, deadline=None)
 def test_reader_matches_reference_on_writer_output(tmp_path_factory, chunks, drawn, label_dim):
     """Files in serialize_graph's form, with or without nodes, opcodes or a
-    label's worth of them, and with any text after the third comma. A chunk
+    label's worth of them, and with any text but "\n" after the third comma,
+    read back to the arrays of the graph the reference writer wrote. A chunk
     with no opcodes is drawn too, which no app yields, so the reference
     writer writes them."""
     nodes = [ChunkNode(i, "m", offset, seq, mtd) for i, (offset, seq, mtd) in enumerate(chunks)]
@@ -397,58 +446,66 @@ def test_reader_matches_reference_on_writer_output(tmp_path_factory, chunks, dra
     edges = [FlowEdge(s % n, t % n, kind) for s, t, kind in drawn] if n else []
     directory = tmp_path_factory.mktemp("graph")
     flowgraph_reference.serialize_graph(ChunkGraph(nodes, edges), directory)
-    expected = read_outcome(reference_read, directory, label_dim)
+    expected = outcome(ChunkGraph(nodes, sort_edges(edges)).arrays(label_dim))
     assert read_outcome(deserialize_graph, directory, label_dim) == expected
+    assert assert_reads_as_writer_form(directory, label_dim) is None
 
 
-def _no_line_walk(*args):
-    raise AssertionError("writer output read line by line")
-
-
-def test_writer_output_is_read_in_one_pass(tmp_path, monkeypatch):
-    """Every golden fixture and a synthetic corpus's graphs skip the line-by-line
-    walk and still give the graph's own arrays."""
+def test_writer_output_reads_back_to_the_graphs_arrays(tmp_path):
+    """Every golden fixture and a synthetic corpus's graphs read back to the
+    graph's own arrays."""
     graphs = [(extract(name)[0], FIXTURES / name / "golden")
               for name in sorted(p.name for p in FIXTURES.iterdir())]
     critical = PipelineConfig().critical_apis()
     for ir in generate_corpus(2, seed=5):
         result = extract_app(app_from_ir(ir), critical, PipelineConfig())
         graphs.append((result.graph, write_features(result, tmp_path)))
-    monkeypatch.setattr(flowgraph, "_nodes_by_line", _no_line_walk)
     for graph, directory in graphs:
         for label_dim in (1, 3, 13, 40):
             expected = outcome(graph.arrays(label_dim))
             assert read_outcome(deserialize_graph, directory, label_dim) == expected, directory
 
 
-def _with_line_1(id_="1", offset="4", codes="1|2|3"):
-    return f"0,0,14|110,exit\n{id_},{offset},{codes},La;->f()V\n2,9,,exit\n"
+def _with_line_1(id_="1", offset="4", codes="1|2|3", text="La;->f()V"):
+    return f"0,0,14|110,exit\n{id_},{offset},{codes},{text}\n2,9,,exit\n"
+
+
+@pytest.mark.parametrize("content, line", [
+    *((_with_line_1(codes=f"1|{c}|3"), 2) for c in ("007", "+5", "300", "1000", " 3", "-1", "1_0",
+                                                     "\u0663", "2\u00a0", "", "9" * 400)),
+    (_with_line_1(codes="|1"), 2), (_with_line_1(codes="1|"), 2),
+    *((_with_line_1(id_=i), 2) for i in ("01", "+1", " 1", "\u0661", "")),
+    *((_with_line_1(offset=o), 2) for o in ("04", "+4", "-4", " 4", "4|5", "")),
+    (",0,14,exit\n1,4,5,exit\n", 1),                          # an empty first id
+    (_with_line_1(id_="0"), 2), (_with_line_1(id_="3"), 2), ("1,0,14,exit\n0,4,5,exit\n", 1),
+    (_with_line_1().replace("\n", "\r"), 1),                    # one line, with no "\n"
+    (_with_line_1()[:-1], 3),                                   # no final "\n"
+    ("\n\n", 1), (_with_line_1().replace("\n2", "\n\n2"), 3),   # blank lines
+    ("0,0,14,exit\n1,4,5\n", 2), ("0,0,14,exit\n1\n", 2),       # too few fields
+], ids=lambda content: repr(content)[:40])
+def test_other_files_are_format_errors(tmp_path, content, line):
+    """Only serialize_graph's form reads back: any other spelling of a value,
+    an opcode outside 0-255, ids other than 0, 1, 2, ... in order, and a
+    blank, short or unended line are a FormatError at the first such line."""
+    (tmp_path / "nodes.csv").write_text(content, "utf-8", newline="")
+    (tmp_path / "edges.csv").write_text("0,1,ct\n")
+    expected = f"{tmp_path / 'nodes.csv'} line {line}: expected {NODE_LINE}"
+    assert read_outcome(deserialize_graph, tmp_path, 13) == expected
+    assert first_bad_line(content) == line
 
 
 @pytest.mark.parametrize("content", [
-    *(_with_line_1(codes=f"1|{c}|3") for c in ("007", "+5", "300", "1000", " 3", "-1", "1_0",
-                                                "\u0663", "2\u00a0", "", "9" * 400)),
-    _with_line_1(codes="|1"), _with_line_1(codes="1|"),
-    *(_with_line_1(id_=i) for i in ("01", "+1", " 1", "\u0661", "")),
-    *(_with_line_1(offset=o) for o in ("04", "+4", "-4", " 4", "4|5", "")),
-    ",0,14,exit\n1,4,5,exit\n",                                  # an empty first id
-    _with_line_1(id_="0"), _with_line_1(id_="3"), "1,0,14,exit\n0,4,5,exit\n",
-    _with_line_1().replace("\n", "\r\n"), _with_line_1().replace("\n", "\r"),
-    _with_line_1()[:-1],                                          # no final "\n"
-    "\n\n", _with_line_1().replace("\n2", "\n\n2"),                # blank lines
-    *(_with_line_1().replace("()V", f"({c}),V") for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+    _with_line_1().replace("\n", "\r\n"),
+    *(_with_line_1(text=f"La;->f({c}),V") for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
 ], ids=lambda content: repr(content)[:40])
-def test_other_files_are_read_line_by_line(tmp_path, monkeypatch, content):
-    """int() and str.splitlines() read more than serialize_graph writes: any
-    other spelling, duplicate or unsorted ids, and any other line break take
-    the line-by-line walk."""
+def test_fourth_field_holds_any_text_but_a_newline(tmp_path, content):
+    """Every line break of str.splitlines but "\n" is text of the fourth field."""
     (tmp_path / "nodes.csv").write_text(content, "utf-8", newline="")
     (tmp_path / "edges.csv").write_text("0,1,ct\n")
-    walks, walk = [], flowgraph._nodes_by_line
-    monkeypatch.setattr(flowgraph, "_nodes_by_line", lambda *args: walks.append(1) or walk(*args))
-    expected = read_outcome(reference_read, tmp_path, 13)
+    nodes = [ChunkNode(0, "", 0, [14, 110], EXIT), ChunkNode(1, "", 4, [1, 2, 3], "La;->f()V"),
+             ChunkNode(2, "", 9, [], EXIT)]
+    expected = outcome(ChunkGraph(nodes, [FlowEdge(0, 1, "ct")]).arrays(13))
     assert read_outcome(deserialize_graph, tmp_path, 13) == expected
-    assert walks
 
 
 def test_one_pass_read_makes_as_many_calls_at_any_size(tmp_path):

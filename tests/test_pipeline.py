@@ -1,16 +1,26 @@
+import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import droidflow
 
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import app_from_ir
 from droidflow.cli import main
+from droidflow.flowgraph import AbstractFlowGraph
 from droidflow.nn.model import load_model, save_model
 from droidflow.pipeline import (
     ConfigError,
+    ExtractResult,
     PipelineConfig,
     extract_app,
     extract_batch,
@@ -239,6 +249,123 @@ def test_features_round_trip(tmp_path):
         assert len(graph.labels) == len(result.graph)
         for part in ("labels", "src", "dst", "edge_feat"):
             assert np.array_equal(getattr(graph, part), getattr(expected, part)), (name, part)
+
+
+def _write_traces(out, sequences):
+    """write_features' files for an app with no chunks and these trace sequences."""
+    report = {"app_id": "a", "status": "ok", "label": "malicious", "timestamp": None}
+    graph = AbstractFlowGraph([], [0], [], [], [], [])
+    return write_features(ExtractResult("a", graph, None, sequences, report), out)
+
+
+@given(st.lists(st.lists(st.integers(0, 255), max_size=40), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_traces_csv_reads_back(tmp_path_factory, sequences):
+    """Every traces.csv write_features writes reads back, less the empty
+    sequences, which no trace has and load_features drops."""
+    out = tmp_path_factory.mktemp("features")
+    _write_traces(out, sequences)
+    [record] = load_features(out)
+    assert record.raw_sequences == [seq for seq in sequences if seq]
+
+
+def test_traces_csv_read_makes_as_many_calls_at_any_size(tmp_path):
+    """load_features makes no Python call per traces.csv line: an app of 200
+    traces and one of 20,000 make the same calls. Each read follows a first
+    one that pays for any module numpy loads on first use, and runs without
+    garbage collection, whose callbacks (hypothesis installs one) would count
+    the lists read."""
+    counts = []
+    for n in (200, 20_000):
+        sequences = [[(7 * i + k) % 256 for k in range(1 + i % 30)] for i in range(n)]
+        _write_traces(tmp_path / str(n), sequences)
+        load_features(tmp_path / str(n))
+        events = Counter()
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                events[event] += 1
+
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            [record] = load_features(tmp_path / str(n))
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert record.raw_sequences == sequences
+        counts.append(events)
+    assert counts[0] == counts[1]
+    assert counts[0]["call"] > 0 and counts[0]["c_call"] > 0
+
+
+def _critical_app_calling(apps_root, name):
+    """The critical fixture as apps_root/critical, labeled malicious, its
+    method m2, whose call closes a chunk, renamed to name."""
+    text = (FIXTURES / "critical" / "ir.json").read_text().replace("m2", json.dumps(name)[1:-1])
+    ir = dict(json.loads(text), metadata={"label": "malicious"})
+    (apps_root / "critical").mkdir(parents=True)
+    (apps_root / "critical" / "ir.json").write_text(json.dumps(ir))
+
+
+@pytest.mark.parametrize("name", ["m\u2028x", "m\x85y", "m\rz"])
+def test_method_named_with_another_line_break_extracts_and_trains(tmp_path, name):
+    """nodes.csv's fourth field holds any text but "\n", so a call to a method
+    whose name holds another line break of str.splitlines reads back."""
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus(generate_corpus(1, seed=11), apps_root)
+    _critical_app_calling(apps_root, name)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    nodes = (features / "critical" / "nodes.csv").read_bytes().decode()
+    assert f"Lx/Main;->{name}()V\n" in nodes
+    assert main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+                 "--config", str(config)]) == 0
+
+
+def test_call_signature_with_a_newline_fails_its_app_alone(tmp_path, capsys):
+    """A call target holding "\n" would split its nodes.csv line: its app gets
+    one failed entry with nothing written, and the others train."""
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus(generate_corpus(1, seed=11), apps_root)
+    _critical_app_calling(apps_root, "m\nx")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
+                 "--config", str(config)]) == 0
+    reports = json.loads((features / "extraction_report.json").read_text())
+    assert [r["status"] for r in reports] == ["ok", "failed", "ok"]
+    assert reports[1] == {"app_id": "critical", "status": "failed", "error": (
+        "cannot write nodes.csv: invoked method 'Lx/Main;->m\\nx()V' holds a line break")}
+    assert not (features / "critical").exists()
+    capsys.readouterr()
+    assert main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+                 "--config", str(config)]) == 0
+
+
+def test_model_file_is_the_same_at_any_blas_thread_count(tmp_path):
+    """BLAS sums a long product in an order that depends on its thread count:
+    train at 1 and at 2 threads, each in a fresh process, writes one model.bin.
+    The padded apps' opcode rows make products long enough to differ."""
+    apps_root, features = tmp_path / "apps", tmp_path / "features"
+    write_corpus([_padded(make_app(i, malicious=bool(i % 2), seed=3), 2000) for i in range(4)],
+                 apps_root)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hyperparams": {"lstm_units": 8, "hidden_layers": 1, "epochs": 1,
+                                                  "batch_size": 4}, "train": {"seed": 5}}))
+    assert main(["extract", "--apps", str(apps_root), "--out", str(features)]) == 0
+    models = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(droidflow.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        model = tmp_path / f"model{threads}.bin"
+        subprocess.run([sys.executable, "-m", "droidflow.cli", "train", "--features", str(features),
+                        "--out", str(model), "--config", str(config)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_parallel_extraction_matches_sequential(tmp_path):
@@ -747,29 +874,31 @@ def test_bad_config_value_names_its_file(tmp_path, capsys):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("value, message", [
-    ("x", "invalid literal for int()"),
-    ("300", "an opcode outside 0-255"),
-    ("-1", "an opcode outside 0-255"),
-], ids=["x", "300", "-1"])
-def test_corrupt_traces_csv_is_an_input_error(tmp_path, capsys, value, message):
+@pytest.mark.parametrize("content", [
+    *(f"1|2\n14|{value}|110\n" for value in ("x", "300", "-1", "007", "+5", " 3", "")),
+    "1|2\n14|\n", "1|2\n|14\n", "1|2\r\n14\r\n", "1|2\n14,110\n", "1|2\n14",
+], ids=repr)
+def test_corrupt_traces_csv_is_an_input_error(tmp_path, capsys, content):
+    """A traces.csv not as write_features writes it names its first bad line."""
     features, config = _tiny_features(tmp_path)
     traces = sorted(features.glob("*/traces.csv"))[0]
-    traces.write_text(f"1|2\n14|{value}|110\n")
+    traces.write_text(content, newline="")
     model = tmp_path / "model.bin"
     capsys.readouterr()
     rc = main(["train", "--features", str(features), "--out", str(model),
                "--config", str(config)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"input error: {traces} line 2: ") and message in err
+    line = 1 if "\r" in content else 2
+    assert err == f'input error: {traces} line {line}: expected opcodes 0-255 joined by "|"\n'
     assert not model.exists()
 
 
 def _bad_node_id(path):
     first, rest = path.read_text().split("\n", 1)
     path.write_text("x" + first[first.index(","):] + "\n" + rest)
-    return "line 1: invalid literal for int() with base 10: 'x'"
+    return ('line 1: expected id,offset,opcodes,text with ids 0, 1, 2, ... '
+            'and opcodes 0-255 joined by "|"')
 
 
 def _unknown_edge_type(path):
@@ -838,6 +967,20 @@ def test_unreadable_traces_csv_is_an_input_error(tmp_path, capsys, content, mess
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("input error: " + message.format(traces=traces))
+
+
+def test_missing_traces_csv_is_an_input_error(tmp_path, capsys):
+    """extract writes a traces.csv for every app it reports ok, so one that
+    is missing is an input error, not an app without traces."""
+    features, config = _tiny_features(tmp_path)
+    traces = sorted(features.glob("*/traces.csv"))[1]
+    traces.unlink()
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--out", str(tmp_path / "model.bin"),
+               "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"input error: cannot read {traces}: "
+                                       f"[Errno 2] No such file or directory: '{traces}'\n")
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])
