@@ -84,6 +84,8 @@ def cmd_mine_apis(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     config = _config(args)
     critical = config.critical_apis()
     config.lifecycle(), config.callbacks(), config.intent_senders()   # a bad table fails once, here
@@ -140,7 +142,13 @@ def _probabilities(records, model, config):
         yield from probabilities(batch, model, seed=config.train.seed)
 
 
+def _check_threshold(args):
+    if not math.isfinite(args.threshold):
+        raise UsageError("--threshold must be a finite number")
+
+
 def cmd_tune(args) -> int:
+    _check_threshold(args)
     config = _config(args)
     train_set, val_set, _ = split_dataset(_labeled_records(args.features), seed=config.train.seed)
 
@@ -211,6 +219,7 @@ def _read_predictions(path):
 
 
 def cmd_evaluate(args) -> int:
+    _check_threshold(args)
     config = _config(args)
     if args.predictions:
         scores, labels = _read_predictions(args.predictions)
@@ -227,57 +236,49 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def make_parser() -> _Parser:
+# Each command's function, help and arguments, as (flag, add_argument keywords).
+_OUT, _CONFIG, _FEATURES = ("--out", dict(required=True)), ("--config", {}), \
+    ("--features", dict(required=True))
+_THRESHOLD = ("--threshold", dict(type=float, default=0.5))
+_COMMANDS = {
+    "mine-apis": (cmd_mine_apis, "rank corpus keywords and mine critical APIs", (
+        ("--corpus", dict(required=True, help="directory of corpus .txt documents")),
+        ("--api-docs", dict(required=True, help="JSON list of {signature, description}")),
+        ("--tool-list", dict(action="append", help="tool API list file (repeatable)")),
+        ("--stopwords", dict(help="stopword file (default: packaged list)")),
+        ("--top-keywords", dict(type=int, default=DEFAULT_TOP_KEYWORDS)),
+        ("--min-matches", dict(type=int, default=DEFAULT_MIN_MATCHES)), _OUT)),
+    "extract": (cmd_extract, "extract graphs and opcode matrices for a dataset", (
+        ("--apps", dict(required=True, help="root directory, one app per subdirectory")),
+        _OUT, _CONFIG, ("--workers", dict(type=int, default=1,
+                                          help="parallel extraction processes")))),
+    "train": (cmd_train, "train the hybrid classifier on extracted features", (
+        _FEATURES, ("--out", dict(required=True, help="model JSON path")), _CONFIG,
+        ("--seed", dict(type=int)))),
+    "tune": (cmd_tune, "grid-search hyperparameters on 1/8 stratified subsets", (
+        _FEATURES, ("--out", dict(required=True, help="grid CSV path")), _CONFIG,
+        ("--factor", dict(action="append", help="restrict sweep to this factor (repeatable)")),
+        _THRESHOLD)),
+    "predict": (cmd_predict, "label extracted apps with a trained model", (
+        ("--model", dict(required=True)), _FEATURES, _OUT, _CONFIG)),
+    "evaluate": (cmd_evaluate, "compute metrics from a model or a predictions CSV", (
+        ("--model", {}), ("--features", {}),
+        ("--predictions", dict(help="CSV with score and label columns")),
+        _THRESHOLD, _OUT, _CONFIG)),
+}
+
+
+def make_parser(argv) -> _Parser:
+    """The parser of every command, each with its arguments only if argv
+    names it: help and an unknown command print as ever, and a run builds
+    the arguments of its own command alone."""
     parser = _Parser(prog="droidflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mine-apis", help="rank corpus keywords and mine critical APIs")
-    p.add_argument("--corpus", required=True, help="directory of corpus .txt documents")
-    p.add_argument("--api-docs", required=True, help="JSON list of {signature, description}")
-    p.add_argument("--tool-list", action="append", help="tool API list file (repeatable)")
-    p.add_argument("--stopwords", help="stopword file (default: packaged list)")
-    p.add_argument("--top-keywords", type=int, default=DEFAULT_TOP_KEYWORDS)
-    p.add_argument("--min-matches", type=int, default=DEFAULT_MIN_MATCHES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mine_apis)
-
-    p = sub.add_parser("extract", help="extract graphs and opcode matrices for a dataset")
-    p.add_argument("--apps", required=True, help="root directory, one app per subdirectory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--workers", type=int, default=1, help="parallel extraction processes")
-    p.set_defaults(fn=cmd_extract)
-
-    p = sub.add_parser("train", help="train the hybrid classifier on extracted features")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("tune", help="grid-search hyperparameters on 1/8 stratified subsets")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True, help="grid CSV path")
-    p.add_argument("--config")
-    p.add_argument("--factor", action="append", help="restrict sweep to this factor (repeatable)")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(fn=cmd_tune)
-
-    p = sub.add_parser("predict", help="label extracted apps with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="compute metrics from a model or a predictions CSV")
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--predictions", help="CSV with score and label columns")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(fn=cmd_evaluate)
+    for name, (fn, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        for flag, keywords in arguments if name in argv else ():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -286,9 +287,9 @@ def _show_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = make_parser(argv).parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.fn(args)

@@ -260,22 +260,32 @@ def opcode_text(seq) -> str:
     return "|".join(map(_CODE_TEXT.__getitem__, seq))
 
 
-# Each opcode value's text followed by "|", as a row of four bytes, and its length.
-_BAR_TEXT = np.array([list(f"{code}|".encode().ljust(4)) for code in range(256)], np.uint8)
-_BAR_WIDTH = np.array([len(f"{code}|") for code in range(256)])
+# Each opcode value's text, and its text followed by "|", as four bytes padded
+# with spaces; and a line break, as the same.
+_CODE_WORDS, _BAR_WORDS = (
+    np.frombuffer(b"".join(f"{code}{bar}".encode().ljust(4) for code in range(256)), np.uint32)
+    for bar in ("", "|"))
+_BREAK_WORD = np.frombuffer(b"\n".ljust(4), np.uint32)[0]
+
+
+def opcode_lines(codes, lengths) -> bytes:
+    """The opcode_text lines, each ended by "\n", of sequences of these
+    lengths laid end to end in codes (bytes or a uint8 array), in one pass of
+    array operations: each opcode's four bytes, less their padding, with no
+    "|" after a sequence's last opcode and a line break after each sequence."""
+    codes, ends = np.frombuffer(codes, np.uint8), np.cumsum(lengths, dtype=np.intp)
+    words = _BAR_WORDS[codes]
+    last = ends[np.asarray(lengths) > 0] - 1   # each non-empty sequence's last opcode
+    words[last] = _CODE_WORDS[codes[last]]
+    return np.insert(words, ends, _BREAK_WORD).tobytes().replace(b" ", b"")
 
 
 def serialize_graph(graph: AbstractFlowGraph, out_dir):
     """Write nodes.csv and edges.csv under out_dir, UTF-8 and byte-deterministic.
-    The opcode texts of all chunks come from the bodies' bytes in one pass of
-    array operations, each chunk's last "|" turned into the line break that
-    splits them apart. A ValueError, before anything is written, if a chunk's
+    The opcode texts of all chunks come from the bodies' bytes through
+    opcode_lines. A ValueError, before anything is written, if a chunk's
     invoked method holds a "\n", which would split its line."""
-    codes, lengths = graph._laid_out()
-    width = _BAR_WIDTH[codes]
-    text = _BAR_TEXT[codes][np.arange(4) < width[:, None]]
-    text[np.cumsum(width)[np.cumsum(lengths) - 1] - 1] = ord("\n")
-    texts = text.tobytes().decode("ascii").split("\n")
+    texts = opcode_lines(*graph._laid_out()).decode("ascii").split("\n")
     nodes = "".join([f"{k},{offset},{seq},{mtd}\n"
                      for k, offset, seq, mtd in zip(count(), graph.offsets, texts, graph.invoked)])
     if nodes.count("\n") != len(graph):

@@ -203,30 +203,27 @@ def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
     return Var(a.value.sum(axis=axis, keepdims=keepdims, dtype=np.float64), ((a, fn),))
 
 
-# Index cells one bincount of _add_rows may take: a wider scatter runs over
-# blocks of columns, so its scratch stays near 24 MB whatever its size.
-_ADD_ROWS_CELLS = 1 << 20
-
-
 def _add_rows(idx, rows, n):
     """(n, ...) float64 array whose row k sums rows[j] over idx[j] == k,
-    added in j order as np.add.at would, through one flat bincount per block
-    of columns (several times faster than np.add.at on 2-D rows)."""
+    added in j order onto 0.0, bit for bit as np.bincount(idx, weights) adds
+    each column: each target's rows, sorted stably, are one C-ordered block,
+    which numpy adds row by row (but a single column pairwise)."""
     idx = np.asarray(idx)
     width = int(np.prod(rows.shape[1:]))
-    flat_rows = rows.reshape(len(idx), width)
-    step = max(1, _ADD_ROWS_CELLS // max(1, len(idx)))
-    out = None if 0 < width <= step else np.empty((n, width))   # one block is its own
-    for lo in range(0, width, step):
-        cols = flat_rows[:, lo : lo + step]
-        w = cols.shape[1]
-        if lo == 0 or w < step:   # blocks of one width share their bins
-            bins = (idx[:, None] * w + np.arange(w)).reshape(-1)
-        sums = np.bincount(bins, weights=cols.reshape(-1), minlength=n * w).reshape(n, w)
-        if out is None:
-            out = sums.astype(np.float64, copy=False)   # int64 when idx is empty
-        else:
-            out[:, lo : lo + w] = sums
+    flat, out = rows.reshape(len(idx), width), np.zeros((n, width))
+    if width == 1:
+        out[:, 0] = np.bincount(idx, weights=flat[:, 0], minlength=n)
+        return out.reshape((n,) + rows.shape[1:])
+    if np.any(idx[1:] < idx[:-1]):   # no sort when idx is sorted already
+        order = np.argsort(idx, kind="stable")
+        idx, flat = idx[order], flat[order]
+    flat, counts = np.ascontiguousarray(flat), np.bincount(idx, minlength=n)
+    ends = np.cumsum(counts)
+    one = counts == 1
+    out[one] = 0.0 + flat[ends[one] - 1]   # 0.0 + -0.0 is bincount's 0.0
+    for k in np.flatnonzero(counts > 1).tolist():
+        np.add.reduce(flat[ends[k] - counts[k] : ends[k]], axis=0, dtype=np.float64,
+                      out=out[k], initial=0.0)
     return out.reshape((n,) + rows.shape[1:])
 
 

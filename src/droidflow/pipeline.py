@@ -22,7 +22,7 @@ from .flowgraph import (
     GraphArrays,
     build_flow_graph,
     deserialize_graph,
-    opcode_text,
+    opcode_lines,
     read_opcode_lines,
     serialize_graph,
 )
@@ -207,9 +207,9 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
 def write_features(result: ExtractResult, out_dir) -> Path:
     app_dir = Path(out_dir) / result.app_id
     serialize_graph(result.graph, app_dir)   # first: it makes app_dir or writes nothing
-    (app_dir / "traces.csv").write_text(
-        "".join(opcode_text(seq) + "\n" for seq in result.raw_sequences)
-    )
+    seqs = result.raw_sequences
+    (app_dir / "traces.csv").write_bytes(
+        opcode_lines(b"".join(map(bytes, seqs)), list(map(len, seqs))))
     (app_dir / "report.json").write_text(
         json.dumps(result.report, sort_keys=True, indent=2) + "\n"
     )

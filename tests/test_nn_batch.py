@@ -422,6 +422,38 @@ def test_graph_branch_forward_holds_few_node_arrays():
     assert held <= 3, held
 
 
+def test_scoring_readout_holds_no_node_index(monkeypatch):
+    # Scoring's gated readout over 4 graphs of 5,000 nodes, on constants. It
+    # holds the gate, one node-sized (n, 32) float64 array, while it sums the
+    # gated states per graph. The graph index is sorted, so that sum needs no
+    # sort and no index of its own; an (n, 32) int64 bin index took a second
+    # node-sized array.
+    rng = np.random.default_rng(78)
+    n, hp = 5_000, Hyperparams(lstm_units=4, hidden_layers=1)
+    graphs = [random_graph(rng, n, list(zip(rng.integers(0, n, 50), rng.integers(0, 50, 50))),
+                           label_dim=hp.label_dim) for _ in range(4)]
+    model = init_model(hp, seed=79)
+    node_bytes, held, readout = 4 * n * model.state_dim * 8, [], tape.gated_readout
+
+    def probe(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = readout(*args)
+        held.append((tracemalloc.get_traced_memory()[1] - before) / node_bytes)
+        return out
+
+    monkeypatch.setattr(tape, "gated_readout", probe)
+    pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
+    init_states = draw_init_states(graphs, [0] * 4, model.state_dim, hp.iterations)
+    tracemalloc.start()
+    try:
+        hg = gnn_batch_var(graphs, init_states, pv, hp.iterations)
+    finally:
+        tracemalloc.stop()
+    assert not hg.requires_grad and len(held) == 1
+    assert held[0] < 1.1, held
+
+
 def textbook_adam(weights, grads_per_step, tc):
     """The Adam update as written before it ran in place."""
     weights = {k: v.copy() for k, v in weights.items()}

@@ -1,6 +1,5 @@
 import tracemalloc
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,41 +96,59 @@ def test_gated_readout(rows):
 
 
 def one_shot_add_rows(idx, rows, n):
-    """_add_rows as one bincount over every cell, as it was before its
-    column blocks."""
+    """_add_rows as one bincount over an (n x width) bin index, as it was
+    first written."""
     width = int(np.prod(rows.shape[1:]))
     flat = (np.asarray(idx)[:, None] * width + np.arange(width)).reshape(-1)
     out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
     return out.reshape((n,) + rows.shape[1:])
 
 
-@given(st.data(), st.integers(1, 40), st.integers(1, 9), st.integers(0, 12),
-       st.integers(0, 3), st.sampled_from([np.float64, np.float32]))
-@settings(max_examples=200, deadline=None)
-def test_blocked_add_rows_matches_one_bincount(data, cells, n, length, extra_dims, dtype):
-    # The cell budget is drawn small, so the widths fall on both sides of a
-    # block's width and on its edges; every sum must be bit for bit the one
-    # bincount's, -0.0 terms and all, and float64 even for no rows.
-    shape = (length,) + tuple(data.draw(st.lists(st.integers(0, 7), min_size=extra_dims,
-                                                 max_size=extra_dims)))
-    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=length,
-                                      max_size=length)), dtype=np.intp)
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rows = np.random.default_rng(seed).normal(size=shape).astype(dtype)
-    rows[rows > 1.5] = -0.0
-    if extra_dims and data.draw(st.booleans()):   # a strided view, as gradients can be
-        rows = np.asfortranarray(rows)
-    with mock.patch.object(tape, "_ADD_ROWS_CELLS", cells):
-        got = tape._add_rows(idx, rows, n)
+def assert_add_rows_matches_one_bincount(idx, rows, n):
+    got = tape._add_rows(idx, rows, n)
     want = one_shot_add_rows(idx, rows, n).astype(np.float64)   # int64 zeros when idx is empty
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
+@given(st.data(), st.integers(1, 9), st.integers(0, 60), st.integers(0, 3),
+       st.sampled_from([np.float64, np.float32]), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_add_rows_matches_one_bincount(data, n, length, extra_dims, dtype, width_one, fortran,
+                                       sort):
+    # Width 1, F-ordered rows and sorted idx are drawn on purpose: numpy sums
+    # a single column or an F-ordered block pairwise, and a sorted idx skips
+    # the sort. Every sum must be bit for bit the one bincount's, -0.0 terms
+    # and all, and float64 even for no rows.
+    dims = [1] * extra_dims if width_one else data.draw(
+        st.lists(st.integers(0, 7), min_size=extra_dims, max_size=extra_dims))
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=length,
+                                      max_size=length)), dtype=np.intp)
+    if sort:
+        idx.sort()
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).normal(size=(length, *dims)).astype(dtype)
+    rows[rows > 0.7] = -0.0   # about a quarter, so that some sums are all -0.0
+    if fortran:   # a strided view, as gradients can be
+        rows = np.asfortranarray(rows)
+    assert_add_rows_matches_one_bincount(idx, rows, n)
+
+
+def test_add_rows_matches_one_bincount_at_the_embedding_gradient():
+    # Layer 0's embedding gradient on large-apps: 10,000 tokens' float32 gate
+    # gradients, 4 * 32 columns, onto 256 opcodes, skewed as opcodes are.
+    rng = np.random.default_rng(11)
+    idx = np.minimum(rng.geometric(0.02, 10_000), 255)
+    rows = rng.normal(size=(10_000, 128)).astype(np.float32)
+    rows[rows > 2.5] = -0.0
+    assert_add_rows_matches_one_bincount(idx, rows, 256)
+
+
 def test_add_rows_scratch_is_bounded():
     # Layer 1's embedding gradient at the row cap: 64 rows of 100 opcodes
     # scattered onto 256 tokens at 4 * 256 units, in the LSTM's float32. One
-    # bincount over every cell took about 107 MB on top of its result.
+    # bincount over every cell took about 107 MB on top of its result; the
+    # rows' sorted float32 copy takes 25 MB.
     rng = np.random.default_rng(10)
     idx = rng.integers(0, 256, 6400)
     rows = rng.normal(size=(6400, 1024)).astype(np.float32)

@@ -16,7 +16,7 @@ import droidflow
 from droidflow.apimine import CriticalApiSet
 from droidflow.appmodel import app_from_ir
 from droidflow.cli import main
-from droidflow.flowgraph import AbstractFlowGraph
+from droidflow.flowgraph import AbstractFlowGraph, opcode_text
 from droidflow.nn.model import load_model, save_model
 from droidflow.pipeline import (
     ConfigError,
@@ -261,10 +261,13 @@ def _write_traces(out, sequences):
 @given(st.lists(st.lists(st.integers(0, 255), max_size=40), max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_traces_csv_reads_back(tmp_path_factory, sequences):
-    """Every traces.csv write_features writes reads back, less the empty
-    sequences, which no trace has and load_features drops."""
+    """Every traces.csv write_features writes is each sequence's opcode_text
+    line and reads back, less the empty sequences, which no trace has and
+    load_features drops."""
     out = tmp_path_factory.mktemp("features")
-    _write_traces(out, sequences)
+    app_dir = _write_traces(out, sequences)
+    assert (app_dir / "traces.csv").read_text() == "".join(opcode_text(seq) + "\n"
+                                                           for seq in sequences)
     [record] = load_features(out)
     assert record.raw_sequences == [seq for seq in sequences if seq]
 
@@ -486,6 +489,20 @@ def test_exit_codes(tmp_path):
     assert main(["bogus-command"]) == 1
 
 
+def test_parser_builds_the_arguments_of_the_named_command_alone():
+    import argparse
+
+    import droidflow.cli as cli
+
+    parser = cli.make_parser(["extract", "--apps", "a", "--out", "o"])
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [f for a in p._actions for f in a.option_strings]
+             for name, p in sub.choices.items()}
+    assert list(flags) == ["mine-apis", "extract", "train", "tune", "predict", "evaluate"]
+    assert flags.pop("extract") == ["-h", "--help", "--apps", "--out", "--config", "--workers"]
+    assert all(f == ["-h", "--help"] for f in flags.values())
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"hyperparams": {"hiden_layers": 1}}, "unexpected keyword argument 'hiden_layers'"),
     ({"train": {"learning_rate": -1}}, "learning_rate must be >= 0"),
@@ -563,6 +580,31 @@ def test_negative_train_seed_flag_is_a_usage_error(tmp_path, capsys):
                "--seed", "-1"])
     assert rc == 1
     assert capsys.readouterr().err == "usage error: --seed: seed must be an integer >= 0, not -1\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_extract_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    apps_root = tmp_path / "apps"
+    write_corpus(generate_corpus(1, seed=1), apps_root)
+    features = tmp_path / "features"
+    rc = main(["extract", "--apps", str(apps_root), "--out", str(features), "--workers", workers])
+    assert rc == 1
+    assert capsys.readouterr().err == "usage error: --workers must be at least 1\n"
+    assert not features.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_is_a_usage_error(tmp_path, capsys, command, threshold):
+    preds = tmp_path / "scored.csv"
+    preds.write_text("app_id,score,label\na,0.9,1\nb,0.2,0\n")
+    source = ["--predictions", str(preds)] if command == "evaluate" else \
+        ["--features", str(tmp_path / "features")]
+    out = tmp_path / "out"
+    rc = main([command, *source, "--out", str(out), f"--threshold={threshold}"])
+    assert rc == 1
+    assert capsys.readouterr().err == "usage error: --threshold must be a finite number\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
