@@ -69,6 +69,8 @@ def _config(args) -> PipelineConfig:
 def cmd_mine_apis(args) -> int:
     if args.top_keywords < 1:
         raise UsageError("--top-keywords must be at least 1")
+    if args.min_matches < 1:
+        raise UsageError("--min-matches must be at least 1")
     corpus = load_corpus_dir(args.corpus)
     if not corpus:
         raise EmptyCorpusError(f"no corpus documents under {args.corpus}")

@@ -89,7 +89,7 @@ def metrics_from_confusion(c: Confusion, roc=0.0, prc=0.0, extra_flags=()):
     recall = ratio(c.tp, c.tp + c.fn, "recall")
     f1 = ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "f1")
     fpr = ratio(c.fp, c.tn + c.fp, "fpr")
-    fnr = 1.0 - recall
+    fnr = 1.0 - recall if c.tp + c.fn else ratio(c.fn, 0, "fnr")
     return MetricReport(accuracy, precision, recall, f1, fpr, fnr, roc, prc,
                         tuple(sorted(flags)))
 

@@ -4,10 +4,9 @@ Just enough operator coverage for the graph and sequence networks here:
 elementwise arithmetic with broadcasting, matrix products (including the
 batched edge-transform product), gathers/scatters for embeddings and
 message aggregation, and the usual squashing functions. Values and
-gradients are float64, with one exception: the fused LSTM op computes in
-LSTM_DTYPE, float32, and its hidden states stay float32 through the concat
-that feeds the next layer. Every gradient stays float64, so the parameters
-and the optimizer never see float32.
+gradients are float64, except in the fused LSTM op's LSTM_DTYPE, float32:
+its hidden states, and their gradients, up to the pooling sum. Every
+parameter's gradient is float64, so the optimizer never sees float32.
 """
 
 import numpy as np
@@ -195,10 +194,10 @@ def concat(vs, axis=0) -> Var:
 
 
 def sum_axis(a: Var, axis: int, keepdims: bool = True) -> Var:
+    """Sum in float64; the gradient is a read-only broadcast view in a's dtype."""
     def fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
+        g = g.astype(a.value.dtype, copy=False)
+        return np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.value.shape)
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims, dtype=np.float64), ((a, fn),))
 
@@ -299,8 +298,8 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
     gate activations plus the states C and H. The backward pass overwrites
     the buffer in place with the gate pre-activation gradients dZ, from
     which every input gradient follows in one product each. The buffer, the
-    states and the recurrent products are LSTM_DTYPE; every gradient the op
-    returns is float64."""
+    states, the recurrent products and the gradients of H and of a layer
+    input are LSTM_DTYPE; every parameter's gradient is float64."""
     dt = LSTM_DTYPE
     units = wh.value.shape[0]
     wh_c = wh.value.astype(dt, copy=False)
@@ -337,7 +336,6 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
         """dZ, computed once and shared by every input's gradient."""
         if dz:
             return dz[0]
-        dh_out = dh_out.astype(dt, copy=False)
         dh = np.zeros((n, units), dt)
         dc = np.zeros((n, units), dt)
         for k, t in enumerate(reversed(order)):
@@ -374,7 +372,7 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
 
     if tokens is None:
         parents = (
-            (x, lambda g: wide(flat(gate_grads(g)) @ wx_c.T).reshape(x.value.shape)),
+            (x, lambda g: (flat(gate_grads(g)) @ wx_c.T).reshape(x.value.shape)),
             (wx, lambda g: wide(flat(x_c).T @ flat(gate_grads(g)))),
         )
     else:

@@ -31,7 +31,7 @@ def oracle_metrics(tp, fp, tn, fn):
         "recall": tp / (tp + fn) if tp + fn else 0.0,
         "f1": 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0,
         "fpr": fp / (tn + fp) if tn + fp else 0.0,
-        "fnr": 1 - (tp / (tp + fn) if tp + fn else 0.0),
+        "fnr": 1 - tp / (tp + fn) if tp + fn else 0.0,
     }
 
 
@@ -73,6 +73,15 @@ def test_zero_predicted_positives_flagged():
     assert r.precision == 0.0
     assert "precision" in r.degenerate
     assert r.recall == 0.0
+
+
+def test_fnr_without_malware_is_flagged_zero():
+    # No malware to miss: fnr is 0 and flagged, as fpr is on a malware-only set.
+    _, r = compute_metrics([0.1, 0.7], [0, 0])
+    assert r.fnr == 0.0 and "fnr" in r.degenerate
+    _, r = compute_metrics([0.1, 0.7], [1, 1])
+    assert r.fpr == 0.0 and "fpr" in r.degenerate
+    assert r.fnr == 0.5 and "fnr" not in r.degenerate
 
 
 def test_length_mismatch():

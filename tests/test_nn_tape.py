@@ -162,6 +162,29 @@ def test_add_rows_scratch_is_bounded():
     assert peak < 40, peak
 
 
+def float32_bits(sign, exponent, mantissa):
+    return sign << 31 | min(max(exponent, 0), 254) << 23 | mantissa
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 254), st.integers(0, 2**23 - 1),
+                          st.integers(0, 1), st.integers(-26, 26), st.integers(0, 2**23 - 1)),
+                min_size=1, max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_float32_sum_is_the_float64_sum_rounded(pairs):
+    # backward sums the two directions' float32 gradients of a layer input in
+    # float32, where they were widened, summed in float64 and rounded back.
+    # Both are bit for bit the same: float64's 53 bits are at least 2 * 24 + 2,
+    # so rounding twice is innocuous for addition (Figueroa 1995). Exponents
+    # are drawn uniformly, subnormals and sums that overflow to infinity
+    # included, and b's within 26 of a's, where rounding is at stake.
+    bits = [(float32_bits(s, e, m), float32_bits(t, e + d, n)) for s, e, m, t, d, n in pairs]
+    a, b = (np.array(col, np.uint32).view(np.float32) for col in zip(*bits))
+    with np.errstate(over="ignore"):
+        want = (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32)
+        got = a + b
+    assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+
 def test_log_softmax_pick():
     rng = np.random.default_rng(6)
     arrays = {"z": rng.normal(size=(1, 4))}

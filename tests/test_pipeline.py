@@ -722,15 +722,20 @@ def test_mine_apis_index_that_is_not_an_object_is_an_input_error(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("top, docs, code, message", [
-    ("0", [], 1, "--top-keywords must be at least 1"),
-    ("2", [{"signature": "Camera.open"}, {"description": "no signature"}], 2,
+@pytest.mark.parametrize("flags, docs, code, message", [
+    (["--top-keywords", "0"], [], 1, "--top-keywords must be at least 1"),
+    # at 0 or below, every documented API would match and be critical
+    (["--min-matches", "0"], [{"signature": "Camera.open"}], 1, "--min-matches must be at least 1"),
+    (["--min-matches", "-1"], [{"signature": "Camera.open"}], 1,
+     "--min-matches must be at least 1"),
+    ([], [{"signature": "Camera.open"}, {"description": "no signature"}], 2,
      "entry 1 needs a non-empty string signature"),
-    ("2", [{"signature": "Camera.open"}, "Runtime.exec"], 2, "entry 1 is not an object"),
-    ("2", [{"signature": "", "description": "empty"}], 2,
+    ([], [{"signature": "Camera.open"}, "Runtime.exec"], 2, "entry 1 is not an object"),
+    ([], [{"signature": "", "description": "empty"}], 2,
      "entry 0 needs a non-empty string signature"),
-], ids=["top-keywords-0", "no-signature", "not-an-object", "empty-signature"])
-def test_mine_apis_bad_input_is_one_message(tmp_path, capsys, top, docs, code, message):
+], ids=["top-keywords-0", "min-matches-0", "min-matches-negative", "no-signature",
+        "not-an-object", "empty-signature"])
+def test_mine_apis_bad_input_is_one_message(tmp_path, capsys, flags, docs, code, message):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "doc1.txt").write_text("open the camera and exec commands")
@@ -738,7 +743,7 @@ def test_mine_apis_bad_input_is_one_message(tmp_path, capsys, top, docs, code, m
     api_docs.write_text(json.dumps(docs))
     out = tmp_path / "critical.txt"
     rc = main(["mine-apis", "--corpus", str(corpus), "--api-docs", str(api_docs),
-               "--top-keywords", top, "--out", str(out)])
+               "--top-keywords", "2", *flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == code
     kind = "usage error: " if code == 1 else "input error: "
