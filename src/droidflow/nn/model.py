@@ -36,7 +36,7 @@ FUSED_CLASSES = 2
 # apps into batches within it and training splits a mini-batch over it. The
 # fused LSTM op keeps its gate buffer and states for every row at once: at 256
 # units with 100-opcode rows and two layers, a training step peaks at about
-# 3.1 MB per row and scoring at about 0.93 MB (tracemalloc, 64 rows).
+# 3.12 MiB per row and scoring at about 0.93 MiB (tracemalloc, 64 rows).
 BATCH_ROW_UNITS = 64 * 256
 
 

@@ -294,12 +294,18 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
     Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE,
     written into out (a (T, N, u) LSTM_DTYPE array or view) when given.
 
-    The forward loop runs in plain numpy and keeps one (T, N, 4u) buffer of
-    gate activations plus the states C and H. The backward pass overwrites
-    the buffer in place with the gate pre-activation gradients dZ, from
-    which every input gradient follows in one product each. The buffer, the
-    states, the recurrent products and the gradients of H and of a layer
-    input are LSTM_DTYPE; every parameter's gradient is float64."""
+    The forward loop runs in plain numpy over one (T, 4, N, u) buffer of
+    gate activations, gate-major within each step, plus the states C and H:
+    each gate of a step is one contiguous (N, u) block, its activation runs
+    in place, and its recurrent product is its own (N, u) @ (u, u) product,
+    one matmul for the four. A layer input's (T*N, d) @ (d, 4u) projection
+    is turned gate-major in place, one step at a time. The backward pass
+    overwrites each step's slice of the buffer with the step's gate
+    pre-activation gradients dZ in row layout, (N, 4u), so the spent buffer
+    read as (T, N, 4u) is dZ, from which every input gradient follows in
+    one product each. The buffer, the states, the recurrent products and
+    the gradients of H and of a layer input are LSTM_DTYPE; every
+    parameter's gradient is float64."""
     dt = LSTM_DTYPE
     units = wh.value.shape[0]
     wh_c = wh.value.astype(dt, copy=False)
@@ -307,40 +313,43 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
         x_c = x.value.astype(dt, copy=False)
         wx_c = wx.value.astype(dt, copy=False)
         steps, n, d = x_c.shape
-        z = (x_c.reshape(-1, d) @ wx_c).reshape(steps, n, 4 * units)
+        z = (x_c.reshape(-1, d) @ wx_c).reshape(steps, 4, n, units)
+        for t in range(steps):   # each step's (N, 4u) rows, rewritten gate-major
+            z[t] = z[t].reshape(n, 4, units).transpose(1, 0, 2).copy()
     else:
         tokens = np.asarray(tokens).T
         steps, n = tokens.shape
-        z = (x.value @ wx.value).astype(dt, copy=False)[tokens]
-    z += b.value.astype(dt, copy=False)
+        table = (x.value @ wx.value).astype(dt, copy=False).reshape(-1, 4, units)
+        z = table[tokens[:, None], np.arange(4)[:, None]]
+    z += b.value.astype(dt, copy=False).reshape(4, 1, units)
     hs = np.empty((steps, n, units), dt) if out is None else out
     cs = np.empty((steps, n, units), dt)
+    wh4 = wh_c.reshape(units, 4, units).transpose(1, 0, 2)   # gate k's (u, u) block
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = np.zeros((n, units), dt)
     c = np.zeros((n, units), dt)
     for t in order:
         zt = z[t]
-        zt += h @ wh_c
-        zt[:, : 2 * units] = _sigmoid(zt[:, : 2 * units])
-        zt[:, 2 * units : 3 * units] = np.tanh(zt[:, 2 * units : 3 * units])
-        zt[:, 3 * units :] = _sigmoid(zt[:, 3 * units :])
-        i, f, g, o = (zt[:, k * units : (k + 1) * units] for k in range(4))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        cs[t] = c
-        hs[t] = h
+        zt += np.matmul(h, wh4)
+        _sigmoid(zt[:2], out=zt[:2])
+        np.tanh(zt[2], out=zt[2])
+        _sigmoid(zt[3], out=zt[3])
+        i, f, g, o = zt
+        c = np.multiply(f, c, out=cs[t])
+        c += i * g
+        h = np.tanh(c, out=hs[t])
+        h *= o
 
     dz = []
 
     def gate_grads(dh_out):
-        """dZ, computed once and shared by every input's gradient."""
+        """dZ, (T, N, 4u), computed once and shared by every input's gradient."""
         if dz:
             return dz[0]
         dh = np.zeros((n, units), dt)
         dc = np.zeros((n, units), dt)
         for k, t in enumerate(reversed(order)):
-            zt = z[t]
-            i, f, g, o = (zt[:, j * units : (j + 1) * units] for j in range(4))
+            i, f, g, o = z[t]
             c_prev = cs[t + 1 if reverse else t - 1] if k < steps - 1 else 0.0
             tc = np.tanh(cs[t])
             dh = dh + dh_out[t]
@@ -350,13 +359,11 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
             d_g = dc * i * (1.0 - g * g)
             d_o = dh * tc * o * (1.0 - o)
             dc = dc * f
-            zt[:, :units] = d_i
-            zt[:, units : 2 * units] = d_f
-            zt[:, 2 * units : 3 * units] = d_g
-            zt[:, 3 * units :] = d_o
-            dh = zt @ wh_c.T
-        dz.append(z)
-        return z
+            zt = z[t].reshape(n, 4, units)   # the step's slice, now in row layout
+            zt[:, 0], zt[:, 1], zt[:, 2], zt[:, 3] = d_i, d_f, d_g, d_o
+            dh = zt.reshape(n, 4 * units) @ wh_c.T
+        dz.append(z.reshape(steps, n, 4 * units))
+        return dz[0]
 
     def flat(a):
         return a.reshape(-1, a.shape[-1])

@@ -10,6 +10,9 @@ bit for bit; it reads every node's initial state, as full_init_states
 draws them, where the model draws only the rows it reads. composed_bilstm
 is a BiLSTM layer as the concat of its two directions. gnn_vector_var
 reads a flow graph's nodes as flowgraph_reference's ChunkNodes.
+row_layout_lstm is tape.lstm as it was before its gate buffer became
+gate-major: one (T, N, 4u) buffer and one (N, u) @ (u, 4u) recurrent
+product per step.
 """
 
 import numpy as np
@@ -130,6 +133,113 @@ def _composed_message_updates(unreached, base, src, dst, edge_feat, src_init, pv
         h_recv = tape.tanh(tape.add(tape.scale(agg, coef), base_recv))
     node_pos = np.where(rank >= 0, rank, n_recv + np.arange(total))
     return tape.gather_rows(tape.concat([h_recv, unreached]), node_pos)
+
+
+def row_layout_lstm(x, wx, wh, b, reverse=False, tokens=None, out=None):
+    """One direction of an LSTM layer over a batch of rows, as one tape node.
+
+    Time-major: x is (T, N, d), or, when tokens (N, T) are given, a lookup
+    table (V, d) whose rows the tokens pick; the table is projected through
+    wx once (V x 4u) and the projection gathered per token, so the (T*N, d)
+    input is never built. Gates are packed i, f, g, o in wx, wh and b.
+    Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE,
+    written into out (a (T, N, u) LSTM_DTYPE array or view) when given.
+
+    The forward loop runs in plain numpy and keeps one (T, N, 4u) buffer of
+    gate activations plus the states C and H. The backward pass overwrites
+    the buffer in place with the gate pre-activation gradients dZ, from
+    which every input gradient follows in one product each. The buffer, the
+    states, the recurrent products and the gradients of H and of a layer
+    input are LSTM_DTYPE; every parameter's gradient is float64."""
+    dt = tape.LSTM_DTYPE
+    units = wh.value.shape[0]
+    wh_c = wh.value.astype(dt, copy=False)
+    if tokens is None:
+        x_c = x.value.astype(dt, copy=False)
+        wx_c = wx.value.astype(dt, copy=False)
+        steps, n, d = x_c.shape
+        z = (x_c.reshape(-1, d) @ wx_c).reshape(steps, n, 4 * units)
+    else:
+        tokens = np.asarray(tokens).T
+        steps, n = tokens.shape
+        z = (x.value @ wx.value).astype(dt, copy=False)[tokens]
+    z += b.value.astype(dt, copy=False)
+    hs = np.empty((steps, n, units), dt) if out is None else out
+    cs = np.empty((steps, n, units), dt)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = np.zeros((n, units), dt)
+    c = np.zeros((n, units), dt)
+    for t in order:
+        zt = z[t]
+        zt += h @ wh_c
+        zt[:, : 2 * units] = tape._sigmoid(zt[:, : 2 * units])
+        zt[:, 2 * units : 3 * units] = np.tanh(zt[:, 2 * units : 3 * units])
+        zt[:, 3 * units :] = tape._sigmoid(zt[:, 3 * units :])
+        i, f, g, o = (zt[:, k * units : (k + 1) * units] for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        cs[t] = c
+        hs[t] = h
+
+    dz = []
+
+    def gate_grads(dh_out):
+        """dZ, computed once and shared by every input's gradient."""
+        if dz:
+            return dz[0]
+        dh = np.zeros((n, units), dt)
+        dc = np.zeros((n, units), dt)
+        for k, t in enumerate(reversed(order)):
+            zt = z[t]
+            i, f, g, o = (zt[:, j * units : (j + 1) * units] for j in range(4))
+            c_prev = cs[t + 1 if reverse else t - 1] if k < steps - 1 else 0.0
+            tc = np.tanh(cs[t])
+            dh = dh + dh_out[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d_i = dc * g * i * (1.0 - i)
+            d_f = dc * c_prev * f * (1.0 - f)
+            d_g = dc * i * (1.0 - g * g)
+            d_o = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            zt[:, :units] = d_i
+            zt[:, units : 2 * units] = d_f
+            zt[:, 2 * units : 3 * units] = d_g
+            zt[:, 3 * units :] = d_o
+            dh = zt @ wh_c.T
+        dz.append(z)
+        return z
+
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    def wide(a):
+        return a.astype(np.float64, copy=False)
+
+    def d_wh(g):
+        dzv = gate_grads(g)
+        if reverse:
+            return wide(flat(hs[1:]).T @ flat(dzv[:-1]))
+        return wide(flat(hs[:-1]).T @ flat(dzv[1:]))
+
+    if tokens is None:
+        parents = (
+            (x, lambda g: (flat(gate_grads(g)) @ wx_c.T).reshape(x.value.shape)),
+            (wx, lambda g: wide(flat(x_c).T @ flat(gate_grads(g)))),
+        )
+    else:
+        proj = []
+
+        def d_proj(g):
+            if not proj:
+                proj.append(tape._add_rows(tokens.reshape(-1), flat(gate_grads(g)), len(x.value)))
+            return proj[0]
+
+        parents = (
+            (x, lambda g: d_proj(g) @ wx.value.T),
+            (wx, lambda g: x.value.T @ d_proj(g)),
+        )
+    b_grad = (b, lambda g: gate_grads(g).sum(axis=(0, 1), dtype=np.float64))
+    return tape.Var(hs, parents + ((wh, d_wh), b_grad), dtype=dt)
 
 
 def _lstm_direction(xs, wx, wh, b, units, reverse=False):

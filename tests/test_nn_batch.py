@@ -73,6 +73,50 @@ def test_fused_lstm_gradients(reverse, dense):
     assert err <= 1e-4, err
 
 
+@pytest.mark.parametrize("units", [32, 256])
+@pytest.mark.parametrize("rows", [1, 3, 10, 64])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_gate_major_lstm_matches_row_layout(units, rows, reverse, dense):
+    # tape.lstm keeps its gate buffer gate-major, (T, 4, N, u), and makes a
+    # step's recurrent product one matmul over wh's four (u, u) gate blocks;
+    # the reference keeps it (T, N, 4u), with one (N, u) @ (u, 4u) product.
+    # Every other product and every elementwise step is the same on the same
+    # values, so where the BLAS gives each block product the bits of its
+    # columns of the whole product, the float32 ops agree bit for bit in H
+    # and in every gradient. Where it does not (OpenBLAS's Haswell kernels
+    # at some row counts), they agree to float32 rounding.
+    rng = np.random.default_rng(71 + units + rows + 2 * reverse + 4 * dense)
+    steps, d = 6, 2 * units if dense else 16
+    arrays = {"wx": rng.normal(0, 0.3, (d, 4 * units)),
+              "wh": rng.normal(0, 0.3, (units, 4 * units)),
+              "b": rng.normal(0, 0.3, 4 * units)}
+    if dense:   # layers 1 and up: a float32 (T, N, d) input
+        x, tokens = rng.normal(0, 1, (steps, rows, d)).astype(np.float32), None
+    else:       # layer 0: a lookup table the tokens pick rows of
+        x, tokens = rng.normal(0, 1, (256, d)), rng.integers(0, 256, (rows, steps))
+    g = rng.normal(0, 1, (steps, rows, units)).astype(np.float32)
+
+    def run(op):
+        pv = {name: tape.parameter(a) for name, a in arrays.items()}
+        xv = tape.Var(x, requires_grad=True, dtype=x.dtype)
+        h = op(xv, pv["wx"], pv["wh"], pv["b"], reverse=reverse, tokens=tokens)
+        return [h.value] + [fn(g) for _, fn in h.parents]   # x, wx, wh, b
+
+    wh = arrays["wh"].astype(np.float32)
+    probe = rng.normal(0, 1, (rows, units)).astype(np.float32)
+    blocks = np.matmul(probe, wh.reshape(units, 4, units).transpose(1, 0, 2))
+    same_bits = np.array_equal(blocks, (probe @ wh).reshape(rows, 4, units).transpose(1, 0, 2))
+    got, want = run(tape.lstm), run(ref.row_layout_lstm)
+    assert got[0].dtype == np.float32 and len(got) == 5
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, k
+        if same_bits:
+            assert np.array_equal(a, b), k
+        else:
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), k
+
+
 def test_float32_lstm_tracks_float64(monkeypatch):
     # The paper's width: 256 units, two layers, 100-step rows. Against the
     # float64 op, the float32 op's hidden states and its five kinds of input
@@ -267,6 +311,26 @@ def test_paper_scale_training_step_peak_per_row():
     assert per_row <= 3.1, per_row
 
 
+def test_paper_scale_scoring_peak_per_row():
+    # Scoring at the paper's width: bilstm_batch_var on constant parameters,
+    # 256 units, two layers, 64 rows of 100 opcodes, peaks at about 0.98 MB
+    # (10^6 bytes; 0.93 MiB) per row: the gate buffer and states of one
+    # direction and both layers' outputs. Layer 1's input projection is
+    # turned gate-major one step at a time; one transposed copy of it whole
+    # read 1.28.
+    hp = Hyperparams(seq_len=100, hidden_layers=2, lstm_units=256)
+    model = init_model(hp, seed=84, state_dim=4)
+    pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
+    rows = np.random.default_rng(85).integers(0, 256, (64, hp.seq_len))
+    tracemalloc.start()
+    try:
+        bilstm_batch_var([SequenceMatrix(rows, hp.seq_len)], pv, hp.hidden_layers)
+        per_row = tracemalloc.get_traced_memory()[1] / 1e6 / len(rows)
+    finally:
+        tracemalloc.stop()
+    assert per_row <= 0.98, per_row
+
+
 def test_pooled_gradient_reaches_the_top_layer_as_a_broadcast(monkeypatch):
     # The mean pool's gradient reaches the top BiLSTM layer as one (N, 2u)
     # float32 row repeated over the T = 50 steps by a stride-0 view: the
@@ -313,7 +377,11 @@ def test_pooled_gradient_reaches_the_top_layer_as_a_broadcast(monkeypatch):
     assert len(peaks) == 1 and peaks[0] < 4 * row_bytes, (peaks, row_bytes)
 
 
+@pytest.mark.usefixtures("lstm_float64")
 def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
+    # In float64: this checks the batching, not float32 rounding, and under
+    # some BLAS kernels (OpenBLAS's Haswell) the float32 rows of a product
+    # depend on how many rows it has.
     hp = Hyperparams(seq_len=4, hidden_layers=1, lstm_units=256, label_dim=3, iterations=3)
     model = init_model(hp, seed=66, state_dim=4, embed_dim=5)
     cap_rows = BATCH_ROW_UNITS // hp.lstm_units
@@ -326,10 +394,10 @@ def test_cross_app_batch_scores_each_app_as_alone(monkeypatch):
         (mixed_samples()[3][1][0], SequenceMatrix(rows[cap_rows + 6 :], 4)),   # a sender only
         (gnn_toy_graph(), SequenceMatrix(one_row, 4)),                   # one row
     ]
-    # Scored alone, the one-row app's (1, u) @ (u, 4u) recurrent products take
-    # numpy's matrix-vector path, whose float32 sums round apart from the
-    # matrix product of a batch: it gets its own bound, far inside the 5e-7
-    # that perfbench allows between predict and the per-app scan.
+    # Scored alone, the one-row app's recurrent products take numpy's
+    # matrix-vector path, whose sums round apart from the matrix product of
+    # a batch: it gets its own bound, far inside the 5e-7 that perfbench
+    # allows between predict and the per-app scan.
     bounds = [1e-12] * 4 + [1e-9]
     alone = [probabilities([pair], model)[0] for pair in pairs]
     # one forward pass over all five, and the capped batches cli scores them in
