@@ -50,7 +50,6 @@ class MethodDef:
     body: bytes
     operands: tuple
     calls: tuple
-    is_user_defined: bool = True
 
     @property
     def method_id(self) -> str:
@@ -77,25 +76,15 @@ class ClassDef:
     methods: list
 
 
-@dataclass(frozen=True)
-class IntentFilter:
-    actions: frozenset
-    categories: frozenset
-
-
 @dataclass
 class Component:
     path_name: str
     category: str
-    intent_filters: list
-    exported: bool = False
+    actions: frozenset           # every action of the component's intent filters
 
     def __post_init__(self):
         if self.category not in COMPONENT_CATEGORIES:
             raise ValueError(f"bad component category: {self.category!r}")
-
-    def declares_action(self, action: str) -> bool:
-        return any(action in f.actions for f in self.intent_filters)
 
 
 @dataclass
@@ -146,9 +135,9 @@ def split_signature(signature: str):
     return owner, name, "(" + descriptor
 
 
-# JSON fixture format: a dict mirroring AppModel field-for-field, with one
-# object per instruction. Offsets are recomputed from instruction widths, so
-# fixtures only list mnemonics.
+# JSON fixture format: a dict mirroring AppModel, with one object per
+# instruction and a component's actions listed per intent filter. Offsets are
+# recomputed from instruction widths, so fixtures only list mnemonics.
 
 def app_from_ir(data: dict) -> AppModel:
     try:
@@ -162,12 +151,12 @@ def app_from_ir(data: dict) -> AppModel:
 def _app_from_ir(data: dict) -> AppModel:
     classes = {}
     for cd in data.get("classes", []):
-        class_name = _required(cd, "name", "class")
+        class_name = _string(cd, "name", "class")
         methods = []
         for md in cd.get("methods", []):
-            method_name = _required(md, "name", f"method of {class_name}")
+            method_name = _string(md, "name", f"method of {class_name}")
             codes, operands, calls, offset = bytearray(), [], [], 0
-            # One handler for the whole body, not _required per instruction:
+            # One handler for the whole body, not _string per instruction:
             # this loop is the hot path of loading an IR app.
             try:
                 for ins in md.get("body", []):
@@ -179,6 +168,9 @@ def _app_from_ir(data: dict) -> AppModel:
                             f"invoked_method in {class_name}.{method_name}"
                         )
                     if invoked is not None:
+                        if not isinstance(invoked, str):
+                            raise MalformedIrError(f"invoke in {class_name}.{method_name}: "
+                                                   "'invoked_method' is not a string")
                         calls.append((len(codes), offset, invoked))
                     codes.append(code)
                     operands.append(", ".join(ins.get("operands", ())))
@@ -191,12 +183,11 @@ def _app_from_ir(data: dict) -> AppModel:
                 MethodDef(
                     owner=class_name,
                     name=method_name,
-                    descriptor=_required(md, "descriptor", f"method {class_name}.{method_name}"),
+                    descriptor=_string(md, "descriptor", f"method {class_name}.{method_name}"),
                     flags=flag_set(tuple(md.get("flags", ()))),
                     body=bytes(codes),
                     operands=tuple(operands),
                     calls=tuple(calls),
-                    is_user_defined=md.get("is_user_defined", True),
                 )
             )
         seen = set()
@@ -205,21 +196,20 @@ def _app_from_ir(data: dict) -> AppModel:
             if key in seen:
                 raise ValueError(f"duplicate method {m.name}{m.descriptor} in {class_name}")
             seen.add(key)
+        interfaces = cd.get("interfaces", ())
+        if isinstance(interfaces, str) or not all(isinstance(i, str) for i in interfaces):
+            raise MalformedIrError(f"class {class_name}: 'interfaces' is not a list of strings")
         classes[class_name] = ClassDef(
             name=class_name,
-            superclass=cd.get("superclass", "Ljava/lang/Object;"),
-            interfaces=tuple(cd.get("interfaces", ())),
+            superclass=_string(cd, "superclass", f"class {class_name}", "Ljava/lang/Object;"),
+            interfaces=tuple(interfaces),
             methods=methods,
         )
     components = [
         Component(
-            path_name=_required(c, "path_name", "component"),
-            category=_required(c, "category", "component"),
-            intent_filters=[
-                IntentFilter(frozenset(f.get("actions", ())), frozenset(f.get("categories", ())))
-                for f in c.get("intent_filters", ())
-            ],
-            exported=c.get("exported", False),
+            path_name=_string(c, "path_name", "component"),
+            category=_string(c, "category", "component"),
+            actions=frozenset(a for f in c.get("intent_filters", ()) for a in f.get("actions", ())),
         )
         for c in data.get("components", [])
     ]
@@ -231,11 +221,15 @@ def _app_from_ir(data: dict) -> AppModel:
     )
 
 
-def _required(entry: dict, key: str, what: str):
-    try:
-        return entry[key]
-    except KeyError:
-        raise MalformedIrError(f"{what} without {key!r}") from None
+def _string(entry: dict, key: str, what: str, default: str | None = None) -> str:
+    """entry[key], which must be a string; default if the key is absent and
+    a default is given."""
+    value = entry.get(key, default)
+    if value is None:
+        raise MalformedIrError(f"{what} without {key!r}")
+    if not isinstance(value, str):
+        raise MalformedIrError(f"{what}: {key!r} is not a string")
+    return value
 
 
 def load_app(root) -> AppModel:

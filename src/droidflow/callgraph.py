@@ -33,7 +33,6 @@ class CyclicHierarchyError(ValueError):
 class ClassHierarchy:
     parent: dict                 # class -> superclass name (platform names included)
     subclasses: dict             # class -> sorted tuple of direct user-defined subclasses
-    implements: dict             # class -> tuple of interface names
     implementers: dict           # interface -> sorted tuple of user-defined classes
 
     def subtree(self, class_name: str):
@@ -110,13 +109,11 @@ class CallGraph:
 def build_class_hierarchy(app: AppModel) -> ClassHierarchy:
     parent = {}
     subclasses = {}
-    implements = {}
     implementers = {}
     for name in sorted(app.classes):
         cd = app.classes[name]
         parent[name] = cd.superclass
         subclasses.setdefault(cd.superclass, []).append(name)
-        implements[name] = cd.interfaces
         for iface in cd.interfaces:
             implementers.setdefault(iface, []).append(name)
 
@@ -132,7 +129,6 @@ def build_class_hierarchy(app: AppModel) -> ClassHierarchy:
     return ClassHierarchy(
         parent=parent,
         subclasses={k: tuple(sorted(v)) for k, v in subclasses.items()},
-        implements=implements,
         implementers={k: tuple(sorted(v)) for k, v in implementers.items()},
     )
 

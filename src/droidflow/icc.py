@@ -64,7 +64,7 @@ def resolve_intent_targets(app, method, send_index, senders) -> tuple:
         c.path_name: c
         for c in app.components
         for s in action_strings
-        if c.declares_action(s)
+        if s in c.actions
     }
     return tuple(found[name] for name in sorted(found))
 

@@ -6,7 +6,7 @@ first (aapt2 dump, apktool) and feed the plain XML here.
 
 import xml.etree.ElementTree as ET
 
-from .appmodel import COMPONENT_CATEGORIES, Component, IntentFilter
+from .appmodel import COMPONENT_CATEGORIES, Component
 from .tables import InputError
 
 _ANDROID_NS = "{http://schemas.android.com/apk/res/android}"
@@ -55,28 +55,9 @@ def parse_manifest(xml) -> list:
         raw_name = elem.get(_ANDROID_NS + "name") or elem.get("name")
         if not raw_name:
             continue
-        filters = []
-        for filt in elem.findall("intent-filter"):
-            actions = frozenset(
-                a.get(_ANDROID_NS + "name") or a.get("name") or ""
-                for a in filt.findall("action")
-            ) - {""}
-            categories = frozenset(
-                c.get(_ANDROID_NS + "name") or c.get("name") or ""
-                for c in filt.findall("category")
-            ) - {""}
-            filters.append(IntentFilter(actions, categories))
-        exported_attr = elem.get(_ANDROID_NS + "exported") or elem.get("exported")
-        if exported_attr is not None:
-            exported = exported_attr.lower() == "true"
-        else:
-            exported = bool(filters)
-        components.append(
-            Component(
-                path_name=_class_name(raw_name, package),
-                category=elem.tag,
-                intent_filters=filters,
-                exported=exported,
-            )
-        )
+        actions = frozenset(
+            a.get(_ANDROID_NS + "name") or a.get("name") or ""
+            for a in elem.findall("intent-filter/action")
+        ) - {""}
+        components.append(Component(_class_name(raw_name, package), elem.tag, actions))
     return components

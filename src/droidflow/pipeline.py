@@ -167,6 +167,10 @@ class ExtractResult:
 
 
 def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig) -> ExtractResult:
+    # The report copies both as they are, and load_features accepts no other type.
+    label, timestamp = app.metadata.get("label"), app.metadata.get("timestamp")
+    if not all(v is None or isinstance(v, str) for v in (label, timestamp)):
+        raise ValueError(f"{app.app_id}: label and timestamp must be strings or null")
     cg = build_call_graph(
         app,
         lifecycle=config.lifecycle(),
@@ -184,8 +188,8 @@ def extract_app(app: AppModel, critical: CriticalApiSet, config: PipelineConfig)
     graph, flow_diags = build_flow_graph(app, cg, traces)
     report = {
         "app_id": app.app_id,
-        "label": app.metadata.get("label"),
-        "timestamp": app.metadata.get("timestamp"),
+        "label": label,
+        "timestamp": timestamp,
         "classes": len(app.classes),
         "components": len(app.components),
         "entry_points": len(cg.entry_points),

@@ -146,9 +146,7 @@ def _naive_intent_targets(app, body, send_index):
                     actions.add(s)
     if explicit:
         return [c for c in app.components if c.path_name in explicit]
-    return [
-        c for c in app.components if any(a in f.actions for a in actions for f in c.intent_filters)
-    ]
+    return [c for c in app.components if actions & c.actions]
 
 
 def oracle_call_graph(app):
@@ -496,7 +494,7 @@ def test_cyclic_hierarchy_rejected():
 def test_implements_recorded():
     app = build_app([cls("Lx/L;", interfaces=("Landroid/view/View$OnClickListener;",))], [])
     h = build_class_hierarchy(app)
-    assert "Landroid/view/View$OnClickListener;" in h.implements["Lx/L;"]
+    assert h.implementers["Landroid/view/View$OnClickListener;"] == ("Lx/L;",)
 
 
 def test_entry_points_direct_and_inherited():

@@ -7,7 +7,8 @@ BUDGET = 4000
 
 
 def test_src_stays_under_its_line_budget():
-    files = [*SRC.glob("*.py"), *SRC.glob("nn/*.py")]
-    # Newline characters, as `cat src/droidflow/*.py src/droidflow/nn/*.py | wc -l` counts.
+    # Every .py of the package and its subpackages, so none sits outside the budget.
+    files = SRC.rglob("*.py")
+    # Newline characters, as `find src/droidflow -name '*.py' | xargs cat | wc -l` counts.
     lines = sum(path.read_bytes().count(b"\n") for path in files)
     assert lines < BUDGET, f"{lines} lines of src, budget {BUDGET}"

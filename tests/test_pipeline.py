@@ -217,6 +217,34 @@ def test_wrongly_shaped_ir_fails_only_its_app(tmp_path, document):
     assert reports[1]["error"].startswith("wrongly shaped IR document")
 
 
+def _invoke_of(ir):
+    return next(ins for m in ir["classes"][0]["methods"] for ins in m["body"]
+                if "invoked_method" in ins)
+
+
+@pytest.mark.parametrize("key, setter", [
+    ("name", lambda ir: ir["classes"][0].update(name=5)),
+    ("name", lambda ir: ir["classes"][0]["methods"][0].update(name=["onCreate"])),
+    ("descriptor", lambda ir: ir["classes"][0]["methods"][0].update(descriptor=7)),
+    ("superclass", lambda ir: ir["classes"][0].update(superclass=["Landroid/app/Activity;"])),
+    ("interfaces", lambda ir: ir["classes"][0].update(interfaces=[5])),
+    ("interfaces", lambda ir: ir["classes"][0].update(interfaces="Lx/I;")),
+    ("invoked_method", lambda ir: _invoke_of(ir).update(invoked_method=5)),
+    ("path_name", lambda ir: ir["components"][0].update(path_name=5)),
+], ids=["class-name", "method-name", "descriptor", "superclass-list", "interface-number",
+        "interfaces-string", "invoked-method-number", "path-name-number"])
+def test_ir_name_that_is_not_a_string_fails_only_its_app(tmp_path, key, setter):
+    apps_root = tmp_path / "apps"
+    apps_root.mkdir()
+    shutil.copytree(FIXTURES / "critical", apps_root / "good")
+    (apps_root / "odd").mkdir()
+    (apps_root / "odd" / "ir.json").write_text(json.dumps(_with(_fixture_ir(), setter)))
+    reports = extract_batch(apps_root, tmp_path / "out", CriticalApiSet.of([SHORT_SMS]),
+                            PipelineConfig())
+    assert [(r["app_id"], r["status"]) for r in reports] == [("good", "ok"), ("odd", "failed")]
+    assert f"{key!r} is not a" in reports[1]["error"]
+
+
 def _padded(ir, n):
     """ir with n nops in front of every method of its first class."""
     for m in ir["classes"][0]["methods"]:
@@ -827,29 +855,49 @@ def _tiny_features(tmp_path):
     return features, config
 
 
-@pytest.mark.parametrize("command, meta", [
+@pytest.mark.parametrize("source, meta", [
+    ("meta.json", {"timestamp": 2020}),
+    ("meta.json", {"label": ["malicious"]}),
+    ("ir.json", {"label": 1}),
+], ids=["meta-timestamp-int", "meta-label-list", "ir-label-int"])
+def test_label_or_timestamp_of_the_wrong_type_fails_its_app_at_extraction(tmp_path, source, meta):
+    """An app whose label or timestamp is neither a string nor null gets one
+    failed entry, so every report the batch writes loads."""
+    apps_root = tmp_path / "apps"
+    apps_root.mkdir()
+    shutil.copytree(FIXTURES / "critical", apps_root / "good")
+    (apps_root / "odd").mkdir()
+    ir = _fixture_ir()
+    if source == "ir.json":
+        ir["metadata"] = meta
+    else:
+        (apps_root / "odd" / "meta.json").write_text(json.dumps(meta))
+    (apps_root / "odd" / "ir.json").write_text(json.dumps(ir))
+    out = tmp_path / "out"
+    assert main(["extract", "--apps", str(apps_root), "--out", str(out),
+                 "--config", str(fixture_config(tmp_path))]) == 0
+    reports = json.loads((out / "extraction_report.json").read_text())
+    assert [(r["app_id"], r["status"]) for r in reports] == [("good", "ok"), ("odd", "failed")]
+    assert reports[1]["error"] == "odd: label and timestamp must be strings or null"
+    assert [r.app_id for r in load_features(out)] == ["good"]
+
+
+@pytest.mark.parametrize("command, fields", [
     ("train", {"label": ["malicious"]}),
     ("tune", {"label": "benign", "timestamp": 2017}),
 ], ids=["label_list", "timestamp_int"])
 def test_report_label_or_timestamp_of_the_wrong_type_is_an_input_error(
-        tmp_path, capsys, command, meta):
-    """report.json copies label and timestamp from meta.json as they are; a
-    value that is neither a string nor null fails load_features, naming the
-    report, before train or tune reads it."""
-    apps_root, features = tmp_path / "apps", tmp_path / "features"
-    write_corpus(generate_corpus(6, seed=88), apps_root)
-    app_dir = sorted(apps_root.iterdir())[0]
-    (app_dir / "meta.json").write_text(json.dumps(meta))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY_CONFIG))
-    assert main(["extract", "--apps", str(apps_root), "--out", str(features),
-                 "--config", str(config)]) == 0
+        tmp_path, capsys, command, fields):
+    """A report.json label or timestamp that is neither a string nor null
+    fails load_features, naming the report, before train or tune reads it."""
+    features, config = _tiny_features(tmp_path)
+    report = sorted(p for p in features.iterdir() if p.is_dir())[0] / "report.json"
+    report.write_text(json.dumps({**json.loads(report.read_text()), **fields}))
     out = tmp_path / "out"
     capsys.readouterr()
     rc = main([command, "--features", str(features), "--out", str(out), "--config", str(config)])
     err = capsys.readouterr().err
     assert rc == 2
-    report = features / app_dir.name / "report.json"
     assert err == f"input error: {report}: label and timestamp must be strings or null\n"
     assert not out.exists()
 

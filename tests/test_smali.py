@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from droidflow.appmodel import offsets
-from droidflow.dalvik import CODE_TO_MNEMONIC, MNEMONIC_TO_CODE, UnknownOpcodeError
+from droidflow.dalvik import CODE_TO_MNEMONIC, CODE_WIDTH, MNEMONIC_TO_CODE, UnknownOpcodeError
 from droidflow.smali import SmaliSyntaxError, parse_smali_class
 
 from smali_reference import format_class
@@ -283,3 +285,11 @@ def test_opcode_table_matches_the_dalvik_bytecode_table():
     assert {code: CODE_TO_MNEMONIC[code] for code in anchors} == anchors
     assert len(CODE_TO_MNEMONIC) == 224
     assert not set(CODE_TO_MNEMONIC) & {*range(0x3E, 0x44), 0x73, 0x79, 0x7A, *range(0xE3, 0xFA)}
+
+
+def test_every_opcode_keeps_its_mnemonic_and_width():
+    # One "code mnemonic width" line per instruction, the whole instruction set.
+    lines = (Path(__file__).parent / "data" / "dalvik_opcodes.txt").read_text().splitlines()
+    pinned = [line.split() for line in lines]
+    assert CODE_TO_MNEMONIC == {int(code, 16): name for code, name, _ in pinned}
+    assert CODE_WIDTH == {int(code, 16): int(width) for code, _, width in pinned}
