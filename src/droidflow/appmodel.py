@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
 
-from .dalvik import INVOKE_CODES, WIDTH_TABLE, code_of
+from .dalvik import INVOKE_CODES, MNEMONIC_TO_CODE, WIDTH_TABLE, code_of
 from .tables import InputError
 
 COMPONENT_CATEGORIES = ("activity", "service", "receiver", "provider")
@@ -156,11 +156,11 @@ def _app_from_ir(data: dict) -> AppModel:
         for md in cd.get("methods", []):
             method_name = _string(md, "name", f"method of {class_name}")
             codes, operands, calls, offset = bytearray(), [], [], 0
-            # One handler for the whole body, not _string per instruction:
+            # One handler for the whole body, not _string or code_of per instruction:
             # this loop is the hot path of loading an IR app.
             try:
                 for ins in md.get("body", []):
-                    code = code_of(ins["mnemonic"])
+                    code = MNEMONIC_TO_CODE[ins["mnemonic"]]
                     invoked = ins.get("invoked_method")
                     if (invoked is not None) != (code in INVOKE_CODES):
                         raise ValueError(
@@ -173,20 +173,27 @@ def _app_from_ir(data: dict) -> AppModel:
                                                    "'invoked_method' is not a string")
                         calls.append((len(codes), offset, invoked))
                     codes.append(code)
-                    operands.append(", ".join(ins.get("operands", ())))
+                    operands.append(ins.get("operands", ()))
                     offset += WIDTH_TABLE[code]
             except KeyError:
+                if "mnemonic" in ins:
+                    code_of(ins["mnemonic"])   # raises UnknownOpcodeError
                 raise MalformedIrError(
                     f"instruction of {class_name}.{method_name} without 'mnemonic'"
                 ) from None
+            what = f"method {class_name}.{method_name}"
+            # join checks a list's items; a string or an object, whose
+            # characters or keys it would join, is checked here, once per body
+            if not {str, dict}.isdisjoint(map(type, operands)):
+                raise MalformedIrError(f"{what}: 'operands' is not a list of strings")
             methods.append(
                 MethodDef(
                     owner=class_name,
                     name=method_name,
-                    descriptor=_string(md, "descriptor", f"method {class_name}.{method_name}"),
-                    flags=flag_set(tuple(md.get("flags", ()))),
+                    descriptor=_string(md, "descriptor", what),
+                    flags=flag_set(_strings(md, "flags", what)),
                     body=bytes(codes),
-                    operands=tuple(operands),
+                    operands=tuple(map(", ".join, operands)),
                     calls=tuple(calls),
                 )
             )
@@ -196,20 +203,18 @@ def _app_from_ir(data: dict) -> AppModel:
             if key in seen:
                 raise ValueError(f"duplicate method {m.name}{m.descriptor} in {class_name}")
             seen.add(key)
-        interfaces = cd.get("interfaces", ())
-        if isinstance(interfaces, str) or not all(isinstance(i, str) for i in interfaces):
-            raise MalformedIrError(f"class {class_name}: 'interfaces' is not a list of strings")
         classes[class_name] = ClassDef(
             name=class_name,
             superclass=_string(cd, "superclass", f"class {class_name}", "Ljava/lang/Object;"),
-            interfaces=tuple(interfaces),
+            interfaces=_strings(cd, "interfaces", f"class {class_name}"),
             methods=methods,
         )
     components = [
         Component(
             path_name=_string(c, "path_name", "component"),
             category=_string(c, "category", "component"),
-            actions=frozenset(a for f in c.get("intent_filters", ()) for a in f.get("actions", ())),
+            actions=frozenset(a for f in c.get("intent_filters", ())
+                              for a in _strings(f, "actions", "intent filter")),
         )
         for c in data.get("components", [])
     ]
@@ -230,6 +235,16 @@ def _string(entry: dict, key: str, what: str, default: str | None = None) -> str
     if not isinstance(value, str):
         raise MalformedIrError(f"{what}: {key!r} is not a string")
     return value
+
+
+def _strings(entry: dict, key: str, what: str) -> tuple:
+    """entry[key] as a tuple, () if the key is absent; it must be a list of
+    strings, not a string or an object, whose characters or keys a tuple
+    would hold."""
+    value = entry.get(key, ())
+    if isinstance(value, (str, dict)) or not all(isinstance(v, str) for v in value):
+        raise MalformedIrError(f"{what}: {key!r} is not a list of strings")
+    return tuple(value)
 
 
 def load_app(root) -> AppModel:

@@ -19,7 +19,7 @@ feature-less apps still classify.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ FUSED_CLASSES = 2
 # apps into batches within it and training splits a mini-batch over it. The
 # fused LSTM op keeps its gate buffer and states for every row at once: at 256
 # units with 100-opcode rows and two layers, a training step peaks at about
-# 3.12 MiB per row and scoring at about 0.93 MiB (tracemalloc, 64 rows).
+# 3.12 MiB per row and scoring at about 0.79 MiB (tracemalloc, 64 rows).
 BATCH_ROW_UNITS = 64 * 256
 
 
@@ -93,10 +93,24 @@ class TrainConfig:
 class ModelParams:
     hyper: Hyperparams
     weights: dict               # name -> array, in model-file order (see _assemble)
+    # per BiLSTM layer, its (fwd, bwd) tape.lstm_form, filled on first score
+    _scoring: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def state_dim(self) -> int:
         return self.weights["gnn.w2"].shape[1]
+
+    def scoring_form(self) -> list:
+        """The BiLSTM's forward arrays that every score reads, built from the
+        weights on the first call: scoring reads the weights as they were
+        then. Training builds its own on every forward pass."""
+        w = self.weights
+        for li in range(len(self._scoring), self.hyper.hidden_layers):
+            embedding = w["lstm.embedding"] if li == 0 else None
+            self._scoring.append(tuple(
+                tape.lstm_form(*(w[f"lstm.l{li}.{d}.{k}"] for k in ("wx", "wh", "b")), embedding)
+                for d in ("fwd", "bwd")))
+        return self._scoring
 
 
 def init_model(hp: Hyperparams, seed: int = 0, state_dim: int = STATE_DIM,
@@ -201,12 +215,13 @@ def _message_updates(unreached, base, src, dst, edge_feat, src_init, pv, iterati
     return receivers, h_recv
 
 
-def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
+def bilstm_batch_var(matrices, pv: dict, layers: int, forms=None) -> Var:
     """(B, 32) app vectors for a batch of row matrices. The rows of every app
     run through the `layers` stacked BiLSTM layers as one (N, seq_len) token
     matrix, one fused tape op per layer and direction, and are mean-pooled per app; apps without
     rows map to zero vectors. The layer outputs stay in the op's compute
-    dtype up to the pooling, which sums in float64."""
+    dtype up to the pooling, which sums in float64. forms, if given, is
+    ModelParams.scoring_form of the weights in pv."""
     counts = np.array([m.n for m in matrices])
     if not counts.sum():
         return tape.constant(np.zeros((len(matrices), 32)))
@@ -214,7 +229,8 @@ def bilstm_batch_var(matrices, pv: dict, layers: int) -> Var:
     x = pv["lstm.embedding"]
     for li in range(layers):
         fwd, bwd = ([pv[f"lstm.l{li}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
-        x = tape.bilstm(x, fwd, bwd, tokens=tokens if li == 0 else None)
+        x = tape.bilstm(x, fwd, bwd, tokens=tokens if li == 0 else None,
+                        forms=forms[li] if forms else (None, None))
     pooled = tape.scale(tape.sum_axis(x, axis=0, keepdims=False), 1.0 / tokens.shape[1])
     h3 = tape.affine(pooled, pv["lstm.out3_w"], pv["lstm.out3_b"])
     h4 = tape.affine(h3, pv["lstm.out4_w"], pv["lstm.out4_b"])
@@ -248,12 +264,13 @@ def draw_init_states(graphs, init_seeds, state_dim: int, iterations: int) -> lis
     return out
 
 
-def forward_var(model: ModelParams, pv: dict, graphs, matrices, init_states) -> Var:
+def forward_var(model: ModelParams, pv: dict, graphs, matrices, init_states,
+                forms=None) -> Var:
     """(B, 2) fused logits for a batch of GraphArrays, their row matrices and
     their initial node states, with parameters pv (name -> Var). Training and
-    scoring both run through here."""
+    scoring both run through here; scoring passes model.scoring_form() as forms."""
     hg = gnn_batch_var(graphs, init_states, pv, model.hyper.iterations)
-    hb = bilstm_batch_var(matrices, pv, model.hyper.hidden_layers)
+    hb = bilstm_batch_var(matrices, pv, model.hyper.hidden_layers, forms)
     return logits_var(hg, hb, pv)
 
 
@@ -303,15 +320,16 @@ def _checked(matrix, seq_len):
 def probabilities(pairs, model: ModelParams, seed=0) -> np.ndarray:
     """(B, 2) probabilities (benign, malicious) for a list of B (flow graph,
     row matrix) feature pairs: forward_var on the graphs' arrays(), on
-    constant parameters over the whole list as one batch, each app's initial
-    node states drawn from seed, as when it is scored alone. Constants record
-    no tape links, so each branch's intermediates are freed once it is done."""
+    constant parameters and the model's scoring form over the whole list as
+    one batch, each app's initial node states drawn from seed, as when it is
+    scored alone. Constants record no tape links, so each branch's
+    intermediates are freed once it is done."""
     graphs = [graph.arrays(model.hyper.label_dim) for graph, _ in pairs]
     matrices = [_checked(matrix, model.hyper.seq_len) for _, matrix in pairs]
     pv = {name: tape.constant(arr) for name, arr in model.weights.items()}
     init_states = draw_init_states(graphs, [seed] * len(graphs), model.state_dim,
                                    model.hyper.iterations)
-    logits = forward_var(model, pv, graphs, matrices, init_states)
+    logits = forward_var(model, pv, graphs, matrices, init_states, model.scoring_form())
     return np.exp(tape.log_softmax(logits).value)
 
 

@@ -116,16 +116,6 @@ def scale(a: Var, c) -> Var:
     return Var(a.value * c, ((a, lambda g: _unbroadcast(g * c, a.value.shape)),))
 
 
-def matmul(a: Var, b: Var) -> Var:
-    return Var(
-        a.value @ b.value,
-        (
-            (a, lambda g: g @ b.value.T),
-            (b, lambda g: a.value.T @ g),
-        ),
-    )
-
-
 def affine(x: Var, w: Var, b: Var) -> Var:
     """x @ w + b for a 2-D x and a 1-D b, as one node that keeps no product."""
     out = x.value @ w.value
@@ -163,11 +153,6 @@ def _sigmoid(x, out=None):
     out += 1.0
     out *= 0.5
     return out
-
-
-def sigmoid(a: Var) -> Var:
-    y = _sigmoid(a.value)
-    return Var(y, ((a, lambda g: g * y * (1.0 - y)),))
 
 
 def reshape(a: Var, shape) -> Var:
@@ -283,8 +268,30 @@ def gated_readout(states: Var, rows, row_states, w: Var, b: Var, seg, num_segmen
                                                 num_segments)), parents)
 
 
+# The gate buffer's order, i, f, o, g, of the gates packed i, f, g, o in the
+# weights: one sigmoid then runs over the buffer's first three gates.
+IFOG = [0, 1, 3, 2]
+
+
+def lstm_form(wx, wh, b, embedding=None) -> tuple:
+    """(inp, wh4, b4), the LSTM_DTYPE arrays one direction of lstm reads in
+    its forward pass, from its float64 wx (d, 4u), wh (u, 4u) and b (4u,):
+    wh4 is the C-contiguous (4, u, u) stack of wh's gate blocks and b4 the
+    (4, 1, u) bias, both in buffer order, and inp is wx. Given the layer-0
+    embedding (V, d), inp is instead the C-contiguous (V, 4, u) lookup table
+    embedding @ wx + b, projected in float64, cast, then put in buffer order
+    and added the bias, and b4 is None."""
+    dt, units = LSTM_DTYPE, wh.shape[0]
+    wh4 = wh.astype(dt, copy=False).reshape(units, 4, units).transpose(1, 0, 2)[IFOG]
+    b4 = b.astype(dt, copy=False).reshape(4, 1, units)[IFOG]
+    if embedding is None:
+        return wx.astype(dt, copy=False), np.ascontiguousarray(wh4), b4
+    table = (embedding @ wx).astype(dt, copy=False).reshape(-1, 4, units)
+    return np.add(table[:, IFOG], b4[:, 0], order="C"), np.ascontiguousarray(wh4), None
+
+
 def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
-         out=None) -> Var:
+         out=None, form=None) -> Var:
     """One direction of an LSTM layer over a batch of rows, as one tape node.
 
     Time-major: x is (T, N, d), or, when tokens (N, T) are given, a lookup
@@ -292,51 +299,53 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
     wx once (V x 4u) and the projection gathered per token, so the (T*N, d)
     input is never built. Gates are packed i, f, g, o in wx, wh and b.
     Returns the hidden states H, (T, N, u), in input order, as LSTM_DTYPE,
-    written into out (a (T, N, u) LSTM_DTYPE array or view) when given.
+    written into out (a (T, N, u) LSTM_DTYPE array or view) when given. The
+    forward pass reads only lstm_form(wx, wh, b[, x]), or form when given:
+    the same arrays, built once by a caller that runs many passes.
 
     The forward loop runs in plain numpy over one (T, 4, N, u) buffer of
-    gate activations, gate-major within each step, plus the states C and H:
-    each gate of a step is one contiguous (N, u) block, its activation runs
-    in place, and its recurrent product is its own (N, u) @ (u, u) product,
-    one matmul for the four. A layer input's (T*N, d) @ (d, 4u) projection
-    is turned gate-major in place, one step at a time. The backward pass
+    gate pre-activations plus bias, gate-major within each step in order
+    i, f, o, g, and the states C and H: each gate of a step is one contiguous
+    (N, u) block, the activations run in place, one sigmoid over i, f and o,
+    and the recurrent products are one matmul over wh4's four (u, u) blocks.
+    A layer input's (T*N, d) @ (d, 4u) projection is turned gate-major in
+    place, one step at a time. On constant inputs C is one buffer updated in
+    place; otherwise every step's C is kept, and the backward pass
     overwrites each step's slice of the buffer with the step's gate
-    pre-activation gradients dZ in row layout, (N, 4u), so the spent buffer
-    read as (T, N, 4u) is dZ, from which every input gradient follows in
-    one product each. The buffer, the states, the recurrent products and
-    the gradients of H and of a layer input are LSTM_DTYPE; every
-    parameter's gradient is float64."""
+    pre-activation gradients dZ in row layout, (N, 4u), i, f, g, o, so the
+    spent buffer read as (T, N, 4u) is dZ, from which every input gradient
+    follows in one product each. The buffer, the states, the recurrent
+    products and the gradients of H and of a layer input are LSTM_DTYPE;
+    every parameter's gradient is float64."""
     dt = LSTM_DTYPE
-    units = wh.value.shape[0]
-    wh_c = wh.value.astype(dt, copy=False)
+    inp, wh4, b4 = form or lstm_form(wx.value, wh.value, b.value,
+                                     None if tokens is None else x.value)
+    units = wh4.shape[-1]
     if tokens is None:
         x_c = x.value.astype(dt, copy=False)
-        wx_c = wx.value.astype(dt, copy=False)
         steps, n, d = x_c.shape
-        z = (x_c.reshape(-1, d) @ wx_c).reshape(steps, 4, n, units)
-        for t in range(steps):   # each step's (N, 4u) rows, rewritten gate-major
-            z[t] = z[t].reshape(n, 4, units).transpose(1, 0, 2).copy()
+        z = (x_c.reshape(-1, d) @ inp).reshape(steps, 4, n, units)
+        for t in range(steps):   # each step's (N, 4u) rows, rewritten gate-major, plus b
+            np.add(z[t].reshape(n, 4, units).transpose(1, 0, 2)[IFOG], b4, out=z[t])
     else:
         tokens = np.asarray(tokens).T
         steps, n = tokens.shape
-        table = (x.value @ wx.value).astype(dt, copy=False).reshape(-1, 4, units)
-        z = table[tokens[:, None], np.arange(4)[:, None]]
-    z += b.value.astype(dt, copy=False).reshape(4, 1, units)
+        z = inp[tokens[:, None], np.arange(4)[:, None]]
     hs = np.empty((steps, n, units), dt) if out is None else out
-    cs = np.empty((steps, n, units), dt)
-    wh4 = wh_c.reshape(units, 4, units).transpose(1, 0, 2)   # gate k's (u, u) block
+    grad = any(v.requires_grad for v in (x, wx, wh, b))
+    cs = np.empty((steps, n, units), dt) if grad else None
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = np.zeros((n, units), dt)
     c = np.zeros((n, units), dt)
+    rec = np.empty((4, n, units), dt)   # a step's recurrent products, then i * g
     for t in order:
         zt = z[t]
-        zt += np.matmul(h, wh4)
-        _sigmoid(zt[:2], out=zt[:2])
-        np.tanh(zt[2], out=zt[2])
-        _sigmoid(zt[3], out=zt[3])
-        i, f, g, o = zt
-        c = np.multiply(f, c, out=cs[t])
-        c += i * g
+        zt += np.matmul(h, wh4, out=rec)
+        _sigmoid(zt[:3], out=zt[:3])
+        np.tanh(zt[3], out=zt[3])
+        i, f, o, g = zt
+        c = np.multiply(f, c, out=c if cs is None else cs[t])
+        c += np.multiply(i, g, out=rec[0])
         h = np.tanh(c, out=hs[t])
         h *= o
 
@@ -346,10 +355,11 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
         """dZ, (T, N, 4u), computed once and shared by every input's gradient."""
         if dz:
             return dz[0]
+        wh_c = wh.value.astype(dt, copy=False)
         dh = np.zeros((n, units), dt)
         dc = np.zeros((n, units), dt)
         for k, t in enumerate(reversed(order)):
-            i, f, g, o = z[t]
+            i, f, o, g = z[t]
             c_prev = cs[t + 1 if reverse else t - 1] if k < steps - 1 else 0.0
             tc = np.tanh(cs[t])
             dh = dh + dh_out[t]
@@ -379,7 +389,7 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
 
     if tokens is None:
         parents = (
-            (x, lambda g: (flat(gate_grads(g)) @ wx_c.T).reshape(x.value.shape)),
+            (x, lambda g: (flat(gate_grads(g)) @ inp.T).reshape(x.value.shape)),
             (wx, lambda g: wide(flat(x_c).T @ flat(gate_grads(g)))),
         )
     else:
@@ -398,15 +408,16 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False, tokens=None,
     return Var(hs, parents + ((wh, d_wh), b_grad), dtype=dt)
 
 
-def bilstm(x: Var, fwd, bwd, tokens=None) -> Var:
+def bilstm(x: Var, fwd, bwd, tokens=None, forms=(None, None)) -> Var:
     """A bidirectional LSTM layer, (T, N, 2u): the lstm nodes of the two
-    directions, fwd and bwd being each one's (wx, wh, b), write their H into
-    the halves of the one buffer this node holds, not a concatenated copy."""
+    directions, fwd and bwd being each one's (wx, wh, b) and forms each one's
+    lstm form or None, write their H into the halves of the one buffer this
+    node holds, not a concatenated copy."""
     steps, n = np.shape(tokens)[::-1] if tokens is not None else x.value.shape[:2]
     u = fwd[1].value.shape[0]
     out = np.empty((steps, n, 2 * u), LSTM_DTYPE)
-    f = lstm(x, *fwd, tokens=tokens, out=out[:, :, :u])
-    r = lstm(x, *bwd, reverse=True, tokens=tokens, out=out[:, :, u:])
+    f = lstm(x, *fwd, tokens=tokens, out=out[:, :, :u], form=forms[0])
+    r = lstm(x, *bwd, reverse=True, tokens=tokens, out=out[:, :, u:], form=forms[1])
     return Var(out, ((f, lambda g: g[:, :, :u]), (r, lambda g: g[:, :, u:])), dtype=out.dtype)
 
 

@@ -38,7 +38,7 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     if init_state is None:
         init_state = rng.uniform(-0.1, 0.1, (n_nodes, s))
     h = tape.constant(init_state)
-    base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+    base = tape.add(tape_ops.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
     if edges:
         src = np.array([id_to_index[e.source] for e in edges])
         dst = np.array([id_to_index[e.target] for e in edges])
@@ -47,7 +47,7 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
             onehot[i, EDGE_TYPE_ORDER.index(e.type)] = 1.0
         edge_feat = np.concatenate([labels[src], onehot, labels[dst]], axis=1)
         transform = tape.reshape(
-            tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
+            tape.add(tape_ops.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
             (len(edges), s, s),
         )
         indeg = np.zeros(n_nodes)
@@ -60,7 +60,7 @@ def gnn_vector_var(graph, pv, iterations, rng, init_state=None):
     else:
         for _ in range(iterations - 1):
             h = tape.tanh(base)
-    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+    gate = tape_ops.sigmoid(tape.add(tape_ops.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     return tape.tanh(tape.sum_axis(tape.mul(gate, h), axis=0, keepdims=True))
 
 
@@ -78,10 +78,10 @@ def rows_read(init_states, graphs, iterations):
     return [s if iterations < 2 else s[g.src] for s, g in zip(init_states, graphs)]
 
 
-def composed_bilstm(x, fwd, bwd, tokens=None):
+def composed_bilstm(x, fwd, bwd, tokens=None, forms=(None, None)):
     """tape.bilstm as the concat of one lstm node per direction."""
-    return tape.concat([tape.lstm(x, *fwd, tokens=tokens),
-                        tape.lstm(x, *bwd, reverse=True, tokens=tokens)], axis=2)
+    return tape.concat([tape.lstm(x, *fwd, tokens=tokens, form=forms[0]),
+                        tape.lstm(x, *bwd, reverse=True, tokens=tokens, form=forms[1])], axis=2)
 
 
 def composed_gnn_batch_var(graphs, init_states, pv, iterations):
@@ -98,7 +98,7 @@ def composed_gnn_batch_var(graphs, init_states, pv, iterations):
     else:
         offsets = np.cumsum([0] + sizes[:-1])
         labels = np.concatenate([g.labels for g in graphs])
-        base = tape.add(tape.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
+        base = tape.add(tape_ops.matmul(tape.constant(labels), pv["gnn.w2"]), pv["gnn.b2"])
         h = tape.tanh(base)
         src = np.concatenate([g.src + off for g, off in zip(graphs, offsets)])
         if len(src):
@@ -106,7 +106,7 @@ def composed_gnn_batch_var(graphs, init_states, pv, iterations):
             edge_feat = np.concatenate([g.edge_feat for g in graphs])
             h = _composed_message_updates(h, base, src, dst, edge_feat,
                                           np.concatenate(init_states)[src], pv, iterations)
-    gate = tape.sigmoid(tape.add(tape.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
+    gate = tape_ops.sigmoid(tape.add(tape_ops.matmul(h, pv["gnn.gate_w"]), pv["gnn.gate_b"]))
     graph_index = np.repeat(np.arange(len(graphs)), sizes)
     return tape.tanh(tape.segment_sum(tape.mul(gate, h), graph_index, len(graphs)))
 
@@ -117,7 +117,7 @@ def _composed_message_updates(unreached, base, src, dst, edge_feat, src_init, pv
     n_recv = len(receivers)
     coef = (1.0 / np.bincount(to_receiver))[:, None]
     transform = tape.reshape(
-        tape.add(tape.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
+        tape.add(tape_ops.matmul(tape.constant(edge_feat), pv["gnn.w1"]), pv["gnn.b1"]),
         (len(src), s, s),
     )
     base_recv = tape.gather_rows(base, receivers)
@@ -249,11 +249,11 @@ def _lstm_direction(xs, wx, wh, b, units, reverse=False):
     outputs = [None] * len(xs)
     order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
     for t in order:
-        z = tape.add(tape.add(tape.matmul(xs[t], wx), tape.matmul(h, wh)), b)
-        i = tape.sigmoid(tape_ops.slice_cols(z, 0, units))
-        f = tape.sigmoid(tape_ops.slice_cols(z, units, 2 * units))
+        z = tape.add(tape.add(tape_ops.matmul(xs[t], wx), tape_ops.matmul(h, wh)), b)
+        i = tape_ops.sigmoid(tape_ops.slice_cols(z, 0, units))
+        f = tape_ops.sigmoid(tape_ops.slice_cols(z, units, 2 * units))
         g = tape.tanh(tape_ops.slice_cols(z, 2 * units, 3 * units))
-        o = tape.sigmoid(tape_ops.slice_cols(z, 3 * units, 4 * units))
+        o = tape_ops.sigmoid(tape_ops.slice_cols(z, 3 * units, 4 * units))
         c = tape.add(tape.mul(f, c), tape.mul(i, g))
         h = tape.mul(o, tape.tanh(c))
         outputs[t] = h
@@ -279,8 +279,8 @@ def bilstm_vector_var(matrix, pv, layers):
     for x in xs[1:]:
         acc = tape.add(acc, x)
     pooled = tape.scale(acc, 1.0 / len(xs))
-    h3 = tape.add(tape.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
-    h4 = tape.add(tape.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
+    h3 = tape.add(tape_ops.matmul(pooled, pv["lstm.out3_w"]), pv["lstm.out3_b"])
+    h4 = tape.add(tape_ops.matmul(h3, pv["lstm.out4_w"]), pv["lstm.out4_b"])
     return tape.scale(tape.sum_axis(h4, axis=0, keepdims=True), 1.0 / matrix.n)
 
 

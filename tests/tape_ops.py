@@ -1,10 +1,10 @@
 """Tape ops that only the tests build with: the per-sample references in
-nn_reference.py and the gradient checks. They use droidflow.nn.tape's Var
+nn_reference.py, the tape's own tests and the gradient checks. They use droidflow.nn.tape's Var
 and helpers, as its own ops do."""
 
 import numpy as np
 
-from droidflow.nn.tape import Var, _unbroadcast, scale
+from droidflow.nn.tape import Var, _sigmoid, _unbroadcast, scale
 
 
 def sub(a: Var, b: Var) -> Var:
@@ -37,3 +37,18 @@ def pick(a: Var, row: int, col: int) -> Var:
 
 def neg(a: Var) -> Var:
     return scale(a, -1.0)
+
+
+def matmul(a: Var, b: Var) -> Var:
+    return Var(
+        a.value @ b.value,
+        (
+            (a, lambda g: g @ b.value.T),
+            (b, lambda g: a.value.T @ g),
+        ),
+    )
+
+
+def sigmoid(a: Var) -> Var:
+    y = _sigmoid(a.value)
+    return Var(y, ((a, lambda g: g * y * (1.0 - y)),))

@@ -6,7 +6,7 @@ import pytest
 
 from appbuild import rows
 from droidflow.appmodel import EmptyAppError, MalformedIrError, app_from_ir, load_app, offsets
-from droidflow.dalvik import CODE_TO_MNEMONIC, INVOKE_CODES
+from droidflow.dalvik import CODE_TO_MNEMONIC, INVOKE_CODES, UnknownOpcodeError
 from droidflow.smali import parse_smali_class
 
 THREE_CLASS_IR = {
@@ -210,6 +210,13 @@ def test_missing_required_key_is_a_value_error(path, key):
     with pytest.raises(MalformedIrError, match=repr(key)) as info:
         app_from_ir(ir)
     assert isinstance(info.value, ValueError)
+
+
+def test_ir_unknown_mnemonic_is_an_unknown_opcode_error():
+    ir = copy.deepcopy(THREE_CLASS_IR)
+    ir["classes"][1]["methods"][0]["body"].insert(0, {"mnemonic": "nop-nop"})
+    with pytest.raises(UnknownOpcodeError, match="unknown Dalvik mnemonic: 'nop-nop'"):
+        app_from_ir(ir)
 
 
 @pytest.mark.parametrize("instruction", [

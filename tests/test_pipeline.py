@@ -231,8 +231,14 @@ def _invoke_of(ir):
     ("interfaces", lambda ir: ir["classes"][0].update(interfaces="Lx/I;")),
     ("invoked_method", lambda ir: _invoke_of(ir).update(invoked_method=5)),
     ("path_name", lambda ir: ir["components"][0].update(path_name=5)),
+    ("operands", lambda ir: ir["classes"][0]["methods"][0]["body"][0].update(operands="v0, 0x1")),
+    ("actions", lambda ir: ir["components"][0].update(intent_filters=[{"actions": "BOOT"}])),
+    ("flags", lambda ir: ir["classes"][0]["methods"][0].update(flags="public")),
+    ("operands", lambda ir: ir["classes"][0]["methods"][0]["body"][0].update(operands={"v0": 1})),
+    ("interfaces", lambda ir: ir["classes"][0].update(interfaces={"Lx/I;": 1})),
 ], ids=["class-name", "method-name", "descriptor", "superclass-list", "interface-number",
-        "interfaces-string", "invoked-method-number", "path-name-number"])
+        "interfaces-string", "invoked-method-number", "path-name-number", "operands-string",
+        "actions-string", "flags-string", "operands-object", "interfaces-object"])
 def test_ir_name_that_is_not_a_string_fails_only_its_app(tmp_path, key, setter):
     apps_root = tmp_path / "apps"
     apps_root.mkdir()
