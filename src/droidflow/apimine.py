@@ -201,8 +201,9 @@ def load_corpus_dir(corpus_dir):
     index_path = corpus_dir / "index.json"
     if index_path.exists():
         index = read_input(index_path, json.loads)
-        if not isinstance(index, dict):
-            raise EmptyCorpusError(f"{index_path}: not a JSON object of doc_id -> source kind")
+        if not isinstance(index, dict) or not all(isinstance(k, str) for k in index.values()):
+            raise EmptyCorpusError(
+                f"{index_path}: not a JSON object of doc_id -> source kind string")
     return [CorpusDocument(path.stem, read_input(path), index.get(path.stem, "cve"))
             for path in sorted(corpus_dir.glob("*.txt"))]
 

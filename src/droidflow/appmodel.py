@@ -6,7 +6,7 @@ JSON fixture format (same fields, no smali text involved).
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -46,7 +46,6 @@ class MethodDef:
     owner: str
     name: str
     descriptor: str
-    flags: frozenset
     body: bytes
     operands: tuple
     calls: tuple
@@ -54,13 +53,6 @@ class MethodDef:
     @property
     def method_id(self) -> str:
         return f"{self.owner}->{self.name}{self.descriptor}"
-
-
-@lru_cache(maxsize=256)
-def flag_set(flags: tuple) -> frozenset:
-    """The flags of a method as a frozenset shared by every method with the
-    same flags, so that loaded methods hold no set each for the GC to track."""
-    return frozenset(flags)
 
 
 def offsets(body: bytes) -> list:
@@ -191,7 +183,6 @@ def _app_from_ir(data: dict) -> AppModel:
                     owner=class_name,
                     name=method_name,
                     descriptor=_string(md, "descriptor", what),
-                    flags=flag_set(_strings(md, "flags", what)),
                     body=bytes(codes),
                     operands=tuple(map(", ".join, operands)),
                     calls=tuple(calls),

@@ -167,28 +167,15 @@ def build_edges(graph: AbstractFlowGraph, cg, traces, components):
         j = position.get(method_id)
         return None if j is None else first[j]
 
-    def chunk_at(method_id, offset):
-        """The chunk of method_id holding the instruction at offset, or None."""
-        j = position.get(method_id)
-        if j is None:
-            return None
-        k = bisect_right(offsets, offset, first[j], first[j + 1]) - 1
-        if k < first[j]:
-            return None
-        start = ends[k - 1] if k > first[j] else 0
-        last = offsets[k] + sum(graph.methods[j].body[start : ends[k] - 1].translate(WIDTH_TABLE))
-        return k if offset <= last else None
-
     diagnostics = []
     ct, is_, ic, in_ = set(), set(), set(), set()
 
+    # Every method on a trace has chunks, as it calls on or holds the critical
+    # call, and a site offset is a call offset of methods[-1].
     for trace in traces:
-        src = first_chunk(trace.methods[0])
-        tgt = chunk_at(trace.methods[-1], trace.site_offset)
-        if src is None or tgt is None:
-            diagnostics.append(f"trace without chunks: {trace.methods}")
-            continue
-        ct.add((src, tgt))
+        j = position[trace.methods[-1]]
+        ct.add((first[position[trace.methods[0]]],
+                bisect_right(offsets, trace.site_offset, first[j], first[j + 1]) - 1))
 
     sends = []   # (chunk id, method id, body index) of each chunk an intent send closes
     for mid, idx in cg.intent_sends:

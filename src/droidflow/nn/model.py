@@ -19,6 +19,7 @@ feature-less apps still classify.
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -366,17 +367,21 @@ def save_model(model: ModelParams, path):
 
 def load_model(path) -> ModelParams:
     """The model saved at path; a file that does not fit this build is a
-    ModelMismatchError naming it."""
+    ModelMismatchError naming it. The header's weights are checked against
+    the file's size before any of them is allocated."""
     try:
         with open(path, "rb") as f:
-            model = _template(_header(f.readline()))
-            arrays = list(model.weights.values())
-            size = sum(f.readinto(arr) for arr in arrays) + len(f.read())
-        expected = sum(arr.nbytes for arr in arrays)
-        if size != expected:
-            raise ModelMismatchError(
-                f"model file holds {size} weight bytes, its header's weights need {expected}"
-            )
+            hp, shapes = _architecture(_header(f.readline()))
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            expected = 8 * sum(map(math.prod, shapes.values()))
+            if size != expected:
+                raise ModelMismatchError(
+                    f"model file holds {size} weight bytes, its header's weights need {expected}"
+                )
+            model = ModelParams(hp, {name: np.empty(shape, "<f8")
+                                     for name, shape in shapes.items()})
+            for arr in model.weights.values():
+                f.readinto(arr)
     except ModelMismatchError as exc:
         raise ModelMismatchError(f"{path}: {exc}") from None
     return model
@@ -400,9 +405,10 @@ def _header(line: bytes) -> dict:
     return header
 
 
-def _template(header: dict) -> ModelParams:
-    """Uninitialised parameters of the header's architecture, whose weight
-    names it must list in ModelParams.weights order."""
+def _architecture(header: dict):
+    """The header's Hyperparams and the shape of each weight of its
+    architecture, by name in ModelParams.weights order, the order in which
+    the header must list the names."""
     try:
         hyper = header["hyperparams"]
         sizes = {"state_dim": header["state_dim"], "embed_dim": header["embed_dim"]}
@@ -420,13 +426,9 @@ def _template(header: dict) -> ModelParams:
         hp = Hyperparams(**hyper)
     except (TypeError, ValueError) as exc:   # an unknown name, a value out of range
         raise ModelMismatchError(f"malformed model hyperparams: {exc}") from None
-    state_dim, embed_dim = header["state_dim"], header["embed_dim"]
-
-    def empty(shape, bound=None):
-        return np.empty(shape, "<f8")
-
-    model = _assemble(hp, state_dim, embed_dim, empty, empty)
-    names = list(model.weights)
+    shapes = _assemble(hp, header["state_dim"], header["embed_dim"],
+                       lambda shape, bound: shape, lambda shape: shape).weights
+    names = list(shapes)
     listed = header.get("weights")
     if listed != names:
         found = {n for n in listed if isinstance(n, str)} if isinstance(listed, list) else set()
@@ -434,4 +436,4 @@ def _template(header: dict) -> ModelParams:
         detail = (f"missing {missing}, unexpected {unexpected}" if missing or unexpected
                   else "listed out of order or more than once")
         raise ModelMismatchError(f"model weights do not match its hyperparameters: {detail}")
-    return model
+    return hp, shapes

@@ -10,7 +10,7 @@ downstream analyses consume.
 
 import re
 
-from .appmodel import ClassDef, MethodDef, flag_set
+from .appmodel import ClassDef, MethodDef
 from .dalvik import INVOKE_CODES, MNEMONIC_TO_CODE, WIDTH_TABLE, code_of
 
 _CLASS_RE = re.compile(r"^\.class(?:\s+([\w $-]+?))?\s+(L[^\s;]+;)$")
@@ -39,6 +39,8 @@ _SKIP_BLOCK_STARTS = tuple(_SKIP_BLOCKS)
 _POLYMORPHIC_CODES = (MNEMONIC_TO_CODE["invoke-polymorphic"],
                       MNEMONIC_TO_CODE["invoke-polymorphic/range"])
 _CUSTOM_CODES = (MNEMONIC_TO_CODE["invoke-custom"], MNEMONIC_TO_CODE["invoke-custom/range"])
+# Methods of these flags keep no body.
+_BODILESS = frozenset(("abstract", "native"))
 
 
 class SmaliSyntaxError(ValueError):
@@ -97,7 +99,7 @@ def parse_smali_class(text: str) -> ClassDef:
     superclass = "Ljava/lang/Object;"
     interfaces = []
     methods = []
-    method_head = None   # (flags, name, descriptor)
+    method_head = None   # (name, descriptor, whether the body is dropped)
     codes = None         # opcode values of the open method
     operands = None      # its operand texts
     calls = None         # its (body index, offset, invoked) triples
@@ -142,7 +144,10 @@ def parse_smali_class(text: str) -> ClassDef:
         if line == ".end method":
             if method_head is None:
                 raise SmaliSyntaxError(".end method outside a method", lineno)
-            methods.append((*method_head, bytes(codes), tuple(operands), tuple(calls)))
+            mname, descriptor, bodiless = method_head
+            columns = (b"", (), ()) if bodiless else (bytes(codes), tuple(operands), tuple(calls))
+            # The owner is set once the file is read: a .class line may follow.
+            methods.append(MethodDef(None, mname, descriptor, *columns))
             method_head = None
             codes = operands = calls = None
         elif line.startswith(".method"):
@@ -151,8 +156,8 @@ def parse_smali_class(text: str) -> ClassDef:
             m = _METHOD_RE.match(line)
             if not m:
                 raise SmaliSyntaxError(f"malformed .method: {line}", lineno)
-            flags = flag_set(tuple((m.group(1) or "").split()))
-            method_head = (flags, m.group(2), m.group(3))
+            method_head = (m.group(2), m.group(3),
+                           not _BODILESS.isdisjoint((m.group(1) or "").split()))
             codes, operands, calls, offset = bytearray(), [], [], 0
         elif line.startswith(_SKIP_PREFIXES):
             continue
@@ -181,27 +186,12 @@ def parse_smali_class(text: str) -> ClassDef:
     if method_head is not None:
         raise SmaliSyntaxError("unterminated .method", len(text.splitlines()))
 
-    abstract_flags = {"abstract", "native"}
-    method_defs = []
-    for flags, mname, descriptor, body, operand_texts, invokes in methods:
-        if flags & abstract_flags:
-            body, operand_texts, invokes = b"", (), ()
-        method_defs.append(
-            MethodDef(
-                owner=name,
-                name=mname,
-                descriptor=descriptor,
-                flags=flags,
-                body=body,
-                operands=operand_texts,
-                calls=invokes,
-            )
-        )
     seen = set()
-    for m in method_defs:
+    for m in methods:
+        m.owner = name
         key = (m.name, m.descriptor)
         if key in seen:
             raise SmaliSyntaxError(f"duplicate method {m.name}{m.descriptor}", 1)
         seen.add(key)
-    return ClassDef(name=name, superclass=superclass, interfaces=tuple(interfaces), methods=method_defs)
+    return ClassDef(name=name, superclass=superclass, interfaces=tuple(interfaces), methods=methods)
 

@@ -31,10 +31,6 @@ class CallTrace:
     site_offset: int          # offset of the critical invoke in methods[-1]
     opcode_seq: list          # opcode values, ending at the critical invoke
 
-    @property
-    def entry(self):
-        return self.methods[0]
-
 
 @dataclass
 class SequenceMatrix:

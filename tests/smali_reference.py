@@ -150,7 +150,6 @@ def parse_smali_class(text: str) -> ClassDef:
                 owner=name,
                 name=mname,
                 descriptor=descriptor,
-                flags=flags,
                 **columns(assign_offsets(body)),
             )
         )
@@ -169,10 +168,8 @@ def format_class(cd: ClassDef) -> str:
     for iface in cd.interfaces:
         lines.append(f".implements {iface}")
     for method in cd.methods:
-        flags = " ".join(sorted(method.flags))
-        head = f".method {flags} {method.name}{method.descriptor}" if flags else f".method {method.name}{method.descriptor}"
         lines.append("")
-        lines.append(head)
+        lines.append(f".method {method.name}{method.descriptor}")
         for code, operands in zip(method.body, method.operands):
             if operands:
                 lines.append(f"    {CODE_TO_MNEMONIC[code]} {operands}")

@@ -1,4 +1,5 @@
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -97,7 +98,7 @@ def column_graph(methods, edges=()):
     first, ends, offsets, invoked, defs = [0], [], [], [], []
     for i, chunks in enumerate(methods):
         body = b"".join(bytes(seq) for _, seq, _ in chunks)
-        defs.append(MethodDef("La;", f"m{i}", "()V", frozenset(), body, ("",) * len(body), ()))
+        defs.append(MethodDef("La;", f"m{i}", "()V", body, ("",) * len(body), ()))
         for offset, seq, mtd in chunks:
             ends.append((ends[-1] if len(ends) > first[-1] else 0) + len(seq))
             offsets.append(offset)
@@ -687,6 +688,34 @@ def test_corpus_builds_as_the_reference(tmp_path, monkeypatch):
         _assert_builds_agree(app_from_ir(ir), critical, tmp_path / str(i), monkeypatch)
     for name in sorted(p.name for p in FIXTURES.iterdir()):
         _assert_builds_agree(load_app(FIXTURES / name), CRITICAL, tmp_path / name, monkeypatch)
+
+
+def test_every_trace_ends_in_the_chunk_of_its_critical_call():
+    """What build_edges' trace lookup rests on, on the fixtures, the hand-made
+    apps and a random corpus: both ends of every trace have chunks, and the
+    chunk the site offset picks holds the critical call."""
+    corpus = PipelineConfig().critical_apis()
+    apps = [(load_app(FIXTURES / p.name), CRITICAL) for p in sorted(FIXTURES.iterdir())]
+    apps += [(app, HAND_MADE_CRITICAL) for _, app in _hand_made_apps()]
+    apps += [(app_from_ir(ir), corpus) for ir in generate_corpus(8, seed=21)]
+    checked = 0
+    for app, critical in apps:
+        cg = build_call_graph(app)
+        traces = find_call_traces(cg, critical)
+        graph, _ = build_flow_graph(app, cg, traces)
+        position = {m.method_id: j for j, m in enumerate(graph.methods)}
+        first = graph.first
+        for trace in traces:
+            assert trace.methods[0] in position and trace.methods[-1] in position
+            j = position[trace.methods[-1]]
+            k = bisect_right(graph.offsets, trace.site_offset, first[j], first[j + 1]) - 1
+            start = graph.ends[k - 1] if k > first[j] else 0
+            [index] = [i for i, offset, api in graph.methods[j].calls
+                       if offset == trace.site_offset and api == trace.critical_api]
+            assert graph.offsets[k] <= trace.site_offset and start <= index < graph.ends[k]
+            assert FlowEdge(first[position[trace.methods[0]]], k, "ct") in graph.edges
+            checked += 1
+    assert checked >= 17
 
 
 class _CountingMap(dict):

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -250,3 +251,28 @@ def test_malformed_model_file_is_an_input_error(tmp_path, features, capsys, corr
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+
+
+def test_header_needing_more_bytes_than_the_file_holds_allocates_nothing(tmp_path, features,
+                                                                         capsys):
+    """A header declaring 100,000 LSTM units, about 298 GiB of weights, over
+    a few hundred bytes is an input error before any weight is allocated."""
+    path = tmp_path / "model.bin"
+    save_model(init_model(SMALL, seed=1), path)
+    header, _ = _split(path)
+    header["hyperparams"]["lstm_units"] = 100_000
+    path.write_bytes(_file(header, bytes(64)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelMismatchError, match="holds 64 weight bytes"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(path), "--features", str(features),
+               "--out", str(tmp_path / "preds.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ") and str(path) in err

@@ -233,12 +233,11 @@ def _invoke_of(ir):
     ("path_name", lambda ir: ir["components"][0].update(path_name=5)),
     ("operands", lambda ir: ir["classes"][0]["methods"][0]["body"][0].update(operands="v0, 0x1")),
     ("actions", lambda ir: ir["components"][0].update(intent_filters=[{"actions": "BOOT"}])),
-    ("flags", lambda ir: ir["classes"][0]["methods"][0].update(flags="public")),
     ("operands", lambda ir: ir["classes"][0]["methods"][0]["body"][0].update(operands={"v0": 1})),
     ("interfaces", lambda ir: ir["classes"][0].update(interfaces={"Lx/I;": 1})),
 ], ids=["class-name", "method-name", "descriptor", "superclass-list", "interface-number",
         "interfaces-string", "invoked-method-number", "path-name-number", "operands-string",
-        "actions-string", "flags-string", "operands-object", "interfaces-object"])
+        "actions-string", "operands-object", "interfaces-object"])
 def test_ir_name_that_is_not_a_string_fails_only_its_app(tmp_path, key, setter):
     apps_root = tmp_path / "apps"
     apps_root.mkdir()
@@ -753,6 +752,25 @@ def test_mine_apis_index_that_is_not_an_object_is_an_input_error(tmp_path, capsy
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("input error: ")
     assert f"{corpus / 'index.json'}: not a JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [["cve"], {"cve": 1}, 3, None],
+                         ids=["list", "object", "number", "null"])
+def test_mine_apis_index_kind_that_is_not_a_string_is_an_input_error(tmp_path, capsys, kind):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_text("open the camera and exec commands")
+    (corpus / "index.json").write_text(json.dumps({"doc1": kind}))
+    api_docs = tmp_path / "apis.json"
+    api_docs.write_text(json.dumps([{"signature": "Camera.open", "description": "open"}]))
+    out = tmp_path / "critical.txt"
+    rc = main(["mine-apis", "--corpus", str(corpus), "--api-docs", str(api_docs),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert f"{corpus / 'index.json'}: not a JSON object of doc_id -> source kind string" in err
     assert not out.exists()
 
 

@@ -122,6 +122,23 @@ def test_abstract_method_has_empty_body():
     assert cd.methods[0].operands == cd.methods[0].calls == ()
 
 
+def test_class_line_after_a_method_names_its_owner_and_native_keeps_no_body():
+    text = """\
+.method public native n(I)V
+    invoke-static {}, Lb;->g()V
+.end method
+.method f()V
+    return-void
+.end method
+.class La;
+.super Ljava/lang/Object;
+"""
+    native, plain = parse_smali_class(text).methods
+    assert [native.method_id, plain.method_id] == ["La;->n(I)V", "La;->f()V"]
+    assert native.body == b"" and native.operands == native.calls == ()
+    assert plain.body == bytes([MNEMONIC_TO_CODE["return-void"]])
+
+
 def test_duplicate_method_rejected():
     text = MINIMAL + "\n.method onCreate()V\n    return-void\n.end method\n"
     with pytest.raises(SmaliSyntaxError):

@@ -210,7 +210,7 @@ def test_visit_budget_stops_the_search(monkeypatch):
     reference = reference_find_call_traces(cg, CRITICAL)
     assert find_call_traces(cg, CRITICAL) == reference
     assert cg.diagnostics == []
-    assert {t.entry for t in reference} == {"Lx/Main;->onCreate()V", "Lx/Main;->onStart()V"}
+    assert {t.methods[0] for t in reference} == {"Lx/Main;->onCreate()V", "Lx/Main;->onStart()V"}
 
     monkeypatch.setattr(traces_module, "DFS_VISIT_BUDGET", 50)
     cg = build_call_graph(fx_clique(5))
@@ -218,7 +218,7 @@ def test_visit_budget_stops_the_search(monkeypatch):
     assert 0 < len(found) < len(reference)
     assert found == reference[: len(found)]
     # the budget is per app: the second entry gets no search at all
-    assert {t.entry for t in found} == {"Lx/Main;->onCreate()V"}
+    assert {t.methods[0] for t in found} == {"Lx/Main;->onCreate()V"}
     assert cg.diagnostics == ["visit budget hit at entry Lx/Main;->onCreate()V"]
 
 
@@ -262,7 +262,7 @@ def test_pruned_search_matches_reference(app, max_depth, max_traces_per_entry):
     reference = reference_find_call_traces(cg, CRITICAL)
     found = find_call_traces(cg, CRITICAL)
     assert found == reference
-    assume(max(Counter(t.entry for t in found).values(), default=0)
+    assume(max(Counter(t.methods[0] for t in found).values(), default=0)
            < DEFAULT_MAX_TRACES_PER_ENTRY)
     assert {(t.methods, t.site_offset) for t in found} == enumerate_paths_oracle(cg, CRITICAL)
     assert cg.diagnostics == []
